@@ -28,13 +28,15 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .constants import HBAR
-from .crystal import NV_AXES, CrystalOrientation, transverse_reference
-from .mechanics import ALL_CLASSES, TiltGeometry, tilt_geometry, equilibrium_angle
+from .crystal import CrystalOrientation
+from .mechanics import (ALL_CLASSES, TiltGeometry, _class_frames, _class_moments_batch,
+                        equilibrium_angle, tilt_geometry)
 from .params import FieldVector, MicrowaveDrive, SpinParams, TrapModel
-from .spincore import (SX, build_hamiltonian, lindblad_jump_superoperator,
-                       spin_expectation, steady_state)
+from .spincore import (SX, _field_array, _hamiltonian_batch, _left_right, build_hamiltonian,
+                       steady_state)
 
 _BARE_ZERO = np.array([0.0, 1.0, 0.0])  # |m_s = 0> in the (+1, 0, -1) basis
+_OFF_DIAGONAL = 1.0 - np.eye(3)
 
 
 def _eigensystem(params: SpinParams, b_nv) -> tuple[np.ndarray, np.ndarray]:
@@ -78,28 +80,35 @@ def _response_linewidth(params: SpinParams, drive: MicrowaveDrive) -> float:
 
 def microwave_superoperator(params: SpinParams, b_nv, frequency_hz: float,
                             drive: MicrowaveDrive) -> np.ndarray | None:
-    """9x9 population-transfer generator for a drive at ``frequency_hz``.
+    """Population-transfer generator for a drive at ``frequency_hz``.
 
-    Returns None when the drive is off (zero rate), so callers can skip it.
+    ``b_nv`` is one NV-frame field, giving a 9x9 matrix, or a (k, 3) stack,
+    giving a (k, 9, 9) stack.  Returns None when the drive is off (zero
+    rate), so callers can skip it.
+
+    With the eigenvectors v_a of H as the columns of V and W_ab the rate
+    from b to a (symmetric, zero diagonal), the jumps |a><b| sum to the
+    Pauli master equation in the instantaneous eigenbasis,
+
+        U W U^+ - (G x I + I x G^T) / 2,   G = V diag(sum_a W_ab) V^+,
+
+    where column a of U is v_a x v_a* (row-major vectorization).
     """
     if drive.rabi_rate == 0.0:
         return None
+    stack = np.ndim(b_nv) == 2
+    b = np.asarray(b_nv, dtype=float) if stack else _field_array(b_nv)[None]
+    vals, vecs = np.linalg.eigh(HBAR * _hamiltonian_batch(params, b))
     g_eff = _response_linewidth(params, drive)
-    omega_drive = 2.0 * np.pi * frequency_hz
-    vals, vecs = _eigensystem(params, b_nv)
-    total = np.zeros((9, 9), dtype=complex)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            weight = 2.0 * abs(vecs[:, i].conj() @ SX @ vecs[:, j]) ** 2
-            if weight == 0.0:
-                continue
-            delta = omega_drive - (vals[j] - vals[i]) / HBAR
-            rate = 0.5 * drive.rabi_rate**2 * weight * g_eff / (delta**2 + g_eff**2)
-            down = np.outer(vecs[:, i], vecs[:, j].conj())
-            up = np.outer(vecs[:, j], vecs[:, i].conj())
-            total += lindblad_jump_superoperator(down, rate)
-            total += lindblad_jump_superoperator(up, rate)
-    return total
+    vecs_h = np.conj(np.swapaxes(vecs, 1, 2))
+    delta = 2.0 * np.pi * frequency_hz - np.abs(vals[:, None, :] - vals[:, :, None]) / HBAR
+    weight = 2.0 * np.abs(vecs_h @ SX @ vecs) ** 2 * _OFF_DIAGONAL
+    rates = 0.5 * drive.rabi_rate**2 * weight * g_eff / (delta**2 + g_eff**2)
+    u = np.einsum("kpa,kqa->kpqa", vecs, np.conj(vecs)).reshape(-1, 9, 3)
+    gain = u @ rates @ np.conj(np.swapaxes(u, 1, 2))
+    left, right = _left_right((vecs * rates.sum(axis=1)[:, None, :]) @ vecs_h)
+    total = gain - 0.5 * (left + right)
+    return total if stack else total[0]
 
 
 def mw_steady_state(params: SpinParams, b_nv, drive: MicrowaveDrive,
@@ -148,28 +157,6 @@ class MdmrSpectrum:
         return np.array([p.theta for p in self.points])
 
 
-def _moments_with_drive(params: SpinParams, geom: TiltGeometry, theta: float,
-                        classes, drive: MicrowaveDrive,
-                        frequency_hz: float) -> np.ndarray:
-    """Crystal-frame moments of each class at one tilt, drive included."""
-    b = geom.b_crystal(theta)
-    out = np.zeros((len(classes), 3))
-    for ic, c in enumerate(classes):
-        axis = NV_AXES[c]
-        bz = float(b @ axis)
-        perp = b - bz * axis
-        pnorm = float(np.linalg.norm(perp))
-        xhat = perp / pnorm if pnorm > 1e-15 * max(1.0, geom.b_mag) \
-            else transverse_reference(axis)
-        yhat = np.cross(axis, xhat)
-        b_nv = np.array([pnorm, 0.0, bz])
-        extra = microwave_superoperator(params, b_nv, frequency_hz, drive)
-        rho = steady_state(params, b_nv, extra_superoperator=extra)
-        m = -HBAR * params.gyromagnetic_ratio * spin_expectation(rho)
-        out[ic] = m[0] * xhat + m[1] * yhat + m[2] * axis
-    return out
-
-
 def _frozen_moment_root(geom: TiltGeometry, trap: TrapModel, moments: np.ndarray,
                         n_per_class: float, theta_guess: float) -> float | None:
     """Tilt where the torque of frozen moments balances the trap.
@@ -189,12 +176,9 @@ def _frozen_moment_root(geom: TiltGeometry, trap: TrapModel, moments: np.ndarray
                       (-0.5 * np.pi, np.pi, 189)):
         grid = np.linspace(lo, hi, n)
         vals = g(grid)
-        roots = []
-        for i in range(n - 1):
-            if vals[i] == 0.0:
-                roots.append(float(grid[i]))
-            elif vals[i] * vals[i + 1] < 0.0:
-                roots.append(float(brentq(g, grid[i], grid[i + 1], xtol=1e-10)))
+        hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
+        roots = [float(grid[i]) if vals[i] == 0.0
+                 else float(brentq(g, grid[i], grid[i + 1], xtol=1e-10)) for i in hits]
         if roots:
             return min(roots, key=lambda r: abs(r - theta_guess))
     return None
@@ -215,7 +199,9 @@ def _fixed_point_tilt(params: SpinParams, geom: TiltGeometry, trap: TrapModel,
     d = damping
     last_err = np.inf
     for it in range(1, max_iter + 1):
-        moments = _moments_with_drive(params, geom, theta, classes, drive, frequency_hz)
+        frames = _class_frames(geom, [theta], classes)
+        extra = microwave_superoperator(params, frames[0].reshape(-1, 3), frequency_hz, drive)
+        moments = _class_moments_batch(params, frames, extra)[:, 0]
         root = _frozen_moment_root(geom, trap, moments, params.n_spins_per_class, theta)
         if root is None:
             return theta, False, it
@@ -254,14 +240,8 @@ def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapMod
         raise RuntimeError("microwave-off baseline did not converge")
 
     def lines_at(tilt):
-        b = geom.b_crystal(tilt)
-        out = []
-        for c in classes:
-            axis = NV_AXES[c]
-            bz = float(b @ axis)
-            perp = float(np.linalg.norm(b - bz * axis))
-            out.append(zero_connected_lines(params, (perp, 0.0, bz)))
-        return out
+        fields, _ = _class_frames(geom, [tilt], classes)
+        return [zero_connected_lines(params, f) for f in fields[:, 0]]
 
     points = []
     theta = baseline

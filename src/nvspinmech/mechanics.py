@@ -24,6 +24,7 @@ stiffness at equilibrium.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -75,7 +76,7 @@ class TiltGeometry:
     def z0(self) -> np.ndarray:
         return NV_AXES[self.tracked_class]
 
-    @property
+    @cached_property
     def e_phi(self) -> np.ndarray:
         xref = transverse_reference(self.z0)
         yref = np.cross(self.z0, xref)
@@ -104,44 +105,58 @@ def tilt_geometry(orientation: CrystalOrientation, b_lab: FieldVector,
                         tracked_class=tracked_class)
 
 
-def _class_moments_batch(params: SpinParams, geom: TiltGeometry, thetas: np.ndarray,
-                         classes=ALL_CLASSES, extra_superoperator=None) -> np.ndarray:
-    """Crystal-frame magnetic moments, shape (len(classes), len(thetas), 3).
-
-    For each class the steady state is solved with the field in the class
-    frame (z along the class axis, x along the transverse field
-    projection); the moment is rotated back to crystal coordinates.
+def _class_frames(geom: TiltGeometry, thetas,
+                  classes=ALL_CLASSES) -> tuple[np.ndarray, np.ndarray]:
+    """NV-frame fields (n_classes, n_thetas, 3) and crystal-frame x, y, z
+    axes (n_classes, n_thetas, 3, 3) of each class frame: z along the class
+    axis, x along the transverse field or ``transverse_reference`` if none.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    k = thetas.size
     b = np.array([geom.b_crystal(t) for t in thetas])  # (k, 3)
-    out = np.zeros((len(classes), k, 3))
+    fields = np.zeros((len(classes), thetas.size, 3))
+    axes = np.empty((len(classes), thetas.size, 3, 3))
     for ic, c in enumerate(classes):
         axis = NV_AXES[c]
         bz = b @ axis
         perp = b - bz[:, None] * axis
-        pnorm = np.linalg.norm(perp, axis=1)
-        xhat = np.empty_like(perp)
+        pnorm = np.sqrt(np.add.reduce(perp * perp, axis=1))
         small = pnorm < 1e-15 * max(1.0, geom.b_mag)
-        safe = ~small
-        xhat[safe] = perp[safe] / pnorm[safe, None]
+        xhat = perp / np.where(small, 1.0, pnorm)[:, None]
         if np.any(small):
             xhat[small] = transverse_reference(axis)
-        yhat = np.cross(np.broadcast_to(axis, xhat.shape), xhat)
-        b_nv = np.column_stack([pnorm, np.zeros(k), bz])
-        rhos = steady_state_batch(params, b_nv, extra_superoperator)
-        mx = -HBAR * params.gyromagnetic_ratio * np.einsum("kij,ji->k", rhos, SX).real
-        my = -HBAR * params.gyromagnetic_ratio * np.einsum("kij,ji->k", rhos, SY).real
-        mz = -HBAR * params.gyromagnetic_ratio * np.einsum("kij,ji->k", rhos, SZ).real
-        out[ic] = mx[:, None] * xhat + my[:, None] * yhat + mz[:, None] * axis
-    return out
+        fields[ic, :, 0] = pnorm
+        fields[ic, :, 2] = bz
+        axes[ic, :, 0] = xhat
+        # axis x xhat, written out: np.cross costs more than the rest here
+        axes[ic, :, 1] = (axis[[1, 2, 0]] * xhat[:, [2, 0, 1]]
+                          - axis[[2, 0, 1]] * xhat[:, [1, 2, 0]])
+        axes[ic, :, 2] = axis
+    return fields, axes
+
+
+def _class_moments_batch(params: SpinParams, frames: tuple,
+                         extra_superoperator=None) -> np.ndarray:
+    """Crystal-frame magnetic moments, shape (n_classes, n_thetas, 3), of the
+    :func:`_class_frames` ``frames``, all solved in one steady-state batch.
+
+    ``extra_superoperator`` is one 9x9 matrix for every point, or a stack
+    of n_classes * n_thetas in the class-major order of the frames.
+    """
+    fields, axes = frames
+    n_cls, k = fields.shape[:2]
+    rhos = steady_state_batch(params, fields.reshape(-1, 3), extra_superoperator)
+    scale = -HBAR * params.gyromagnetic_ratio
+    mx, my, mz = (scale * np.einsum("kij,ji->k", rhos, s).real.reshape(n_cls, k, 1)
+                  for s in (SX, SY, SZ))
+    return mx * axes[:, :, 0] + my * axes[:, :, 1] + mz * axes[:, :, 2]
 
 
 def tilt_torque_batch(params: SpinParams, geom: TiltGeometry, thetas,
                       classes=ALL_CLASSES, extra_superoperator=None) -> np.ndarray:
     """Torque conjugate to the tilt angle (N m) at each requested theta."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    moments = _class_moments_batch(params, geom, thetas, classes, extra_superoperator)
+    moments = _class_moments_batch(params, _class_frames(geom, thetas, classes),
+                                   extra_superoperator)
     dbdth = np.array([geom.db_dtheta(t) for t in thetas])  # (k, 3)
     per_class = np.einsum("ckx,kx->k", moments, dbdth)
     return params.n_spins_per_class * per_class
@@ -168,7 +183,7 @@ def spin_torque(params: SpinParams, orientation: CrystalOrientation,
         from .crystal import angular_state
 
         state = angular_state(orientation, b_lab)
-    moments = _class_moments_batch(params, geom, [state.theta], classes)[:, 0, :]
+    moments = _class_moments_batch(params, _class_frames(geom, [state.theta], classes))[:, 0]
     b = geom.b_crystal(state.theta)
     torque_crystal = params.n_spins_per_class * np.cross(moments, b).sum(axis=0)
     return orientation.to_lab(torque_crystal)
@@ -293,7 +308,7 @@ def landscape_curl_check(params: SpinParams, orientation: CrystalOrientation,
         def tau_phi(th, ph):
             # torque conjugate to phi: m . dB/dphi
             geom = TiltGeometry(b_mag=b_mag, phi=ph)
-            moments = _class_moments_batch(params, geom, [th], classes)[:, 0, :]
+            moments = _class_moments_batch(params, _class_frames(geom, [th], classes))[:, 0]
             xref = transverse_reference(geom.z0)
             yref = np.cross(geom.z0, xref)
             dbdphi = b_mag * np.sin(th) * (-np.sin(ph) * xref + np.cos(ph) * yref)
@@ -366,13 +381,18 @@ def equilibrium_angle(params: SpinParams, orientation: CrystalOrientation,
         # evaluation can differ in the last ulp and break a marginal sign)
         grid = np.linspace(lo, theta_max, 40)
         vals = np.array([f(th) for th in grid])
+        # a torque at rounding level is an exact zero: at theta_max = pi/2
+        # with no trap it is +-1e-32 noise whose sign decides nothing
+        scale = 4.0 * params.n_spins_per_class * HBAR * params.gyromagnetic_ratio * geom.b_mag
+        vals[np.abs(vals) <= 1e-12 * scale] = 0.0
         for i in range(grid.size - 1):
             if vals[i] > 0.0 >= vals[i + 1]:
                 brackets.append((grid[i], grid[i + 1], vals[i], vals[i + 1]))
     if not brackets:
         return EquilibriumResult(theta=np.nan, stability=0.0, torque_residual=np.nan,
                                  iterations=evals, bound=False)
-    roots = [brentq(f, a, b, xtol=xtol) for a, b, _, _ in brackets]
+    # a zero at a grid point is the root itself
+    roots = [b if fb == 0.0 else brentq(f, a, b, xtol=xtol) for a, b, _, fb in brackets]
     if warm_start is not None:
         root = min(roots, key=lambda r: abs(r - warm_start))
     else:

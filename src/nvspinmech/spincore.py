@@ -41,8 +41,8 @@ SX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2.0)
 SY = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / np.sqrt(2.0)
 SZ = np.diag([1.0, 0.0, -1.0]).astype(complex)
 
+_SZ2 = SZ @ SZ
 _I3 = np.eye(3, dtype=complex)
-_I9 = np.eye(9, dtype=complex)
 
 # Indices of (|+1>, |0>, |-1>) in the matrix representation.
 _P1, _Z0, _M1 = 0, 1, 2
@@ -84,10 +84,7 @@ def build_hamiltonian(params: SpinParams, b_nv) -> np.ndarray:
     Returns:
         3x3 Hermitian matrix in the (|+1>, |0>, |-1>) basis.
     """
-    bx, by, bz = _field_array(b_nv, "nv")
-    h = params.zero_field_splitting * (SZ @ SZ)
-    h = h + params.gyromagnetic_ratio * (bx * SX + by * SY + bz * SZ)
-    return HBAR * h
+    return HBAR * _hamiltonian_batch(params, _field_array(b_nv, "nv")[None])[0]
 
 
 @lru_cache(maxsize=64)
@@ -124,86 +121,80 @@ def _dissipator_matrix(gamma1: float, gamma2_star: float, pump_rate: float) -> n
     return mat
 
 
-def lindblad_jump_superoperator(op: np.ndarray, rate: float) -> np.ndarray:
-    """Superoperator of rate*(L rho L+ - {L+L, rho}/2) for jump operator L."""
-    ldl = op.conj().T @ op
-    return rate * (
-        np.kron(op, op.conj())
-        - 0.5 * (np.kron(ldl, _I3) + np.kron(_I3, ldl.T))
-    )
+def _hamiltonian_batch(params: SpinParams, b: np.ndarray) -> np.ndarray:
+    """Hamiltonians over hbar (rad/s) for a (k, 3) stack of NV-frame fields."""
+    return (params.zero_field_splitting * _SZ2
+            + params.gyromagnetic_ratio * (b[:, 0, None, None] * SX
+                                           + b[:, 1, None, None] * SY
+                                           + b[:, 2, None, None] * SZ))
+
+
+def _left_right(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, 9, 9) superoperators of rho -> m rho and rho -> rho m, i.e.
+    m x I and I x m^T in row-major vectorization, for a (k, 3, 3) stack."""
+    k = m.shape[0]
+    left = np.einsum("kac,bd->kabcd", m, _I3).reshape(k, 9, 9)
+    right = np.einsum("ac,kdb->kabcd", _I3, m).reshape(k, 9, 9)
+    return left, right
+
+
+def _generator_batch(params: SpinParams, h: np.ndarray,
+                     extra: np.ndarray | None) -> np.ndarray:
+    """(k, 9, 9) generators of d(rho)/dt for a stack of Hamiltonians over
+    hbar (rad/s), shape (k, 3, 3)."""
+    left, right = _left_right(h)
+    gen = -1j * (left - right)
+    gen += _dissipator_matrix(params.gamma1, params.gamma2_star, params.pump_rate)
+    if extra is not None:
+        gen = gen + extra
+    return gen
 
 
 def liouvillian(params: SpinParams, hamiltonian: np.ndarray,
                 extra: np.ndarray | None = None) -> np.ndarray:
-    """9x9 generator of d(rho)/dt for the given Hamiltonian.
+    """9x9 generator of d(rho)/dt for the given Hamiltonian (J).
 
     ``extra`` adds a superoperator (e.g. microwave-induced transfer channels).
     """
-    h = hamiltonian / HBAR
-    comm = -1j * (np.kron(h, _I3) - np.kron(_I3, h.T))
-    gen = comm + _dissipator_matrix(params.gamma1, params.gamma2_star, params.pump_rate)
-    if extra is not None:
-        gen = gen + extra
-    return gen
+    return _generator_batch(params, hamiltonian[None] / HBAR, extra)[0]
 
 
 def steady_state(params: SpinParams, b_nv,
                  extra_superoperator: np.ndarray | None = None) -> np.ndarray:
     """Driven-damped steady state density matrix for a field in the NV frame.
 
-    Solves 0 = -(i/hbar)[H, rho] + L(rho) with the trace replacing one row
-    of the linear system.  The result is Hermitized and satisfies unit
-    trace by construction.
+    The batch-of-one case of :func:`steady_state_batch`, bitwise equal to
+    the same field solved inside any batch.
 
     Raises:
         SteadyStateError: if the linear solve fails or leaves a large
             residual (near-singular generator).
     """
-    gen = liouvillian(params, build_hamiltonian(params, b_nv), extra_superoperator)
-    a = gen.copy()
-    # trace row: elements (0,0), (1,1), (2,2) of rho at flat indices 0, 4, 8
-    a[0, :] = 0.0
-    a[0, 0] = a[0, 4] = a[0, 8] = 1.0
-    rhs = np.zeros(9, dtype=complex)
-    rhs[0] = 1.0
-    try:
-        vec = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SteadyStateError(f"Liouvillian solve failed: {exc}",
-                               condition=float(np.linalg.cond(a))) from exc
-    residual = float(np.linalg.norm(gen @ vec - 0.0 * vec))
-    scale = float(np.linalg.norm(gen)) or 1.0
-    if residual > 1e-8 * scale:
-        raise SteadyStateError("steady-state residual too large",
-                               condition=float(np.linalg.cond(a)))
-    rho = vec.reshape(3, 3)
-    return 0.5 * (rho + rho.conj().T)
+    b = _field_array(b_nv, "nv")[None]
+    return steady_state_batch(params, b, extra_superoperator)[0]
 
 
 def steady_state_batch(params: SpinParams, b_nv_batch: np.ndarray,
                        extra_superoperator: np.ndarray | None = None) -> np.ndarray:
     """Steady states for a batch of NV-frame fields, shape (k, 3) -> (k, 3, 3).
 
-    Same model as :func:`steady_state`; the Liouvillians are assembled and
-    solved with batched linear algebra.  ``extra_superoperator`` may be one
-    9x9 matrix applied to every batch entry or a (k, 9, 9) stack.
+    Solves 0 = -(i/hbar)[H, rho] + L(rho) with the trace replacing one row
+    of each linear system; the Liouvillians are assembled and solved with
+    batched linear algebra.  The results are Hermitized and have unit
+    trace by construction.  ``extra_superoperator`` may be one 9x9 matrix
+    applied to every batch entry or a (k, 9, 9) stack.
+
+    Raises:
+        SteadyStateError: if a linear solve fails or leaves a large
+            residual (near-singular generator).
     """
     b = np.asarray(b_nv_batch, dtype=float)
     if b.ndim != 2 or b.shape[1] != 3 or not np.all(np.isfinite(b)):
         raise ValueError("field batch must be a finite (k, 3) array")
     k = b.shape[0]
-    h = (params.zero_field_splitting * (SZ @ SZ)[None, :, :]
-         + params.gyromagnetic_ratio * (b[:, 0, None, None] * SX
-                                        + b[:, 1, None, None] * SY
-                                        + b[:, 2, None, None] * SZ))
-    # row-major vec: [H, rho] -> (kron(H, I) - kron(I, H.T)) vec(rho)
-    left = np.einsum("kac,bd->kabcd", h, _I3).reshape(k, 9, 9)
-    right = np.einsum("ac,kdb->kabcd", _I3, h).reshape(k, 9, 9)
-    gen = -1j * (left - right)
-    gen += _dissipator_matrix(params.gamma1, params.gamma2_star, params.pump_rate)
-    if extra_superoperator is not None:
-        gen = gen + extra_superoperator
+    gen = _generator_batch(params, _hamiltonian_batch(params, b), extra_superoperator)
     a = gen.copy()
+    # trace row: elements (0,0), (1,1), (2,2) of rho at flat indices 0, 4, 8
     a[:, 0, :] = 0.0
     a[:, 0, 0] = a[:, 0, 4] = a[:, 0, 8] = 1.0
     rhs = np.zeros((k, 9), dtype=complex)

@@ -234,6 +234,22 @@ class TestCommands:
         io = table.columns.index("omega_analytic")
         assert all(row[io] > 0 for row in table.rows)
 
+    def test_libration_transverse_equilibrium_found_at_ceiling(self, capsys):
+        # tracked class, no trap, below ~0.03 T: the stable tilt is the
+        # search ceiling pi/2, where the total torque is rounding noise
+        code, out, _ = run_cli(capsys, "libration",
+                               "--set", "run.classes=tracked",
+                               "--set", "trap.trap_frequency_hz=0",
+                               "--set", "spin.n_spins_per_class=1e9")
+        assert code == 0
+        table = ResultTable.parse(out)
+        col = {name: table.columns.index(name) for name in ("b", "theta_star", "stable")}
+        low = [row for row in table.rows if row[col["b"]] <= 0.0301]
+        assert len(low) == 6
+        for row in low:
+            assert row[col["theta_star"]] == 0.5 * np.pi
+            assert row[col["stable"]] is True
+
     def test_libration_pump_sweep_rises(self, capsys):
         code, out, _ = run_cli(capsys, "libration",
                                "--set", "libration.variable=pump_rate",

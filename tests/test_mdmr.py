@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
-from nvspinmech import (MicrowaveDrive, SpinParams, TrapModel,
-                        hysteresis_pair, mdmr_scan, mw_steady_state,
+from nvspinmech import (NV_AXES, SX, MicrowaveDrive, SpinParams, TiltGeometry, TrapModel,
+                        build_hamiltonian, hysteresis_pair, mdmr_scan,
+                        microwave_superoperator, mw_steady_state,
                         sharp_edge_side, spin_expectation, steady_state,
                         transition_table, zero_connected_lines)
+from nvspinmech.constants import HBAR
+from nvspinmech.crystal import transverse_reference
+from nvspinmech.mechanics import _class_frames, _class_moments_batch
 
 from conftest import axial_field
 
@@ -34,6 +38,34 @@ def scan_window(params, orientation, trap, b_mag, line, span_hz, n, classes=(0,)
     lines = zero_connected_lines(params, (perp, 0.0, bz))
     center = lines[0] if line == "lower" else lines[1]
     return np.linspace(center - span_hz / 2, center + span_hz / 2, n), center
+
+
+def kron_jump_sum(params, b_nv, frequency_hz, drive):
+    """Reference drive generator: one Lindblad jump superoperator per
+    direction of every allowed transition, each built with np.kron."""
+    if drive.rabi_rate == 0.0:
+        return None
+    i3 = np.eye(3)
+    g_eff = params.gamma2_star + drive.extra_broadening
+    vals, vecs = np.linalg.eigh(build_hamiltonian(params, b_nv))
+    total = np.zeros((9, 9), dtype=complex)
+    for i in range(3):
+        for j in range(i + 1, 3):
+            weight = 2.0 * abs(vecs[:, i].conj() @ SX @ vecs[:, j]) ** 2
+            if weight == 0.0:
+                continue
+            delta = TWO_PI * frequency_hz - (vals[j] - vals[i]) / HBAR
+            rate = 0.5 * drive.rabi_rate**2 * weight * g_eff / (delta**2 + g_eff**2)
+            for op in (np.outer(vecs[:, i], vecs[:, j].conj()),
+                       np.outer(vecs[:, j], vecs[:, i].conj())):
+                ldl = op.conj().T @ op
+                total += rate * (np.kron(op, op.conj())
+                                 - 0.5 * (np.kron(ldl, i3) + np.kron(i3, ldl.T)))
+    return total
+
+
+def relative_error(a, ref):
+    return np.linalg.norm(a - ref) / np.linalg.norm(ref)
 
 
 class TestDriveValidation:
@@ -97,6 +129,61 @@ class TestMwSteadyState:
         weights = {(i, j): w for _, w, i, j in rows}
         assert weights[(0, 2)] == pytest.approx(1.0, abs=1e-12)  # 0 <-> -1
         assert weights[(1, 2)] == pytest.approx(0.0, abs=1e-12)  # +1 <-> -1
+
+
+class TestMicrowaveSuperoperator:
+    def test_matches_kron_jump_sum_at_random_fields(self, params):
+        rng = np.random.default_rng(11)
+        fields = rng.normal(scale=0.08, size=(40, 3))
+        for freq, rabi in ((2.2e9, 3e6), (3.1e9, 20e6), (0.5e9, 1e6)):
+            drive = drive_at([freq], rabi)
+            stack = microwave_superoperator(params, fields, freq, drive)
+            assert stack.shape == (40, 9, 9)
+            for b, sup in zip(fields, stack):
+                ref = kron_jump_sum(params, b, freq, drive)
+                assert relative_error(sup, ref) < 1e-13
+                assert relative_error(microwave_superoperator(params, b, freq, drive),
+                                      ref) < 1e-13
+
+    def test_matches_kron_jump_sum_on_axis(self, params):
+        # the forbidden double-quantum line has weight 0 and is skipped by
+        # the reference; at B = D/gamma_e the |0> and |-1> levels coincide
+        crossing = params.zero_field_splitting / params.gyromagnetic_ratio
+        for bz in (0.03, 0.15, crossing):
+            b_nv = (0.0, 0.0, bz)
+            for freq in (0.5e9, 2.2e9, 4.0e9):
+                drive = drive_at([freq], 5e6)
+                ref = kron_jump_sum(params, b_nv, freq, drive)
+                sup = microwave_superoperator(params, b_nv, freq, drive)
+                assert relative_error(sup, ref) < 1e-13
+
+    def test_zero_drive_is_none(self, params):
+        off = MicrowaveDrive(rabi_rate=0.0, frequencies=(2.2e9,))
+        assert microwave_superoperator(params, (0.01, 0.0, 0.05), 2.2e9, off) is None
+        assert microwave_superoperator(params, np.zeros((3, 3)), 2.2e9, off) is None
+
+    def test_class_batch_matches_per_class_steady_states(self, params):
+        # the class-batched moments with a per-point drive stack equal one
+        # driven steady state per class in a frame built point by point,
+        # including the theta = 0 gimbal of the tracked class
+        geom = TiltGeometry(b_mag=0.12, phi=0.3)
+        thetas = np.array([0.0, 0.05, 0.4, 1.2])
+        classes = (0, 1, 2, 3)
+        drive = drive_at([2.1e9], 8e6)
+        frames = _class_frames(geom, thetas, classes)
+        extra = microwave_superoperator(params, frames[0].reshape(-1, 3), 2.1e9, drive)
+        moments = _class_moments_batch(params, frames, extra)
+        for ic, c in enumerate(classes):
+            axis = NV_AXES[c]
+            for it, theta in enumerate(thetas):
+                b = geom.b_crystal(theta)
+                bz = float(b @ axis)
+                pnorm = float(np.linalg.norm(b - bz * axis))
+                xhat = (b - bz * axis) / pnorm if pnorm > 1e-12 else transverse_reference(axis)
+                rho = mw_steady_state(params, (pnorm, 0.0, bz), drive)
+                m = -HBAR * params.gyromagnetic_ratio * spin_expectation(rho)
+                ref = m[0] * xhat + m[1] * np.cross(axis, xhat) + m[2] * axis
+                assert np.linalg.norm(moments[ic, it] - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestScan:

@@ -9,13 +9,14 @@ against the closed-form tensor on a field grid.
 import numpy as np
 import pytest
 
-from nvspinmech import (FieldVector, SingularDetuningError, SpinParams,
+from nvspinmech import (FieldVector, SingularDetuningError, SpinParams, SteadyStateError,
                         build_hamiltonian, check_density_matrix, detunings,
                         eigen_energies_vs_field, magnetization, magnetic_moment,
                         minimum_gap, spin_expectation, steady_state,
                         steady_state_batch, susceptibility_analytic,
                         susceptibility_numeric, susceptibility_van_vleck)
 from nvspinmech.constants import HBAR, MU0
+from nvspinmech.spincore import _dissipator_matrix
 
 TWO_PI = 2.0 * np.pi
 
@@ -128,6 +129,21 @@ class TestSteadyState:
             rhos = steady_state_batch(p, fields)
             for rho in rhos:
                 check_density_matrix(rho)
+
+
+    def test_singular_generator_raises_typed_error(self, params):
+        # cancelling the incoherent terms at B = 0 leaves a commutator whose
+        # null space (every state diagonal in the zero-field eigenbasis) the
+        # trace row cannot lift
+        cancel = -_dissipator_matrix(params.gamma1, params.gamma2_star, params.pump_rate)
+        with pytest.raises(SteadyStateError) as single:
+            steady_state(params, (0.0, 0.0, 0.0), extra_superoperator=cancel)
+        with pytest.raises(SteadyStateError) as batch:
+            steady_state_batch(params, np.array([[0.0, 0.0, 0.1], [0.0, 0.0, 0.0]]),
+                               extra_superoperator=cancel)
+        for info in (single, batch):
+            assert info.value.condition > 1e12
+            assert "condition estimate" in str(info.value)
 
 
 class TestMagnetization:
