@@ -28,7 +28,7 @@ from .magnetometry import NoSolutionError, TransitionPair, invert_angle_field
 from .mdmr import hysteresis_pair, mdmr_scan
 from .mechanics import (QuadratureError, RangeExhaustedError, critical_field,
                         equilibrium_angle, field_rotation_sweep,
-                        librational_frequency)
+                        librational_frequency, magnetic_energy_landscape)
 from .params import FieldVector
 from .spincore import (SingularDetuningError, SteadyStateError,
                        steady_state, susceptibility_analytic,
@@ -168,20 +168,14 @@ def cmd_mdmr(cfg: RunConfig) -> ResultTable:
 
 
 def _landscape_column(args):
-    params, b_mag, phi, theta_grid, classes, tracked = args
-    from .mechanics import TiltGeometry, _integrate_torque
-
-    geom = TiltGeometry(b_mag=b_mag, phi=phi, tracked_class=tracked)
-    anchors = np.sort(np.concatenate([[0.0], theta_grid]))
-    i0 = int(np.searchsorted(anchors, 0.0))
-    u_at = {anchors[i0]: 0.0}
-    for idx in range(i0 + 1, anchors.size):
-        a, c = anchors[idx - 1], anchors[idx]
-        u_at[c] = u_at[a] - _integrate_torque(params, geom, a, c, classes)
-    for idx in range(i0 - 1, -1, -1):
-        a, c = anchors[idx], anchors[idx + 1]
-        u_at[a] = u_at[c] + _integrate_torque(params, geom, a, c, classes)
-    return [u_at[t] for t in theta_grid]
+    params, orientation, b_mag, phi, theta_grid, classes, tracked = args
+    # the library takes a strictly increasing grid; the config also allows
+    # equal and decreasing bounds
+    thetas, rows = np.unique(theta_grid, return_inverse=True)
+    landscape = magnetic_energy_landscape(
+        params, orientation, FieldVector(0.0, 0.0, b_mag), thetas, [phi],
+        classes=classes, tracked_class=tracked)
+    return landscape.energy[rows, 0].tolist()
 
 
 def cmd_landscape(cfg: RunConfig) -> ResultTable:
@@ -199,7 +193,9 @@ def cmd_landscape(cfg: RunConfig) -> ResultTable:
     b_mag = cfg.get("field", "magnitude_tesla")
     tracked = cfg.get("crystal", "tracked_class")
     classes = cfg.classes()
-    args = [(params, b_mag, float(phi), thetas, classes, tracked) for phi in phis]
+    orientation = cfg.orientation()
+    args = [(params, orientation, b_mag, float(phi), thetas, classes, tracked)
+            for phi in phis]
     columns = _map_ordered(_landscape_column, args, cfg.get("run", "workers"))
     for j, phi in enumerate(phis):
         for i, theta in enumerate(thetas):

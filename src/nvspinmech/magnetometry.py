@@ -1,41 +1,54 @@
-"""Forward and inverse NV magnetometry from the two |0>-connected lines.
+"""Forward and inverse NV magnetometry from a transition-line pair.
 
 Diagonalizing the ground-state Hamiltonian for a field of magnitude B at
-angle theta from the NV axis gives the pair of transition frequencies
-(nu_minus, nu_plus).  The labels follow adiabatic continuation in field
-magnitude from B = 0, so the lower line keeps tracking the |0> <-> |-1>
-pair through the level crossing rather than being re-sorted by energy.
+angle theta from the NV axis gives three levels E_low < E_mid < E_top;
+the forward model returns (nu_minus, nu_plus) = (E_mid - E_low,
+E_top - E_low) / 2pi.  For theta > 0 the levels never cross in B, so these
+energy-rank labels are the converged adiabatic continuation from B = 0.
+Below the level crossing the lowest level is |0>-like and the pair is the
+|0> <-> |-1>, |0> <-> |+1> doublet.  Past the crossing at small theta the
+lowest level is |-1>-like: nu_minus is still the |0> <-> |-1> line, but
+nu_plus is the |-1> <-> |+1> line, which the pumped |0>-like state does not
+show (:func:`nvspinmech.mdmr.zero_connected_lines` gives that state's
+pair).  At theta = 0 the model is the theta -> 0+ limit, so past the
+crossing nu_plus = 2 gamma_e B / 2pi.
 
 The inverse problem maps a measured frequency pair back to (theta, B) via
 a coarse grid search followed by least-squares refinement from the best
 few basins; measurement linewidths are propagated to parameter
 uncertainties through the local Jacobian.  Sensitivity to theta vanishes
 quadratically at theta = 0, which shows up as an inflated angle
-uncertainty rather than a failure.  Above roughly 0.22 T the pair is no
-longer globally unique (a near-aligned and a large-angle configuration
-can produce identical lines); the estimator then returns the basin whose
-coarse cost is lowest.
+uncertainty rather than a failure.  A model pair fixes all three levels
+(they sum to 2D), and the spectrum fixes B^2 and B^2 sin^2 theta, so the
+forward model is one-to-one on theta in [0, pi/2] at every field: model
+pairs on a 12 x 12 grid over 0.5-89.5 deg and 0.13-0.295 T invert to
+themselves over 0-0.3 T.  A measured pair that is not a model pair, such
+as the |0>-like state's lines past the crossing, can still be matched
+exactly by another configuration (those of 1 deg, 0.18 T by 24.35 deg,
+0.1333 T); the estimator returns the basin whose coarse cost is lowest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from .constants import HBAR
 from .params import SpinParams
 
 
 @dataclass(frozen=True)
 class TransitionPair:
-    """Measured or computed |0>-connected resonance pair (Hz).
+    """Measured or computed resonance pair (Hz).
 
-    ``nu_minus`` tracks the |0> <-> |-1|-like transition (adiabatic label),
-    ``nu_plus`` the |0> <-> |+1>-like one.  Optional linewidths (FWHM, Hz)
-    feed the uncertainty propagation of the inversion.
+    The labels are energy rank: ``nu_minus`` is E_mid - E_low and
+    ``nu_plus`` is E_top - E_low.  Below the level crossing these are the
+    |0> <-> |-1>-like and |0> <-> |+1>-like lines.  Past it at small tilt,
+    ``nu_plus`` is the |-1> <-> |+1>-like line, not a line of the pumped
+    |0>-like state; :func:`nvspinmech.mdmr.zero_connected_lines` gives that
+    state's pair.  Optional linewidths (FWHM, Hz) feed the uncertainty
+    propagation of the inversion.
     """
 
     nu_minus: float
@@ -59,36 +72,27 @@ _SZ = np.diag([1.0, 0.0, -1.0])
 _SZ2 = np.diag([1.0, 0.0, 1.0])
 
 
-def _tracked_levels(params: SpinParams, theta: float, b: float,
-                    n_steps: int = 24) -> np.ndarray:
-    """Energies (J) labeled (+1, 0, -1) by continuation from B = 0."""
-    if b == 0.0:
-        d = params.zero_field_splitting
-        return HBAR * np.array([d, 0.0, d])
-    st, ct = np.sin(theta), np.cos(theta)
-    bs = np.linspace(0.0, b, n_steps + 1)[1:]
-    h = (params.zero_field_splitting * _SZ2[None]
-         + params.gyromagnetic_ratio * (
-             (bs * st)[:, None, None] * _SX + (bs * ct)[:, None, None] * _SZ))
-    vals, vecs = np.linalg.eigh(h)
-    prev = np.eye(3)
-    order = np.arange(3)
-    for k in range(bs.size):
-        overlap = np.abs(prev.T @ vecs[k]) ** 2
-        this_order = np.full(3, -1, dtype=int)
-        taken = np.zeros(3, dtype=bool)
-        for _ in range(3):
-            i, j = np.unravel_index(np.argmax(np.where(taken, -1.0, overlap)), (3, 3))
-            overlap[i, :] = -1.0
-            this_order[i] = j
-            taken[j] = True
-        prev = vecs[k][:, this_order]
-        order = this_order
-    return HBAR * vals[-1][order]
+def _line_pairs(params: SpinParams, theta, b) -> np.ndarray:
+    """(nu_minus, nu_plus) in Hz from the energy-ranked levels, shape (..., 2).
+
+    ``theta`` and ``b`` broadcast against each other; all points go through
+    one stacked diagonalization.  Energy rank is the adiabatic continuation
+    from B = 0 because for theta > 0 the real symmetric Hamiltonian has no
+    level crossings in B (von Neumann & Wigner 1929).
+    """
+    theta, b = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                   np.asarray(b, dtype=float))
+    gb = params.gyromagnetic_ratio * b
+    h = (params.zero_field_splitting * _SZ2
+         + (gb * np.sin(theta))[..., None, None] * _SX
+         + (gb * np.cos(theta))[..., None, None] * _SZ)
+    levels = np.linalg.eigvalsh(h)
+    return (levels[..., 1:] - levels[..., :1]) / (2.0 * np.pi)
 
 
 def transition_frequencies(params: SpinParams, theta: float, b: float) -> TransitionPair:
-    """Forward model: the |0>-connected line pair for a tilted field.
+    """Forward model: the energy-ranked line pair (see :class:`TransitionPair`)
+    for a tilted field; the one-point view of the batched kernel.
 
     Args:
         theta: angle between the NV axis and the field, rad, in [0, pi/2].
@@ -98,9 +102,7 @@ def transition_frequencies(params: SpinParams, theta: float, b: float) -> Transi
         raise ValueError(f"theta must lie in [0, pi/2], got {theta!r}")
     if b < 0.0 or not np.isfinite(b):
         raise ValueError(f"field magnitude must be finite and >= 0, got {b!r}")
-    e_p, e_0, e_m = _tracked_levels(params, theta, b)
-    nu_minus = abs(e_m - e_0) / HBAR / (2.0 * np.pi)
-    nu_plus = abs(e_p - e_0) / HBAR / (2.0 * np.pi)
+    nu_minus, nu_plus = _line_pairs(params, theta, b)
     return TransitionPair(nu_minus=float(nu_minus), nu_plus=float(nu_plus))
 
 
@@ -137,10 +139,11 @@ def invert_angle_field(params: SpinParams, pair: TransitionPair,
         residual_tol = max(1e3, float(widths.max()) / 100.0)
 
     def residuals(x):
-        tp = transition_frequencies(params, x[0], x[1])
-        return np.array([tp.nu_minus - target[0], tp.nu_plus - target[1]])
+        return _line_pairs(params, x[0], x[1]) - target
 
-    thetas, bs, grid_nu = _forward_grid(params, theta_range, b_range, grid_shape)
+    thetas = np.linspace(theta_range[0], theta_range[1], grid_shape[0])
+    bs = np.linspace(b_range[0], b_range[1], grid_shape[1])
+    grid_nu = _line_pairs(params, thetas[:, None], bs)
     cost = (grid_nu[..., 0] - target[0]) ** 2 + (grid_nu[..., 1] - target[1]) ** 2
     starts = _candidate_starts(thetas, bs, cost)
 
@@ -195,21 +198,15 @@ def _candidate_starts(thetas, bs, cost, max_starts: int = 5):
     """Refinement starts: local minima of the coarse cost surface plus
     tilt-offset companions (the frequency gradient in theta vanishes
     quadratically toward theta = 0, which can strand a start)."""
-    minima = []
     n_t, n_b = cost.shape
-    for i in range(n_t):
-        for j in range(n_b):
-            c = cost[i, j]
-            neighbors = [cost[ii, jj]
-                         for ii in (i - 1, i, i + 1) if 0 <= ii < n_t
-                         for jj in (j - 1, j, j + 1) if 0 <= jj < n_b
-                         if (ii, jj) != (i, j)]
-            if c <= min(neighbors):
-                minima.append((c, i, j))
-    minima.sort(key=lambda m: m[0])
+    # every point against its (up to 8) neighbours; +inf pads the edges
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(cost, 1, constant_values=np.inf), (3, 3)).reshape(n_t, n_b, 9)
+    rows, cols = np.nonzero(cost <= np.delete(windows, 4, axis=-1).min(axis=-1))
+    best = np.argsort(cost[rows, cols], kind="stable")[:max_starts]
     dt = thetas[1] - thetas[0] if thetas.size > 1 else 0.05
     starts = []
-    for _, i, j in minima[:max_starts]:
+    for i, j in zip(rows[best], cols[best]):
         starts.append(np.array([thetas[i], bs[j]]))
         starts.append(np.array([thetas[i] + dt, bs[j]]))
         if i > 0:
@@ -217,29 +214,13 @@ def _candidate_starts(thetas, bs, cost, max_starts: int = 5):
     return starts
 
 
-@lru_cache(maxsize=8)
-def _forward_grid(params: SpinParams, theta_range: tuple, b_range: tuple,
-                  grid_shape: tuple):
-    """Coarse forward-model table reused across inversions."""
-    thetas = np.linspace(theta_range[0], theta_range[1], grid_shape[0])
-    bs = np.linspace(b_range[0], b_range[1], grid_shape[1])
-    nu = np.empty((thetas.size, bs.size, 2))
-    for i, th in enumerate(thetas):
-        for j, b in enumerate(bs):
-            tp = transition_frequencies(params, float(th), float(b))
-            nu[i, j] = (tp.nu_minus, tp.nu_plus)
-    return thetas, bs, nu
-
-
 def _flat_valley_width(params: SpinParams, b: float, sigma: float) -> float:
     """Tilt below which both lines shift by less than sigma (rad)."""
     if sigma <= 0.0 or b <= 0.0:
         return 0.0
     probe = 0.02
-    n0 = transition_frequencies(params, 0.0, b)
-    n1 = transition_frequencies(params, probe, b)
-    curv = 2.0 * max(abs(n1.nu_minus - n0.nu_minus),
-                     abs(n1.nu_plus - n0.nu_plus)) / probe**2
+    n0, n1 = _line_pairs(params, [0.0, probe], b)
+    curv = 2.0 * float(np.max(np.abs(n1 - n0))) / probe**2
     if curv <= 0.0:
         return 0.5 * np.pi
     return min(float(np.sqrt(2.0 * sigma / curv)), 0.5 * np.pi)
@@ -250,11 +231,7 @@ def _jacobian(params: SpinParams, theta: float, b: float) -> np.ndarray:
     h_th, h_b = 1e-4, 1e-6
     th_lo, th_hi = max(0.0, theta - h_th), min(0.5 * np.pi, theta + h_th)
     b_lo, b_hi = max(0.0, b - h_b), b + h_b
-
-    def nu(th, bb):
-        tp = transition_frequencies(params, th, bb)
-        return np.array([tp.nu_minus, tp.nu_plus])
-
-    col_th = (nu(th_hi, b) - nu(th_lo, b)) / (th_hi - th_lo)
-    col_b = (nu(theta, b_hi) - nu(theta, b_lo)) / (b_hi - b_lo)
+    nu = _line_pairs(params, [th_hi, th_lo, theta, theta], [b, b, b_hi, b_lo])
+    col_th = (nu[0] - nu[1]) / (th_hi - th_lo)
+    col_b = (nu[2] - nu[3]) / (b_hi - b_lo)
     return np.column_stack([col_th, col_b])

@@ -141,6 +141,29 @@ class TestCommands:
         ts, tp = ResultTable.parse(serial), ResultTable.parse(pooled)
         assert ts.rows == tp.rows
 
+    def test_landscape_decreasing_theta_bounds(self, capsys):
+        args = ["landscape",
+                "--set", "landscape.theta_steps=4",
+                "--set", "landscape.phi_steps=2"]
+        code, down, _ = run_cli(capsys, *args,
+                                "--set", "landscape.theta_min_rad=0.6",
+                                "--set", "landscape.theta_max_rad=0.0")
+        assert code == 0
+        _, up, _ = run_cli(capsys, *args,
+                           "--set", "landscape.theta_min_rad=0.0",
+                           "--set", "landscape.theta_max_rad=0.6")
+        td, tu = ResultTable.parse(down), ResultTable.parse(up)
+        assert len(td.rows) == 8
+        it, iu = td.columns.index("theta"), td.columns.index("energy")
+        for j in range(2):
+            # rows keep the configured order: the increasing table reversed
+            block_d = td.rows[4 * j:4 * j + 4]
+            block_u = tu.rows[4 * j:4 * j + 4][::-1]
+            assert [r[it] for r in block_d] == pytest.approx([0.6, 0.4, 0.2, 0.0])
+            assert block_d[-1][iu] == 0.0
+            assert [r[iu] for r in block_d] == pytest.approx(
+                [r[iu] for r in block_u], rel=1e-9)
+
     def test_susceptibility_sign_change_near_crossing(self, capsys):
         code, out, _ = run_cli(capsys, "susceptibility",
                                "--set", "sweep.start=0.08",
