@@ -14,10 +14,10 @@ line).  Every transition of every orientation class receives its
 Lorentzian tail simultaneously.  Coherences with the drive play no
 mechanical role at these frequencies, so a rate treatment suffices.
 
-A scan point is converged by damped fixed-point iteration between the
-spin steady state at the current tilt and the mechanical equilibrium
-under the resulting (frozen-moment) torque; warm-starting along the sweep
-yields direction-dependent jumps (hysteresis) in the nonlinear regime.
+A scan point is the stable root of F(theta; nu) = tau_spin(theta; nu) -
+k*(theta - theta0) nearest the previous tilt, found by the bracket scan and
+Brent polish of ``equilibrium_angle``; following the branch along the sweep
+yields direction-dependent jumps (hysteresis) at folds.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from scipy.optimize import brentq
 from .constants import HBAR
 from .crystal import CrystalOrientation
 from .mechanics import (ALL_CLASSES, TiltGeometry, _class_frames, _class_moments_batch,
-                        equilibrium_angle, tilt_geometry)
+                        _stable_bracket, _torque_scale, equilibrium_angle, tilt_geometry)
 from .params import FieldVector, MicrowaveDrive, SpinParams, TrapModel
 from .spincore import (SX, _field_array, _hamiltonian_batch, _left_right, build_hamiltonian,
                        steady_state)
@@ -39,18 +39,12 @@ _BARE_ZERO = np.array([0.0, 1.0, 0.0])  # |m_s = 0> in the (+1, 0, -1) basis
 _OFF_DIAGONAL = 1.0 - np.eye(3)
 
 
-def _eigensystem(params: SpinParams, b_nv) -> tuple[np.ndarray, np.ndarray]:
-    h = build_hamiltonian(params, b_nv)
-    vals, vecs = np.linalg.eigh(h)
-    return vals, vecs
-
-
 def transition_table(params: SpinParams, b_nv) -> list[tuple[float, float, int, int]]:
     """All transitions of one class: (frequency_hz, weight, i, j) with i < j.
 
     Weights are 2|<i|Sx|j>|^2; eigenstates are indexed by ascending energy.
     """
-    vals, vecs = _eigensystem(params, b_nv)
+    vals, vecs = np.linalg.eigh(build_hamiltonian(params, b_nv))
     out = []
     for i in range(3):
         for j in range(i + 1, 3):
@@ -63,7 +57,7 @@ def transition_table(params: SpinParams, b_nv) -> list[tuple[float, float, int, 
 def zero_connected_lines(params: SpinParams, b_nv) -> tuple[float, float]:
     """The two transition frequencies (Hz) from the most |0>-like eigenstate,
     ordered (lower, upper)."""
-    vals, vecs = _eigensystem(params, b_nv)
+    vals, vecs = np.linalg.eigh(build_hamiltonian(params, b_nv))
     k0 = int(np.argmax(np.abs(_BARE_ZERO @ vecs) ** 2))
     freqs = sorted(abs(vals[k] - vals[k0]) / HBAR / (2.0 * np.pi)
                    for k in range(3) if k != k0)
@@ -121,6 +115,10 @@ def mw_steady_state(params: SpinParams, b_nv, drive: MicrowaveDrive,
 
 @dataclass(frozen=True)
 class MdmrPoint:
+    """One scan point.  ``converged`` is False only when the total torque
+    has no stable root in [-pi/2, pi]; ``iterations`` counts the torque
+    evaluations of the point (a batched bracket scan counts as one)."""
+
     frequency_hz: float
     theta: float
     delta_theta: float
@@ -157,75 +155,66 @@ class MdmrSpectrum:
         return np.array([p.theta for p in self.points])
 
 
-def _frozen_moment_root(geom: TiltGeometry, trap: TrapModel, moments: np.ndarray,
-                        n_per_class: float, theta_guess: float) -> float | None:
-    """Tilt where the torque of frozen moments balances the trap.
+# stable-root scan: tilts k * _STEP within [-pi/2, pi], 17 around the guess,
+# widened 4x until a stable bracket appears
+_STEP = 0.01
+_K_LO, _K_HI = int(np.ceil(-0.5 * np.pi / _STEP)), int(np.floor(np.pi / _STEP))
 
-    With fixed moment vectors the spin torque is A*cos(theta) - C*sin(theta);
-    the sign-change root nearest the guess is returned, None if the total
-    torque never changes sign in the search window.
+
+def _driven_total_torque(params: SpinParams, geom: TiltGeometry, trap: TrapModel,
+                         drive: MicrowaveDrive, frequency_hz: float, thetas,
+                         classes) -> np.ndarray:
+    """Spin torque under the drive plus trap torque, one steady-state batch."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    frames = _class_frames(geom, thetas, classes)
+    extra = microwave_superoperator(params, frames[0].reshape(-1, 3), frequency_hz, drive)
+    moments = _class_moments_batch(params, frames, extra)
+    spin = params.n_spins_per_class * np.einsum("ckx,kx->k", moments, geom.db_dtheta(thetas))
+    return spin - trap.stiffness * (thetas - trap.theta0)
+
+
+def _stable_tilt(params: SpinParams, geom: TiltGeometry, trap: TrapModel,
+                 drive: MicrowaveDrive, frequency_hz: float, theta_guess: float,
+                 classes) -> tuple[float, bool, int]:
+    """(tilt, found, torque evaluations): the stable root of the driven total
+    torque nearest the guess, or the guess itself when none exists.
+
+    The scanned tilts are anchored at multiples of _STEP, so solving again
+    from a root scans the same tilts and returns that root bitwise.
     """
-    m_tot = n_per_class * moments.sum(axis=0)
-    a_coef = geom.b_mag * float(m_tot @ geom.e_phi)
-    c_coef = geom.b_mag * float(m_tot @ geom.z0)
+    evals = 0
 
-    def g(th):
-        return a_coef * np.cos(th) - c_coef * np.sin(th) - trap.stiffness * (th - trap.theta0)
+    def torque(thetas):
+        nonlocal evals
+        evals += 1
+        return _driven_total_torque(params, geom, trap, drive, frequency_hz, thetas, classes)
 
-    for lo, hi, n in ((theta_guess - 0.35, theta_guess + 0.35, 141),
-                      (-0.5 * np.pi, np.pi, 189)):
-        grid = np.linspace(lo, hi, n)
-        vals = g(grid)
-        hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
-        roots = [float(grid[i]) if vals[i] == 0.0
-                 else float(brentq(g, grid[i], grid[i + 1], xtol=1e-10)) for i in hits]
-        if roots:
-            return min(roots, key=lambda r: abs(r - theta_guess))
-    return None
-
-
-def _fixed_point_tilt(params: SpinParams, geom: TiltGeometry, trap: TrapModel,
-                      drive: MicrowaveDrive, frequency_hz: float, theta_init: float,
-                      classes, damping: float = 0.5, max_iter: int = 200,
-                      tol: float = 1e-7) -> tuple[float, bool, int]:
-    """Damped alternation: spin state at current tilt, then mechanical root.
-
-    The damping starts at the configured value and halves whenever a block
-    of iterations fails to contract; this settles onto any locally stable
-    branch, while genuine fold jumps (where no stable branch exists nearby)
-    exhaust the budget and are flagged.
-    """
-    theta = theta_init
-    d = damping
-    last_err = np.inf
-    for it in range(1, max_iter + 1):
-        frames = _class_frames(geom, [theta], classes)
-        extra = microwave_superoperator(params, frames[0].reshape(-1, 3), frequency_hz, drive)
-        moments = _class_moments_batch(params, frames, extra)[:, 0]
-        root = _frozen_moment_root(geom, trap, moments, params.n_spins_per_class, theta)
-        if root is None:
-            return theta, False, it
-        err = abs(root - theta)
-        if err < tol:
-            return theta, True, it
-        if it % 25 == 0:
-            if err >= 0.5 * last_err:
-                d = max(0.5 * d, 1.0 / 64.0)
-            last_err = err
-        theta = theta + d * (root - theta)
-    return theta, False, max_iter
+    center = round(theta_guess / _STEP)
+    for half in (8, 32, 128, 512):  # 512 steps span the range from any guess in it
+        ks = np.arange(max(center - half, _K_LO), min(center + half, _K_HI) + 1)
+        bracket = _stable_bracket(ks * _STEP, torque(ks * _STEP), theta_guess,
+                                  _torque_scale(params, geom.b_mag))
+        if bracket is not None:
+            break
+    else:
+        return theta_guess, False, evals
+    a, b, fa, fb = bracket
+    # the scanned end values: a single tilt can differ in the last ulp
+    root = b if fb == 0.0 else brentq(
+        lambda th: fa if th == a else fb if th == b else float(torque(th)[0]), a, b, xtol=1e-10)
+    return float(root), True, evals
 
 
 def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapModel,
               b_lab: FieldVector, drive: MicrowaveDrive,
-              classes=ALL_CLASSES, damping: float = 0.5, max_iter: int = 200,
-              tol: float = 1e-7) -> MdmrSpectrum:
+              classes=ALL_CLASSES) -> MdmrSpectrum:
     """Sweep the drive over its frequencies and record tilt displacements.
 
-    Each point is warm-started from the previous one, which reproduces the
-    direction dependence of the response near bistable jumps.  Points that
-    do not reach a fixed point within ``max_iter`` are recorded with their
-    last iterate and flagged; the scan continues.
+    Each point is the stable root of the drive-included total torque
+    nearest the previous point's tilt, which reproduces the direction
+    dependence of the response near bistable jumps.  A point with no
+    stable root anywhere in [-pi/2, pi] keeps the previous tilt and is
+    flagged unconverged; the scan continues.
     """
     if len(drive.frequencies) == 0:
         raise ValueError("drive sweep is empty")
@@ -234,8 +223,7 @@ def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapMod
     if not eq.bound:
         raise RuntimeError("no stable microwave-off equilibrium: cannot scan")
     off_drive = MicrowaveDrive(rabi_rate=0.0, frequencies=(0.0,))
-    baseline, base_ok, _ = _fixed_point_tilt(
-        params, geom, trap, off_drive, 0.0, eq.theta, classes, damping, max_iter, tol)
+    baseline, base_ok, _ = _stable_tilt(params, geom, trap, off_drive, 0.0, eq.theta, classes)
     if not base_ok:
         raise RuntimeError("microwave-off baseline did not converge")
 
@@ -246,11 +234,9 @@ def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapMod
     points = []
     theta = baseline
     for freq in drive.frequencies:
-        theta, ok, iters = _fixed_point_tilt(
-            params, geom, trap, drive, freq, theta, classes, damping, max_iter, tol)
+        theta, ok, evals = _stable_tilt(params, geom, trap, drive, freq, theta, classes)
         points.append(MdmrPoint(frequency_hz=float(freq), theta=theta,
-                                delta_theta=theta - baseline, converged=ok,
-                                iterations=iters,
+                                delta_theta=theta - baseline, converged=ok, iterations=evals,
                                 class_lines_hz=tuple(lines_at(theta))))
     return MdmrSpectrum(drive=drive, baseline_theta=baseline, points=tuple(points),
                         class_lines_hz=np.array(lines_at(baseline)))
@@ -258,12 +244,12 @@ def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapMod
 
 def hysteresis_pair(params: SpinParams, orientation: CrystalOrientation,
                     trap: TrapModel, b_lab: FieldVector, drive: MicrowaveDrive,
-                    classes=ALL_CLASSES, **scan_kwargs) -> tuple[MdmrSpectrum, MdmrSpectrum]:
+                    classes=ALL_CLASSES) -> tuple[MdmrSpectrum, MdmrSpectrum]:
     """The same sweep traversed in both directions: (up scan, down scan)."""
     up_drive = drive if drive.direction == "up" else drive.reversed()
     down_drive = up_drive.reversed()
-    up = mdmr_scan(params, orientation, trap, b_lab, up_drive, classes, **scan_kwargs)
-    down = mdmr_scan(params, orientation, trap, b_lab, down_drive, classes, **scan_kwargs)
+    up = mdmr_scan(params, orientation, trap, b_lab, up_drive, classes)
+    down = mdmr_scan(params, orientation, trap, b_lab, down_drive, classes)
     return up, down
 
 

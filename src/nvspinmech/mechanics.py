@@ -82,11 +82,14 @@ class TiltGeometry:
         yref = np.cross(self.z0, xref)
         return np.cos(self.phi) * xref + np.sin(self.phi) * yref
 
-    def b_crystal(self, theta: float) -> np.ndarray:
-        return self.b_mag * (np.sin(theta) * self.e_phi + np.cos(theta) * self.z0)
+    def b_crystal(self, theta) -> np.ndarray:
+        """Field (3,) at one tilt, or (k, 3) at an array of k tilts."""
+        th = np.asarray(theta, dtype=float)[..., None]
+        return self.b_mag * (np.sin(th) * self.e_phi + np.cos(th) * self.z0)
 
-    def db_dtheta(self, theta: float) -> np.ndarray:
-        return self.b_mag * (np.cos(theta) * self.e_phi - np.sin(theta) * self.z0)
+    def db_dtheta(self, theta) -> np.ndarray:
+        th = np.asarray(theta, dtype=float)[..., None]
+        return self.b_mag * (np.cos(th) * self.e_phi - np.sin(th) * self.z0)
 
 
 def tilt_geometry(orientation: CrystalOrientation, b_lab: FieldVector,
@@ -112,7 +115,7 @@ def _class_frames(geom: TiltGeometry, thetas,
     axis, x along the transverse field or ``transverse_reference`` if none.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    b = np.array([geom.b_crystal(t) for t in thetas])  # (k, 3)
+    b = geom.b_crystal(thetas)  # (k, 3)
     fields = np.zeros((len(classes), thetas.size, 3))
     axes = np.empty((len(classes), thetas.size, 3, 3))
     for ic, c in enumerate(classes):
@@ -157,8 +160,7 @@ def tilt_torque_batch(params: SpinParams, geom: TiltGeometry, thetas,
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     moments = _class_moments_batch(params, _class_frames(geom, thetas, classes),
                                    extra_superoperator)
-    dbdth = np.array([geom.db_dtheta(t) for t in thetas])  # (k, 3)
-    per_class = np.einsum("ckx,kx->k", moments, dbdth)
+    per_class = np.einsum("ckx,kx->k", moments, geom.db_dtheta(thetas))
     return params.n_spins_per_class * per_class
 
 
@@ -196,8 +198,7 @@ def _integrate_torque(params: SpinParams, geom: TiltGeometry, a: float, b: float
     if a == b:
         return 0.0
     if atol is None:
-        scale = 4.0 * params.n_spins_per_class * HBAR * params.gyromagnetic_ratio * geom.b_mag
-        atol = 1e-12 * scale * max(abs(b - a), 1e-3)
+        atol = 1e-12 * _torque_scale(params, geom.b_mag) * max(abs(b - a), 1e-3)
 
     def panel(lo, hi, depth):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -338,10 +339,31 @@ class EquilibriumResult:
 
 
 def total_tilt_torque(params: SpinParams, geom: TiltGeometry, trap: TrapModel,
-                      theta: float, classes=ALL_CLASSES) -> float:
-    """Spin torque plus harmonic trap torque at one tilt angle."""
-    return (tilt_torque(params, geom, theta, classes)
-            - trap.stiffness * (theta - trap.theta0))
+                      theta, classes=ALL_CLASSES):
+    """Spin torque plus harmonic trap torque at one tilt angle or an array of them."""
+    th = np.asarray(theta, dtype=float)
+    total = tilt_torque_batch(params, geom, th, classes) - trap.stiffness * (th - trap.theta0)
+    return total if th.ndim else float(total[0])
+
+
+def _torque_scale(params: SpinParams, b_mag: float) -> float:
+    """Largest spin torque of four fully polarized classes (N m)."""
+    return 4.0 * params.n_spins_per_class * HBAR * params.gyromagnetic_ratio * b_mag
+
+
+def _stable_bracket(thetas: np.ndarray, values: np.ndarray, guess: float,
+                    scale: float) -> tuple | None:
+    """(a, b, tau(a), tau(b)) of the scanned total torque: the sign change
+    from + to <= 0 whose secant root is nearest ``guess``, or None.  A torque
+    at rounding level (|tau| <= 1e-12 * scale, e.g. +-1e-32 at pi/2 with no
+    trap) is an exact zero, so tau(b) == 0 means b is the root itself."""
+    vals = np.where(np.abs(values) <= 1e-12 * scale, 0.0, values)
+    hits = np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))
+    if hits.size == 0:
+        return None
+    a, b, fa, fb = thetas[hits], thetas[hits + 1], vals[hits], vals[hits + 1]
+    i = int(np.argmin(np.abs(a + fa * (b - a) / (fa - fb) - guess)))
+    return float(a[i]), float(b[i]), float(fa[i]), float(fb[i])
 
 
 def equilibrium_angle(params: SpinParams, orientation: CrystalOrientation,
@@ -351,12 +373,14 @@ def equilibrium_angle(params: SpinParams, orientation: CrystalOrientation,
                       xtol: float = 1e-9) -> EquilibriumResult:
     """Stable equilibrium tilt of the tracked NV axis.
 
-    Damped root search on the total torque over [0, theta_max] (extended
+    Bracketed root search on the total torque over [0, theta_max] (extended
     slightly below zero so an exactly aligned equilibrium is bracketable).
-    With ``warm_start`` the root nearest the previous solution is followed,
-    which selects the branch in bistable regions.
+    With ``warm_start`` the stable root nearest the previous solution is
+    followed, which selects the branch in bistable regions.  ``iterations``
+    counts batched torque evaluations (warm-start windows, scan, slope).
     """
     geom = tilt_geometry(orientation, b_lab)
+    scale = _torque_scale(params, geom.b_mag)
     evals = 0
 
     def f(th):
@@ -365,44 +389,30 @@ def equilibrium_angle(params: SpinParams, orientation: CrystalOrientation,
         return total_tilt_torque(params, geom, trap, th, classes)
 
     lo = -0.02
-    brackets = []
+    bracket = None
     if warm_start is not None:
         # local bracket expansion around the previous point
-        for half_width in (0.01, 0.03, 0.09, 0.27):
-            a = max(lo, warm_start - half_width)
-            b = min(theta_max, warm_start + half_width)
-            fa, fb = f(a), f(b)
-            if fa > 0.0 > fb:
-                brackets = [(a, b, fa, fb)]
+        ends = np.array([(max(lo, warm_start - w), min(theta_max, warm_start + w))
+                         for w in (0.01, 0.03, 0.09, 0.27)])
+        for th, v in zip(ends, f(ends.ravel()).reshape(-1, 2)):
+            if (bracket := _stable_bracket(th, v, warm_start, scale)) is not None:
                 break
-    if not brackets:
-        # bracket detection goes through f itself so the endpoint values
-        # brentq sees are bitwise identical to the scanned ones (a batched
-        # evaluation can differ in the last ulp and break a marginal sign)
+    if bracket is None:
         grid = np.linspace(lo, theta_max, 40)
-        vals = np.array([f(th) for th in grid])
-        # a torque at rounding level is an exact zero: at theta_max = pi/2
-        # with no trap it is +-1e-32 noise whose sign decides nothing
-        scale = 4.0 * params.n_spins_per_class * HBAR * params.gyromagnetic_ratio * geom.b_mag
-        vals[np.abs(vals) <= 1e-12 * scale] = 0.0
-        for i in range(grid.size - 1):
-            if vals[i] > 0.0 >= vals[i + 1]:
-                brackets.append((grid[i], grid[i + 1], vals[i], vals[i + 1]))
-    if not brackets:
+        guess = trap.theta0 if warm_start is None else warm_start
+        bracket = _stable_bracket(grid, f(grid), guess, scale)
+    if bracket is None:
         return EquilibriumResult(theta=np.nan, stability=0.0, torque_residual=np.nan,
                                  iterations=evals, bound=False)
-    # a zero at a grid point is the root itself
-    roots = [b if fb == 0.0 else brentq(f, a, b, xtol=xtol) for a, b, _, fb in brackets]
-    if warm_start is not None:
-        root = min(roots, key=lambda r: abs(r - warm_start))
-    else:
-        root = min(roots, key=lambda r: abs(r - trap.theta0))
+    a, b, fa, fb = bracket
+    # the scanned end values: a single tilt can differ in the last ulp
+    root = b if fb == 0.0 else brentq(
+        lambda th: fa if th == a else fb if th == b else f(th), a, b, xtol=xtol)
     root = 0.0 if abs(root) < xtol else float(root)
     h = max(1e-5, 10 * xtol)
-    slope = (f(root + h) - f(root - h)) / (2 * h)
-    residual = abs(f(root))
-    return EquilibriumResult(theta=root, stability=float(-np.sign(slope)),
-                             torque_residual=residual, iterations=evals, bound=True)
+    lower, mid, upper = f([root - h, root, root + h])
+    return EquilibriumResult(theta=root, stability=float(-np.sign((upper - lower) / (2 * h))),
+                             torque_residual=abs(float(mid)), iterations=evals, bound=True)
 
 
 def critical_field(params: SpinParams, orientation: CrystalOrientation,

@@ -1,12 +1,16 @@
-"""Benchmark smoke test: one traced pass of every workload runs clean.
+"""Benchmark smoke test: one traced pass of every workload runs clean and
+reports everything the harness reads.
 
 A pass that crashes (a missing package name while a workload is built, a
 counter that ``json.dumps`` rejects, a fault in the tracer) prints no JSON
-line, and the benchmark harness can then read nothing from the run.  Each
-pass runs in its own interpreter, as the harness runs it; nothing is
-written to disk.
+line, and the benchmark harness can then read nothing from the run.  A
+pass can also exit 0 and still lose a metric: a span that a per-layer
+metric reads is gone from the program, or a counter is NaN (printed as
+bare ``NaN``, which strict JSON rejects).  Each pass runs in its own
+interpreter, as the harness runs it; nothing is written to disk.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -17,8 +21,24 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = [w["name"] for w in
-             json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+
+
+def _harness():
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_per_layer_metrics_match_benchmark_declaration():
+    declared = [m["name"] for m in BENCHMARK["per_layer"]]
+    assert sorted(declared) == sorted(_harness().PER_LAYER)
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -31,5 +51,11 @@ def test_traced_pass_reports_json_without_failures(workload):
     proc = subprocess.run(cmd, env=env, cwd=ROOT, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1],
+                        parse_constant=_reject_constant)
     assert result["failed"] == {}
+    spans = {arg[-1] for _, (kind, *arg) in _harness().PER_LAYER.values()
+             if kind in ("calls", "self", "per_call")}
+    missing = spans - result["spans"].keys()
+    assert not missing, f"spans read by per-layer metrics are absent: {missing}"
+    assert all(type(v) is int for v in result["counters"].values()), result["counters"]

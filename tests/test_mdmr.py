@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from nvspinmech import (NV_AXES, SX, MicrowaveDrive, SpinParams, TiltGeometry, TrapModel,
-                        build_hamiltonian, hysteresis_pair, mdmr_scan,
+                        build_hamiltonian, hysteresis_pair, mdmr_scan, tilt_geometry,
                         microwave_superoperator, mw_steady_state,
                         sharp_edge_side, spin_expectation, steady_state,
                         transition_table, zero_connected_lines)
 from nvspinmech.constants import HBAR
 from nvspinmech.crystal import transverse_reference
+from nvspinmech.mdmr import _driven_total_torque
 from nvspinmech.mechanics import _class_frames, _class_moments_batch
 
 from conftest import axial_field
@@ -312,3 +313,24 @@ class TestHysteresis:
                                        axial_field(orientation, 0.023),
                                        drive_at(freqs, rabi), classes=(0,))
             assert sharp_edge_side(up, down, center) == "low"
+
+    def test_down_sweep_follows_existing_stable_branch(self, orientation):
+        # upper line below the crossing, swept downward: near the low end
+        # the stable branch near 0.62 rad coexists with one near 0.43 rad
+        # (and an unstable root between them); the scan stays on it
+        p = SpinParams(gamma2_star=TWO_PI * 1e6)
+        trap = TrapModel(trap_frequency=TWO_PI * 120.0, theta0=10.0 * DEG)
+        field = axial_field(orientation, 0.023)
+        freqs, _ = scan_window(p, orientation, trap, 0.023, "upper", 60 * MHZ, 13)
+        spec = mdmr_scan(p, orientation, trap, field,
+                         drive_at(freqs[::-1], 2e6, direction="down"), classes=(0,))
+        geom = tilt_geometry(orientation, field)
+        previous = spec.baseline_theta
+        for point in spec.points:
+            lower, upper = _driven_total_torque(
+                p, geom, trap, spec.drive, point.frequency_hz,
+                [point.theta - 1e-4, point.theta + 1e-4], (0,))
+            assert lower > 0.0 > upper, point
+            assert abs(point.theta - previous) < 0.08, point
+            previous = point.theta
+        assert spec.points[-1].theta > 0.6

@@ -9,8 +9,9 @@ from nvspinmech import (SpinParams, TrapModel,
                         linear_torque_coefficient, magnetic_energy_landscape,
                         spin_torque, tilt_geometry, tilt_torque, tilt_torque_batch,
                         RangeExhaustedError)
+from nvspinmech import mdmr, mechanics
 from nvspinmech.constants import KB
-from nvspinmech.mechanics import _integrate_torque
+from nvspinmech.mechanics import TiltGeometry, _integrate_torque, _stable_bracket
 
 from conftest import axial_field
 
@@ -146,6 +147,85 @@ class TestEnergyLandscape:
                               max_depth=0)
         lo, hi, phi = exc.value.cell
         assert 0.0 <= lo < hi <= 1.2
+
+
+class TestTiltGeometry:
+    @pytest.mark.parametrize("n", [1, 17, 40, 1000])
+    def test_tilt_arrays_match_single_tilts_bitwise(self, n):
+        geom = TiltGeometry(b_mag=0.13, phi=0.7)
+        thetas = np.random.default_rng(n).uniform(-0.5 * np.pi, np.pi, n)
+        for method in (geom.b_crystal, geom.db_dtheta):
+            batch = method(thetas)
+            assert batch.shape == (n, 3)
+            assert np.array_equal(batch, np.array([method(float(t)) for t in thetas]))
+            assert method(float(thetas[0])).shape == (3,)
+
+
+def _cubic(thetas):
+    # stable roots at 0.25 and 0.85, unstable root at 0.55 between them
+    return -(thetas - 0.25) * (thetas - 0.55) * (thetas - 0.85)
+
+
+class TestStableBracket:
+    grid = np.linspace(0.0, 1.0, 11)
+
+    def test_stable_root_nearest_guess_wins_over_nearer_unstable(self):
+        vals = _cubic(self.grid)
+        a, b, fa, fb = _stable_bracket(self.grid, vals, 0.6, scale=1.0)
+        assert (a, b) == (self.grid[8], self.grid[9])
+        assert (fa, fb) == (vals[8], vals[9])
+        a, b, _, _ = _stable_bracket(self.grid, vals, 0.5, scale=1.0)
+        assert (a, b) == (self.grid[2], self.grid[3])
+
+    def test_no_stable_bracket_gives_none(self):
+        assert _stable_bracket(self.grid, self.grid - 0.55, 0.5, scale=1.0) is None
+        assert _stable_bracket(self.grid, 1.0 + self.grid, 0.5, scale=1.0) is None
+
+    @pytest.mark.parametrize("noise", [2e-32, -2e-32, 0.0])
+    def test_rounding_level_end_value_is_the_root(self, noise):
+        vals = np.array([3.0, 2.0, 1.0, noise])
+        grid = self.grid[:4]
+        assert _stable_bracket(grid, vals, 0.0, scale=1.0) == (grid[2], grid[3], 1.0, 0.0)
+
+    def test_rounding_level_start_value_is_not_positive(self):
+        assert _stable_bracket(self.grid[:2], np.array([1e-30, -1.0]), 0.0, scale=1.0) is None
+
+    @staticmethod
+    def _flipping_torque(b_end, scale):
+        """Torque with a stable root 1e-9 rad below ``b_end`` whose
+        single-tilt value at ``b_end`` has the wrong sign, as a last-ulp
+        difference of a marginal value would."""
+        def torque(thetas):
+            thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+            vals = scale * (b_end - 1e-9 - thetas)
+            if thetas.size == 1 and thetas[0] == b_end:
+                return -vals
+            return vals
+        return torque
+
+    def test_equilibrium_polish_keeps_scanned_end_values(self, params, orientation,
+                                                         monkeypatch):
+        field = axial_field(orientation, 0.1)
+        scale = mechanics._torque_scale(params, 0.1)
+        b_end = float(np.linspace(-0.02, 0.5 * np.pi, 40)[5])
+        torque = self._flipping_torque(b_end, scale)
+        monkeypatch.setattr(mechanics, "tilt_torque_batch",
+                            lambda params, geom, thetas, classes: torque(thetas))
+        res = equilibrium_angle(params, orientation, TrapModel(trap_frequency=0.0), field)
+        assert res.bound
+        assert abs(res.theta - (b_end - 1e-9)) < 1e-9
+
+    def test_mdmr_polish_keeps_scanned_end_values(self, params, monkeypatch):
+        scale = mechanics._torque_scale(params, 0.1)
+        b_end = 31 * mdmr._STEP
+        torque = self._flipping_torque(b_end, scale)
+        monkeypatch.setattr(mdmr, "_driven_total_torque",
+                            lambda *args: torque(args[5]))
+        theta, found, _ = mdmr._stable_tilt(params, TiltGeometry(b_mag=0.1, phi=0.0),
+                                            TrapModel(trap_frequency=0.0), None, 0.0,
+                                            0.3, (0,))
+        assert found
+        assert abs(theta - (b_end - 1e-9)) < 1e-10
 
 
 class TestEquilibrium:
