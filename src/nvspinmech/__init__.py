@@ -40,7 +40,7 @@ from .params import FieldVector, MicrowaveDrive, SpinParams, TrapModel
 from .spincore import (SX, SY, SZ, SingularDetuningError, SpinLevelSet,
                        SteadyStateError, SusceptibilityTensor, build_hamiltonian,
                        check_density_matrix, detunings, eigen_energies_vs_field,
-                       liouvillian, magnetic_moment, magnetization, minimum_gap,
+                       magnetic_moment, magnetization, minimum_gap,
                        spin_expectation, steady_state, steady_state_batch,
                        susceptibility_analytic, susceptibility_numeric,
                        susceptibility_van_vleck)

@@ -29,11 +29,12 @@ from scipy.optimize import brentq
 
 from .constants import HBAR
 from .crystal import CrystalOrientation
-from .mechanics import (ALL_CLASSES, TiltGeometry, _class_frames, _class_moments_batch,
-                        _stable_bracket, _torque_scale, equilibrium_angle, tilt_geometry)
+from .mechanics import (ALL_CLASSES, TiltGeometry, _class_fields, _nv_moments,
+                        _spin_torque_along, _stable_bracket, _torque_scale,
+                        equilibrium_angle, tilt_geometry)
 from .params import FieldVector, MicrowaveDrive, SpinParams, TrapModel
-from .spincore import (SX, _field_array, _hamiltonian_batch, _left_right, build_hamiltonian,
-                       steady_state)
+from .spincore import (SX, _coordinates, _field_array, _hamiltonian_batch, _structure,
+                       build_hamiltonian, steady_state)
 
 _BARE_ZERO = np.array([0.0, 1.0, 0.0])  # |m_s = 0> in the (+1, 0, -1) basis
 _OFF_DIAGONAL = 1.0 - np.eye(3)
@@ -76,17 +77,18 @@ def microwave_superoperator(params: SpinParams, b_nv, frequency_hz: float,
                             drive: MicrowaveDrive) -> np.ndarray | None:
     """Population-transfer generator for a drive at ``frequency_hz``.
 
-    ``b_nv`` is one NV-frame field, giving a 9x9 matrix, or a (k, 3) stack,
-    giving a (k, 9, 9) stack.  Returns None when the drive is off (zero
-    rate), so callers can skip it.
+    ``b_nv`` is one NV-frame field, giving a real 9x9 matrix in the
+    coherence-vector coordinates of ``spincore``, or a (k, 3) stack, giving
+    a (k, 9, 9) stack; the drive is along S_x of that frame.  Returns None
+    when the drive is off (zero rate), so callers can skip it.
 
     With the eigenvectors v_a of H as the columns of V and W_ab the rate
     from b to a (symmetric, zero diagonal), the jumps |a><b| sum to the
     Pauli master equation in the instantaneous eigenbasis,
 
-        U W U^+ - (G x I + I x G^T) / 2,   G = V diag(sum_a W_ab) V^+,
+        P W P^T - {G, .} / 2,   G = V diag(sum_a W_ab) V^+,
 
-    where column a of U is v_a x v_a* (row-major vectorization).
+    where column a of P holds the coordinates of |v_a><v_a|.
     """
     if drive.rabi_rate == 0.0:
         return None
@@ -98,10 +100,10 @@ def microwave_superoperator(params: SpinParams, b_nv, frequency_hz: float,
     delta = 2.0 * np.pi * frequency_hz - np.abs(vals[:, None, :] - vals[:, :, None]) / HBAR
     weight = 2.0 * np.abs(vecs_h @ SX @ vecs) ** 2 * _OFF_DIAGONAL
     rates = 0.5 * drive.rabi_rate**2 * weight * g_eff / (delta**2 + g_eff**2)
-    u = np.einsum("kpa,kqa->kpqa", vecs, np.conj(vecs)).reshape(-1, 9, 3)
-    gain = u @ rates @ np.conj(np.swapaxes(u, 1, 2))
-    left, right = _left_right((vecs * rates.sum(axis=1)[:, None, :]) @ vecs_h)
-    total = gain - 0.5 * (left + right)
+    proj = _coordinates(np.einsum("kpa,kqa->kapq", vecs, np.conj(vecs)))  # (k, 3, 9)
+    gain = np.swapaxes(proj, 1, 2) @ rates @ proj
+    g = _coordinates((vecs * rates.sum(axis=1)[:, None, :]) @ vecs_h)
+    total = gain - 0.5 * np.einsum("kj,jab->kab", g, _structure()[1])
     return total if stack else total[0]
 
 
@@ -161,15 +163,30 @@ _STEP = 0.01
 _K_LO, _K_HI = int(np.ceil(-0.5 * np.pi / _STEP)), int(np.floor(np.pi / _STEP))
 
 
+def _driven_moments(params: SpinParams, fields: np.ndarray, frequency_hz: float,
+                    drive: MicrowaveDrive) -> np.ndarray:
+    """Class-frame moments (n_classes, k, 3) under the drive at class-frame
+    fields of that shape, one steady-state batch.  The drive acts along S_x
+    of each class's transverse-field frame: a point is solved at (|b_perp|,
+    0, b_z) and its moment rotated back by the azimuth alpha of b_perp (0
+    for an axial field: the transverse reference)."""
+    bx, by, bz = np.moveaxis(fields, -1, 0)
+    inplane = np.stack([np.hypot(bx, by), np.zeros_like(bz), bz], axis=-1)
+    extra = microwave_superoperator(params, inplane.reshape(-1, 3), frequency_hz, drive)
+    mx, my, mz = np.moveaxis(_nv_moments(params, inplane, extra), -1, 0)
+    alpha = np.arctan2(by, bx)
+    cos, sin = np.cos(alpha), np.sin(alpha)
+    return np.stack([cos * mx - sin * my, sin * mx + cos * my, mz], axis=-1)
+
+
 def _driven_total_torque(params: SpinParams, geom: TiltGeometry, trap: TrapModel,
                          drive: MicrowaveDrive, frequency_hz: float, thetas,
                          classes) -> np.ndarray:
     """Spin torque under the drive plus trap torque, one steady-state batch."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    frames = _class_frames(geom, thetas, classes)
-    extra = microwave_superoperator(params, frames[0].reshape(-1, 3), frequency_hz, drive)
-    moments = _class_moments_batch(params, frames, extra)
-    spin = params.n_spins_per_class * np.einsum("ckx,kx->k", moments, geom.db_dtheta(thetas))
+    fields = _class_fields(geom.b_crystal(thetas), classes)
+    moments = _driven_moments(params, fields, frequency_hz, drive)
+    spin = _spin_torque_along(params, moments, geom.db_dtheta(thetas), classes)
     return spin - trap.stiffness * (thetas - trap.theta0)
 
 
@@ -228,7 +245,7 @@ def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapMod
         raise RuntimeError("microwave-off baseline did not converge")
 
     def lines_at(tilt):
-        fields, _ = _class_frames(geom, [tilt], classes)
+        fields = _class_fields(geom.b_crystal([tilt]), classes)
         return [zero_connected_lines(params, f) for f in fields[:, 0]]
 
     points = []

@@ -30,9 +30,10 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .constants import HBAR, MU0
-from .crystal import NV_AXES, CrystalOrientation, AngularState, transverse_reference
+from .crystal import (NV_AXES, AngularState, CrystalOrientation, angular_state,
+                      transverse_reference)
 from .params import FieldVector, SpinParams, TrapModel
-from .spincore import (SX, SY, SZ, detunings, steady_state_batch,
+from .spincore import (detunings, spin_expectation, steady_state_batch,
                        susceptibility_analytic)
 
 ALL_CLASSES = (0, 1, 2, 3)
@@ -40,6 +41,14 @@ ALL_CLASSES = (0, 1, 2, 3)
 # Gauss-Legendre nodes for the adaptive torque quadrature.
 _GL_LO = np.polynomial.legendre.leggauss(6)
 _GL_HI = np.polynomial.legendre.leggauss(12)
+
+# Rows x, y, z of each class's NV frame, fixed in the crystal: z the axis,
+# y = z x transverse_reference(z), x = y x z (orthogonal to z in floating
+# point: an axial field has transverse components of exactly 0).  The
+# undriven model is symmetric under rotation about each axis (diagonal
+# dissipator, one dephasing rate), so no frame needs to follow the field.
+_Y = np.cross(NV_AXES, [transverse_reference(axis) for axis in NV_AXES])
+_CLASS_FRAMES = np.stack([np.cross(_Y, NV_AXES), _Y, NV_AXES], axis=1)
 
 
 class QuadratureError(RuntimeError):
@@ -78,9 +87,8 @@ class TiltGeometry:
 
     @cached_property
     def e_phi(self) -> np.ndarray:
-        xref = transverse_reference(self.z0)
-        yref = np.cross(self.z0, xref)
-        return np.cos(self.phi) * xref + np.sin(self.phi) * yref
+        x, y = _CLASS_FRAMES[self.tracked_class, :2]
+        return np.cos(self.phi) * x + np.sin(self.phi) * y
 
     def b_crystal(self, theta) -> np.ndarray:
         """Field (3,) at one tilt, or (k, 3) at an array of k tilts."""
@@ -100,68 +108,46 @@ def tilt_geometry(orientation: CrystalOrientation, b_lab: FieldVector,
     When ``state`` is given its azimuth overrides the one derived from the
     field direction (useful at the gimbal-degenerate aligned point).
     """
-    from .crystal import angular_state
-
     if state is None:
         state = angular_state(orientation, b_lab, tracked_class)
     return TiltGeometry(b_mag=b_lab.magnitude, phi=state.phi,
                         tracked_class=tracked_class)
 
 
-def _class_frames(geom: TiltGeometry, thetas,
-                  classes=ALL_CLASSES) -> tuple[np.ndarray, np.ndarray]:
-    """NV-frame fields (n_classes, n_thetas, 3) and crystal-frame x, y, z
-    axes (n_classes, n_thetas, 3, 3) of each class frame: z along the class
-    axis, x along the transverse field or ``transverse_reference`` if none.
-    """
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    b = geom.b_crystal(thetas)  # (k, 3)
-    fields = np.zeros((len(classes), thetas.size, 3))
-    axes = np.empty((len(classes), thetas.size, 3, 3))
-    for ic, c in enumerate(classes):
-        axis = NV_AXES[c]
-        bz = b @ axis
-        perp = b - bz[:, None] * axis
-        pnorm = np.sqrt(np.add.reduce(perp * perp, axis=1))
-        small = pnorm < 1e-15 * max(1.0, geom.b_mag)
-        xhat = perp / np.where(small, 1.0, pnorm)[:, None]
-        if np.any(small):
-            xhat[small] = transverse_reference(axis)
-        fields[ic, :, 0] = pnorm
-        fields[ic, :, 2] = bz
-        axes[ic, :, 0] = xhat
-        # axis x xhat, written out: np.cross costs more than the rest here
-        axes[ic, :, 1] = (axis[[1, 2, 0]] * xhat[:, [2, 0, 1]]
-                          - axis[[2, 0, 1]] * xhat[:, [1, 2, 0]])
-        axes[ic, :, 2] = axis
-    return fields, axes
+def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over the last axis, term by term: unlike a reduction or a
+    matrix product, it rounds the same way for any batch size."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
-def _class_moments_batch(params: SpinParams, frames: tuple,
-                         extra_superoperator=None) -> np.ndarray:
-    """Crystal-frame magnetic moments, shape (n_classes, n_thetas, 3), of the
-    :func:`_class_frames` ``frames``, all solved in one steady-state batch.
+def _class_fields(v_crystal: np.ndarray, classes=ALL_CLASSES) -> np.ndarray:
+    """Class-frame components (n_classes, k, 3) of a (k, 3) stack of
+    crystal-frame vectors: the NV-frame fields of a field stack."""
+    return _dot3(v_crystal[None, :, None, :], _CLASS_FRAMES[list(classes), None])
 
-    ``extra_superoperator`` is one 9x9 matrix for every point, or a stack
-    of n_classes * n_thetas in the class-major order of the frames.
-    """
-    fields, axes = frames
-    n_cls, k = fields.shape[:2]
+
+def _nv_moments(params: SpinParams, fields: np.ndarray,
+                extra_superoperator=None) -> np.ndarray:
+    """NV-frame moments (..., 3) at NV-frame fields (..., 3), one batch;
+    ``extra_superoperator`` is one 9x9 matrix or a stack in field order."""
     rhos = steady_state_batch(params, fields.reshape(-1, 3), extra_superoperator)
-    scale = -HBAR * params.gyromagnetic_ratio
-    mx, my, mz = (scale * np.einsum("kij,ji->k", rhos, s).real.reshape(n_cls, k, 1)
-                  for s in (SX, SY, SZ))
-    return mx * axes[:, :, 0] + my * axes[:, :, 1] + mz * axes[:, :, 2]
+    return -HBAR * params.gyromagnetic_ratio * spin_expectation(rhos).reshape(fields.shape)
+
+
+def _spin_torque_along(params: SpinParams, moments: np.ndarray, db_crystal: np.ndarray,
+                       classes=ALL_CLASSES) -> np.ndarray:
+    """N * sum_c m_c . db (N m), shape (k,), of class-frame moments (n_classes,
+    k, 3) along crystal-frame field derivatives (k, 3), classes row by row."""
+    return params.n_spins_per_class * sum(_dot3(moments, _class_fields(db_crystal, classes)))
 
 
 def tilt_torque_batch(params: SpinParams, geom: TiltGeometry, thetas,
-                      classes=ALL_CLASSES, extra_superoperator=None) -> np.ndarray:
-    """Torque conjugate to the tilt angle (N m) at each requested theta."""
+                      classes=ALL_CLASSES) -> np.ndarray:
+    """Torque conjugate to the tilt angle (N m) at each requested theta; a
+    tilt gives the same bits alone as inside any batch."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    moments = _class_moments_batch(params, _class_frames(geom, thetas, classes),
-                                   extra_superoperator)
-    per_class = np.einsum("ckx,kx->k", moments, geom.db_dtheta(thetas))
-    return params.n_spins_per_class * per_class
+    moments = _nv_moments(params, _class_fields(geom.b_crystal(thetas), classes))
+    return _spin_torque_along(params, moments, geom.db_dtheta(thetas), classes)
 
 
 def tilt_torque(params: SpinParams, geom: TiltGeometry, theta: float,
@@ -180,13 +166,10 @@ def spin_torque(params: SpinParams, orientation: CrystalOrientation,
     ``state`` is given, the field direction relative to the crystal is
     taken from its (theta, phi) and only the magnitude from ``b_lab``.
     """
-    geom = tilt_geometry(orientation, b_lab, state=state)
-    if state is None:
-        from .crystal import angular_state
-
-        state = angular_state(orientation, b_lab)
-    moments = _class_moments_batch(params, _class_frames(geom, [state.theta], classes))[:, 0]
-    b = geom.b_crystal(state.theta)
+    state = angular_state(orientation, b_lab) if state is None else state
+    b = tilt_geometry(orientation, b_lab, state=state).b_crystal(state.theta)
+    m_nv = _nv_moments(params, _class_fields(b[None], classes))[:, 0]
+    moments = np.einsum("ci,cij->cj", m_nv, _CLASS_FRAMES[list(classes)])
     torque_crystal = params.n_spins_per_class * np.cross(moments, b).sum(axis=0)
     return orientation.to_lab(torque_crystal)
 
@@ -302,22 +285,20 @@ def landscape_curl_check(params: SpinParams, orientation: CrystalOrientation,
         theta = float(rng.uniform(0.1, 1.2))
         phi = float(rng.uniform(0.0, 2.0 * np.pi))
 
-        def tau_theta(th, ph):
-            geom = TiltGeometry(b_mag=b_mag, phi=ph)
-            return tilt_torque(params, geom, th, classes)
-
-        def tau_phi(th, ph):
-            # torque conjugate to phi: m . dB/dphi
-            geom = TiltGeometry(b_mag=b_mag, phi=ph)
-            moments = _class_moments_batch(params, _class_frames(geom, [th], classes))[:, 0]
-            xref = transverse_reference(geom.z0)
-            yref = np.cross(geom.z0, xref)
-            dbdphi = b_mag * np.sin(th) * (-np.sin(ph) * xref + np.cos(ph) * yref)
-            return params.n_spins_per_class * float((moments @ dbdphi).sum())
-
-        dtau_th_dphi = (tau_theta(theta, phi + h) - tau_theta(theta, phi - h)) / (2 * h)
-        dtau_ph_dth = (tau_phi(theta + h, phi) - tau_phi(theta - h, phi)) / (2 * h)
-        scale = max(abs(tau_theta(theta, phi)), abs(tau_phi(theta, phi)),
+        # (theta, phi +- h) for d(tau_theta)/dphi, (theta +- h, phi) for
+        # d(tau_phi)/dtheta and (theta, phi) for the scale, in one batch
+        points = [(theta, phi + h), (theta, phi - h), (theta + h, phi), (theta - h, phi),
+                  (theta, phi)]
+        geoms = [(TiltGeometry(b_mag=b_mag, phi=ph), th) for th, ph in points]
+        fields = _class_fields(np.array([g.b_crystal(th) for g, th in geoms]), classes)
+        moments = _nv_moments(params, fields)
+        tau_th = _spin_torque_along(params, moments,
+                                    np.array([g.db_dtheta(th) for g, th in geoms]), classes)
+        dbdphi = [b_mag * np.sin(th) * np.cross(g.z0, g.e_phi) for g, th in geoms]
+        tau_ph = _spin_torque_along(params, moments, np.array(dbdphi), classes)
+        dtau_th_dphi = (tau_th[0] - tau_th[1]) / (2 * h)
+        dtau_ph_dth = (tau_ph[2] - tau_ph[3]) / (2 * h)
+        scale = max(abs(tau_th[4]), abs(tau_ph[4]),
                     1e-9 * params.n_spins_per_class * HBAR * params.gyromagnetic_ratio * b_mag)
         worst = max(worst, abs(dtau_th_dphi - dtau_ph_dth) / scale)
     return worst

@@ -18,12 +18,13 @@ a 0.2 T field).  A pumping channel that also damps the |+-1> coherences
 at pump/2 restores positivity but shifts the closed-form susceptibility
 oracles below.
 
-The steady state is obtained from a trace-constrained linear solve of the
-9x9 Liouvillian.  Linear-response susceptibilities of the steady-state
-magnetization are available through three independent routes: a
-finite-difference probe of the full solver, closed-form expressions of the
-first-order solution, and second-order (Van Vleck style) perturbation
-theory from level populations.
+The state is its real coherence vector (Hioe & Eberly 1981), whose
+generator A0 + sum_i b_i A_i is affine in the NV-frame field; the steady
+state is a trace-constrained real linear solve.  Linear-response
+susceptibilities of the steady-state magnetization are available through
+three independent routes: a finite-difference probe of the full solver,
+closed-form expressions of the first-order solution, and second-order
+(Van Vleck style) perturbation theory from level populations.
 """
 
 from __future__ import annotations
@@ -42,14 +43,26 @@ SY = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / np.sqrt(
 SZ = np.diag([1.0, 0.0, -1.0]).astype(complex)
 
 _SZ2 = SZ @ SZ
-_I3 = np.eye(3, dtype=complex)
 
-# Indices of (|+1>, |0>, |-1>) in the matrix representation.
-_P1, _Z0, _M1 = 0, 1, 2
+
+# Unitary T taking the row-major vec(h) of a Hermitian 3x3 matrix to its real
+# coherence vector r = T vec(h): the populations h_aa, then sqrt(2)*Re h_ab and
+# sqrt(2)*Im h_ab of the coherences (a, b) = (0, 1), (0, 2), (1, 2), at the
+# vec indices (1, 3), (2, 6), (5, 7) of (h_ab, h_ba).
+_T = np.zeros((9, 9), dtype=complex)
+_T[[0, 1, 2], [0, 4, 8]] = 1.0
+_T[[3, 4, 5, 3, 4, 5], [1, 2, 5, 3, 6, 7]] = np.sqrt(0.5)
+_T[[6, 7, 8, 6, 7, 8], [1, 2, 5, 3, 6, 7]] = np.sqrt(0.5) * np.repeat([-1j, 1j], 3)
+# vec(rho) = T^+ r from real products, one per entry (one nonzero per column):
+# the same bits in any batch, and rho_ba exactly the conjugate of rho_ab
+_TO_REAL, _TO_IMAG = _T.real.copy(), -_T.imag
+# first row of each system: r_0 + r_1 + r_2 = tr(rho) = 1; the others 0
+_TRACE_ROW = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+_TRACE_RHS = np.eye(9)[:, :1]
 
 
 class SteadyStateError(RuntimeError):
-    """Raised when the trace-constrained Liouvillian solve fails.
+    """Raised when the trace-constrained steady-state solve fails.
 
     Carries a condition-number estimate of the solved system for diagnosis.
     """
@@ -87,38 +100,52 @@ def build_hamiltonian(params: SpinParams, b_nv) -> np.ndarray:
     return HBAR * _hamiltonian_batch(params, _field_array(b_nv, "nv")[None])[0]
 
 
-@lru_cache(maxsize=64)
+def _coordinates(h: np.ndarray) -> np.ndarray:
+    """Real coherence vectors (..., 9) of Hermitian matrices (..., 3, 3)."""
+    return (h.reshape(h.shape[:-2] + (9,)) @ _T.T).real
+
+
+def _density_matrices(r: np.ndarray) -> np.ndarray:
+    """Hermitian matrices (k, 3, 3), equal to their conjugate transpose
+    bitwise, of real coherence vectors (k, 9)."""
+    rho = np.empty((r.shape[0], 9), dtype=complex)
+    rho.real = r @ _TO_REAL
+    rho.imag = r @ _TO_IMAG
+    return rho.reshape(-1, 3, 3)
+
+
+@lru_cache(maxsize=1)
+def _structure() -> tuple[np.ndarray, np.ndarray]:
+    """Real (9, 9, 9) stacks of the superoperators rho -> -i[B_j, rho] and
+    rho -> {B_j, rho} of the basis matrices B_j, in coordinates."""
+    basis = _density_matrices(np.eye(9))
+    prod = basis[:, None] @ basis[None]  # B_j B_l at [j, l]
+    swapped = np.swapaxes(prod, 0, 1)
+    # column l of superoperator j: the coordinates at [j, l], transposed
+    return tuple(np.swapaxes(_coordinates(m), 1, 2)
+                 for m in (-1j * (prod - swapped), prod + swapped))
+
+
 def _dissipator_matrix(gamma1: float, gamma2_star: float, pump_rate: float) -> np.ndarray:
-    """9x9 superoperator of the field-independent incoherent terms.
+    """9x9 generator, in coordinates, of the field-independent incoherent
+    terms: population transfer, and decay of every coherence at gamma2_star."""
+    out = np.diag(np.full(9, -gamma2_star))
+    leave = pump_rate + gamma1  # out of |+-1>: pumped or relaxed into |0>
+    out[:3, :3] = [[-leave, gamma1, 0.0],
+                   [leave, -2.0 * gamma1, leave],
+                   [0.0, gamma1, -leave]]
+    return out
 
-    Row-major vectorization: rho.reshape(9).
-    """
 
-    def apply(rho):
-        out = np.zeros((3, 3), dtype=complex)
-        # dephasing: every coherence decays at gamma2_star
-        for a in range(3):
-            for b in range(3):
-                if a != b:
-                    out[a, b] -= gamma2_star * rho[a, b]
-        # optical pumping |+-1> -> |0>
-        out[_Z0, _Z0] += pump_rate * (rho[_P1, _P1] + rho[_M1, _M1])
-        out[_P1, _P1] -= pump_rate * rho[_P1, _P1]
-        out[_M1, _M1] -= pump_rate * rho[_M1, _M1]
-        # longitudinal relaxation between each |+-1> and |0>
-        out[_P1, _P1] += gamma1 * (rho[_Z0, _Z0] - rho[_P1, _P1])
-        out[_M1, _M1] += gamma1 * (rho[_Z0, _Z0] - rho[_M1, _M1])
-        out[_Z0, _Z0] += gamma1 * (rho[_P1, _P1] - rho[_Z0, _Z0])
-        out[_Z0, _Z0] += gamma1 * (rho[_M1, _M1] - rho[_Z0, _Z0])
-        return out
-
-    mat = np.zeros((9, 9), dtype=complex)
-    basis = np.zeros((3, 3), dtype=complex)
-    for k in range(9):
-        basis.flat[:] = 0.0
-        basis.flat[k] = 1.0
-        mat[:, k] = apply(basis).reshape(9)
-    return mat
+@lru_cache(maxsize=64)
+def _generator_parts(params: SpinParams) -> tuple[np.ndarray, np.ndarray]:
+    """A0 (9, 9) and A (3, 9, 9) of the generator A0 + sum_i b_i A[i] of
+    d(r)/dt at an NV-frame field b, in coordinates."""
+    comm, _ = _structure()
+    a0 = (params.zero_field_splitting * np.tensordot(_coordinates(_SZ2), comm, 1)
+          + _dissipator_matrix(params.gamma1, params.gamma2_star, params.pump_rate))
+    spin = _coordinates(np.stack([SX, SY, SZ]))
+    return a0, params.gyromagnetic_ratio * np.tensordot(spin, comm, 1)
 
 
 def _hamiltonian_batch(params: SpinParams, b: np.ndarray) -> np.ndarray:
@@ -127,36 +154,6 @@ def _hamiltonian_batch(params: SpinParams, b: np.ndarray) -> np.ndarray:
             + params.gyromagnetic_ratio * (b[:, 0, None, None] * SX
                                            + b[:, 1, None, None] * SY
                                            + b[:, 2, None, None] * SZ))
-
-
-def _left_right(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(k, 9, 9) superoperators of rho -> m rho and rho -> rho m, i.e.
-    m x I and I x m^T in row-major vectorization, for a (k, 3, 3) stack."""
-    k = m.shape[0]
-    left = np.einsum("kac,bd->kabcd", m, _I3).reshape(k, 9, 9)
-    right = np.einsum("ac,kdb->kabcd", _I3, m).reshape(k, 9, 9)
-    return left, right
-
-
-def _generator_batch(params: SpinParams, h: np.ndarray,
-                     extra: np.ndarray | None) -> np.ndarray:
-    """(k, 9, 9) generators of d(rho)/dt for a stack of Hamiltonians over
-    hbar (rad/s), shape (k, 3, 3)."""
-    left, right = _left_right(h)
-    gen = -1j * (left - right)
-    gen += _dissipator_matrix(params.gamma1, params.gamma2_star, params.pump_rate)
-    if extra is not None:
-        gen = gen + extra
-    return gen
-
-
-def liouvillian(params: SpinParams, hamiltonian: np.ndarray,
-                extra: np.ndarray | None = None) -> np.ndarray:
-    """9x9 generator of d(rho)/dt for the given Hamiltonian (J).
-
-    ``extra`` adds a superoperator (e.g. microwave-induced transfer channels).
-    """
-    return _generator_batch(params, hamiltonian[None] / HBAR, extra)[0]
 
 
 def steady_state(params: SpinParams, b_nv,
@@ -178,42 +175,44 @@ def steady_state_batch(params: SpinParams, b_nv_batch: np.ndarray,
                        extra_superoperator: np.ndarray | None = None) -> np.ndarray:
     """Steady states for a batch of NV-frame fields, shape (k, 3) -> (k, 3, 3).
 
-    Solves 0 = -(i/hbar)[H, rho] + L(rho) with the trace replacing one row
-    of each linear system; the Liouvillians are assembled and solved with
-    batched linear algebra.  The results are Hermitized and have unit
-    trace by construction.  ``extra_superoperator`` may be one 9x9 matrix
-    applied to every batch entry or a (k, 9, 9) stack.
+    Solves 0 = A(b) r for the real coherence vector r of rho, with
+    A(b) = A0 + sum_i b_i A_i and the trace r_0 + r_1 + r_2 = 1 replacing
+    the first row: one real batched solve, elementwise otherwise, so a
+    field gives the same bits in any batch.  The results are Hermitian and
+    scaled to unit trace.  ``extra_superoperator`` is a real 9x9 generator
+    in these coordinates (``mdmr.microwave_superoperator``) or a stack.
 
     Raises:
         SteadyStateError: if a linear solve fails or leaves a large
             residual (near-singular generator).
     """
     b = np.asarray(b_nv_batch, dtype=float)
-    if b.ndim != 2 or b.shape[1] != 3 or not np.all(np.isfinite(b)):
+    if b.ndim != 2 or b.shape[1] != 3 or not np.isfinite(b).all():
         raise ValueError("field batch must be a finite (k, 3) array")
-    k = b.shape[0]
-    gen = _generator_batch(params, _hamiltonian_batch(params, b), extra_superoperator)
+    a0, a_field = _generator_parts(params)
+    gen = (a0 + b[:, 0, None, None] * a_field[0] + b[:, 1, None, None] * a_field[1]
+           + b[:, 2, None, None] * a_field[2])
+    if extra_superoperator is not None:
+        gen += extra_superoperator
     a = gen.copy()
-    # trace row: elements (0,0), (1,1), (2,2) of rho at flat indices 0, 4, 8
-    a[:, 0, :] = 0.0
-    a[:, 0, 0] = a[:, 0, 4] = a[:, 0, 8] = 1.0
-    rhs = np.zeros((k, 9), dtype=complex)
-    rhs[:, 0] = 1.0
+    a[:, 0] = _TRACE_ROW
     try:
-        vec = np.linalg.solve(a, rhs[..., None])[..., 0]
+        r = np.linalg.solve(a, _TRACE_RHS)[..., 0]
     except np.linalg.LinAlgError as exc:
         conds = np.linalg.cond(a)
-        raise SteadyStateError(f"batched Liouvillian solve failed: {exc}",
+        raise SteadyStateError(f"batched steady-state solve failed: {exc}",
                                condition=float(np.max(conds))) from exc
-    residual = np.linalg.norm(np.einsum("kij,kj->ki", gen, vec), axis=1)
-    scale = np.linalg.norm(gen, axis=(1, 2))
-    bad = residual > 1e-8 * np.maximum(scale, 1.0)
-    if np.any(bad):
-        idx = int(np.argmax(residual / np.maximum(scale, 1.0)))
+    # the trace row holds to the solve's rounding only (5e-13 at the slowest rates)
+    r /= (r[:, 0] + r[:, 1] + r[:, 2])[:, None]
+    # |A r| > 1e-8 * max(|A|, 1), squared
+    residual = np.einsum("kij,kj->ki", gen, r)
+    ratio = (np.einsum("ki,ki->k", residual, residual)
+             / np.maximum(np.einsum("kij,kij->k", gen, gen), 1.0))
+    if not (ratio <= 1e-16).all():  # also catches NaN
+        idx = int(np.argmax(ratio))
         raise SteadyStateError("steady-state residual too large in batch",
                                condition=float(np.linalg.cond(a[idx])))
-    rho = vec.reshape(k, 3, 3)
-    return 0.5 * (rho + np.conj(np.swapaxes(rho, 1, 2)))
+    return _density_matrices(r)
 
 
 def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,
@@ -233,12 +232,13 @@ def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,
 
 
 def spin_expectation(rho: np.ndarray) -> np.ndarray:
-    """<S> = (tr(rho Sx), tr(rho Sy), tr(rho Sz)), real parts."""
-    return np.array([
-        np.trace(rho @ SX).real,
-        np.trace(rho @ SY).real,
-        np.trace(rho @ SZ).real,
-    ])
+    """<S> = (tr(rho Sx), tr(rho Sy), tr(rho Sz)), real parts, of a 3x3 state
+    or a (..., 3, 3) stack; written out term by term, so a state gives the
+    same bits alone as inside any stack."""
+    rho = np.asarray(rho)
+    up, down = rho[..., 0, 1] + rho[..., 1, 2], rho[..., 1, 0] + rho[..., 2, 1]
+    return np.stack([np.sqrt(0.5) * (up + down).real, np.sqrt(0.5) * (down - up).imag,
+                     rho[..., 0, 0].real - rho[..., 2, 2].real], axis=-1)
 
 
 def magnetization(params: SpinParams, rho: np.ndarray) -> np.ndarray:
@@ -403,10 +403,11 @@ def eigen_energies_vs_field(params: SpinParams, theta: float,
     """
     b_values = np.asarray(b_values, dtype=float)
     st, ct = np.sin(theta), np.cos(theta)
+    rhos = steady_state_batch(params, np.outer(b_values, [st, 0.0, ct]))
     # continuation reference: exact B=0 labels
     prev_states = np.eye(3, dtype=complex)
     out = []
-    for b in b_values:
+    for b, rho in zip(b_values, rhos):
         h = build_hamiltonian(params, (b * st, 0.0, b * ct))
         vals, vecs = np.linalg.eigh(h)
         # assign each label to the eigenvector overlapping its predecessor most
@@ -420,7 +421,6 @@ def eigen_energies_vs_field(params: SpinParams, theta: float,
             taken[j] = True
         energies = vals[order]
         states = vecs[:, order]
-        rho = steady_state(params, (b * st, 0.0, b * ct))
         pops = np.array([np.real(states[:, k].conj() @ rho @ states[:, k]) for k in range(3)])
         out.append(SpinLevelSet(b=float(b), energies=energies, states=states,
                                 populations=pops))

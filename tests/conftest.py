@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from nvspinmech import CrystalOrientation, FieldVector, SpinParams, TrapModel
+from nvspinmech import (SX, CrystalOrientation, FieldVector, SpinParams, TrapModel,
+                        build_hamiltonian)
+from nvspinmech.constants import HBAR
+from nvspinmech.mechanics import _CLASS_FRAMES
 
 TWO_PI = 2.0 * np.pi
 DEG = np.pi / 180.0
@@ -26,3 +29,46 @@ def trap():
 def axial_field(orientation, b_mag):
     """Lab field along the tracked (class 0) axis."""
     return FieldVector.from_array(b_mag * orientation.axis_lab(0), frame="lab")
+
+
+def coherence_basis():
+    """Unitary T taking a row-major vec(rho) to the real coherence vector:
+    the populations, then sqrt(2)*Re and sqrt(2)*Im of rho_01, rho_02, rho_12."""
+    t = np.zeros((9, 9), dtype=complex)
+    for a in range(3):
+        t[a, 4 * a] = 1.0
+    for n, (a, b) in enumerate(((0, 1), (0, 2), (1, 2))):
+        t[3 + n, 3 * a + b] = t[3 + n, 3 * b + a] = np.sqrt(0.5)
+        t[6 + n, 3 * a + b] = -1j * np.sqrt(0.5)
+        t[6 + n, 3 * b + a] = 1j * np.sqrt(0.5)
+    return t
+
+
+def kron_jump_sum(params, b_nv, frequency_hz, drive):
+    """Reference drive generator: one Lindblad jump superoperator per
+    direction of every allowed transition, each built with np.kron, acting
+    on the row-major vec(rho)."""
+    if drive.rabi_rate == 0.0:
+        return None
+    i3 = np.eye(3)
+    g_eff = params.gamma2_star + drive.extra_broadening
+    vals, vecs = np.linalg.eigh(build_hamiltonian(params, b_nv))
+    total = np.zeros((9, 9), dtype=complex)
+    for i in range(3):
+        for j in range(i + 1, 3):
+            weight = 2.0 * abs(vecs[:, i].conj() @ SX @ vecs[:, j]) ** 2
+            if weight == 0.0:
+                continue
+            delta = TWO_PI * frequency_hz - (vals[j] - vals[i]) / HBAR
+            rate = 0.5 * drive.rabi_rate**2 * weight * g_eff / (delta**2 + g_eff**2)
+            for op in (np.outer(vecs[:, i], vecs[:, j].conj()),
+                       np.outer(vecs[:, j], vecs[:, i].conj())):
+                ldl = op.conj().T @ op
+                total += rate * (np.kron(op, op.conj())
+                                 - 0.5 * (np.kron(ldl, i3) + np.kron(i3, ldl.T)))
+    return total
+
+
+def to_crystal(moments, classes=(0, 1, 2, 3)):
+    """Crystal-frame vectors of class-frame ones, both (n_classes, k, 3)."""
+    return np.einsum("cki,cij->ckj", moments, _CLASS_FRAMES[list(classes)])

@@ -160,6 +160,16 @@ class TestTiltGeometry:
             assert np.array_equal(batch, np.array([method(float(t)) for t in thetas]))
             assert method(float(thetas[0])).shape == (3,)
 
+    @pytest.mark.parametrize("n", [2, 9, 17, 40, 81])
+    def test_tilt_torque_batches_match_single_tilts_bitwise(self, params, n):
+        # field projections, moments and the class sum are term-by-term
+        # sums, so no rounding depends on how many tilts share a call
+        geom = TiltGeometry(b_mag=0.13, phi=0.7)
+        thetas = np.random.default_rng(n).uniform(-0.5 * np.pi, np.pi, n)
+        thetas[0] = 0.0
+        batch = tilt_torque_batch(params, geom, thetas)
+        assert np.array_equal(batch, [tilt_torque(params, geom, t) for t in thetas])
+
 
 def _cubic(thetas):
     # stable roots at 0.25 and 0.85, unstable root at 0.55 between them

@@ -104,10 +104,11 @@ class TestSteadyState:
 
     def test_batch_agrees_with_single(self, params):
         rng = np.random.default_rng(3)
-        fields = rng.normal(scale=0.08, size=(12, 3))
-        batch = steady_state_batch(params, fields)
-        for b, rho in zip(fields, batch):
-            assert np.allclose(rho, steady_state(params, b), atol=1e-13)
+        for k in (2, 12, 24, 50, 1000):
+            fields = rng.normal(scale=0.08, size=(k, 3))
+            batch = steady_state_batch(params, fields)
+            for b, rho in zip(fields, batch):
+                assert np.array_equal(rho, steady_state(params, b))
 
     def test_batch_rejects_malformed_fields(self, params):
         with pytest.raises(ValueError):
@@ -132,9 +133,9 @@ class TestSteadyState:
 
 
     def test_singular_generator_raises_typed_error(self, params):
-        # cancelling the incoherent terms at B = 0 leaves a commutator whose
-        # null space (every state diagonal in the zero-field eigenbasis) the
-        # trace row cannot lift
+        # cancelling the real incoherent generator at B = 0 leaves a
+        # commutator whose null space (every state diagonal in the zero-field
+        # eigenbasis) the trace row cannot lift
         cancel = -_dissipator_matrix(params.gamma1, params.gamma2_star, params.pump_rate)
         with pytest.raises(SteadyStateError) as single:
             steady_state(params, (0.0, 0.0, 0.0), extra_superoperator=cancel)
