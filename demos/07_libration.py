@@ -1,9 +1,10 @@
 # Librational frequency of the locked crystal.
 #
 # The locked orientation oscillates about its equilibrium with a frequency
-# set by the total angular stiffness: magnetic curvature plus trap.  Two
-# routes are compared: the curvature of the computed energy landscape and
-# the dispersive single-class closed form sqrt(hbar N P / (I Delta)) *
+# set by the total angular stiffness: magnetic stiffness plus trap.  Two
+# routes are compared: the exact magnetic stiffness -d(tau)/d(theta) at the
+# equilibrium, which is the curvature of the energy landscape, and the
+# dispersive single-class closed form sqrt(hbar N P / (I Delta)) *
 # gamma_e * B.  The magnetic stiffness grows with optical pumping, which
 # is the experimental signature of the effect's optical tunability.
 

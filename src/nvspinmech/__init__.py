@@ -34,14 +34,14 @@ from .mechanics import (ALL_CLASSES, EnergyLandscape, EquilibriumResult,
                         equilibrium_angle, field_rotation_sweep,
                         landscape_curl_check, librational_frequency,
                         linear_torque_coefficient, magnetic_energy_landscape,
-                        spin_torque, tilt_geometry, tilt_torque, tilt_torque_batch,
-                        total_tilt_torque)
+                        spin_torque, tilt_geometry, tilt_torque, tilt_torque_and_slope,
+                        tilt_torque_batch, total_tilt_torque)
 from .params import FieldVector, MicrowaveDrive, SpinParams, TrapModel
 from .spincore import (SX, SY, SZ, SingularDetuningError, SpinLevelSet,
                        SteadyStateError, SusceptibilityTensor, build_hamiltonian,
                        check_density_matrix, detunings, eigen_energies_vs_field,
                        magnetic_moment, magnetization, minimum_gap,
                        spin_expectation, steady_state, steady_state_batch,
-                       susceptibility_analytic, susceptibility_numeric,
-                       susceptibility_van_vleck)
+                       steady_state_derivative_batch, susceptibility_analytic,
+                       susceptibility_numeric, susceptibility_van_vleck)
 from .table import ResultTable

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
@@ -64,28 +63,6 @@ def _base_meta(cfg: RunConfig, command: str) -> dict:
     }
 
 
-def _map_ordered(fn, items, workers: int):
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
-def _susceptibility_row(args):
-    params, b = args
-    chi_n = susceptibility_numeric(params, b)
-    chi_a = susceptibility_analytic(params, b)
-    rho = steady_state(params, (0.0, 0.0, b))
-    pops = (rho[2, 2].real, rho[1, 1].real, rho[0, 0].real)
-    try:
-        chi_vv = susceptibility_van_vleck(params, pops, b)
-    except SingularDetuningError:
-        chi_vv = float("nan")
-    gamma_b_hz = params.gyromagnetic_ratio * b / (2.0 * np.pi)
-    return [float(b), gamma_b_hz, chi_n.chi_perp, chi_a.chi_perp,
-            chi_a.chi_d, chi_vv]
-
-
 def cmd_susceptibility(cfg: RunConfig) -> ResultTable:
     params = cfg.spin_params()
     table = ResultTable(
@@ -93,10 +70,18 @@ def cmd_susceptibility(cfg: RunConfig) -> ResultTable:
                  "chi_d", "chi_perp_vanvleck"],
         units=["tesla", "hz", "1", "1", "1", "1"],
         meta=_base_meta(cfg, "susceptibility"))
-    values = cfg.sweep_values()
-    workers = cfg.get("run", "workers")
-    for row in _map_ordered(_susceptibility_row, [(params, b) for b in values], workers):
-        table.add_row(*row)
+    for b in cfg.sweep_values():
+        chi_n = susceptibility_numeric(params, b)
+        chi_a = susceptibility_analytic(params, b)
+        rho = steady_state(params, (0.0, 0.0, b))
+        pops = (rho[2, 2].real, rho[1, 1].real, rho[0, 0].real)
+        try:
+            chi_vv = susceptibility_van_vleck(params, pops, b)
+        except SingularDetuningError:
+            chi_vv = float("nan")
+        gamma_b_hz = params.gyromagnetic_ratio * b / (2.0 * np.pi)
+        table.add_row(float(b), gamma_b_hz, chi_n.chi_perp, chi_a.chi_perp,
+                      chi_a.chi_d, chi_vv)
     return table
 
 
@@ -167,17 +152,6 @@ def cmd_mdmr(cfg: RunConfig) -> ResultTable:
     return table
 
 
-def _landscape_column(args):
-    params, orientation, b_mag, phi, theta_grid, classes, tracked = args
-    # the library takes a strictly increasing grid; the config also allows
-    # equal and decreasing bounds
-    thetas, rows = np.unique(theta_grid, return_inverse=True)
-    landscape = magnetic_energy_landscape(
-        params, orientation, FieldVector(0.0, 0.0, b_mag), thetas, [phi],
-        classes=classes, tracked_class=tracked)
-    return landscape.energy[rows, 0].tolist()
-
-
 def cmd_landscape(cfg: RunConfig) -> ResultTable:
     params = cfg.spin_params()
     g = lambda k: cfg.get("landscape", k)
@@ -190,16 +164,16 @@ def cmd_landscape(cfg: RunConfig) -> ResultTable:
         return table
     thetas = np.linspace(g("theta_min_rad"), g("theta_max_rad"), theta_steps)
     phis = np.linspace(g("phi_min_rad"), g("phi_max_rad"), phi_steps)
-    b_mag = cfg.get("field", "magnitude_tesla")
-    tracked = cfg.get("crystal", "tracked_class")
-    classes = cfg.classes()
-    orientation = cfg.orientation()
-    args = [(params, orientation, b_mag, float(phi), thetas, classes, tracked)
-            for phi in phis]
-    columns = _map_ordered(_landscape_column, args, cfg.get("run", "workers"))
-    for j, phi in enumerate(phis):
-        for i, theta in enumerate(thetas):
-            table.add_row(float(theta), float(phi), columns[j][i])
+    # the library takes increasing grids; the config allows any bounds
+    (theta_grid, rows), (phi_grid, cols) = (np.unique(v, return_inverse=True)
+                                            for v in (thetas, phis))
+    landscape = magnetic_energy_landscape(
+        params, cfg.orientation(), FieldVector(0.0, 0.0, cfg.get("field", "magnitude_tesla")),
+        theta_grid, phi_grid, classes=cfg.classes(),
+        tracked_class=cfg.get("crystal", "tracked_class"))
+    for phi, j in zip(phis, cols):
+        for theta, i in zip(thetas, rows):
+            table.add_row(float(theta), float(phi), float(landscape.energy[i, j]))
     return table
 
 
@@ -219,14 +193,9 @@ def cmd_libration(cfg: RunConfig) -> ResultTable:
                "rad_per_s", "rad_per_s", "rad", "bool"],
         meta=_base_meta(cfg, "libration"))
     for v in cfg.sweep_values():
-        if variable == "field":
-            res = librational_frequency(params, orientation, trap,
-                                        _field_lab(cfg, magnitude=float(v)),
-                                        classes=classes)
-        else:
-            res = librational_frequency(params.with_(pump_rate=float(v)),
-                                        orientation, trap, _field_lab(cfg),
-                                        classes=classes)
+        p, b_lab = ((params, _field_lab(cfg, magnitude=float(v))) if variable == "field"
+                    else (params.with_(pump_rate=float(v)), _field_lab(cfg)))
+        res = librational_frequency(p, orientation, trap, b_lab, classes=classes)
         table.add_row(float(v), res.omega_numeric, res.omega_analytic,
                       res.theta_star, res.stable)
     return table

@@ -91,7 +91,6 @@ SCHEMA = {
     },
     "run": {
         "classes": ("s", "all"),  # "all", "tracked", or e.g. "0,1"
-        "workers": ("i", 1),
     },
 }
 

@@ -30,7 +30,7 @@ from scipy.optimize import brentq
 from .constants import HBAR
 from .crystal import CrystalOrientation
 from .mechanics import (ALL_CLASSES, TiltGeometry, _class_fields, _nv_moments,
-                        _spin_torque_along, _stable_bracket, _torque_scale,
+                        _polish_root, _spin_torque_along, _stable_bracket, _torque_scale,
                         equilibrium_angle, tilt_geometry)
 from .params import FieldVector, MicrowaveDrive, SpinParams, TrapModel
 from .spincore import (SX, _coordinates, _field_array, _hamiltonian_batch, _structure,
@@ -215,10 +215,7 @@ def _stable_tilt(params: SpinParams, geom: TiltGeometry, trap: TrapModel,
             break
     else:
         return theta_guess, False, evals
-    a, b, fa, fb = bracket
-    # the scanned end values: a single tilt can differ in the last ulp
-    root = b if fb == 0.0 else brentq(
-        lambda th: fa if th == a else fb if th == b else float(torque(th)[0]), a, b, xtol=1e-10)
+    root = _polish_root(brentq, lambda th: float(torque(th)[0]), bracket, 1e-10)
     return float(root), True, evals
 
 

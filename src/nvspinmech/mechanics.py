@@ -34,7 +34,7 @@ from .crystal import (NV_AXES, AngularState, CrystalOrientation, angular_state,
                       transverse_reference)
 from .params import FieldVector, SpinParams, TrapModel
 from .spincore import (detunings, spin_expectation, steady_state_batch,
-                       susceptibility_analytic)
+                       steady_state_derivative_batch, susceptibility_analytic)
 
 ALL_CLASSES = (0, 1, 2, 3)
 
@@ -134,6 +134,18 @@ def _nv_moments(params: SpinParams, fields: np.ndarray,
     return -HBAR * params.gyromagnetic_ratio * spin_expectation(rhos).reshape(fields.shape)
 
 
+def _nv_moment_derivatives(params: SpinParams, fields: np.ndarray,
+                           directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """NV-frame moments (..., 3) at NV-frame fields (..., 3), bitwise those
+    of :func:`_nv_moments`, and their derivatives (..., n, 3) along
+    NV-frame field directions (..., n, 3), one batch."""
+    rhos, drhos = steady_state_derivative_batch(
+        params, fields.reshape(-1, 3), directions.reshape((-1,) + directions.shape[-2:]))
+    scale = -HBAR * params.gyromagnetic_ratio
+    return (scale * spin_expectation(rhos).reshape(fields.shape),
+            scale * spin_expectation(drhos).reshape(directions.shape))
+
+
 def _spin_torque_along(params: SpinParams, moments: np.ndarray, db_crystal: np.ndarray,
                        classes=ALL_CLASSES) -> np.ndarray:
     """N * sum_c m_c . db (N m), shape (k,), of class-frame moments (n_classes,
@@ -148,6 +160,22 @@ def tilt_torque_batch(params: SpinParams, geom: TiltGeometry, thetas,
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     moments = _nv_moments(params, _class_fields(geom.b_crystal(thetas), classes))
     return _spin_torque_along(params, moments, geom.db_dtheta(thetas), classes)
+
+
+def tilt_torque_and_slope(params: SpinParams, geom: TiltGeometry, thetas,
+                          classes=ALL_CLASSES) -> tuple[np.ndarray, np.ndarray]:
+    """Torques (N m), bitwise those of :func:`tilt_torque_batch`, and their
+    exact slopes (N m/rad) at each requested theta: with m_c' the moment's
+    derivative along db_c/dtheta (:func:`steady_state_derivative_batch`)
+    and d2b/dtheta2 = -b, tau' = N * sum_c (m_c' . db_c/dtheta - m_c . b_c).
+    """
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    fields = _class_fields(geom.b_crystal(thetas), classes)
+    dfields = _class_fields(geom.db_dtheta(thetas), classes)
+    moments, dmoments = _nv_moment_derivatives(params, fields, dfields[..., None, :])
+    n = params.n_spins_per_class  # the torque summed as in _spin_torque_along
+    return (n * sum(_dot3(moments, dfields)),
+            n * sum(_dot3(dmoments[..., 0, :], dfields) - _dot3(moments, fields)))
 
 
 def tilt_torque(params: SpinParams, geom: TiltGeometry, theta: float,
@@ -247,15 +275,11 @@ def magnetic_energy_landscape(params: SpinParams, orientation: CrystalOrientatio
     energy = np.zeros((theta_grid.size, phi_grid.size))
     for j, phi in enumerate(phi_grid):
         geom = TiltGeometry(b_mag=b_mag, phi=float(phi), tracked_class=tracked_class)
-        # anchor the cumulative integral at theta = 0
-        anchors = np.concatenate([[0.0], theta_grid])
-        u = 0.0
-        u_at = {}
-        # integrate over sorted anchor path so intervals stay short
-        order = np.argsort(anchors)
-        sorted_anchors = anchors[order]
+        # anchor the cumulative integral at theta = 0; integrate over the
+        # sorted anchor path so intervals stay short
+        sorted_anchors = np.sort(np.concatenate([[0.0], theta_grid]))
         i0 = int(np.searchsorted(sorted_anchors, 0.0))
-        u_at[sorted_anchors[i0]] = 0.0
+        u_at = {sorted_anchors[i0]: 0.0}
         for idx in range(i0 + 1, sorted_anchors.size):
             a, c = sorted_anchors[idx - 1], sorted_anchors[idx]
             u_at[c] = u_at[a] - _integrate_torque(params, geom, a, c, classes, rtol)
@@ -275,33 +299,26 @@ def landscape_curl_check(params: SpinParams, orientation: CrystalOrientation,
     Returns the largest relative curl |d(tau_theta)/dphi - d(tau_phi)/dtheta|
     over random (theta, phi) samples, normalized by the local torque scale.
     The steady-state torque field is dissipative, so this need not vanish;
-    small values justify treating U as a potential.
+    small values justify treating U as a potential.  The curl is exact: the
+    mixed second derivative of the field cancels, leaving
+    N * sum_c (dm_c/dphi . db_c/dtheta - dm_c/dtheta . db_c/dphi).
     """
     rng = np.random.default_rng(seed)
     b_mag = b_lab.magnitude
-    h = 1e-3
-    worst = 0.0
-    for _ in range(n_samples):
-        theta = float(rng.uniform(0.1, 1.2))
-        phi = float(rng.uniform(0.0, 2.0 * np.pi))
-
-        # (theta, phi +- h) for d(tau_theta)/dphi, (theta +- h, phi) for
-        # d(tau_phi)/dtheta and (theta, phi) for the scale, in one batch
-        points = [(theta, phi + h), (theta, phi - h), (theta + h, phi), (theta - h, phi),
-                  (theta, phi)]
-        geoms = [(TiltGeometry(b_mag=b_mag, phi=ph), th) for th, ph in points]
-        fields = _class_fields(np.array([g.b_crystal(th) for g, th in geoms]), classes)
-        moments = _nv_moments(params, fields)
-        tau_th = _spin_torque_along(params, moments,
-                                    np.array([g.db_dtheta(th) for g, th in geoms]), classes)
-        dbdphi = [b_mag * np.sin(th) * np.cross(g.z0, g.e_phi) for g, th in geoms]
-        tau_ph = _spin_torque_along(params, moments, np.array(dbdphi), classes)
-        dtau_th_dphi = (tau_th[0] - tau_th[1]) / (2 * h)
-        dtau_ph_dth = (tau_ph[2] - tau_ph[3]) / (2 * h)
-        scale = max(abs(tau_th[4]), abs(tau_ph[4]),
-                    1e-9 * params.n_spins_per_class * HBAR * params.gyromagnetic_ratio * b_mag)
-        worst = max(worst, abs(dtau_th_dphi - dtau_ph_dth) / scale)
-    return worst
+    samples = [(rng.uniform(0.1, 1.2), rng.uniform(0.0, 2.0 * np.pi))
+               for _ in range(n_samples)]
+    geoms = [(TiltGeometry(b_mag=b_mag, phi=float(ph)), float(th)) for th, ph in samples]
+    db_th = np.array([g.db_dtheta(th) for g, th in geoms])
+    db_ph = np.array([b_mag * np.sin(th) * np.cross(g.z0, g.e_phi) for g, th in geoms])
+    fields = _class_fields(np.array([g.b_crystal(th) for g, th in geoms]), classes)
+    dfields = np.stack([_class_fields(db_th, classes), _class_fields(db_ph, classes)], axis=2)
+    moments, dmoments = _nv_moment_derivatives(params, fields, dfields)
+    n = params.n_spins_per_class
+    curl = n * sum(_dot3(dmoments[:, :, 1], dfields[:, :, 0])
+                   - _dot3(dmoments[:, :, 0], dfields[:, :, 1]))
+    tau = [np.abs(_spin_torque_along(params, moments, db, classes)) for db in (db_th, db_ph)]
+    floor = 1e-9 * n * HBAR * params.gyromagnetic_ratio * b_mag
+    return float(np.max(np.abs(curl) / np.maximum(np.maximum(*tau), floor)))
 
 
 @dataclass(frozen=True)
@@ -347,6 +364,16 @@ def _stable_bracket(thetas: np.ndarray, values: np.ndarray, guess: float,
     return float(a[i]), float(b[i]), float(fa[i]), float(fb[i])
 
 
+def _polish_root(brent, f, bracket: tuple, xtol: float) -> float:
+    """Root of the scalar torque f in a :func:`_stable_bracket` (a, b, f(a),
+    f(b)): b when f(b) == 0, else the caller's ``brentq`` (traced per module)
+    with the ends pinned to the scanned values, saving its two end calls."""
+    a, b, fa, fb = bracket
+    if fb == 0.0:
+        return b
+    return brent(lambda th: fa if th == a else fb if th == b else f(th), a, b, xtol=xtol)
+
+
 def equilibrium_angle(params: SpinParams, orientation: CrystalOrientation,
                       trap: TrapModel, b_lab: FieldVector,
                       warm_start: float | None = None,
@@ -385,15 +412,13 @@ def equilibrium_angle(params: SpinParams, orientation: CrystalOrientation,
     if bracket is None:
         return EquilibriumResult(theta=np.nan, stability=0.0, torque_residual=np.nan,
                                  iterations=evals, bound=False)
-    a, b, fa, fb = bracket
-    # the scanned end values: a single tilt can differ in the last ulp
-    root = b if fb == 0.0 else brentq(
-        lambda th: fa if th == a else fb if th == b else f(th), a, b, xtol=xtol)
+    root = _polish_root(brentq, f, bracket, xtol)
     root = 0.0 if abs(root) < xtol else float(root)
-    h = max(1e-5, 10 * xtol)
-    lower, mid, upper = f([root - h, root, root + h])
-    return EquilibriumResult(theta=root, stability=float(-np.sign((upper - lower) / (2 * h))),
-                             torque_residual=abs(float(mid)), iterations=evals, bound=True)
+    tau, slope = tilt_torque_and_slope(params, geom, [root], classes)
+    residual = tau[0] - trap.stiffness * (root - trap.theta0)
+    return EquilibriumResult(theta=root, stability=float(-np.sign(slope[0] - trap.stiffness)),
+                             torque_residual=abs(float(residual)), iterations=evals + 1,
+                             bound=True)
 
 
 def critical_field(params: SpinParams, orientation: CrystalOrientation,
@@ -495,7 +520,7 @@ def field_rotation_sweep(params: SpinParams, orientation: CrystalOrientation,
 class LibrationResult:
     """Librational frequency about the equilibrium tilt.
 
-    ``omega_numeric`` comes from the curvature of the magnetic landscape
+    ``omega_numeric`` comes from the exact magnetic stiffness -d(tau)/d(theta)
     at theta* plus the trap stiffness; ``omega_analytic`` evaluates the
     dispersive single-class closed form sqrt(hbar*N*P/(I*Delta))*gamma_e*B.
     ``stable`` is False when the total stiffness is negative (then
@@ -511,19 +536,19 @@ class LibrationResult:
 
 def librational_frequency(params: SpinParams, orientation: CrystalOrientation,
                           trap: TrapModel, b_lab: FieldVector,
-                          classes=ALL_CLASSES, step: float = 2e-3,
+                          classes=ALL_CLASSES,
                           at_theta: float | None = None) -> LibrationResult:
     """Numeric and closed-form librational frequencies (rad/s).
 
     The numeric route finds the equilibrium tilt (or uses ``at_theta`` when
-    given), takes the second derivative of the magnetic energy by
-    Richardson-extrapolated central differences of the torque integral,
-    adds the trap stiffness and converts to a frequency.  Negative total
-    curvature (anti-confined orientation, e.g. the aligned configuration
-    of a pumped ensemble before the level crossing) yields an unstable
-    result rather than an exception.  The closed form assumes the
-    dispersive, aligned, single-class regime and uses the tracked-class
-    spin count.
+    given), takes the magnetic stiffness U'' = -d(tau)/d(theta) there from
+    the exact torque slope of :func:`tilt_torque_and_slope` (U is -integral
+    of tau at constant phi, so this holds whatever the curl), adds the trap
+    stiffness and converts to a frequency.  Negative total stiffness
+    (anti-confined orientation, e.g. the aligned configuration of a pumped
+    ensemble before the level crossing) yields an unstable result rather
+    than an exception.  The closed form assumes the dispersive, aligned,
+    single-class regime and uses the tracked-class spin count.
 
     ``omega_analytic`` is the |Delta_-|-only limit of the second-order
     energy shift of the pumped |0> state, with |<+-1|S_x|0>|^2 = 1/2.  The
@@ -532,7 +557,7 @@ def librational_frequency(params: SpinParams, orientation: CrystalOrientation,
         K = hbar*N*P*(gamma_e*B)^2 * (1/|Delta_-| - 1/Delta_+)
           = -linear_torque_coefficient(params, B)
 
-    (past the crossing, Delta_- < 0), which the landscape curvature of
+    (past the crossing, Delta_- < 0), which the magnetic stiffness of
     ``omega_numeric`` reproduces for ``classes=(0,)``.  The closed form
     therefore overestimates the frequency by sqrt(Delta_+/(Delta_+ -
     |Delta_-|)): x1.215 at 0.2 T (1388.5 Hz vs 1142.7 Hz for N = 1e9,
@@ -546,34 +571,19 @@ def librational_frequency(params: SpinParams, orientation: CrystalOrientation,
                               / (trap.moment_of_inertia * delta))
                       * params.gyromagnetic_ratio * b_mag) if delta > 0 else np.inf
 
-    if at_theta is None:
-        eq = equilibrium_angle(params, orientation, trap, b_lab, classes=classes)
-        if not eq.bound:
-            return LibrationResult(omega_numeric=np.nan,
-                                   omega_analytic=float(omega_analytic),
-                                   theta_star=np.nan, stiffness=np.nan, stable=False)
-        theta_star = eq.theta
-    else:
-        theta_star = float(at_theta)
-    geom = tilt_geometry(orientation, b_lab)
-
-    def curvature(h):
-        # U(th*+h) + U(th*-h) - 2 U(th*) via local torque integrals
-        up = -_integrate_torque(params, geom, theta_star, theta_star + h, classes)
-        dn = _integrate_torque(params, geom, theta_star - h, theta_star, classes)
-        return (up + dn) / h**2
-
-    k1 = curvature(step)
-    k2 = curvature(0.5 * step)
-    k_mag = (4.0 * k2 - k1) / 3.0
-    k_total = k_mag + trap.stiffness
-    if k_total <= 0.0:
-        return LibrationResult(omega_numeric=np.nan, omega_analytic=float(omega_analytic),
-                               theta_star=theta_star, stiffness=float(k_total), stable=False)
+    # theta* is NaN when no stable equilibrium is bound
+    theta_star = (equilibrium_angle(params, orientation, trap, b_lab, classes=classes).theta
+                  if at_theta is None else float(at_theta))
+    k_total = np.nan
+    if np.isfinite(theta_star):
+        _, slope = tilt_torque_and_slope(params, tilt_geometry(orientation, b_lab),
+                                         [theta_star], classes)
+        k_total = -float(slope[0]) + trap.stiffness
+    stable = bool(k_total > 0.0)
     return LibrationResult(
-        omega_numeric=float(np.sqrt(k_total / trap.moment_of_inertia)),
+        omega_numeric=float(np.sqrt(k_total / trap.moment_of_inertia)) if stable else np.nan,
         omega_analytic=float(omega_analytic),
-        theta_star=theta_star, stiffness=float(k_total), stable=True)
+        theta_star=theta_star, stiffness=k_total, stable=stable)
 
 
 def linear_torque_coefficient(params: SpinParams, b0: float) -> float:

@@ -171,21 +171,9 @@ def steady_state(params: SpinParams, b_nv,
     return steady_state_batch(params, b, extra_superoperator)[0]
 
 
-def steady_state_batch(params: SpinParams, b_nv_batch: np.ndarray,
-                       extra_superoperator: np.ndarray | None = None) -> np.ndarray:
-    """Steady states for a batch of NV-frame fields, shape (k, 3) -> (k, 3, 3).
-
-    Solves 0 = A(b) r for the real coherence vector r of rho, with
-    A(b) = A0 + sum_i b_i A_i and the trace r_0 + r_1 + r_2 = 1 replacing
-    the first row: one real batched solve, elementwise otherwise, so a
-    field gives the same bits in any batch.  The results are Hermitian and
-    scaled to unit trace.  ``extra_superoperator`` is a real 9x9 generator
-    in these coordinates (``mdmr.microwave_superoperator``) or a stack.
-
-    Raises:
-        SteadyStateError: if a linear solve fails or leaves a large
-            residual (near-singular generator).
-    """
+def _steady_vectors(params: SpinParams, b_nv_batch, extra_superoperator):
+    """(a, r): the solved systems A(b) with the trace row first, (k, 9, 9),
+    and the unit-trace coherence vectors (k, 9) at NV-frame fields (k, 3)."""
     b = np.asarray(b_nv_batch, dtype=float)
     if b.ndim != 2 or b.shape[1] != 3 or not np.isfinite(b).all():
         raise ValueError("field batch must be a finite (k, 3) array")
@@ -212,7 +200,42 @@ def steady_state_batch(params: SpinParams, b_nv_batch: np.ndarray,
         idx = int(np.argmax(ratio))
         raise SteadyStateError("steady-state residual too large in batch",
                                condition=float(np.linalg.cond(a[idx])))
-    return _density_matrices(r)
+    return a, r
+
+
+def steady_state_batch(params: SpinParams, b_nv_batch: np.ndarray,
+                       extra_superoperator: np.ndarray | None = None) -> np.ndarray:
+    """Steady states for a batch of NV-frame fields, shape (k, 3) -> (k, 3, 3).
+
+    Solves 0 = A(b) r for the real coherence vector r of rho, with
+    A(b) = A0 + sum_i b_i A_i and the trace r_0 + r_1 + r_2 = 1 replacing
+    the first row: one real batched solve, elementwise otherwise, so a
+    field gives the same bits in any batch.  The results are Hermitian and
+    scaled to unit trace.  ``extra_superoperator`` is a real 9x9 generator
+    in these coordinates (``mdmr.microwave_superoperator``) or a stack.
+
+    Raises:
+        SteadyStateError: if a linear solve fails or leaves a large
+            residual (near-singular generator).
+    """
+    return _density_matrices(_steady_vectors(params, b_nv_batch, extra_superoperator)[1])
+
+
+def steady_state_derivative_batch(params: SpinParams, b_nv_batch: np.ndarray,
+                                  directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Steady states (k, 3, 3) at NV-frame fields (k, 3), bitwise those of
+    :func:`steady_state_batch`, and their derivatives (k, n, 3, 3) along
+    NV-frame field directions (k, n, 3).  Differentiating A(b) r = 0 with
+    the trace row fixed, the solved system times r' is -(sum_i d_i A_i) r
+    with 0 in the trace row: one more solve with the same matrix
+    (Schweitzer 1968; Golub & Meyer 1986), and r' has zero trace.
+    """
+    a, r = _steady_vectors(params, b_nv_batch, None)
+    # -(sum_i d_i A_i) r, (k, 9, n), with 0 in the trace row
+    rhs = -np.einsum("kni,iab,kb->kan", directions, _generator_parts(params)[1], r)
+    rhs[:, 0] = 0.0
+    dr = np.swapaxes(np.linalg.solve(a, rhs), 1, 2).reshape(-1, 9)
+    return _density_matrices(r), _density_matrices(dr).reshape(len(r), -1, 3, 3)
 
 
 def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,

@@ -70,20 +70,25 @@ def test_traced_pass_reports_json_without_failures(workload):
     assert all(type(v) is int for v in result["counters"].values()), result["counters"]
 
 
-# Seed-1 counts of a traced pass with the complex-Liouvillian kernel, which
-# the real coherence-vector kernel replaced without changing how many
-# solves any search makes.  A torque that moves at rounding level can cost
-# a Brent search one more evaluation (the new kernel: 4 more solves on
-# mdmr_hysteresis, 3 fewer on orientation_recipes), hence 1% headroom; a
+# Seed-1 counts of a traced pass.  orientation_recipes is at the counts of
+# the exact tilt slope, which takes each equilibrium's stability and each
+# libration stiffness from one steady_state_derivative_batch call (one
+# solve and its derivative) instead of torque stencils and curvature
+# integrals; mdmr_hysteresis keeps the complex-Liouvillian kernel's counts,
+# which its later kernels only lowered.  A torque that moves at rounding
+# level can cost a Brent search one more evaluation, hence 1% headroom; a
 # batch split into single points or a lost vectorization costs far more.
 BUDGETS = {
-    "orientation_recipes": {"spincore.steady_state_batch": 3597,
-                            "spincore.steady_state_batch.points": 41300},
+    "orientation_recipes": {"spincore.steady_state_batch": 2768,
+                            "spincore.steady_state_batch.points": 34060,
+                            "spincore.steady_state_derivative_batch": 257},
     "mdmr_hysteresis": {"spincore.steady_state_batch": 1037,
                         "spincore.steady_state_batch.points": 6634,
                         "mdmr.microwave_superoperator": 903,
-                        "mdmr.iterations": 828},
-    "magnetometry_readout": {"spincore.steady_state_batch": 0},
+                        "mdmr.iterations": 828,
+                        "spincore.steady_state_derivative_batch": 18},
+    "magnetometry_readout": {"spincore.steady_state_batch": 0,
+                             "spincore.steady_state_derivative_batch": 0},
 }
 HEADROOM = 1.01
 
