@@ -6,7 +6,7 @@
 # D/gamma_e ~ 102.4 mT inverts the populations of the crossing pair and the
 # ensemble turns diamagnetic, with the response enhanced two orders of
 # magnitude near the crossing.  Three independent routes are compared:
-# a finite-difference probe of the full steady-state solver, the
+# the exact derivative of the solved steady state, the
 # closed-form Lorentzian expressions, and second-order perturbation
 # theory from the level populations.
 

@@ -30,7 +30,7 @@ from .mechanics import (QuadratureError, RangeExhaustedError, critical_field,
                         librational_frequency, magnetic_energy_landscape)
 from .params import FieldVector
 from .spincore import (SingularDetuningError, SteadyStateError,
-                       steady_state, susceptibility_analytic,
+                       steady_state_batch, susceptibility_analytic,
                        susceptibility_numeric, susceptibility_van_vleck)
 from .table import ResultTable
 
@@ -70,10 +70,11 @@ def cmd_susceptibility(cfg: RunConfig) -> ResultTable:
                  "chi_d", "chi_perp_vanvleck"],
         units=["tesla", "hz", "1", "1", "1", "1"],
         meta=_base_meta(cfg, "susceptibility"))
-    for b in cfg.sweep_values():
+    values = cfg.sweep_values()
+    rhos = steady_state_batch(params, np.outer(values, [0.0, 0.0, 1.0]))
+    for b, rho in zip(values, rhos):
         chi_n = susceptibility_numeric(params, b)
         chi_a = susceptibility_analytic(params, b)
-        rho = steady_state(params, (0.0, 0.0, b))
         pops = (rho[2, 2].real, rho[1, 1].real, rho[0, 0].real)
         try:
             chi_vv = susceptibility_van_vleck(params, pops, b)

@@ -302,7 +302,12 @@ def landscape_curl_check(params: SpinParams, orientation: CrystalOrientation,
     small values justify treating U as a potential.  The curl is exact: the
     mixed second derivative of the field cancels, leaving
     N * sum_c (dm_c/dphi . db_c/dtheta - dm_c/dtheta . db_c/dphi).
+
+    Raises:
+        ValueError: if ``n_samples`` is below 1.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
     rng = np.random.default_rng(seed)
     b_mag = b_lab.magnitude
     samples = [(rng.uniform(0.1, 1.2), rng.uniform(0.0, 2.0 * np.pi))

@@ -22,7 +22,7 @@ The state is its real coherence vector (Hioe & Eberly 1981), whose
 generator A0 + sum_i b_i A_i is affine in the NV-frame field; the steady
 state is a trace-constrained real linear solve.  Linear-response
 susceptibilities of the steady-state magnetization are available through
-three independent routes: a finite-difference probe of the full solver,
+three independent routes: the exact derivative of the solved steady state,
 closed-form expressions of the first-order solution, and second-order
 (Van Vleck style) perturbation theory from level populations.
 """
@@ -59,6 +59,8 @@ _TO_REAL, _TO_IMAG = _T.real.copy(), -_T.imag
 # first row of each system: r_0 + r_1 + r_2 = tr(rho) = 1; the others 0
 _TRACE_ROW = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 _TRACE_RHS = np.eye(9)[:, :1]
+# check_density_matrix bounds: a solved state's rounding passes, a non-positive one fails
+_STATE_TOLERANCES = dict(herm_tol=1e-9, trace_tol=1e-8, eig_floor=-1e-8)
 
 
 class SteadyStateError(RuntimeError):
@@ -266,7 +268,7 @@ def spin_expectation(rho: np.ndarray) -> np.ndarray:
 
 def magnetization(params: SpinParams, rho: np.ndarray) -> np.ndarray:
     """Volume magnetization M = -density*hbar*gamma_e*<S> (A/m), NV frame."""
-    check_density_matrix(rho, herm_tol=1e-9, trace_tol=1e-8, eig_floor=-1e-8)
+    check_density_matrix(rho, **_STATE_TOLERANCES)
     return -params.density * HBAR * params.gyromagnetic_ratio * spin_expectation(rho)
 
 
@@ -319,59 +321,20 @@ def susceptibility_analytic(params: SpinParams, b0: float) -> SusceptibilityTens
     return SusceptibilityTensor(chi_perp=chi_perp, chi_d=chi_d, chi_par=0.0)
 
 
-def finite_difference_step(params: SpinParams) -> float:
-    """Probe field step for numeric susceptibilities (tesla).
+def susceptibility_numeric(params: SpinParams, b0: float) -> SusceptibilityTensor:
+    """Susceptibility from the exact derivative of the solved steady state.
 
-    Large enough to dominate roundoff, small enough to stay inside the
-    linear regime near the level crossing where the response is steepest.
-    Saturation of the populations sets in once the probe Rabi coupling
-    approaches sqrt(gamma2* x pumping-relaxation), so the step also
-    shrinks with weak pumping.
+    One :func:`steady_state_derivative_batch` solve at the axial bias ``b0``
+    along x and z: chi_perp = mu0 dM_x/dB_x, chi_d = mu0 dM_y/dB_x and
+    chi_par = mu0 dM_z/dB_z.  The bias state passes the positivity check of
+    :func:`magnetization`.
     """
-    base = max(1.0e-6, 1.0e-3 * params.gamma2_star / params.gyromagnetic_ratio)
-    gamma_pop = 3.0 * params.gamma1 + params.pump_rate
-    saturation = (np.sqrt(1.0e-3 * params.gamma2_star * gamma_pop)
-                  / params.gyromagnetic_ratio)
-    return float(max(min(base, saturation), 1.0e-9))
-
-
-def susceptibility_numeric(params: SpinParams, b0: float,
-                           step: float | None = None) -> SusceptibilityTensor:
-    """Susceptibility from finite differences of the steady-state magnetization.
-
-    Central differences with Richardson extrapolation (steps h and h/2) of
-    the transverse magnetization under a probe along x and of the
-    longitudinal magnetization under a probe along z, around the axial
-    bias ``b0``.
-
-    Raises:
-        ValueError: if the requested step underflows or is not finite.
-    """
-    h = finite_difference_step(params) if step is None else float(step)
-    if not np.isfinite(h) or h <= 0.0:
-        raise ValueError(f"finite-difference step {h!r} must be finite and > 0")
-    if b0 != 0.0 and h < 1e-12 * abs(b0):
-        raise ValueError("finite-difference step underflows against the bias field")
-
-    def transverse(hh):
-        mp = magnetization(params, steady_state(params, (hh, 0.0, b0)))
-        mm = magnetization(params, steady_state(params, (-hh, 0.0, b0)))
-        return (mp[0] - mm[0]) / (2.0 * hh), (mp[1] - mm[1]) / (2.0 * hh)
-
-    def longitudinal(hh):
-        mp = magnetization(params, steady_state(params, (0.0, 0.0, b0 + hh)))
-        mm = magnetization(params, steady_state(params, (0.0, 0.0, b0 - hh)))
-        return (mp[2] - mm[2]) / (2.0 * hh)
-
-    x1, y1 = transverse(h)
-    x2, y2 = transverse(0.5 * h)
-    z1 = longitudinal(h)
-    z2 = longitudinal(0.5 * h)
-    # Richardson: eliminate the O(h^2) truncation term
-    chi_perp = MU0 * (4.0 * x2 - x1) / 3.0
-    chi_d = MU0 * (4.0 * y2 - y1) / 3.0
-    chi_par = MU0 * (4.0 * z2 - z1) / 3.0
-    return SusceptibilityTensor(chi_perp=chi_perp, chi_d=chi_d, chi_par=chi_par)
+    rho, drho = steady_state_derivative_batch(
+        params, np.array([[0.0, 0.0, b0]]), np.array([[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]]))
+    check_density_matrix(rho[0], **_STATE_TOLERANCES)
+    dm = -MU0 * params.density * HBAR * params.gyromagnetic_ratio * spin_expectation(drho[0])
+    return SusceptibilityTensor(chi_perp=float(dm[0, 0]), chi_d=float(dm[0, 1]),
+                                chi_par=float(dm[1, 2]))
 
 
 def susceptibility_van_vleck(params: SpinParams, populations, b0: float) -> float:

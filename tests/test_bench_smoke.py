@@ -71,19 +71,23 @@ def test_traced_pass_reports_json_without_failures(workload):
 
 
 # Seed-1 counts of a traced pass.  orientation_recipes is at the counts of
-# the exact tilt slope, which takes each equilibrium's stability and each
-# libration stiffness from one steady_state_derivative_batch call (one
-# solve and its derivative) instead of torque stencils and curvature
-# integrals; mdmr_hysteresis keeps the complex-Liouvillian kernel's counts,
-# which its later kernels only lowered.  A torque that moves at rounding
-# level can cost a Brent search one more evaluation, hence 1% headroom; a
-# batch split into single points or a lost vectorization costs far more.
+# the exact derivative of the steady state: each equilibrium's stability,
+# each libration stiffness and each susceptibility point comes from one
+# steady_state_derivative_batch call (a solve and its derivative) instead
+# of torque stencils, curvature integrals and field probes, and the
+# susceptibility sweep's populations from one steady_state_batch call.
+# mdmr_hysteresis is at the counts of one tilt and its derivative per
+# equilibrium, except microwave_superoperator, which stays at the
+# complex-Liouvillian kernel's 903 (its real kernel makes 905, inside the
+# headroom).  A torque that moves at rounding level can cost a Brent search
+# one more evaluation, hence 1% headroom; a batch split into single points
+# or a lost vectorization costs far more.
 BUDGETS = {
-    "orientation_recipes": {"spincore.steady_state_batch": 2768,
-                            "spincore.steady_state_batch.points": 34060,
-                            "spincore.steady_state_derivative_batch": 257},
-    "mdmr_hysteresis": {"spincore.steady_state_batch": 1037,
-                        "spincore.steady_state_batch.points": 6634,
+    "orientation_recipes": {"spincore.steady_state_batch": 1689,
+                            "spincore.steady_state_batch.points": 33100,
+                            "spincore.steady_state_derivative_batch": 377},
+    "mdmr_hysteresis": {"spincore.steady_state_batch": 1021,
+                        "spincore.steady_state_batch.points": 6555,
                         "mdmr.microwave_superoperator": 903,
                         "mdmr.iterations": 828,
                         "spincore.steady_state_derivative_batch": 18},

@@ -137,6 +137,12 @@ class TestEnergyLandscape:
                                         n_samples=4, seed=3)
         assert rel_curl < 0.05
 
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_curl_diagnostic_needs_a_sample(self, params, orientation, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            landscape_curl_check(params, orientation, axial_field(orientation, 0.11),
+                                 n_samples=n_samples)
+
     def test_quadrature_failure_names_worst_cell(self, params, orientation):
         # an exhausted subdivision budget reports the offending interval
         from nvspinmech import QuadratureError
