@@ -3,8 +3,10 @@
 # The pair of |0>-connected transition frequencies of one orientation
 # class pins down both the field magnitude and the angle between the NV
 # axis and the field.  The forward model diagonalizes the tilted-field
-# Hamiltonian with adiabatic level labels; the inversion grid-searches and
-# refines, propagating the measured linewidths into parameter errors.
+# Hamiltonian and labels the lines by energy rank; the inversion solves for
+# (theta, B) in closed form from the three levels, polishes that point once
+# by least squares and propagates the measured linewidths into parameter
+# errors.
 # Near alignment the lines lose their angular sensitivity quadratically
 # and the angle uncertainty inflates accordingly.
 

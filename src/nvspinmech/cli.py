@@ -206,16 +206,19 @@ def cmd_invert(cfg: RunConfig) -> ResultTable:
     params = cfg.spin_params()
     g = lambda k: cfg.get("invert", k)
     width = g("linewidth_hz") or None
-    pair = TransitionPair(nu_minus=g("nu_minus_hz"), nu_plus=g("nu_plus_hz"),
-                          linewidth_minus=width, linewidth_plus=width)
     table = ResultTable(
         columns=["nu_minus", "nu_plus", "theta", "b", "theta_err", "b_err",
                  "residual"],
         units=["hz", "hz", "rad", "tesla", "rad", "tesla", "hz"],
         meta=_base_meta(cfg, "invert"))
-    est = invert_angle_field(params, pair,
-                             theta_range=(0.0, g("theta_max_rad")),
-                             b_range=(0.0, g("b_max_tesla")))
+    try:
+        pair = TransitionPair(nu_minus=g("nu_minus_hz"), nu_plus=g("nu_plus_hz"),
+                              linewidth_minus=width, linewidth_plus=width)
+        est = invert_angle_field(params, pair,
+                                 theta_range=(0.0, g("theta_max_rad")),
+                                 b_range=(0.0, g("b_max_tesla")))
+    except ValueError as exc:
+        raise ConfigError(f"invert: {exc}") from exc
     table.add_row(pair.nu_minus, pair.nu_plus, est.theta, est.b,
                   est.theta_err, est.b_err, est.residual)
     return table

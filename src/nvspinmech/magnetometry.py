@@ -13,19 +13,19 @@ show (:func:`nvspinmech.mdmr.zero_connected_lines` gives that state's
 pair).  At theta = 0 the model is the theta -> 0+ limit, so past the
 crossing nu_plus = 2 gamma_e B / 2pi.
 
-The inverse problem maps a measured frequency pair back to (theta, B) via
-a coarse grid search followed by least-squares refinement from the best
-few basins; measurement linewidths are propagated to parameter
-uncertainties through the local Jacobian.  Sensitivity to theta vanishes
-quadratically at theta = 0, which shows up as an inflated angle
-uncertainty rather than a failure.  A model pair fixes all three levels
-(they sum to 2D), and the spectrum fixes B^2 and B^2 sin^2 theta, so the
-forward model is one-to-one on theta in [0, pi/2] at every field: model
-pairs on a 12 x 12 grid over 0.5-89.5 deg and 0.13-0.295 T invert to
-themselves over 0-0.3 T.  A measured pair that is not a model pair, such
-as the |0>-like state's lines past the crossing, can still be matched
-exactly by another configuration (those of 1 deg, 0.18 T by 24.35 deg,
-0.1333 T); the estimator returns the basin whose coarse cost is lowest.
+The inverse problem is closed form: a model pair fixes all three levels
+(they sum to 2D), and for H = D Sz^2 + b.S their symmetric functions are
+e2 = D^2 - b^2 and e3 = -D b_perp^2 (the E = 0 form of NV vector
+magnetometry, Balasubramanian et al., Nature 455, 648 (2008)), so the
+forward model is one-to-one on theta in [0, pi/2] at every field.  One
+bounded least-squares polish from that point absorbs rounding and gives
+the bounded best fit when noise or a restricted range leaves no exact
+solution.  Linewidths propagate to parameter uncertainties through the
+local Jacobian; the angle uncertainty inflates toward theta = 0, where the
+lines lose their angular sensitivity quadratically.  A pair that is not a
+model pair, such as the |0>-like state's lines past the crossing, maps by
+construction to its unique energy-rank twin (those of 1 deg, 0.18 T to
+24.35 deg, 0.1333 T).
 """
 
 from __future__ import annotations
@@ -57,12 +57,18 @@ class TransitionPair:
     linewidth_plus: float | None = None
 
     def __post_init__(self):
-        if self.nu_minus <= 0.0 or self.nu_plus <= 0.0:
-            raise ValueError("transition frequencies must be positive")
+        for nu in (self.nu_minus, self.nu_plus):
+            if not (np.isfinite(nu) and nu > 0.0):
+                raise ValueError(
+                    f"transition frequencies must be finite and positive, got {nu!r}")
+        for width in (self.linewidth_minus, self.linewidth_plus):
+            if width is not None and not (np.isfinite(width) and width >= 0.0):
+                raise ValueError(
+                    f"linewidths must be None or finite and >= 0, got {width!r}")
 
 
 class NoSolutionError(RuntimeError):
-    """Inversion residual exceeds tolerance everywhere in the search range."""
+    """No (theta, B) in the search range reproduces the pair within tolerance."""
 
 
 # real copies of the spin operators: with By = 0 the Hamiltonian is real
@@ -119,53 +125,42 @@ class AngleFieldEstimate:
 
 def invert_angle_field(params: SpinParams, pair: TransitionPair,
                        theta_range: tuple = (0.0, 0.5 * np.pi),
-                       b_range: tuple = (0.0, 0.3),
-                       grid_shape: tuple = (31, 31),
-                       residual_tol: float | None = None) -> AngleFieldEstimate:
+                       b_range: tuple = (0.0, 0.3)) -> AngleFieldEstimate:
     """Recover (theta, B) from a measured line pair.
 
-    Coarse grid search over the requested ranges picks the basin; bounded
-    least squares on the frequency residuals refines it.  Linewidths, when
-    present, propagate through the inverse Jacobian into (theta_err,
-    b_err); near theta = 0 the angle error inflates instead of failing.
+    The closed-form point of the module docstring, clipped into the ranges,
+    starts one bounded least-squares polish on the frequency residuals.
+    Linewidths, when present, propagate through the inverse Jacobian into
+    (theta_err, b_err); near theta = 0 the angle error inflates instead of
+    failing.
 
     Raises:
-        NoSolutionError: the refined residual exceeds ``residual_tol``
-            (default max(1 kHz, linewidth/100)).
+        ValueError: a range is not finite with 0 <= lo < hi.
+        NoSolutionError: the polished rms residual exceeds max(1 kHz,
+            linewidth/100).
     """
+    for name, (lo, hi) in (("theta_range", theta_range), ("b_range", b_range)):
+        if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 <= lo < hi):
+            raise ValueError(f"{name} must be finite with 0 <= lo < hi, got {(lo, hi)!r}")
+    lower, upper = np.array([theta_range, b_range], dtype=float).T
     target = np.array([pair.nu_minus, pair.nu_plus])
     widths = np.array([pair.linewidth_minus or 0.0, pair.linewidth_plus or 0.0])
-    if residual_tol is None:
-        residual_tol = max(1e3, float(widths.max()) / 100.0)
+    tol = max(1e3, float(widths.max()) / 100.0)
 
-    def residuals(x):
-        return _line_pairs(params, x[0], x[1]) - target
-
-    thetas = np.linspace(theta_range[0], theta_range[1], grid_shape[0])
-    bs = np.linspace(b_range[0], b_range[1], grid_shape[1])
-    grid_nu = _line_pairs(params, thetas[:, None], bs)
-    cost = (grid_nu[..., 0] - target[0]) ** 2 + (grid_nu[..., 1] - target[1]) ** 2
-    starts = _candidate_starts(thetas, bs, cost)
-
-    lower = [theta_range[0], b_range[0]]
-    upper = [theta_range[1], b_range[1]]
-    # the frequency gradient in theta vanishes at theta = 0, so a start
-    # pinned to that edge would never move; nudge starts slightly inside
-    eps = 2e-3 * (theta_range[1] - theta_range[0])
-    best_sol, best_rms = None, np.inf
-    for x0 in starts:
-        x0 = np.clip(x0, [lower[0] + eps, lower[1]], [upper[0] - eps, upper[1]])
-        sol = least_squares(residuals, x0, bounds=(lower, upper),
-                            xtol=1e-14, ftol=1e-14, gtol=1e-14,
-                            x_scale=[1e-2, 1e-3])
-        rms = float(np.sqrt(np.mean(sol.fun**2)))
-        if rms < best_rms:
-            best_sol, best_rms = sol, rms
-        if rms < 1e-6:
-            break
-    theta_hat, b_hat = float(best_sol.x[0]), float(best_sol.x[1])
-    rms = best_rms
-    if rms > residual_tol:
+    # prod_k (x - E_k) = x^3 - 2D x^2 + (D^2 - b^2) x + D b_perp^2 for
+    # H = D Sz^2 + b.S, with b = gamma B
+    d = params.zero_field_splitting
+    e_low = (2.0 * d - 2.0 * np.pi * target.sum()) / 3.0
+    _, _, e2, d_bperp_sq = np.poly([e_low, *(e_low + 2.0 * np.pi * target)])
+    b_sq = max(d * d - e2, 0.0)
+    sin_sq = np.clip(d_bperp_sq / (d * b_sq), 0.0, 1.0) if b_sq > 0.0 else 0.0
+    x0 = [np.arcsin(np.sqrt(sin_sq)), np.sqrt(b_sq) / params.gyromagnetic_ratio]
+    sol = least_squares(lambda x: _line_pairs(params, x[0], x[1]) - target,
+                        np.clip(x0, lower, upper), bounds=(lower, upper),
+                        xtol=1e-14, ftol=1e-14, gtol=1e-14, x_scale=[1e-2, 1e-3])
+    theta_hat, b_hat = float(sol.x[0]), float(sol.x[1])
+    rms = float(np.sqrt(np.mean(sol.fun**2)))
+    if rms > tol:
         raise NoSolutionError(
             f"no (theta, B) in range reproduces the pair: rms residual {rms:.3e} Hz")
 
@@ -192,26 +187,6 @@ def invert_angle_field(params: SpinParams, pair: TransitionPair,
         b_err = 0.0
     return AngleFieldEstimate(theta=theta_hat, b=b_hat, residual=rms,
                               theta_err=theta_err, b_err=b_err)
-
-
-def _candidate_starts(thetas, bs, cost, max_starts: int = 5):
-    """Refinement starts: local minima of the coarse cost surface plus
-    tilt-offset companions (the frequency gradient in theta vanishes
-    quadratically toward theta = 0, which can strand a start)."""
-    n_t, n_b = cost.shape
-    # every point against its (up to 8) neighbours; +inf pads the edges
-    windows = np.lib.stride_tricks.sliding_window_view(
-        np.pad(cost, 1, constant_values=np.inf), (3, 3)).reshape(n_t, n_b, 9)
-    rows, cols = np.nonzero(cost <= np.delete(windows, 4, axis=-1).min(axis=-1))
-    best = np.argsort(cost[rows, cols], kind="stable")[:max_starts]
-    dt = thetas[1] - thetas[0] if thetas.size > 1 else 0.05
-    starts = []
-    for i, j in zip(rows[best], cols[best]):
-        starts.append(np.array([thetas[i], bs[j]]))
-        starts.append(np.array([thetas[i] + dt, bs[j]]))
-        if i > 0:
-            starts.append(np.array([thetas[i] - dt, bs[j]]))
-    return starts
 
 
 def _flat_valley_width(params: SpinParams, b: float, sigma: float) -> float:

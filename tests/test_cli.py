@@ -62,6 +62,17 @@ class TestExitCodes:
         assert code == 2
         assert "numerical failure" in err
 
+    @pytest.mark.parametrize("override", [
+        "invert.nu_minus_hz=nan", "invert.nu_plus_hz=inf",
+        "invert.nu_minus_hz=-2e9", "invert.linewidth_hz=-5e6",
+        "invert.linewidth_hz=nan", "invert.b_max_tesla=-0.1",
+        "invert.b_max_tesla=inf", "invert.theta_max_rad=0"])
+    def test_bad_invert_input_is_a_config_error(self, capsys, override):
+        code, out, err = run_cli(capsys, "invert", "--set", override)
+        assert code == 1
+        assert "config error" in err and "Traceback" not in err
+        assert out == ""
+
     def test_unknown_command_is_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["definitely-not-a-command"])

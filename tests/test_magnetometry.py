@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
-from nvspinmech import (NoSolutionError, TransitionPair, invert_angle_field,
-                        transition_frequencies)
-from nvspinmech.magnetometry import _candidate_starts
+from nvspinmech import (NoSolutionError, SpinParams, TransitionPair,
+                        invert_angle_field, magnetometry, transition_frequencies)
+from nvspinmech.magnetometry import _flat_valley_width, _jacobian, _line_pairs
 
 TWO_PI = 2.0 * np.pi
 DEG = np.pi / 180.0
@@ -136,38 +139,53 @@ class TestForwardModel:
             TransitionPair(nu_minus=-1.0, nu_plus=2e9)
 
 
-def local_minima_loop(cost):
-    """Reference: (i, j) of every point not above its neighbours, ordered by
-    cost, ties in row-major order."""
-    n_t, n_b = cost.shape
-    minima = []
-    for i in range(n_t):
-        for j in range(n_b):
-            neighbors = [cost[ii, jj]
-                         for ii in (i - 1, i, i + 1) if 0 <= ii < n_t
-                         for jj in (j - 1, j, j + 1) if 0 <= jj < n_b
-                         if (ii, jj) != (i, j)]
-            if cost[i, j] <= min(neighbors):
-                minima.append((cost[i, j], i, j))
-    minima.sort(key=lambda m: m[0])
-    return [(i, j) for _, i, j in minima]
+def grid_search_reference(params, pair, theta_range=(0.0, 0.5 * np.pi),
+                          b_range=(0.0, 0.3)):
+    """Reference: the deleted estimator.  Local minima of the cost on a
+    31 x 31 grid, each with tilt-offset companions, start bounded least
+    squares (nudged off the theta edges) until one reproduces the pair; the
+    best fit then goes through the program's uncertainty block.  Returns
+    (theta, B, theta_err)."""
+    target = np.array([pair.nu_minus, pair.nu_plus])
+    widths = np.array([pair.linewidth_minus or 0.0, pair.linewidth_plus or 0.0])
+    thetas, bs = np.linspace(*theta_range, 31), np.linspace(*b_range, 31)
+    cost = ((_line_pairs(params, thetas[:, None], bs) - target) ** 2).sum(axis=-1)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(cost, 1, constant_values=np.inf), (3, 3)).reshape(31, 31, 9)
+    rows, cols = np.nonzero(cost <= np.delete(windows, 4, axis=-1).min(axis=-1))
+    dt = thetas[1] - thetas[0]
+    starts = []
+    for k in np.argsort(cost[rows, cols], kind="stable")[:5]:
+        i, j = rows[k], cols[k]
+        starts += [(thetas[i], bs[j]), (thetas[i] + dt, bs[j])]
+        if i > 0:
+            starts.append((thetas[i] - dt, bs[j]))
+    lower, upper = np.array([theta_range, b_range]).T
+    eps = 2e-3 * (theta_range[1] - theta_range[0])
+    best, best_rms = None, np.inf
+    for x0 in starts:
+        x0 = np.clip(x0, lower + [eps, 0.0], upper - [eps, 0.0])
+        sol = least_squares(lambda x: _line_pairs(params, x[0], x[1]) - target, x0,
+                            bounds=(lower, upper), xtol=1e-14, ftol=1e-14,
+                            gtol=1e-14, x_scale=[1e-2, 1e-3])
+        rms = float(np.sqrt(np.mean(sol.fun**2)))
+        if rms < best_rms:
+            best, best_rms = sol, rms
+        if rms < 1e-6:
+            break
+    if best_rms > max(1e3, float(widths.max()) / 100.0):
+        raise NoSolutionError(f"rms residual {best_rms:.3e} Hz")
+    theta, b = best.x
+    sigma = widths / 2.0
+    jinv = np.linalg.inv(_jacobian(params, theta, b))
+    theta_err = float(np.sqrt(max((jinv @ np.diag(sigma**2) @ jinv.T)[0, 0], 0.0)))
+    theta_flat = _flat_valley_width(params, b, float(sigma.max()))
+    if theta < theta_flat:
+        theta_err = max(theta_err, theta_flat)
+    return theta, b, min(theta_err, 0.5 * np.pi)
 
 
 class TestInversion:
-    def test_candidate_starts_match_loop_reference(self):
-        rng = np.random.default_rng(3)
-        thetas, bs = np.linspace(0.0, 1.5, 31), np.linspace(0.0, 0.3, 31)
-        # integer costs make plateaus and ties between separate minima
-        for cost in (rng.random((31, 31)), rng.integers(0, 4, (31, 31)) * 1.0):
-            dt = thetas[1] - thetas[0]
-            expected = []
-            for i, j in local_minima_loop(cost)[:5]:
-                expected += [(thetas[i], bs[j]), (thetas[i] + dt, bs[j])]
-                if i > 0:
-                    expected.append((thetas[i] - dt, bs[j]))
-            starts = _candidate_starts(thetas, bs, cost)
-            assert np.array_equal(np.array(starts), np.array(expected))
-
     def test_round_trip_on_grid(self, params):
         # forward then invert over a 20x20 grid recovers both parameters
         thetas = np.linspace(1.0, 89.0, 20) * DEG
@@ -230,3 +248,88 @@ class TestInversion:
     def test_unreachable_pair_raises(self, params):
         with pytest.raises(NoSolutionError):
             invert_angle_field(params, TransitionPair(1.0e9, 9.0e9))
+
+    def test_matches_grid_search_reference_on_noisy_pairs(self, params):
+        # the closed form and one polish land where the deleted multi-start
+        # search did, and fail on the same pairs
+        rng = np.random.default_rng(7)
+        errors = {1e5: [0, 0], 3e6: [0, 0]}
+        for sigma in errors:
+            for _ in range(150):
+                nu = (_line_pairs(params, rng.uniform(0.0, 0.5 * np.pi),
+                                  rng.uniform(0.005, 0.3)) + rng.normal(0.0, sigma, 2))
+                pair = TransitionPair(*nu, linewidth_minus=10e6, linewidth_plus=10e6)
+                try:
+                    ref = grid_search_reference(params, pair)
+                except NoSolutionError:
+                    errors[sigma][0] += 1
+                    ref = None
+                try:
+                    est = invert_angle_field(params, pair)
+                except NoSolutionError:
+                    errors[sigma][1] += 1
+                    assert ref is None
+                    continue
+                assert ref is not None
+                assert est.theta == pytest.approx(ref[0], abs=1e-9 * DEG)
+                assert est.b == pytest.approx(ref[1], abs=1e-14)
+                assert est.theta_err == pytest.approx(ref[2], rel=1e-8)
+        assert errors[1e5] == [0, 0]
+        assert errors[3e6][0] == errors[3e6][1] > 0
+
+    @pytest.mark.parametrize("theta", [0.0, 1e-4, 0.01 * DEG, 0.5 * DEG, 45 * DEG,
+                                       89.99 * DEG, 90 * DEG])
+    def test_edge_case_round_trip(self, params, theta):
+        # aligned, transverse, at a few mT and on both sides of the crossing
+        # (D / gamma_e = 102.41 mT)
+        for b in np.array([1, 5, 50, 100, 102.3, 102.5, 150, 250, 300]) * 1e-3:
+            tp = transition_frequencies(params, theta, b)
+            est = invert_angle_field(params, tp)
+            fwd = transition_frequencies(params, est.theta, est.b)
+            assert abs(est.theta - theta) < 1e-7
+            assert abs(est.b - b) < 1e-14
+            assert abs(fwd.nu_minus - tp.nu_minus) < 1e-4
+            assert abs(fwd.nu_plus - tp.nu_plus) < 1e-4
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.floats(0.0, 0.5 * np.pi), st.floats(0.005, 0.3))
+    def test_model_pairs_are_reproduced(self, theta, b):
+        params = SpinParams()
+        tp = transition_frequencies(params, theta, b)
+        est = invert_angle_field(params, tp)
+        fwd = transition_frequencies(params, est.theta, est.b)
+        assert abs(fwd.nu_minus - tp.nu_minus) <= 1e-3
+        assert abs(fwd.nu_plus - tp.nu_plus) <= 1e-3
+
+    def test_one_least_squares_call_per_inversion(self, params, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return least_squares(*args, **kwargs)
+
+        monkeypatch.setattr(magnetometry, "least_squares", counting)
+        for theta, b in [(0.0, 0.023), (12 * DEG, 0.17), (89 * DEG, 0.3)]:
+            invert_angle_field(params, transition_frequencies(params, theta, b))
+        with pytest.raises(NoSolutionError):
+            invert_angle_field(params, TransitionPair(1.0e9, 9.0e9))
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("nu_minus, nu_plus, width", [
+        (np.nan, 3e9, None), (2e9, np.inf, None), (0.0, 3e9, None),
+        (2e9, 3e9, -5e6), (2e9, 3e9, np.nan), (2e9, 3e9, np.inf)])
+    def test_pair_rejects_bad_input(self, nu_minus, nu_plus, width):
+        with pytest.raises(ValueError):
+            TransitionPair(nu_minus, nu_plus, linewidth_minus=width)
+        with pytest.raises(ValueError):
+            TransitionPair(nu_plus, nu_minus, linewidth_plus=width)
+
+    @pytest.mark.parametrize("theta_range, b_range", [
+        ((0.0, 1.0), (0.0, -0.1)), ((0.0, 1.0), (0.0, np.inf)),
+        ((0.0, 1.0), (0.2, 0.1)), ((0.0, 1.0), (np.nan, 0.3)),
+        ((-0.1, 1.0), (0.0, 0.3)), ((0.0, 0.0), (0.0, 0.3))])
+    def test_invert_rejects_bad_ranges(self, params, theta_range, b_range):
+        name = "b_range" if theta_range == (0.0, 1.0) else "theta_range"
+        with pytest.raises(ValueError, match=name):
+            invert_angle_field(params, TransitionPair(2.2254e9, 3.5146e9),
+                               theta_range=theta_range, b_range=b_range)
