@@ -33,8 +33,7 @@ for b in np.linspace(0.005, 0.2, 27):
 # transition fields: the bare susceptibility zero versus the trapped drop
 free = TrapModel(trap_frequency=0.0)
 bc_free = critical_field(params, orientation, free)
-bc_trap = critical_field(params, orientation, trap, b_range=(0.09, 0.16),
-                         n_coarse=15, refine_rounds=3)
+bc_trap = critical_field(params, orientation, trap, b_range=(0.09, 0.16))
 print(f"\ntransition field, no trap:   {bc_free * 1e3:7.2f} mT")
 print(f"transition field, 500 Hz trap: {bc_trap * 1e3:7.2f} mT "
       f"(trap torque delays the lock)")

@@ -143,7 +143,6 @@ def cmd_mdmr(cfg: RunConfig) -> ResultTable:
         spectra = [(mdmr_scan(params, orientation, trap, b_lab, drive,
                               classes=classes), drive.direction)]
     table.meta["baseline_theta_rad"] = repr(spectra[0][0].baseline_theta)
-    table.meta["averages"] = str(drive.averages)
     for ic, lines in enumerate(spectra[0][0].class_lines_hz):
         table.meta[f"class{classes[ic]}_lines_hz"] = f"{lines[0]!r} {lines[1]!r}"
     for spectrum, direction in spectra:

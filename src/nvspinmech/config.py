@@ -66,7 +66,6 @@ SCHEMA = {
         "frequency_stop_hz": ("f", 4.0e9),
         "frequency_steps": ("i", 101),
         "direction": ("s", "up"),
-        "averages": ("i", 1),
         "power_broadening": ("b", False),
         "extra_broadening_hz": ("f", 0.0),
         "hysteresis": ("b", False),
@@ -167,7 +166,6 @@ class RunConfig:
             rabi_rate=TWO_PI * g("rabi_rate_hz"),
             frequencies=tuple(freqs.tolist()),
             direction=g("direction"),
-            averages=g("averages"),
             power_broadening=g("power_broadening"),
             extra_broadening=TWO_PI * g("extra_broadening_hz"),
         )

@@ -147,15 +147,13 @@ class AngularState:
     phi: azimuth of the field around the tracked axis, measured from the
         crystal-frame transverse reference; phi = 0 at the gimbal-degenerate
         point theta = 0.
-    trap_theta0: trap-preferred tilt, rad.
     """
 
     theta: float
     phi: float = 0.0
-    trap_theta0: float = 0.0
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.theta, self.phi, self.trap_theta0])):
+        if not np.all(np.isfinite([self.theta, self.phi])):
             raise ValueError("angles must be finite")
         if not 0.0 <= self.theta <= np.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
@@ -164,12 +162,12 @@ class AngularState:
 
 
 def angular_state(orientation: CrystalOrientation, b_lab: FieldVector,
-                  tracked_class: int = 0, trap_theta0: float = 0.0) -> AngularState:
+                  tracked_class: int = 0) -> AngularState:
     """Angles (theta, phi) of the field relative to the tracked NV class."""
     b = b_lab.require_frame("lab").as_array()
     bmag = np.linalg.norm(b)
     if bmag == 0.0:
-        return AngularState(theta=0.0, phi=0.0, trap_theta0=trap_theta0)
+        return AngularState(theta=0.0, phi=0.0)
     bc = orientation.to_crystal(b) / bmag
     axis = NV_AXES[_check_class(tracked_class)]
     ct = float(np.clip(bc @ axis, -1.0, 1.0))
@@ -181,4 +179,4 @@ def angular_state(orientation: CrystalOrientation, b_lab: FieldVector,
         phi = 0.0
     else:
         phi = float(np.arctan2(perp @ yref, perp @ xref)) % (2.0 * np.pi)
-    return AngularState(theta=theta, phi=phi, trap_theta0=trap_theta0)
+    return AngularState(theta=theta, phi=phi)

@@ -15,9 +15,10 @@ Lorentzian tail simultaneously.  Coherences with the drive play no
 mechanical role at these frequencies, so a rate treatment suffices.
 
 A scan point is the stable root of F(theta; nu) = tau_spin(theta; nu) -
-k*(theta - theta0) nearest the previous tilt, found by the bracket scan and
-Brent polish of ``equilibrium_angle``; following the branch along the sweep
-yields direction-dependent jumps (hysteresis) at folds.
+k*(theta - theta0) nearest the previous tilt, found by the anchored scan
+and Brent polish that ``equilibrium_angle`` also uses
+(``mechanics._stable_root``); following the branch along the sweep yields
+direction-dependent jumps (hysteresis) at folds.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from scipy.optimize import brentq
 from .constants import HBAR
 from .crystal import CrystalOrientation
 from .mechanics import (ALL_CLASSES, TiltGeometry, _class_fields, _nv_moments,
-                        _polish_root, _spin_torque_along, _stable_bracket, _torque_scale,
-                        equilibrium_angle, tilt_geometry)
+                        _spin_torque_along, _stable_root, _torque_scale, tilt_geometry)
 from .params import FieldVector, MicrowaveDrive, SpinParams, TrapModel
 from .spincore import (SX, _coordinates, _field_array, _hamiltonian_batch, _structure,
                        build_hamiltonian, steady_state)
@@ -157,12 +157,6 @@ class MdmrSpectrum:
         return np.array([p.theta for p in self.points])
 
 
-# stable-root scan: tilts k * _STEP within [-pi/2, pi], 17 around the guess,
-# widened 4x until a stable bracket appears
-_STEP = 0.01
-_K_LO, _K_HI = int(np.ceil(-0.5 * np.pi / _STEP)), int(np.floor(np.pi / _STEP))
-
-
 def _driven_moments(params: SpinParams, fields: np.ndarray, frequency_hz: float,
                     drive: MicrowaveDrive) -> np.ndarray:
     """Class-frame moments (n_classes, k, 3) under the drive at class-frame
@@ -190,35 +184,6 @@ def _driven_total_torque(params: SpinParams, geom: TiltGeometry, trap: TrapModel
     return spin - trap.stiffness * (thetas - trap.theta0)
 
 
-def _stable_tilt(params: SpinParams, geom: TiltGeometry, trap: TrapModel,
-                 drive: MicrowaveDrive, frequency_hz: float, theta_guess: float,
-                 classes) -> tuple[float, bool, int]:
-    """(tilt, found, torque evaluations): the stable root of the driven total
-    torque nearest the guess, or the guess itself when none exists.
-
-    The scanned tilts are anchored at multiples of _STEP, so solving again
-    from a root scans the same tilts and returns that root bitwise.
-    """
-    evals = 0
-
-    def torque(thetas):
-        nonlocal evals
-        evals += 1
-        return _driven_total_torque(params, geom, trap, drive, frequency_hz, thetas, classes)
-
-    center = round(theta_guess / _STEP)
-    for half in (8, 32, 128, 512):  # 512 steps span the range from any guess in it
-        ks = np.arange(max(center - half, _K_LO), min(center + half, _K_HI) + 1)
-        bracket = _stable_bracket(ks * _STEP, torque(ks * _STEP), theta_guess,
-                                  _torque_scale(params, geom.b_mag))
-        if bracket is not None:
-            break
-    else:
-        return theta_guess, False, evals
-    root = _polish_root(brentq, lambda th: float(torque(th)[0]), bracket, 1e-10)
-    return float(root), True, evals
-
-
 def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapModel,
               b_lab: FieldVector, drive: MicrowaveDrive,
               classes=ALL_CLASSES) -> MdmrSpectrum:
@@ -233,13 +198,16 @@ def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapMod
     if len(drive.frequencies) == 0:
         raise ValueError("drive sweep is empty")
     geom = tilt_geometry(orientation, b_lab)
-    eq = equilibrium_angle(params, orientation, trap, b_lab, classes=classes)
-    if not eq.bound:
-        raise RuntimeError("no stable microwave-off equilibrium: cannot scan")
+    scale = _torque_scale(params, geom.b_mag)
+
+    def stable_tilt(drv, freq, guess):
+        return _stable_root(brentq, lambda th: _driven_total_torque(
+            params, geom, trap, drv, freq, th, classes), guess, scale)
+
     off_drive = MicrowaveDrive(rabi_rate=0.0, frequencies=(0.0,))
-    baseline, base_ok, _ = _stable_tilt(params, geom, trap, off_drive, 0.0, eq.theta, classes)
-    if not base_ok:
-        raise RuntimeError("microwave-off baseline did not converge")
+    baseline, _ = stable_tilt(off_drive, 0.0, trap.theta0)
+    if baseline is None:
+        raise RuntimeError("no stable microwave-off equilibrium: cannot scan")
 
     def lines_at(tilt):
         fields = _class_fields(geom.b_crystal([tilt]), classes)
@@ -248,7 +216,9 @@ def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapMod
     points = []
     theta = baseline
     for freq in drive.frequencies:
-        theta, ok, evals = _stable_tilt(params, geom, trap, drive, freq, theta, classes)
+        root, evals = stable_tilt(drive, freq, theta)
+        ok = root is not None
+        theta = root if ok else theta
         points.append(MdmrPoint(frequency_hz=float(freq), theta=theta,
                                 delta_theta=theta - baseline, converged=ok, iterations=evals,
                                 class_lines_hz=tuple(lines_at(theta))))

@@ -328,10 +328,10 @@ def landscape_curl_check(params: SpinParams, orientation: CrystalOrientation,
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    """Root of the total (spin + trap) tilt torque.
+    """Stable root of the total (spin + trap) tilt torque.
 
-    ``bound`` is False when no stable root exists in the searched range;
-    the other fields are then NaN/0.
+    ``bound`` is False when no stable root exists in [-pi/2, pi]; the other
+    fields are then NaN/0, and ``iterations`` counts the scan windows.
     """
 
     theta: float
@@ -354,13 +354,19 @@ def _torque_scale(params: SpinParams, b_mag: float) -> float:
     return 4.0 * params.n_spins_per_class * HBAR * params.gyromagnetic_ratio * b_mag
 
 
+def _exact_zero(values, scale: float) -> np.ndarray:
+    """Torques with rounding-level values (|tau| <= 1e-12 * scale, e.g.
+    +-1e-32 at pi/2 with no trap) set to an exact zero."""
+    return np.where(np.abs(values) <= 1e-12 * scale, 0.0, values)
+
+
 def _stable_bracket(thetas: np.ndarray, values: np.ndarray, guess: float,
                     scale: float) -> tuple | None:
     """(a, b, tau(a), tau(b)) of the scanned total torque: the sign change
     from + to <= 0 whose secant root is nearest ``guess``, or None.  A torque
-    at rounding level (|tau| <= 1e-12 * scale, e.g. +-1e-32 at pi/2 with no
-    trap) is an exact zero, so tau(b) == 0 means b is the root itself."""
-    vals = np.where(np.abs(values) <= 1e-12 * scale, 0.0, values)
+    at rounding level is an exact zero (:func:`_exact_zero`), so tau(b) == 0
+    means b is the root itself."""
+    vals = _exact_zero(values, scale)
     hits = np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))
     if hits.size == 0:
         return None
@@ -369,56 +375,63 @@ def _stable_bracket(thetas: np.ndarray, values: np.ndarray, guess: float,
     return float(a[i]), float(b[i]), float(fa[i]), float(fb[i])
 
 
-def _polish_root(brent, f, bracket: tuple, xtol: float) -> float:
-    """Root of the scalar torque f in a :func:`_stable_bracket` (a, b, f(a),
-    f(b)): b when f(b) == 0, else the caller's ``brentq`` (traced per module)
-    with the ends pinned to the scanned values, saving its two end calls."""
-    a, b, fa, fb = bracket
-    if fb == 0.0:
-        return b
-    return brent(lambda th: fa if th == a else fb if th == b else f(th), a, b, xtol=xtol)
+# stable-root scan: tilts k * _STEP for k in [_K_LO, _K_HI], which puts
+# -pi/2, 0, pi/2 and pi on the grid bitwise
+_STEP = np.pi / 314
+_K_LO, _K_HI = -157, 314
+
+
+def _stable_root(brent, torque, guess: float, scale: float) -> tuple[float | None, int]:
+    """(root, torque evaluations): the stable root of the total torque in
+    [-pi/2, pi] nearest ``guess``, or None when there is none.
+
+    ``torque`` maps an array of tilts to their total torques in one batch.
+    The scan takes 17 tilts k * _STEP around the guess and widens 4x until
+    :func:`_stable_bracket` hits; the grid is anchored, so solving again
+    from a root scans the same tilts and returns that root bitwise.  The
+    caller's ``brentq`` (traced per module) polishes the bracket with its
+    ends pinned to the scanned values (a single-tilt torque may differ from
+    the batched one in the last bit) and stops at a rounding-level torque.
+    """
+    evals = 0
+
+    def f(thetas):
+        nonlocal evals
+        evals += 1
+        return _exact_zero(torque(thetas), scale)
+
+    center = min(max(round(guess / _STEP), _K_LO), _K_HI)
+    for half in (8, 32, 128, 512):  # 512 steps span the range from any centre in it
+        thetas = np.arange(max(center - half, _K_LO), min(center + half, _K_HI) + 1) * _STEP
+        if (bracket := _stable_bracket(thetas, f(thetas), guess, scale)) is not None:
+            break
+    else:
+        return None, evals
+    a, b, fa, fb = bracket  # brentq returns b at once when fb == 0
+    root = brent(lambda th: fa if th == a else fb if th == b else float(f([th])[0]),
+                 a, b, xtol=1e-10)
+    return float(root), evals
 
 
 def equilibrium_angle(params: SpinParams, orientation: CrystalOrientation,
                       trap: TrapModel, b_lab: FieldVector,
                       warm_start: float | None = None,
-                      classes=ALL_CLASSES, theta_max: float = 0.5 * np.pi,
-                      xtol: float = 1e-9) -> EquilibriumResult:
+                      classes=ALL_CLASSES) -> EquilibriumResult:
     """Stable equilibrium tilt of the tracked NV axis.
 
-    Bracketed root search on the total torque over [0, theta_max] (extended
-    slightly below zero so an exactly aligned equilibrium is bracketable).
-    With ``warm_start`` the stable root nearest the previous solution is
-    followed, which selects the branch in bistable regions.  ``iterations``
-    counts batched torque evaluations (warm-start windows, scan, slope).
+    The stable root of the total torque in [-pi/2, pi] nearest
+    ``warm_start`` (the previous solution, which selects the branch in
+    bistable regions) or, without one, nearest the trap angle, found by
+    :func:`_stable_root`.  ``iterations`` counts batched torque evaluations
+    (scan windows, Brent steps and the slope at the root).
     """
     geom = tilt_geometry(orientation, b_lab)
-    scale = _torque_scale(params, geom.b_mag)
-    evals = 0
-
-    def f(th):
-        nonlocal evals
-        evals += 1
-        return total_tilt_torque(params, geom, trap, th, classes)
-
-    lo = -0.02
-    bracket = None
-    if warm_start is not None:
-        # local bracket expansion around the previous point
-        ends = np.array([(max(lo, warm_start - w), min(theta_max, warm_start + w))
-                         for w in (0.01, 0.03, 0.09, 0.27)])
-        for th, v in zip(ends, f(ends.ravel()).reshape(-1, 2)):
-            if (bracket := _stable_bracket(th, v, warm_start, scale)) is not None:
-                break
-    if bracket is None:
-        grid = np.linspace(lo, theta_max, 40)
-        guess = trap.theta0 if warm_start is None else warm_start
-        bracket = _stable_bracket(grid, f(grid), guess, scale)
-    if bracket is None:
+    root, evals = _stable_root(
+        brentq, lambda th: total_tilt_torque(params, geom, trap, th, classes),
+        trap.theta0 if warm_start is None else warm_start, _torque_scale(params, geom.b_mag))
+    if root is None:
         return EquilibriumResult(theta=np.nan, stability=0.0, torque_residual=np.nan,
                                  iterations=evals, bound=False)
-    root = _polish_root(brentq, f, bracket, xtol)
-    root = 0.0 if abs(root) < xtol else float(root)
     tau, slope = tilt_torque_and_slope(params, geom, [root], classes)
     residual = tau[0] - trap.stiffness * (root - trap.theta0)
     return EquilibriumResult(theta=root, stability=float(-np.sign(slope[0] - trap.stiffness)),
@@ -426,16 +439,21 @@ def equilibrium_angle(params: SpinParams, orientation: CrystalOrientation,
                              bound=True)
 
 
+# trapped critical field: a coarse sweep, then rounds of 5-point refinement
+_COARSE_FIELDS = 24
+_REFINE_ROUNDS = 5
+
+
 def critical_field(params: SpinParams, orientation: CrystalOrientation,
                    trap: TrapModel, b_range: tuple = (0.09, 0.2),
-                   classes=ALL_CLASSES, n_coarse: int = 24,
-                   refine_rounds: int = 5) -> float:
+                   classes=ALL_CLASSES) -> float:
     """Field of the paramagnet-to-diamagnet orientation transition (tesla).
 
     With zero trap stiffness this is the zero crossing of the closed-form
     transverse susceptibility.  With a trap, the equilibrium tilt is swept
-    upward in field (warm-started) and the steepest drop of theta*(B) is
-    located by interval refinement.
+    upward in field (warm-started) over _COARSE_FIELDS points and the
+    steepest drop of theta*(B) is located by _REFINE_ROUNDS rounds of
+    interval refinement.
 
     Raises:
         RangeExhaustedError: no crossing/drop inside ``b_range``.
@@ -463,11 +481,11 @@ def critical_field(params: SpinParams, orientation: CrystalOrientation,
             thetas.append(res.theta if res.bound else np.nan)
         return np.asarray(thetas)
 
-    points = np.linspace(b_lo, b_hi, n_coarse)
+    points = np.linspace(b_lo, b_hi, _COARSE_FIELDS)
     thetas = sweep(points)
     if np.all(np.isnan(thetas)):
         raise RangeExhaustedError("no bound equilibrium in the field range")
-    for _ in range(refine_rounds):
+    for _ in range(_REFINE_ROUNDS):
         drops = -np.diff(thetas)
         if not np.any(drops > 0.0):
             raise RangeExhaustedError("equilibrium angle never drops in the field range")

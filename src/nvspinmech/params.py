@@ -135,7 +135,6 @@ class MicrowaveDrive:
         frequencies: sweep frequencies in Hz, strictly monotone in the
             direction given by ``direction``.
         direction: "up" (increasing) or "down" (decreasing).
-        averages: output label only, no averaging model is applied.
         power_broadening: widen the Lorentzian by the drive saturation term.
         extra_broadening: additional linewidth added to the dephasing rate
             in the response Lorentzian, rad/s (inhomogeneous broadening knob).
@@ -144,7 +143,6 @@ class MicrowaveDrive:
     rabi_rate: float
     frequencies: tuple = field(default=())
     direction: str = "up"
-    averages: int = 1
     power_broadening: bool = False
     extra_broadening: float = 0.0
 
@@ -153,8 +151,6 @@ class MicrowaveDrive:
             raise ValueError("rabi_rate must be finite and >= 0")
         if self.direction not in ("up", "down"):
             raise ValueError(f"direction must be 'up' or 'down', got {self.direction!r}")
-        if self.averages < 1:
-            raise ValueError("averages must be >= 1")
         if self.extra_broadening < 0.0:
             raise ValueError("extra_broadening must be >= 0")
         freqs = np.asarray(self.frequencies, dtype=float)
@@ -168,11 +164,5 @@ class MicrowaveDrive:
 
     def reversed(self) -> "MicrowaveDrive":
         """Same sweep traversed in the opposite direction."""
-        return MicrowaveDrive(
-            rabi_rate=self.rabi_rate,
-            frequencies=tuple(reversed(self.frequencies)),
-            direction="down" if self.direction == "up" else "up",
-            averages=self.averages,
-            power_broadening=self.power_broadening,
-            extra_broadening=self.extra_broadening,
-        )
+        return replace(self, frequencies=tuple(reversed(self.frequencies)),
+                       direction="down" if self.direction == "up" else "up")

@@ -69,8 +69,7 @@ def test_criterion_2_gslac_transition_field():
     free = TrapModel(trap_frequency=0.0)
     bc_free = critical_field(p, ORIENTATION, free)
     trap = TrapModel(trap_frequency=TWO_PI * 500.0, theta0=3.0 * DEG)
-    bc_trap = critical_field(p, ORIENTATION, trap, b_range=(0.09, 0.16),
-                             n_coarse=15, refine_rounds=4)
+    bc_trap = critical_field(p, ORIENTATION, trap, b_range=(0.09, 0.16))
     ok = abs(bc_free - 0.1024) < 1e-3 and bc_trap > 0.1024
     assert report(2, ok, f"transition field (free {bc_free * 1e3:.2f} mT, "
                          f"trapped {bc_trap * 1e3:.2f} mT)")

@@ -70,30 +70,30 @@ def test_traced_pass_reports_json_without_failures(workload):
     assert all(type(v) is int for v in result["counters"].values()), result["counters"]
 
 
-# Seed-1 counts of a traced pass.  orientation_recipes is at the counts of
-# the exact derivative of the steady state: each equilibrium's stability,
-# each libration stiffness and each susceptibility point comes from one
-# steady_state_derivative_batch call (a solve and its derivative) instead
-# of torque stencils, curvature integrals and field probes, and the
+# Seed-1 counts of a traced pass.  Each equilibrium's stability, each
+# libration stiffness and each susceptibility point comes from one
+# steady_state_derivative_batch call (a solve and its derivative), and the
 # susceptibility sweep's populations from one steady_state_batch call.
-# mdmr_hysteresis is at the counts of one tilt and its derivative per
-# equilibrium, except microwave_superoperator, which stays at the
-# complex-Liouvillian kernel's 903 (its real kernel makes 905, inside the
-# headroom).  A torque that moves at rounding level can cost a Brent search
-# one more evaluation, hence 1% headroom; a batch split into single points
-# or a lost vectorization costs far more.  magnetometry_readout solves no
-# steady state, and each of its 104 inversions makes one least-squares
-# polish from the closed-form (theta, B), 227 residual evaluations in all;
+# Equilibria and MDMR points share one stable-root search: 17 anchored
+# tilts around the guess in one batch, widened 4x until a stable bracket
+# appears (a low-field libration row with no trap scans all 472 tilts of
+# [-pi/2, pi]), then a Brent polish that stops at a rounding-level torque.
+# mdmr_scan solves its baseline once, with the drive off.  A torque that
+# moves at rounding level can cost a Brent search one more evaluation,
+# hence 1% headroom; a batch split into single points or a lost
+# vectorization costs far more.  magnetometry_readout solves no steady
+# state, and each of its 104 inversions makes one least-squares polish
+# from the closed-form (theta, B), 227 residual evaluations in all;
 # restarting more than one inversion exceeds the call bound.
 BUDGETS = {
-    "orientation_recipes": {"spincore.steady_state_batch": 1689,
-                            "spincore.steady_state_batch.points": 33100,
+    "orientation_recipes": {"spincore.steady_state_batch": 1273,
+                            "spincore.steady_state_batch.points": 39118,
                             "spincore.steady_state_derivative_batch": 377},
-    "mdmr_hysteresis": {"spincore.steady_state_batch": 1021,
-                        "spincore.steady_state_batch.points": 6555,
-                        "mdmr.microwave_superoperator": 903,
-                        "mdmr.iterations": 828,
-                        "spincore.steady_state_derivative_batch": 18},
+    "mdmr_hysteresis": {"spincore.steady_state_batch": 829,
+                        "spincore.steady_state_batch.points": 5843,
+                        "mdmr.microwave_superoperator": 800,
+                        "mdmr.iterations": 728,
+                        "spincore.steady_state_derivative_batch": 5},
     "magnetometry_readout": {"spincore.steady_state_batch": 0,
                              "spincore.steady_state_derivative_batch": 0,
                              "magnetometry.least_squares": 104,

@@ -45,6 +45,15 @@ class TestExitCodes:
             assert code == 1, source
             assert out == "" and "workers" in err, source
 
+    def test_removed_averages_key_is_a_config_error(self, capsys, tmp_path):
+        # mdmr.averages was an output label with no averaging model behind it
+        ini = tmp_path / "averages.ini"
+        ini.write_text("[mdmr]\naverages = 2\n")
+        for source in (["--set", "mdmr.averages=2"], ["--config", str(ini)]):
+            code, out, err = run_cli(capsys, "mdmr", *source)
+            assert code == 1, source
+            assert out == "" and "averages" in err, source
+
     def test_missing_config_file_is_one(self, capsys):
         code, out, err = run_cli(capsys, "susceptibility",
                                  "--config", "/no/such/file.ini")
@@ -257,8 +266,9 @@ class TestCommands:
         assert all(row[io] > 0 for row in table.rows)
 
     def test_libration_transverse_equilibrium_found_at_ceiling(self, capsys):
-        # tracked class, no trap, below ~0.03 T: the stable tilt is the
-        # search ceiling pi/2, where the total torque is rounding noise
+        # tracked class, no trap, below ~0.03 T: the stable tilt is pi/2,
+        # a tilt of the anchored search grid, where the total torque is
+        # rounding noise
         code, out, _ = run_cli(capsys, "libration",
                                "--set", "run.classes=tracked",
                                "--set", "trap.trap_frequency_hz=0",

@@ -247,6 +247,14 @@ class TestScan:
             mdmr_scan(params, orientation, trap, axial_field(orientation, 0.02),
                       MicrowaveDrive(rabi_rate=1.0, frequencies=()))
 
+    def test_no_stable_baseline_raises(self, params, orientation):
+        # a trap angle beyond [-pi/2, pi] leaves the undriven torque with no
+        # stable root in the searched range
+        far = TrapModel(trap_frequency=TWO_PI * 500.0, theta0=4.0)
+        with pytest.raises(RuntimeError, match="no stable microwave-off equilibrium"):
+            mdmr_scan(params, orientation, far, axial_field(orientation, 0.13),
+                      drive_at([2.0e9], 1e6))
+
 
 class TestHysteresis:
     def test_linear_regime_directions_coincide(self, params, orientation):

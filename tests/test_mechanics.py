@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from nvspinmech import (SpinParams, TrapModel,
                         equilibrium_angle, critical_field, field_rotation_sweep,
@@ -223,7 +224,7 @@ class TestStableBracket:
                                                          monkeypatch):
         field = axial_field(orientation, 0.1)
         scale = mechanics._torque_scale(params, 0.1)
-        b_end = float(np.linspace(-0.02, 0.5 * np.pi, 40)[5])
+        b_end = 31 * mechanics._STEP
         torque = self._flipping_torque(b_end, scale)
         monkeypatch.setattr(mechanics, "tilt_torque_batch",
                             lambda params, geom, thetas, classes: torque(thetas))
@@ -231,17 +232,63 @@ class TestStableBracket:
         assert res.bound
         assert abs(res.theta - (b_end - 1e-9)) < 1e-9
 
-    def test_mdmr_polish_keeps_scanned_end_values(self, params, monkeypatch):
+    def test_mdmr_polish_keeps_scanned_end_values(self, params, orientation, monkeypatch):
         scale = mechanics._torque_scale(params, 0.1)
-        b_end = 31 * mdmr._STEP
+        b_end = 31 * mechanics._STEP
         torque = self._flipping_torque(b_end, scale)
         monkeypatch.setattr(mdmr, "_driven_total_torque",
                             lambda *args: torque(args[5]))
-        theta, found, _ = mdmr._stable_tilt(params, TiltGeometry(b_mag=0.1, phi=0.0),
-                                            TrapModel(trap_frequency=0.0), None, 0.0,
-                                            0.3, (0,))
-        assert found
-        assert abs(theta - (b_end - 1e-9)) < 1e-10
+        drive = mdmr.MicrowaveDrive(rabi_rate=0.0, frequencies=(1e9,))
+        spec = mdmr.mdmr_scan(params, orientation, TrapModel(trap_frequency=0.0),
+                              axial_field(orientation, 0.1), drive)
+        assert abs(spec.baseline_theta - (b_end - 1e-9)) < 1e-10
+        assert spec.points[0].converged
+        assert abs(spec.points[0].theta - (b_end - 1e-9)) < 1e-10
+
+
+class TestStableRoot:
+    def test_polish_keeps_scanned_end_values(self):
+        # a stable root 1e-9 rad below the grid tilt 31 * _STEP whose
+        # single-tilt value there has the wrong sign, as a last-ulp
+        # difference of a marginal value would
+        b_end = 31 * mechanics._STEP
+
+        def torque(thetas):
+            thetas = np.asarray(thetas, dtype=float)
+            vals = b_end - 1e-9 - thetas
+            return -vals if thetas.size == 1 and thetas[0] == b_end else vals
+
+        root, _ = mechanics._stable_root(brentq, torque, 0.3, scale=1.0)
+        assert abs(root - (b_end - 1e-9)) < 1e-10
+
+    def test_polish_stops_at_rounding_level_torque(self):
+        # within 1e-6 rad of the root the torque is -1e-13 * scale: the
+        # secant step lands there, and that first zero is the root (Brent
+        # would otherwise converge on the plateau's edge)
+        def torque(thetas):
+            thetas = np.asarray(thetas, dtype=float)
+            return np.where(np.abs(thetas - 0.3) < 1e-6, -1e-13, 0.3 - thetas)
+
+        root, evals = mechanics._stable_root(brentq, torque, 0.3, scale=1.0)
+        assert abs(root - 0.3) < 1e-12
+        assert evals == 2  # the scan and one polish step
+
+    def test_grid_holds_range_ends_bitwise(self):
+        step, k_lo, k_hi = mechanics._STEP, mechanics._K_LO, mechanics._K_HI
+        assert (k_lo * step, k_hi * step) == (-0.5 * np.pi, np.pi)
+        assert (157 * step, 0 * step) == (0.5 * np.pi, 0.0)
+
+    def test_guess_outside_range_scans_clipped_windows(self):
+        # the scan centre is clipped into the grid, so every window holds
+        # tilts and the last one is the whole of [-pi/2, pi]
+        sizes = []
+
+        def torque(thetas):
+            sizes.append(len(thetas))
+            return np.ones(len(thetas))
+
+        assert mechanics._stable_root(brentq, torque, 4.0, scale=1.0) == (None, 4)
+        assert sizes == [9, 33, 129, 472]
 
 
 class TestEquilibrium:
@@ -277,15 +324,20 @@ class TestEquilibrium:
         assert all(np.isfinite(thetas))
 
     def test_unbound_reported_not_raised(self, params, orientation):
-        # paramagnetic single class with no trap pushes away from alignment:
-        # no stable root below the searched ceiling (a tilted stable point
-        # exists only near 0.35 rad)
-        free = TrapModel(trap_frequency=0.0)
-        res = equilibrium_angle(params, orientation, free,
-                                axial_field(orientation, 0.05),
-                                classes=(0,), theta_max=0.3)
+        # a trap angle beyond the searched range [-pi/2, pi]: the trap torque
+        # outweighs the spin torque everywhere in it, so no root is stable
+        far = TrapModel(trap_frequency=TWO_PI * 500.0, theta0=4.0)
+        res = equilibrium_angle(params, orientation, far, axial_field(orientation, 0.13))
         assert not res.bound
         assert np.isnan(res.theta)
+
+    def test_trap_angle_past_right_angle_is_bound(self, params, orientation):
+        # the search reaches past pi/2: a trap at 2 rad holds the axis there
+        trap = TrapModel(trap_frequency=TWO_PI * 500.0, theta0=2.0)
+        res = equilibrium_angle(params, orientation, trap, axial_field(orientation, 0.13))
+        assert res.bound
+        assert res.stability > 0.0
+        assert res.theta == pytest.approx(1.9695, abs=1e-4)
 
 
 class TestCriticalField:
@@ -296,8 +348,7 @@ class TestCriticalField:
 
     def test_trap_shifts_transition_upward(self, params, orientation):
         trap = TrapModel(trap_frequency=TWO_PI * 500.0, theta0=3.0 * DEG)
-        bc = critical_field(params, orientation, trap, b_range=(0.09, 0.16),
-                            n_coarse=15, refine_rounds=3)
+        bc = critical_field(params, orientation, trap, b_range=(0.09, 0.16))
         assert bc > 0.1024
 
     def test_linewidth_does_not_move_crossing(self, params, orientation):
