@@ -144,7 +144,7 @@ def cmd_mdmr(cfg: RunConfig) -> ResultTable:
                               classes=classes), drive.direction)]
     table.meta["baseline_theta_rad"] = repr(spectra[0][0].baseline_theta)
     for ic, lines in enumerate(spectra[0][0].class_lines_hz):
-        table.meta[f"class{classes[ic]}_lines_hz"] = f"{lines[0]!r} {lines[1]!r}"
+        table.meta[f"class{classes[ic]}_lines_hz"] = " ".join(repr(float(nu)) for nu in lines)
     for spectrum, direction in spectra:
         for p in spectrum.points:
             table.add_row(p.frequency_hz, p.theta, p.delta_theta, p.converged,

@@ -18,14 +18,14 @@ The inverse problem is closed form: a model pair fixes all three levels
 e2 = D^2 - b^2 and e3 = -D b_perp^2 (the E = 0 form of NV vector
 magnetometry, Balasubramanian et al., Nature 455, 648 (2008)), so the
 forward model is one-to-one on theta in [0, pi/2] at every field.  One
-bounded least-squares polish from that point absorbs rounding and gives
-the bounded best fit when noise or a restricted range leaves no exact
-solution.  Linewidths propagate to parameter uncertainties through the
-local Jacobian; the angle uncertainty inflates toward theta = 0, where the
-lines lose their angular sensitivity quadratically.  A pair that is not a
-model pair, such as the |0>-like state's lines past the crossing, maps by
-construction to its unique energy-rank twin (those of 1 deg, 0.18 T to
-24.35 deg, 0.1333 T).
+bounded Gauss-Newton polish from that point (:func:`least_squares`, in
+the package) absorbs rounding and gives the bounded best fit when noise
+or a restricted range leaves no exact solution.  Linewidths propagate to
+parameter uncertainties through the local Jacobian; the angle uncertainty
+inflates toward theta = 0, where the lines lose their angular sensitivity
+quadratically.  A pair that is not a model pair, such as the |0>-like
+state's lines past the crossing, maps by construction to its unique
+energy-rank twin (those of 1 deg, 0.18 T to 24.35 deg, 0.1333 T).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .params import SpinParams
 
@@ -129,7 +128,9 @@ def invert_angle_field(params: SpinParams, pair: TransitionPair,
     """Recover (theta, B) from a measured line pair.
 
     The closed-form point of the module docstring, clipped into the ranges,
-    starts one bounded least-squares polish on the frequency residuals.
+    starts one bounded Gauss-Newton polish of the frequency residuals
+    (:func:`least_squares`): projected steps with a forward-difference
+    Jacobian, each accepted only when it lowers the cost.
     Linewidths, when present, propagate through the inverse Jacobian into
     (theta_err, b_err); near theta = 0 the angle error inflates instead of
     failing.
@@ -155,9 +156,7 @@ def invert_angle_field(params: SpinParams, pair: TransitionPair,
     b_sq = max(d * d - e2, 0.0)
     sin_sq = np.clip(d_bperp_sq / (d * b_sq), 0.0, 1.0) if b_sq > 0.0 else 0.0
     x0 = [np.arcsin(np.sqrt(sin_sq)), np.sqrt(b_sq) / params.gyromagnetic_ratio]
-    sol = least_squares(lambda x: _line_pairs(params, x[0], x[1]) - target,
-                        np.clip(x0, lower, upper), bounds=(lower, upper),
-                        xtol=1e-14, ftol=1e-14, gtol=1e-14, x_scale=[1e-2, 1e-3])
+    sol = least_squares(params, target, x0, lower, upper)
     theta_hat, b_hat = float(sol.x[0]), float(sol.x[1])
     rms = float(np.sqrt(np.mean(sol.fun**2)))
     if rms > tol:
@@ -187,6 +186,80 @@ def invert_angle_field(params: SpinParams, pair: TransitionPair,
         b_err = 0.0
     return AngleFieldEstimate(theta=theta_hat, b=b_hat, residual=rms,
                               theta_err=theta_err, b_err=b_err)
+
+
+# polish stops: a step within _POLISH_TOL of max(|x|, _X_SCALE), a cost that
+# falls by at most _POLISH_TOL of itself, a step that does not lower the
+# cost, or _POLISH_EVALS evaluations
+_X_SCALE = np.array([1e-2, 1e-3])  # rad, tesla
+_POLISH_TOL = 1e-14
+_POLISH_EVALS = 50
+_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
+
+
+@dataclass(frozen=True)
+class PolishResult:
+    """Bounded least-squares polish: the point, its residuals (Hz) and the
+    number of residual-and-Jacobian evaluations made."""
+
+    x: np.ndarray
+    fun: np.ndarray
+    nfev: int
+
+
+def least_squares(params: SpinParams, target, x0, lower, upper) -> PolishResult:
+    """Bounded Gauss-Newton polish of the two frequency residuals.
+
+    Minimizes |nu(theta, B) - target|^2 over the box [lower, upper] from
+    ``x0`` clipped into the box.  Each evaluation is one 3-point
+    :func:`_line_pairs` batch that gives the residuals and their
+    forward-difference Jacobian.  A Gauss-Newton step that pushes a
+    parameter through its bound holds it at the bound and solves for the
+    other alone; a step is accepted only when it strictly lowers the cost.
+    """
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    fun, jac = _residuals_and_jacobian(params, target, x, upper)
+    cost, nfev = float(fun @ fun), 1
+    while nfev < _POLISH_EVALS:
+        step = _box_step(x, fun, jac, lower, upper)
+        if np.all(np.abs(step) <= _POLISH_TOL * np.maximum(np.abs(x), _X_SCALE)):
+            break
+        trial = np.clip(x + step, lower, upper)
+        trial_fun, trial_jac = _residuals_and_jacobian(params, target, trial, upper)
+        nfev += 1
+        trial_cost = float(trial_fun @ trial_fun)
+        if not trial_cost < cost:
+            break
+        stalled = cost - trial_cost <= _POLISH_TOL * cost
+        x, fun, jac, cost = trial, trial_fun, trial_jac, trial_cost
+        if stalled:
+            break
+    return PolishResult(x=x, fun=fun, nfev=nfev)
+
+
+def _residuals_and_jacobian(params: SpinParams, target, x, upper):
+    """Residuals at x and their forward-difference Jacobian, one batch.
+
+    The step is sqrt(eps) * max(1, |x|), taken inward at an upper bound.
+    """
+    h = _SQRT_EPS * np.maximum(1.0, np.abs(x))
+    h = np.where(x + h > upper, -h, h)
+    nu = _line_pairs(params, [x[0], x[0] + h[0], x[0]], [x[1], x[1], x[1] + h[1]])
+    return nu[0] - target, (nu[1:] - nu[0]).T / h
+
+
+def _box_step(x, fun, jac, lower, upper) -> np.ndarray:
+    """Gauss-Newton step on the box: a parameter the full step pushes
+    through its bound is held there, and the other is solved alone."""
+    step = np.linalg.lstsq(jac, -fun, rcond=None)[0]
+    out = (x + step < lower) | (x + step > upper)
+    if out.sum() == 1:
+        step[out] = np.clip(x + step, lower, upper)[out] - x[out]
+        col = jac[:, ~out][:, 0]
+        norm = float(col @ col)
+        step[~out] = -col @ (fun + jac[:, out] @ step[out]) / norm if norm > 0.0 else 0.0
+    return step
 
 
 def _flat_valley_width(params: SpinParams, b: float, sigma: float) -> float:

@@ -30,8 +30,9 @@ from scipy.optimize import brentq
 
 from .constants import HBAR
 from .crystal import CrystalOrientation
-from .mechanics import (ALL_CLASSES, TiltGeometry, _class_fields, _nv_moments,
-                        _spin_torque_along, _stable_root, _torque_scale, tilt_geometry)
+from .mechanics import (ALL_CLASSES, RangeExhaustedError, TiltGeometry, _class_fields,
+                        _nv_moments, _spin_torque_along, _stable_root, _torque_scale,
+                        tilt_geometry)
 from .params import FieldVector, MicrowaveDrive, SpinParams, TrapModel
 from .spincore import (SX, _coordinates, _field_array, _hamiltonian_batch, _structure,
                        build_hamiltonian, steady_state)
@@ -194,6 +195,10 @@ def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapMod
     dependence of the response near bistable jumps.  A point with no
     stable root anywhere in [-pi/2, pi] keeps the previous tilt and is
     flagged unconverged; the scan continues.
+
+    Raises:
+        RangeExhaustedError: the microwave-off torque has no stable root in
+            [-pi/2, pi], so there is no baseline to scan from.
     """
     if len(drive.frequencies) == 0:
         raise ValueError("drive sweep is empty")
@@ -207,7 +212,7 @@ def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapMod
     off_drive = MicrowaveDrive(rabi_rate=0.0, frequencies=(0.0,))
     baseline, _ = stable_tilt(off_drive, 0.0, trap.theta0)
     if baseline is None:
-        raise RuntimeError("no stable microwave-off equilibrium: cannot scan")
+        raise RangeExhaustedError("no stable microwave-off equilibrium: cannot scan")
 
     def lines_at(tilt):
         fields = _class_fields(geom.b_crystal([tilt]), classes)

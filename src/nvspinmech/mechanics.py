@@ -65,7 +65,7 @@ class QuadratureError(RuntimeError):
 
 
 class RangeExhaustedError(RuntimeError):
-    """No transition/root found inside the searched field range."""
+    """No transition/root found inside the searched range."""
 
 
 @dataclass(frozen=True)

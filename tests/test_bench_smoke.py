@@ -82,9 +82,10 @@ def test_traced_pass_reports_json_without_failures(workload):
 # moves at rounding level can cost a Brent search one more evaluation,
 # hence 1% headroom; a batch split into single points or a lost
 # vectorization costs far more.  magnetometry_readout solves no steady
-# state, and each of its 104 inversions makes one least-squares polish
-# from the closed-form (theta, B), 227 residual evaluations in all;
-# restarting more than one inversion exceeds the call bound.
+# state, and each of its 104 inversions makes one bounded Gauss-Newton
+# polish from the closed-form (theta, B); one 3-point batch gives the
+# residuals and their Jacobian, 125 such evaluations in all.  Restarting
+# more than one inversion exceeds the call bound.
 BUDGETS = {
     "orientation_recipes": {"spincore.steady_state_batch": 1273,
                             "spincore.steady_state_batch.points": 39118,
@@ -97,7 +98,7 @@ BUDGETS = {
     "magnetometry_readout": {"spincore.steady_state_batch": 0,
                              "spincore.steady_state_derivative_batch": 0,
                              "magnetometry.least_squares": 104,
-                             "magnetometry.least_squares.nfev": 227},
+                             "magnetometry.least_squares.nfev": 125},
 }
 HEADROOM = 1.01
 

@@ -71,6 +71,17 @@ class TestExitCodes:
         assert code == 2
         assert "numerical failure" in err
 
+    def test_unbound_mdmr_baseline_is_two(self, capsys):
+        # a trap angle beyond [-pi/2, pi] leaves the microwave-off torque
+        # with no stable root, so the scan has no baseline
+        code, out, err = run_cli(capsys, "mdmr",
+                                 "--set", "trap.trap_angle_rad=4",
+                                 "--set", "field.magnitude_tesla=0.13",
+                                 "--set", "mdmr.frequency_steps=3")
+        assert code == 2
+        assert "numerical failure" in err and "Traceback" not in err
+        assert out == ""
+
     @pytest.mark.parametrize("override", [
         "invert.nu_minus_hz=nan", "invert.nu_plus_hz=inf",
         "invert.nu_minus_hz=-2e9", "invert.linewidth_hz=-5e6",
@@ -224,6 +235,18 @@ class TestCommands:
         table = ResultTable.parse(out)
         assert "baseline_theta_rad" in table.meta
         assert {row[table.columns.index("direction")] for row in table.rows} == {"up"}
+
+    def test_mdmr_class_lines_are_plain_floats(self, capsys):
+        code, out, _ = run_cli(capsys, "mdmr",
+                               "--set", "field.magnitude_tesla=0.023",
+                               "--set", "mdmr.frequency_steps=2")
+        assert code == 0
+        lines = {k: v for k, v in ResultTable.parse(out).meta.items()
+                 if k.endswith("_lines_hz")}
+        assert len(lines) == 4
+        for value in lines.values():
+            nu_minus, nu_plus = (float(field) for field in value.split())
+            assert 0.0 < nu_minus < nu_plus
 
     def test_mdmr_hysteresis_emits_both_directions(self, capsys):
         code, out, _ = run_cli(capsys, "mdmr",

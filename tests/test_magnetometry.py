@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import least_squares
+from scipy.optimize import least_squares, minimize_scalar
 
 from nvspinmech import (NoSolutionError, SpinParams, TransitionPair,
                         invert_angle_field, magnetometry, transition_frequencies)
@@ -302,18 +302,54 @@ class TestInversion:
         assert abs(fwd.nu_plus - tp.nu_plus) <= 1e-3
 
     def test_one_least_squares_call_per_inversion(self, params, monkeypatch):
-        calls = []
+        results = []
+        polish = magnetometry.least_squares
 
         def counting(*args, **kwargs):
-            calls.append(1)
-            return least_squares(*args, **kwargs)
+            results.append(polish(*args, **kwargs))
+            return results[-1]
 
         monkeypatch.setattr(magnetometry, "least_squares", counting)
         for theta, b in [(0.0, 0.023), (12 * DEG, 0.17), (89 * DEG, 0.3)]:
             invert_angle_field(params, transition_frequencies(params, theta, b))
         with pytest.raises(NoSolutionError):
             invert_angle_field(params, TransitionPair(1.0e9, 9.0e9))
-        assert len(calls) == 4
+        assert len(results) == 4
+        assert all(type(r.nfev) is int and r.nfev >= 1 for r in results)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.floats(0.0, 0.5 * np.pi), st.floats(0.005, 0.3),
+           st.floats(-3e6, 3e6), st.floats(-3e6, 3e6),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_polish_stays_in_box_and_never_raises_cost(self, theta, b, noise_minus,
+                                                       noise_plus, u_theta, u_b):
+        # noisy targets, starts anywhere in a box that may exclude the truth
+        params = SpinParams()
+        target = _line_pairs(params, theta, b) + [noise_minus, noise_plus]
+        lower, upper = np.array([0.0, 0.0]), np.array([0.5 * np.pi, 0.2])
+        x0 = lower + np.array([u_theta, u_b]) * (upper - lower)
+        sol = magnetometry.least_squares(params, target, x0, lower, upper)
+        start = _line_pairs(params, *x0) - target
+        assert np.all((lower <= sol.x) & (sol.x <= upper))
+        assert sol.fun @ sol.fun <= start @ start
+        assert np.array_equal(sol.fun, _line_pairs(params, *sol.x) - target)
+        assert type(sol.nfev) is int and 1 <= sol.nfev <= magnetometry._POLISH_EVALS
+
+    @pytest.mark.parametrize("theta, b, theta_max", [
+        (60 * DEG, 0.05, 30 * DEG), (80 * DEG, 0.2, 20 * DEG),
+        (45 * DEG, 0.12, 10 * DEG), (20 * DEG, 0.01, 5 * DEG)])
+    def test_polish_holds_bound_and_fits_the_field_alone(self, params, theta, b,
+                                                         theta_max):
+        # the true tilt lies beyond the angle range: the bounded best fit
+        # holds theta at its bound and is the best field along that edge
+        target = _line_pairs(params, theta, b)
+        lower, upper = np.array([0.0, 0.0]), np.array([theta_max, 0.3])
+        sol = magnetometry.least_squares(params, target, [theta_max, b], lower, upper)
+        edge = minimize_scalar(
+            lambda bb: float(np.sum((_line_pairs(params, theta_max, bb) - target) ** 2)),
+            bounds=(0.0, 0.3), method="bounded", options={"xatol": 1e-13})
+        assert sol.x[0] == theta_max
+        assert sol.x[1] == pytest.approx(edge.x, abs=1e-7)
 
     @pytest.mark.parametrize("nu_minus, nu_plus, width", [
         (np.nan, 3e9, None), (2e9, np.inf, None), (0.0, 3e9, None),
