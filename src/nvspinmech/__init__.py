@@ -31,7 +31,7 @@ from .mdmr import (MdmrPoint, MdmrSpectrum, hysteresis_pair, mdmr_scan,
 from .mechanics import (ALL_CLASSES, EnergyLandscape, EquilibriumResult,
                         LibrationResult, QuadratureError, RangeExhaustedError,
                         RotationPoint, TiltGeometry, critical_field,
-                        equilibrium_angle, field_rotation_sweep,
+                        equilibrium_angle, equilibrium_branch, field_rotation_sweep,
                         landscape_curl_check, librational_frequency,
                         linear_torque_coefficient, magnetic_energy_landscape,
                         spin_torque, tilt_geometry, tilt_torque, tilt_torque_and_slope,

@@ -22,11 +22,10 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
-from .crystal import transverse_reference, NV_AXES
 from .magnetometry import NoSolutionError, TransitionPair, invert_angle_field
 from .mdmr import hysteresis_pair, mdmr_scan
-from .mechanics import (QuadratureError, RangeExhaustedError, critical_field,
-                        equilibrium_angle, field_rotation_sweep,
+from .mechanics import (QuadratureError, RangeExhaustedError, TiltGeometry, critical_field,
+                        equilibrium_branch, field_rotation_sweep,
                         librational_frequency, magnetic_energy_landscape)
 from .params import FieldVector
 from .spincore import (SingularDetuningError, SteadyStateError,
@@ -41,17 +40,10 @@ _NUMERICAL_ERRORS = (SteadyStateError, QuadratureError, RangeExhaustedError,
 
 def _field_lab(cfg: RunConfig, magnitude: float | None = None) -> FieldVector:
     """Lab field at the configured tilt/azimuth from the tracked axis."""
-    orientation = cfg.orientation()
-    tracked = cfg.get("crystal", "tracked_class")
     mag = cfg.get("field", "magnitude_tesla") if magnitude is None else magnitude
-    tilt = cfg.get("field", "tilt_rad")
-    azim = cfg.get("field", "azimuth_rad")
-    z = orientation.axis_lab(tracked)
-    x = orientation.to_lab(transverse_reference(NV_AXES[tracked]))
-    y = np.cross(z, x)
-    direction = (np.sin(tilt) * (np.cos(azim) * x + np.sin(azim) * y)
-                 + np.cos(tilt) * z)
-    return FieldVector.from_array(mag * direction, frame="lab")
+    geom = TiltGeometry(b_mag=mag, phi=cfg.get("field", "azimuth_rad"))
+    return FieldVector.from_array(
+        cfg.orientation().to_lab(geom.b_crystal(cfg.get("field", "tilt_rad"))), frame="lab")
 
 
 def _base_meta(cfg: RunConfig, command: str) -> dict:
@@ -87,21 +79,16 @@ def cmd_susceptibility(cfg: RunConfig) -> ResultTable:
 
 
 def cmd_equilibrium(cfg: RunConfig) -> ResultTable:
-    params = cfg.spin_params()
-    orientation = cfg.orientation()
     trap = cfg.trap()
-    classes = cfg.classes()
     table = ResultTable(
         columns=["b", "theta", "stability", "torque_residual", "bound"],
         units=["tesla", "rad", "1", "newton_meter", "bool"],
         meta=_base_meta(cfg, "equilibrium"))
-    warm = None
-    for b in cfg.sweep_values():
-        res = equilibrium_angle(params, orientation, trap,
-                                _field_lab(cfg, magnitude=float(b)),
-                                warm_start=warm, classes=classes)
-        if res.bound:
-            warm = res.theta
+    values = cfg.sweep_values()
+    results = equilibrium_branch(
+        cfg.spin_params(), cfg.orientation(),
+        [(trap, _field_lab(cfg, magnitude=float(b))) for b in values], cfg.classes())
+    for b, res in zip(values, results):
         table.add_row(float(b), res.theta, res.stability, res.torque_residual,
                       res.bound)
     return table
@@ -169,8 +156,7 @@ def cmd_landscape(cfg: RunConfig) -> ResultTable:
                                             for v in (thetas, phis))
     landscape = magnetic_energy_landscape(
         params, cfg.orientation(), FieldVector(0.0, 0.0, cfg.get("field", "magnitude_tesla")),
-        theta_grid, phi_grid, classes=cfg.classes(),
-        tracked_class=cfg.get("crystal", "tracked_class"))
+        theta_grid, phi_grid, classes=cfg.classes())
     for phi, j in zip(phis, cols):
         for theta, i in zip(thetas, rows):
             table.add_row(float(theta), float(phi), float(landscape.energy[i, j]))

@@ -41,7 +41,6 @@ SCHEMA = {
     "crystal": {
         "rotation_axis": ("v3", (0.0, 0.0, 1.0)),
         "rotation_angle_rad": ("f", 0.0),
-        "tracked_class": ("i", 0),
     },
     "trap": {
         "moment_of_inertia_kg_m2": ("f", 1.0e-22),
@@ -89,7 +88,7 @@ SCHEMA = {
         "b_max_tesla": ("f", 0.3),
     },
     "run": {
-        "classes": ("s", "all"),  # "all", "tracked", or e.g. "0,1"
+        "classes": ("s", "all"),  # "all", "tracked" (class 0), or e.g. "0,1"
     },
 }
 
@@ -175,7 +174,7 @@ class RunConfig:
         if spec == "all":
             return (0, 1, 2, 3)
         if spec == "tracked":
-            return (self.get("crystal", "tracked_class"),)
+            return (0,)
         try:
             classes = tuple(int(tok) for tok in spec.split(",") if tok.strip())
         except ValueError as exc:

@@ -5,10 +5,14 @@ The crystal frame carries the four N-V axes along the cube diagonals
 the tetrahedral angle arccos(-1/3) ~ 109.47 degrees.  A CrystalOrientation
 is the proper rotation mapping crystal coordinates into the lab.
 
-Per NV class, the local frame puts z along that class's axis and x along
-the projection of the applied field onto the transverse plane (so small
-transverse probes lie along local x); when the field is axial, a fixed
-crystal-frame reference replaces the degenerate projection.
+Class 0 is the tracked axis: :func:`angular_state` gives the tilt theta
+of the field from it and the azimuth phi around it, measured from the
+fixed crystal-frame reference :func:`transverse_reference`.  The torques
+of ``mechanics`` use one NV frame per class fixed in the crystal (z the
+axis, x along that reference).  :func:`nv_frame_matrix` instead gives a
+frame that follows the field: z along the class axis and x along the
+field's transverse projection (so small transverse probes lie along
+local x), with the fixed reference when the field is axial.
 """
 
 from __future__ import annotations
@@ -161,15 +165,14 @@ class AngularState:
         object.__setattr__(self, "phi", 0.0 if self.theta == 0.0 else phi)
 
 
-def angular_state(orientation: CrystalOrientation, b_lab: FieldVector,
-                  tracked_class: int = 0) -> AngularState:
-    """Angles (theta, phi) of the field relative to the tracked NV class."""
+def angular_state(orientation: CrystalOrientation, b_lab: FieldVector) -> AngularState:
+    """Angles (theta, phi) of the field relative to the tracked (class 0) axis."""
     b = b_lab.require_frame("lab").as_array()
     bmag = np.linalg.norm(b)
     if bmag == 0.0:
         return AngularState(theta=0.0, phi=0.0)
     bc = orientation.to_crystal(b) / bmag
-    axis = NV_AXES[_check_class(tracked_class)]
+    axis = NV_AXES[0]
     ct = float(np.clip(bc @ axis, -1.0, 1.0))
     theta = float(np.arccos(ct))
     xref = transverse_reference(axis)

@@ -1,8 +1,8 @@
 """Spin torques, angular energy landscapes, equilibrium orientation and libration.
 
 The orientation degree of freedom is the tilt angle theta of the tracked
-NV class away from the applied field, along the great circle selected by
-the azimuth phi (measured in the crystal frame around the tracked axis).
+(class 0) NV axis away from the applied field, along the great circle
+selected by the azimuth phi (measured in the crystal frame around it).
 All four orientation classes contribute: for each class the driven-damped
 steady state is evaluated with the field expressed in that class's local
 frame, and the torque conjugate to theta is
@@ -23,15 +23,14 @@ stiffness at equilibrium.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .constants import HBAR, MU0
-from .crystal import (NV_AXES, AngularState, CrystalOrientation, angular_state,
-                      transverse_reference)
+from .crystal import NV_AXES, CrystalOrientation, angular_state, transverse_reference
 from .params import FieldVector, SpinParams, TrapModel
 from .spincore import (detunings, spin_expectation, steady_state_batch,
                        steady_state_derivative_batch, susceptibility_analytic)
@@ -73,21 +72,18 @@ class TiltGeometry:
     """Crystal-frame description of the field great circle.
 
     The field direction is b(theta) = sin(theta)*e_phi + cos(theta)*z0
-    where z0 is the tracked NV axis and e_phi the azimuthal transverse
-    direction; all class axes are constants of the crystal frame.
+    where z0 is the tracked (class 0) NV axis and e_phi the azimuthal
+    transverse direction; all class axes are constants of the crystal frame.
     """
 
     b_mag: float
     phi: float
-    tracked_class: int = 0
 
-    @property
-    def z0(self) -> np.ndarray:
-        return NV_AXES[self.tracked_class]
+    z0 = NV_AXES[0]
 
     @cached_property
     def e_phi(self) -> np.ndarray:
-        x, y = _CLASS_FRAMES[self.tracked_class, :2]
+        x, y = _CLASS_FRAMES[0, :2]
         return np.cos(self.phi) * x + np.sin(self.phi) * y
 
     def b_crystal(self, theta) -> np.ndarray:
@@ -100,18 +96,9 @@ class TiltGeometry:
         return self.b_mag * (np.cos(th) * self.e_phi - np.sin(th) * self.z0)
 
 
-def tilt_geometry(orientation: CrystalOrientation, b_lab: FieldVector,
-                  tracked_class: int = 0,
-                  state: AngularState | None = None) -> TiltGeometry:
-    """Geometry of the tilt coordinate for a lab-frame field.
-
-    When ``state`` is given its azimuth overrides the one derived from the
-    field direction (useful at the gimbal-degenerate aligned point).
-    """
-    if state is None:
-        state = angular_state(orientation, b_lab, tracked_class)
-    return TiltGeometry(b_mag=b_lab.magnitude, phi=state.phi,
-                        tracked_class=tracked_class)
+def tilt_geometry(orientation: CrystalOrientation, b_lab: FieldVector) -> TiltGeometry:
+    """Geometry of the tilt coordinate for a lab-frame field."""
+    return TiltGeometry(b_mag=b_lab.magnitude, phi=angular_state(orientation, b_lab).phi)
 
 
 def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -185,17 +172,13 @@ def tilt_torque(params: SpinParams, geom: TiltGeometry, theta: float,
 
 
 def spin_torque(params: SpinParams, orientation: CrystalOrientation,
-                b_lab: FieldVector, state: AngularState | None = None,
-                classes=ALL_CLASSES) -> np.ndarray:
+                b_lab: FieldVector, classes=ALL_CLASSES) -> np.ndarray:
     """Total spin torque vector on the particle (N m), lab frame.
 
     Sums N_c * m_c x B over the orientation classes with each class in its
-    driven-damped steady state; equals V*M x B in the linear regime.  When
-    ``state`` is given, the field direction relative to the crystal is
-    taken from its (theta, phi) and only the magnitude from ``b_lab``.
+    driven-damped steady state; equals V*M x B in the linear regime.
     """
-    state = angular_state(orientation, b_lab) if state is None else state
-    b = tilt_geometry(orientation, b_lab, state=state).b_crystal(state.theta)
+    b = orientation.to_crystal(b_lab.require_frame("lab").as_array())
     m_nv = _nv_moments(params, _class_fields(b[None], classes))[:, 0]
     moments = np.einsum("ci,cij->cj", m_nv, _CLASS_FRAMES[list(classes)])
     torque_crystal = params.n_spins_per_class * np.cross(moments, b).sum(axis=0)
@@ -255,8 +238,7 @@ class EnergyLandscape:
 
 def magnetic_energy_landscape(params: SpinParams, orientation: CrystalOrientation,
                               b_lab: FieldVector, theta_grid, phi_grid,
-                              classes=ALL_CLASSES, tracked_class: int = 0,
-                              rtol: float = 1e-8) -> EnergyLandscape:
+                              classes=ALL_CLASSES) -> EnergyLandscape:
     """Angular magnetic energy summed over the NV classes.
 
     Args:
@@ -274,7 +256,7 @@ def magnetic_energy_landscape(params: SpinParams, orientation: CrystalOrientatio
     b_mag = b_lab.magnitude
     energy = np.zeros((theta_grid.size, phi_grid.size))
     for j, phi in enumerate(phi_grid):
-        geom = TiltGeometry(b_mag=b_mag, phi=float(phi), tracked_class=tracked_class)
+        geom = TiltGeometry(b_mag=b_mag, phi=float(phi))
         # anchor the cumulative integral at theta = 0; integrate over the
         # sorted anchor path so intervals stay short
         sorted_anchors = np.sort(np.concatenate([[0.0], theta_grid]))
@@ -282,10 +264,10 @@ def magnetic_energy_landscape(params: SpinParams, orientation: CrystalOrientatio
         u_at = {sorted_anchors[i0]: 0.0}
         for idx in range(i0 + 1, sorted_anchors.size):
             a, c = sorted_anchors[idx - 1], sorted_anchors[idx]
-            u_at[c] = u_at[a] - _integrate_torque(params, geom, a, c, classes, rtol)
+            u_at[c] = u_at[a] - _integrate_torque(params, geom, a, c, classes)
         for idx in range(i0 - 1, -1, -1):
             a, c = sorted_anchors[idx], sorted_anchors[idx + 1]
-            u_at[a] = u_at[c] + _integrate_torque(params, geom, a, c, classes, rtol)
+            u_at[a] = u_at[c] + _integrate_torque(params, geom, a, c, classes)
         energy[:, j] = [u_at[t] for t in theta_grid]
     return EnergyLandscape(theta=theta_grid, phi=phi_grid, energy=energy,
                            b_mag=b_mag, params=params)
@@ -439,6 +421,20 @@ def equilibrium_angle(params: SpinParams, orientation: CrystalOrientation,
                              bound=True)
 
 
+def equilibrium_branch(params: SpinParams, orientation: CrystalOrientation, cases,
+                       classes=ALL_CLASSES, guess: float | None = None) -> list[EquilibriumResult]:
+    """Equilibria along a sweep: :func:`equilibrium_angle` of each
+    ``(trap, b_lab)`` case in order, warm-started from the last bound root
+    (``guess`` until there is one), which follows the stable branch."""
+    results = []
+    for trap, b_lab in cases:
+        res = equilibrium_angle(params, orientation, trap, b_lab, warm_start=guess,
+                                classes=classes)
+        guess = res.theta if res.bound else guess
+        results.append(res)
+    return results
+
+
 # trapped critical field: a coarse sweep, then rounds of 5-point refinement
 _COARSE_FIELDS = 24
 _REFINE_ROUNDS = 5
@@ -450,10 +446,13 @@ def critical_field(params: SpinParams, orientation: CrystalOrientation,
     """Field of the paramagnet-to-diamagnet orientation transition (tesla).
 
     With zero trap stiffness this is the zero crossing of the closed-form
-    transverse susceptibility.  With a trap, the equilibrium tilt is swept
-    upward in field (warm-started) over _COARSE_FIELDS points and the
-    steepest drop of theta*(B) is located by _REFINE_ROUNDS rounds of
-    interval refinement.
+    transverse susceptibility.  With a trap, :func:`equilibrium_branch`
+    follows the equilibrium tilt upward in field over _COARSE_FIELDS
+    points, and _REFINE_ROUNDS rounds narrow the steepest drop of
+    theta*(B): each splits the steepest interval into 4 and follows the
+    branch from its lower end through the 3 new fields only, reusing the
+    end tilts (24 + 5 * 3 equilibria).  Returns the midpoint of the last
+    steepest interval.
 
     Raises:
         RangeExhaustedError: no crossing/drop inside ``b_range``.
@@ -469,20 +468,13 @@ def critical_field(params: SpinParams, orientation: CrystalOrientation,
             lambda b: susceptibility_analytic(params, b).chi_perp, b_lo, b_hi,
             xtol=1e-9))
 
-    def sweep(points):
-        thetas = []
-        warm = None
-        for b in points:
-            res = equilibrium_angle(params, orientation, trap,
-                                    _axial_field(orientation, b),
-                                    warm_start=warm, classes=classes)
-            if res.bound:
-                warm = res.theta
-            thetas.append(res.theta if res.bound else np.nan)
-        return np.asarray(thetas)
+    def branch(fields, guess=None):  # an unbound tilt is NaN
+        return [res.theta for res in equilibrium_branch(
+            params, orientation, [(trap, _axial_field(orientation, b)) for b in fields],
+            classes, guess)]
 
     points = np.linspace(b_lo, b_hi, _COARSE_FIELDS)
-    thetas = sweep(points)
+    thetas = np.array(branch(points))
     if np.all(np.isnan(thetas)):
         raise RangeExhaustedError("no bound equilibrium in the field range")
     for _ in range(_REFINE_ROUNDS):
@@ -490,8 +482,9 @@ def critical_field(params: SpinParams, orientation: CrystalOrientation,
         if not np.any(drops > 0.0):
             raise RangeExhaustedError("equilibrium angle never drops in the field range")
         i = int(np.nanargmax(drops))
+        # linspace keeps both ends bitwise, so their solved tilts carry over
         points = np.linspace(points[i], points[i + 1], 5)
-        thetas = sweep(points)
+        thetas = np.array([thetas[i], *branch(points[1:4], thetas[i]), thetas[i + 1]])
     drops = -np.diff(thetas)
     i = int(np.nanargmax(drops))
     return float(0.5 * (points[i] + points[i + 1]))
@@ -521,22 +514,14 @@ def field_rotation_sweep(params: SpinParams, orientation: CrystalOrientation,
     theta_b moves the trap-preferred tilt to theta0 + theta_b; a spin-free
     particle would follow it exactly (the emitted control line).
     """
-    out = []
-    warm = None
-    for theta_b in np.asarray(theta_b_values, dtype=float):
-        eff_trap = TrapModel(moment_of_inertia=trap.moment_of_inertia,
-                             trap_frequency=trap.trap_frequency,
-                             theta0=trap.theta0 + theta_b)
-        res = equilibrium_angle(params, orientation, eff_trap,
-                                _axial_field(orientation, b_mag),
-                                warm_start=warm, classes=classes)
-        if res.bound:
-            warm = res.theta
-        out.append(RotationPoint(theta_b=float(theta_b),
-                                 theta=res.theta,
-                                 theta_control=trap.theta0 + float(theta_b),
-                                 bound=res.bound))
-    return out
+    theta_bs = np.asarray(theta_b_values, dtype=float)
+    b_lab = _axial_field(orientation, b_mag)
+    results = equilibrium_branch(
+        params, orientation,
+        [(replace(trap, theta0=trap.theta0 + theta_b), b_lab) for theta_b in theta_bs], classes)
+    return [RotationPoint(theta_b=float(theta_b), theta=res.theta,
+                          theta_control=trap.theta0 + float(theta_b), bound=res.bound)
+            for theta_b, res in zip(theta_bs, results)]
 
 
 @dataclass(frozen=True)

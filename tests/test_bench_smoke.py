@@ -78,7 +78,9 @@ def test_traced_pass_reports_json_without_failures(workload):
 # tilts around the guess in one batch, widened 4x until a stable bracket
 # appears (a low-field libration row with no trap scans all 472 tilts of
 # [-pi/2, pi]), then a Brent polish that stops at a rounding-level torque.
-# mdmr_scan solves its baseline once, with the drive off.  A torque that
+# mdmr_scan solves its baseline once, with the drive off.  The trapped
+# critical field solves 24 + 5x3 equilibria: each refinement round follows
+# the branch through its 3 new interior fields and reuses the end tilts.  A torque that
 # moves at rounding level can cost a Brent search one more evaluation,
 # hence 1% headroom; a batch split into single points or a lost
 # vectorization costs far more.  magnetometry_readout solves no steady
@@ -87,9 +89,9 @@ def test_traced_pass_reports_json_without_failures(workload):
 # residuals and their Jacobian, 125 such evaluations in all.  Restarting
 # more than one inversion exceeds the call bound.
 BUDGETS = {
-    "orientation_recipes": {"spincore.steady_state_batch": 1273,
-                            "spincore.steady_state_batch.points": 39118,
-                            "spincore.steady_state_derivative_batch": 377},
+    "orientation_recipes": {"spincore.steady_state_batch": 1219,
+                            "spincore.steady_state_batch.points": 38262,
+                            "spincore.steady_state_derivative_batch": 367},
     "mdmr_hysteresis": {"spincore.steady_state_batch": 829,
                         "spincore.steady_state_batch.points": 5843,
                         "mdmr.microwave_superoperator": 800,

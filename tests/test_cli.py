@@ -54,6 +54,16 @@ class TestExitCodes:
             assert code == 1, source
             assert out == "" and "averages" in err, source
 
+    def test_removed_tracked_class_key_is_a_config_error(self, capsys, tmp_path):
+        # class 0 is the one tracked axis: the key that chose another is gone
+        ini = tmp_path / "tracked.ini"
+        ini.write_text("[crystal]\ntracked_class = 1\n")
+        for source in (["--set", "crystal.tracked_class=1"], ["--config", str(ini)]):
+            code, out, err = run_cli(capsys, "libration", "--set", "run.classes=tracked",
+                                     "--set", "sweep.steps=1", *source)
+            assert code == 1, source
+            assert out == "" and "tracked_class" in err, source
+
     def test_missing_config_file_is_one(self, capsys):
         code, out, err = run_cli(capsys, "susceptibility",
                                  "--config", "/no/such/file.ini")

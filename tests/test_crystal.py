@@ -123,7 +123,7 @@ class TestAngularState:
     def test_derived_from_field(self):
         ori = CrystalOrientation.identity()
         b = FieldVector.from_array(0.1 * NV_AXES[0], frame="lab")
-        s = angular_state(ori, b, tracked_class=0)
+        s = angular_state(ori, b)
         assert s.theta == pytest.approx(0.0, abs=1e-8)
         # tilt toward another class raises theta to the tetrahedral angle
         s1 = angular_state(ori, FieldVector.from_array(0.1 * NV_AXES[1], "lab"))

@@ -1,11 +1,13 @@
 """Torques, energy landscapes, equilibrium orientation and libration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from nvspinmech import (SpinParams, TrapModel,
-                        equilibrium_angle, critical_field, field_rotation_sweep,
+from nvspinmech import (SpinParams, TrapModel, equilibrium_angle, equilibrium_branch,
+                        critical_field, field_rotation_sweep,
                         landscape_curl_check, librational_frequency,
                         linear_torque_coefficient, magnetic_energy_landscape,
                         spin_torque, tilt_geometry, tilt_torque, tilt_torque_batch,
@@ -340,7 +342,56 @@ class TestEquilibrium:
         assert res.theta == pytest.approx(1.9695, abs=1e-4)
 
 
+class TestEquilibriumBranch:
+    def test_matches_warm_started_loop_bitwise(self, params, orientation, trap,
+                                               monkeypatch):
+        # the middle case is unbound (trap angle beyond the searched range):
+        # the case after it starts from the last bound root
+        far = TrapModel(trap_frequency=TWO_PI * 500.0, theta0=4.0)
+        cases = [(t, axial_field(orientation, b))
+                 for t, b in ((trap, 0.08), (trap, 0.1), (far, 0.11), (trap, 0.12))]
+        expected, warm = [], None
+        for t, b_lab in cases:
+            res = equilibrium_angle(params, orientation, t, b_lab, warm_start=warm)
+            warm = res.theta if res.bound else warm
+            expected.append(res)
+        assert [r.bound for r in expected] == [True, True, False, True]
+        # the follower calls the module global, where a tracer sees each solve
+        warm_starts = []
+
+        def recording(*args, warm_start=None, **kwargs):
+            warm_starts.append(warm_start)
+            return equilibrium_angle(*args, warm_start=warm_start, **kwargs)
+
+        monkeypatch.setattr(mechanics, "equilibrium_angle", recording)
+        got = equilibrium_branch(params, orientation, cases)
+        np.testing.assert_array_equal([dataclasses.astuple(r) for r in got],
+                                      [dataclasses.astuple(r) for r in expected])
+        assert warm_starts == [None, expected[0].theta, expected[1].theta,
+                               expected[1].theta]
+
+    def test_guess_seeds_the_first_case(self, params, orientation, trap):
+        b_lab = axial_field(orientation, 0.1)
+        res = equilibrium_angle(params, orientation, trap, b_lab, warm_start=0.2)
+        assert equilibrium_branch(params, orientation, [(trap, b_lab)], guess=0.2) == [res]
+
+
 class TestCriticalField:
+    def test_refinement_solves_only_new_fields(self, params, orientation, trap,
+                                               monkeypatch):
+        # 24 coarse fields, then 5 rounds of 3 interior fields each; the
+        # reused end tilts leave the value bitwise that of re-solving them
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[3].magnitude)
+            return equilibrium_angle(*args, **kwargs)
+
+        monkeypatch.setattr(mechanics, "equilibrium_angle", counting)
+        assert critical_field(params, orientation, trap) == 0.11257494055706521
+        assert len(calls) == 24 + 5 * 3
+        assert len(set(calls)) == len(calls)
+
     def test_zero_trap_matches_crossing_field(self, params, orientation):
         free = TrapModel(trap_frequency=0.0)
         bc = critical_field(params, orientation, free)
