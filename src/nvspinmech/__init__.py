@@ -20,28 +20,23 @@ Library layout:
 __version__ = "0.1.0"
 
 from .constants import GSLAC_FIELD, GYROMAGNETIC_RATIO, HBAR, KB, MU0, PPM_DENSITY, ZERO_FIELD_SPLITTING
-from .crystal import (NV_AXES, TETRAHEDRAL_ANGLE, AngularState, CrystalOrientation,
-                      angular_state, field_in_nv_frame, nv_frame_matrix,
-                      rotate_about_axis)
+from .crystal import NV_AXES, TETRAHEDRAL_ANGLE, AngularState, CrystalOrientation, angular_state
 from .magnetometry import (AngleFieldEstimate, NoSolutionError, TransitionPair,
                            invert_angle_field, transition_frequencies)
 from .mdmr import (MdmrPoint, MdmrSpectrum, hysteresis_pair, mdmr_scan,
-                   microwave_superoperator, mw_steady_state, sharp_edge_side,
-                   transition_table, zero_connected_lines)
+                   microwave_superoperator, sharp_edge_side, zero_connected_lines)
 from .mechanics import (ALL_CLASSES, EnergyLandscape, EquilibriumResult,
                         LibrationResult, QuadratureError, RangeExhaustedError,
                         RotationPoint, TiltGeometry, critical_field,
                         equilibrium_angle, equilibrium_branch, field_rotation_sweep,
                         landscape_curl_check, librational_frequency,
                         linear_torque_coefficient, magnetic_energy_landscape,
-                        spin_torque, tilt_geometry, tilt_torque, tilt_torque_and_slope,
-                        tilt_torque_batch, total_tilt_torque)
+                        tilt_geometry, tilt_torque_and_slope, tilt_torque_batch)
 from .params import FieldVector, MicrowaveDrive, SpinParams, TrapModel
-from .spincore import (SX, SY, SZ, SingularDetuningError, SpinLevelSet,
-                       SteadyStateError, SusceptibilityTensor, build_hamiltonian,
-                       check_density_matrix, detunings, eigen_energies_vs_field,
-                       magnetic_moment, magnetization, minimum_gap,
-                       spin_expectation, steady_state, steady_state_batch,
-                       steady_state_derivative_batch, susceptibility_analytic,
-                       susceptibility_numeric, susceptibility_van_vleck)
+from .spincore import (SX, SY, SZ, SingularDetuningError, SteadyStateError,
+                       SusceptibilityTensor, build_hamiltonian, check_density_matrix,
+                       detunings, magnetization, spin_expectation, steady_state,
+                       steady_state_batch, steady_state_derivative_batch,
+                       susceptibility_analytic, susceptibility_numeric,
+                       susceptibility_van_vleck)
 from .table import ResultTable

@@ -98,7 +98,6 @@ class RunConfig:
     """Validated configuration; raw values keyed as (section, key)."""
 
     values: dict = field(default_factory=dict)
-    source_text: str = ""
 
     @property
     def sha256(self) -> str:
@@ -244,12 +243,16 @@ def load_config(text: str | None = None, path: str | None = None,
         if section not in SCHEMA or key not in SCHEMA[section]:
             raise ConfigError(f"unknown override target {dotted!r}")
         values[(section, key)] = _parse_value(section, key, raw)
-    cfg = RunConfig(values=values, source_text=text)
+    direction = values[("sweep", "direction")]
+    if direction not in ("up", "down"):
+        raise ConfigError(f"sweep.direction must be 'up' or 'down', got {direction!r}")
+    cfg = RunConfig(values=values)
     # construction of the model objects doubles as cross-field validation
     try:
         cfg.spin_params()
         cfg.orientation()
         cfg.trap()
+        cfg.microwave_drive()
         cfg.classes()
     except (ValueError, ConfigError) as exc:
         raise ConfigError(str(exc)) from exc

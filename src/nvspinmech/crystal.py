@@ -9,10 +9,7 @@ Class 0 is the tracked axis: :func:`angular_state` gives the tilt theta
 of the field from it and the azimuth phi around it, measured from the
 fixed crystal-frame reference :func:`transverse_reference`.  The torques
 of ``mechanics`` use one NV frame per class fixed in the crystal (z the
-axis, x along that reference).  :func:`nv_frame_matrix` instead gives a
-frame that follows the field: z along the class axis and x along the
-field's transverse projection (so small transverse probes lie along
-local x), with the fixed reference when the field is axial.
+axis, x along that reference).
 """
 
 from __future__ import annotations
@@ -74,11 +71,6 @@ class CrystalOrientation:
         """Unit vector of one NV class in the lab frame."""
         return self.rotation @ NV_AXES[_check_class(class_index)]
 
-    @property
-    def axes_lab(self) -> np.ndarray:
-        """All four NV axes as rows, lab frame."""
-        return (self.rotation @ NV_AXES.T).T
-
     def to_crystal(self, v_lab) -> np.ndarray:
         return self.rotation.T @ np.asarray(v_lab, dtype=float)
 
@@ -92,16 +84,6 @@ def _check_class(class_index: int) -> int:
     return class_index
 
 
-def rotate_about_axis(orientation: CrystalOrientation, dtheta: float,
-                      axis) -> CrystalOrientation:
-    """Rigid rotation of the whole crystal about a lab-frame unit axis.
-
-    All four NV classes move together; composition of rotations composes
-    the orientation.
-    """
-    return CrystalOrientation(rotation_about(axis, dtheta) @ orientation.rotation)
-
-
 def transverse_reference(axis_crystal) -> np.ndarray:
     """Fixed crystal-frame unit vector perpendicular to an NV axis.
 
@@ -113,34 +95,6 @@ def transverse_reference(axis_crystal) -> np.ndarray:
     seed = NV_AXES[1] if abs(axis @ NV_AXES[1]) < 0.99 else NV_AXES[2]
     ref = seed - (seed @ axis) * axis
     return ref / np.linalg.norm(ref)
-
-
-def nv_frame_matrix(orientation: CrystalOrientation, class_index: int,
-                    b_lab) -> np.ndarray:
-    """Rows (x, y, z) of the NV local frame expressed in lab coordinates.
-
-    z is the class axis; x is the normalized transverse projection of the
-    field (or the fixed reference for an axial field); y completes the
-    right-handed triad.
-    """
-    z = orientation.axis_lab(class_index)
-    b = np.asarray(b_lab, dtype=float)
-    perp = b - (b @ z) * z
-    n = np.linalg.norm(perp)
-    if n > 1e-15 * max(1.0, np.linalg.norm(b)):
-        x = perp / n
-    else:
-        x = orientation.to_lab(transverse_reference(NV_AXES[_check_class(class_index)]))
-    y = np.cross(z, x)
-    return np.vstack([x, y, z])
-
-
-def field_in_nv_frame(orientation: CrystalOrientation, class_index: int,
-                      b_lab: FieldVector) -> FieldVector:
-    """Express a lab-frame field in one class's NV frame."""
-    b = b_lab.require_frame("lab").as_array()
-    frame = nv_frame_matrix(orientation, class_index, b)
-    return FieldVector.from_array(frame @ b, frame="nv")
 
 
 @dataclass(frozen=True)

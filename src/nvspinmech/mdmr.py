@@ -35,25 +35,10 @@ from .mechanics import (ALL_CLASSES, RangeExhaustedError, TiltGeometry, _class_f
                         tilt_geometry)
 from .params import FieldVector, MicrowaveDrive, SpinParams, TrapModel
 from .spincore import (SX, _coordinates, _field_array, _hamiltonian_batch, _structure,
-                       build_hamiltonian, steady_state)
+                       build_hamiltonian)
 
 _BARE_ZERO = np.array([0.0, 1.0, 0.0])  # |m_s = 0> in the (+1, 0, -1) basis
 _OFF_DIAGONAL = 1.0 - np.eye(3)
-
-
-def transition_table(params: SpinParams, b_nv) -> list[tuple[float, float, int, int]]:
-    """All transitions of one class: (frequency_hz, weight, i, j) with i < j.
-
-    Weights are 2|<i|Sx|j>|^2; eigenstates are indexed by ascending energy.
-    """
-    vals, vecs = np.linalg.eigh(build_hamiltonian(params, b_nv))
-    out = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            freq = (vals[j] - vals[i]) / HBAR / (2.0 * np.pi)
-            weight = 2.0 * abs(vecs[:, i].conj() @ SX @ vecs[:, j]) ** 2
-            out.append((float(freq), float(weight), i, j))
-    return out
 
 
 def zero_connected_lines(params: SpinParams, b_nv) -> tuple[float, float]:
@@ -108,26 +93,19 @@ def microwave_superoperator(params: SpinParams, b_nv, frequency_hz: float,
     return total if stack else total[0]
 
 
-def mw_steady_state(params: SpinParams, b_nv, drive: MicrowaveDrive,
-                    frequency_hz: float | None = None) -> np.ndarray:
-    """Steady state of one class under optical pumping plus microwave drive."""
-    freq = drive.frequencies[0] if frequency_hz is None else frequency_hz
-    extra = microwave_superoperator(params, b_nv, freq, drive)
-    return steady_state(params, b_nv, extra_superoperator=extra)
-
-
 @dataclass(frozen=True)
 class MdmrPoint:
     """One scan point.  ``converged`` is False only when the total torque
     has no stable root in [-pi/2, pi]; ``iterations`` counts the torque
-    evaluations of the point (a batched bracket scan counts as one)."""
+    evaluations of the point (a batched bracket scan counts as one).  The
+    class lines are recorded once per scan, at the baseline tilt
+    (:attr:`MdmrSpectrum.class_lines_hz`)."""
 
     frequency_hz: float
     theta: float
     delta_theta: float
     converged: bool
     iterations: int
-    class_lines_hz: tuple = ()  # per-class |0>-connected pair at this tilt
 
 
 @dataclass(frozen=True)
@@ -194,7 +172,8 @@ def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapMod
     nearest the previous point's tilt, which reproduces the direction
     dependence of the response near bistable jumps.  A point with no
     stable root anywhere in [-pi/2, pi] keeps the previous tilt and is
-    flagged unconverged; the scan continues.
+    flagged unconverged; the scan continues.  The |0>-connected lines of
+    each class are solved once, at the microwave-off baseline tilt.
 
     Raises:
         RangeExhaustedError: the microwave-off torque has no stable root in
@@ -214,10 +193,6 @@ def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapMod
     if baseline is None:
         raise RangeExhaustedError("no stable microwave-off equilibrium: cannot scan")
 
-    def lines_at(tilt):
-        fields = _class_fields(geom.b_crystal([tilt]), classes)
-        return [zero_connected_lines(params, f) for f in fields[:, 0]]
-
     points = []
     theta = baseline
     for freq in drive.frequencies:
@@ -225,10 +200,11 @@ def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapMod
         ok = root is not None
         theta = root if ok else theta
         points.append(MdmrPoint(frequency_hz=float(freq), theta=theta,
-                                delta_theta=theta - baseline, converged=ok, iterations=evals,
-                                class_lines_hz=tuple(lines_at(theta))))
+                                delta_theta=theta - baseline, converged=ok, iterations=evals))
+    fields = _class_fields(geom.b_crystal([baseline]), classes)[:, 0]
     return MdmrSpectrum(drive=drive, baseline_theta=baseline, points=tuple(points),
-                        class_lines_hz=np.array(lines_at(baseline)))
+                        class_lines_hz=np.array([zero_connected_lines(params, f)
+                                                 for f in fields]))
 
 
 def hysteresis_pair(params: SpinParams, orientation: CrystalOrientation,

@@ -165,26 +165,6 @@ def tilt_torque_and_slope(params: SpinParams, geom: TiltGeometry, thetas,
             n * sum(_dot3(dmoments[..., 0, :], dfields) - _dot3(moments, fields)))
 
 
-def tilt_torque(params: SpinParams, geom: TiltGeometry, theta: float,
-                classes=ALL_CLASSES) -> float:
-    """Scalar version of :func:`tilt_torque_batch`."""
-    return float(tilt_torque_batch(params, geom, [theta], classes)[0])
-
-
-def spin_torque(params: SpinParams, orientation: CrystalOrientation,
-                b_lab: FieldVector, classes=ALL_CLASSES) -> np.ndarray:
-    """Total spin torque vector on the particle (N m), lab frame.
-
-    Sums N_c * m_c x B over the orientation classes with each class in its
-    driven-damped steady state; equals V*M x B in the linear regime.
-    """
-    b = orientation.to_crystal(b_lab.require_frame("lab").as_array())
-    m_nv = _nv_moments(params, _class_fields(b[None], classes))[:, 0]
-    moments = np.einsum("ci,cij->cj", m_nv, _CLASS_FRAMES[list(classes)])
-    torque_crystal = params.n_spins_per_class * np.cross(moments, b).sum(axis=0)
-    return orientation.to_lab(torque_crystal)
-
-
 def _integrate_torque(params: SpinParams, geom: TiltGeometry, a: float, b: float,
                       classes=ALL_CLASSES, rtol: float = 1e-8,
                       atol: float | None = None, max_depth: int = 9) -> float:
@@ -323,14 +303,6 @@ class EquilibriumResult:
     bound: bool = True
 
 
-def total_tilt_torque(params: SpinParams, geom: TiltGeometry, trap: TrapModel,
-                      theta, classes=ALL_CLASSES):
-    """Spin torque plus harmonic trap torque at one tilt angle or an array of them."""
-    th = np.asarray(theta, dtype=float)
-    total = tilt_torque_batch(params, geom, th, classes) - trap.stiffness * (th - trap.theta0)
-    return total if th.ndim else float(total[0])
-
-
 def _torque_scale(params: SpinParams, b_mag: float) -> float:
     """Largest spin torque of four fully polarized classes (N m)."""
     return 4.0 * params.n_spins_per_class * HBAR * params.gyromagnetic_ratio * b_mag
@@ -408,8 +380,9 @@ def equilibrium_angle(params: SpinParams, orientation: CrystalOrientation,
     (scan windows, Brent steps and the slope at the root).
     """
     geom = tilt_geometry(orientation, b_lab)
-    root, evals = _stable_root(
-        brentq, lambda th: total_tilt_torque(params, geom, trap, th, classes),
+    root, evals = _stable_root(  # spin plus trap torque; Brent passes a one-tilt list
+        brentq, lambda th: (tilt_torque_batch(params, geom, th, classes)
+                            - trap.stiffness * (np.asarray(th, dtype=float) - trap.theta0)),
         trap.theta0 if warm_start is None else warm_start, _torque_scale(params, geom.b_mag))
     if root is None:
         return EquilibriumResult(theta=np.nan, stability=0.0, torque_residual=np.nan,

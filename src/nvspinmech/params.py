@@ -67,7 +67,7 @@ class FieldVector:
     """Magnetic field vector tagged with the frame it is expressed in.
 
     Frames: "lab" (laboratory), "crystal" (diamond cubic axes), "nv"
-    (z along one N-V axis, x along the transverse field projection).
+    (one class's NV frame: z along its N-V axis).
     """
 
     bx: float
@@ -151,9 +151,11 @@ class MicrowaveDrive:
             raise ValueError("rabi_rate must be finite and >= 0")
         if self.direction not in ("up", "down"):
             raise ValueError(f"direction must be 'up' or 'down', got {self.direction!r}")
-        if self.extra_broadening < 0.0:
-            raise ValueError("extra_broadening must be >= 0")
+        if not np.isfinite(self.extra_broadening) or self.extra_broadening < 0.0:
+            raise ValueError("extra_broadening must be finite and >= 0")
         freqs = np.asarray(self.frequencies, dtype=float)
+        if not np.all(np.isfinite(freqs)):
+            raise ValueError("sweep frequencies must be finite")
         object.__setattr__(self, "frequencies", tuple(freqs.tolist()))
         if freqs.size >= 2:
             diffs = np.diff(freqs)

@@ -272,11 +272,6 @@ def magnetization(params: SpinParams, rho: np.ndarray) -> np.ndarray:
     return -params.density * HBAR * params.gyromagnetic_ratio * spin_expectation(rho)
 
 
-def magnetic_moment(params: SpinParams, rho: np.ndarray) -> np.ndarray:
-    """Moment of one NV center, m = -hbar*gamma_e*<S> (J/T), NV frame."""
-    return -HBAR * params.gyromagnetic_ratio * spin_expectation(rho)
-
-
 @dataclass(frozen=True)
 class SusceptibilityTensor:
     """Volume susceptibility components around an axial bias field.
@@ -359,62 +354,3 @@ def susceptibility_van_vleck(params: SpinParams, populations, b0: float) -> floa
     g2 = params.gyromagnetic_ratio**2
     return params.density * HBAR * MU0 * g2 * ((p_0 - p_m) / d_m + (p_0 - p_p) / d_p)
 
-
-@dataclass(frozen=True)
-class SpinLevelSet:
-    """Adiabatically labeled eigensystem at one field point.
-
-    ``energies``, ``states`` and ``populations`` are indexed by the
-    zero-field label order (|+1>, |0>, |-1>), tracked through crossings by
-    eigenvector continuity rather than by sorting energies.
-    """
-
-    b: float
-    energies: np.ndarray  # J, label order (+1, 0, -1)
-    states: np.ndarray  # columns are eigenvectors in label order
-    populations: np.ndarray  # steady-state populations of each labeled state
-
-
-def eigen_energies_vs_field(params: SpinParams, theta: float,
-                            b_values) -> list[SpinLevelSet]:
-    """Adiabatically tracked spin levels along a field-magnitude sweep.
-
-    Args:
-        theta: fixed angle between the NV axis and the field (rad).
-        b_values: field magnitudes (tesla), in sweep order.
-
-    The labels attached at the first point (continuation from B=0) follow
-    maximal-overlap continuation from point to point, so crossed levels
-    keep their identity through the ground-state level crossing.
-    """
-    b_values = np.asarray(b_values, dtype=float)
-    st, ct = np.sin(theta), np.cos(theta)
-    rhos = steady_state_batch(params, np.outer(b_values, [st, 0.0, ct]))
-    # continuation reference: exact B=0 labels
-    prev_states = np.eye(3, dtype=complex)
-    out = []
-    for b, rho in zip(b_values, rhos):
-        h = build_hamiltonian(params, (b * st, 0.0, b * ct))
-        vals, vecs = np.linalg.eigh(h)
-        # assign each label to the eigenvector overlapping its predecessor most
-        overlap = np.abs(prev_states.conj().T @ vecs) ** 2
-        order = np.full(3, -1, dtype=int)
-        taken = np.zeros(3, dtype=bool)
-        for _ in range(3):
-            i, j = np.unravel_index(np.argmax(np.where(taken, -1.0, overlap)), (3, 3))
-            overlap[i, :] = -1.0
-            order[i] = j
-            taken[j] = True
-        energies = vals[order]
-        states = vecs[:, order]
-        pops = np.array([np.real(states[:, k].conj() @ rho @ states[:, k]) for k in range(3)])
-        out.append(SpinLevelSet(b=float(b), energies=energies, states=states,
-                                populations=pops))
-        prev_states = states
-    return out
-
-
-def minimum_gap(levels: list[SpinLevelSet], i: int = 1, j: int = 2) -> float:
-    """Smallest |E_i - E_j| (J) along a tracked sweep; defaults to the
-    (|0>, |-1>) pair."""
-    return min(abs(ls.energies[i] - ls.energies[j]) for ls in levels)

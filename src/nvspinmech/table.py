@@ -62,12 +62,6 @@ class ResultTable:
         rows = [[_parse_cell(c) for c in line.split(",")] for line in body[2:]]
         return cls(columns=columns, units=units, rows=rows, meta=meta)
 
-    def __eq__(self, other):
-        if not isinstance(other, ResultTable):
-            return NotImplemented
-        return (self.columns == other.columns and self.units == other.units
-                and self.rows == other.rows and self.meta == other.meta)
-
 
 def _format_cell(v) -> str:
     if isinstance(v, (bool, np.bool_)):

@@ -15,7 +15,7 @@ from nvspinmech import (CrystalOrientation, FieldVector, MicrowaveDrive,
                         librational_frequency, magnetic_energy_landscape,
                         mdmr_scan, sharp_edge_side, steady_state_batch,
                         susceptibility_analytic, susceptibility_numeric,
-                        tilt_geometry, tilt_torque, transition_frequencies,
+                        tilt_geometry, tilt_torque_batch, transition_frequencies,
                         zero_connected_lines)
 from nvspinmech.mechanics import _integrate_torque, linear_torque_coefficient
 
@@ -246,7 +246,7 @@ def test_criterion_8_property_suites():
         b0 = float(rng.uniform(0.02, 0.18))
         theta = float(rng.uniform(0.05, 1.3))
         geom = geom_cls(b_mag=b0, phi=float(rng.uniform(0.0, TWO_PI)))
-        tau = tilt_torque(p, geom, theta)
+        tau = tilt_torque_batch(p, geom, [theta])[0]
 
         def du(h):
             upper = _integrate_torque(p, geom, theta, theta + h)

@@ -78,7 +78,9 @@ def test_traced_pass_reports_json_without_failures(workload):
 # tilts around the guess in one batch, widened 4x until a stable bracket
 # appears (a low-field libration row with no trap scans all 472 tilts of
 # [-pi/2, pi]), then a Brent polish that stops at a rounding-level torque.
-# mdmr_scan solves its baseline once, with the drive off.  The trapped
+# mdmr_scan solves its baseline once, with the drive off, and solves the
+# |0>-connected lines of each class at that baseline only (one
+# zero_connected_lines call per class and scan, none per point).  The trapped
 # critical field solves 24 + 5x3 equilibria: each refinement round follows
 # the branch through its 3 new interior fields and reuses the end tilts.  A torque that
 # moves at rounding level can cost a Brent search one more evaluation,
@@ -96,6 +98,7 @@ BUDGETS = {
                         "spincore.steady_state_batch.points": 5843,
                         "mdmr.microwave_superoperator": 800,
                         "mdmr.iterations": 728,
+                        "mdmr.zero_connected_lines": 22,
                         "spincore.steady_state_derivative_batch": 5},
     "magnetometry_readout": {"spincore.steady_state_batch": 0,
                              "spincore.steady_state_derivative_batch": 0,

@@ -103,6 +103,21 @@ class TestExitCodes:
         assert "config error" in err and "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("command, overrides", [
+        ("mdmr", ["mdmr.extra_broadening_hz=-1"]),
+        ("mdmr", ["mdmr.direction=sideways"]),
+        ("mdmr", ["mdmr.rabi_rate_hz=-5"]),
+        ("equilibrium", ["sweep.direction=sideways", "sweep.steps=2"]),
+        ("mdmr", ["mdmr.extra_broadening_hz=nan"]),
+        ("mdmr", ["mdmr.frequency_steps=1", "mdmr.frequency_start_hz=nan"])])
+    def test_bad_drive_or_sweep_setting_is_a_config_error(self, capsys, command, overrides):
+        # rejected when the config loads, before any solve runs
+        argv = [arg for item in overrides for arg in ("--set", item)]
+        code, out, err = run_cli(capsys, command, *argv)
+        assert code == 1
+        assert err.startswith("nvspinmech: config error") and err.count("\n") == 1, err
+        assert out == ""
+
     def test_unknown_command_is_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["definitely-not-a-command"])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from nvspinmech import (NV_AXES, TETRAHEDRAL_ANGLE, AngularState,
-                        CrystalOrientation, FieldVector, angular_state,
-                        field_in_nv_frame, nv_frame_matrix, rotate_about_axis)
+                        CrystalOrientation, FieldVector, angular_state)
+from nvspinmech.mechanics import _CLASS_FRAMES, _class_fields
 
 DEG = np.pi / 180.0
 
@@ -41,70 +41,58 @@ class TestOrientation:
 
     def test_full_turn_is_identity(self):
         rng = np.random.default_rng(11)
-        start = CrystalOrientation.identity()
         for _ in range(5):
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
-            turned = rotate_about_axis(start, 2.0 * np.pi, axis)
-            assert np.allclose(turned.axes_lab, start.axes_lab, atol=1e-12)
+            turned = CrystalOrientation.from_axis_angle(axis, 2.0 * np.pi)
+            assert np.allclose(turned.rotation, np.eye(3), atol=1e-12)
 
     def test_rotation_composition(self):
         axis = np.array([0.0, 0.0, 1.0])
-        a = rotate_about_axis(CrystalOrientation.identity(), 0.3, axis)
-        b = rotate_about_axis(a, 0.5, axis)
-        direct = rotate_about_axis(CrystalOrientation.identity(), 0.8, axis)
-        assert np.allclose(b.rotation, direct.rotation, atol=1e-13)
+        a = CrystalOrientation.from_axis_angle(axis, 0.3)
+        b = CrystalOrientation.from_axis_angle(axis, 0.5).rotation @ a.rotation
+        direct = CrystalOrientation.from_axis_angle(axis, 0.8)
+        assert np.allclose(b, direct.rotation, atol=1e-13)
 
     def test_inverse_round_trip(self):
         axis = np.array([1.0, 0.0, 0.0])
-        fwd = rotate_about_axis(CrystalOrientation.identity(), 0.7, axis)
-        back = rotate_about_axis(fwd, -0.7, axis)
-        assert np.allclose(back.rotation, np.eye(3), atol=1e-13)
+        fwd = CrystalOrientation.from_axis_angle(axis, 0.7)
+        back = CrystalOrientation.from_axis_angle(axis, -0.7).rotation @ fwd.rotation
+        assert np.allclose(back, np.eye(3), atol=1e-13)
 
     def test_rejects_non_unit_axis(self):
         with pytest.raises(ValueError, match="unit"):
-            rotate_about_axis(CrystalOrientation.identity(), 0.1, (1.0, 1.0, 0.0))
+            CrystalOrientation.from_axis_angle((1.0, 1.0, 0.0), 0.1)
 
 
 class TestFieldTransforms:
+    """The NV frames of the torque model: one per class, fixed in the crystal."""
+
     def test_aligned_class_sees_axial_field(self):
-        ori = CrystalOrientation.identity()
-        b = FieldVector.from_array(0.1 * NV_AXES[0], frame="lab")
-        b_nv = field_in_nv_frame(ori, 0, b)
-        assert b_nv.frame == "nv"
-        assert b_nv.bz == pytest.approx(0.1, rel=1e-14)
-        assert abs(b_nv.bx) < 1e-16 and abs(b_nv.by) < 1e-16
+        bx, by, bz = _class_fields(0.1 * NV_AXES[0][None], (0,))[0, 0]
+        assert bz == pytest.approx(0.1, rel=1e-14)
+        assert abs(bx) < 1e-16 and abs(by) < 1e-16
 
     def test_other_class_sees_tetrahedral_projection(self):
-        ori = CrystalOrientation.identity()
-        b = FieldVector.from_array(0.09 * NV_AXES[0], frame="lab")
-        b_nv = field_in_nv_frame(ori, 1, b)
-        assert b_nv.bz == pytest.approx(-0.03, rel=1e-12)  # |B| cos(109.47deg)
-        # transverse convention puts the projection along +x
-        assert b_nv.bx == pytest.approx(0.09 * np.sqrt(1 - 1/9), rel=1e-12)
-        assert abs(b_nv.by) < 1e-16
+        bx, by, bz = _class_fields(0.09 * NV_AXES[0][None], (1,))[0, 0]
+        assert bz == pytest.approx(-0.03, rel=1e-12)  # |B| cos(109.47deg)
+        assert np.hypot(bx, by) == pytest.approx(0.09 * np.sqrt(1 - 1/9), rel=1e-12)
 
     def test_round_trip_preserves_vector(self):
         rng = np.random.default_rng(5)
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         ori = CrystalOrientation.from_axis_angle(axis, 0.9)
+        for frame in _CLASS_FRAMES:
+            assert np.allclose(frame @ frame.T, np.eye(3), atol=1e-12)
         for _ in range(10):
             vec = rng.normal(scale=0.2, size=3)
-            b = FieldVector.from_array(vec, frame="lab")
-            for c in range(4):
-                frame = nv_frame_matrix(ori, c, vec)
-                # orthonormal frame: transforming back recovers the vector
-                assert np.allclose(frame.T @ (frame @ vec), vec, atol=1e-12)
-                assert np.allclose(frame @ frame.T, np.eye(3), atol=1e-12)
-            b_nv = field_in_nv_frame(ori, 2, b)
-            assert b_nv.magnitude == pytest.approx(b.magnitude, rel=1e-12)
+            b_nv = _class_fields(ori.to_crystal(vec)[None])[:, 0]
+            assert np.allclose(np.linalg.norm(b_nv, axis=1), np.linalg.norm(vec), rtol=1e-12)
 
     def test_class_index_validated(self):
-        ori = CrystalOrientation.identity()
-        b = FieldVector(0.0, 0.0, 0.1)
         with pytest.raises(ValueError, match="class index"):
-            field_in_nv_frame(ori, 4, b)
+            CrystalOrientation.identity().axis_lab(4)
 
 
 class TestAngularState:

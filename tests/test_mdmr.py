@@ -5,9 +5,8 @@ import pytest
 
 from nvspinmech import (NV_AXES, MicrowaveDrive, SpinParams, TiltGeometry, TrapModel,
                         hysteresis_pair, mdmr_scan, tilt_geometry,
-                        microwave_superoperator, mw_steady_state,
-                        sharp_edge_side, spin_expectation, steady_state,
-                        transition_table, zero_connected_lines)
+                        microwave_superoperator, sharp_edge_side, spin_expectation,
+                        steady_state, zero_connected_lines)
 from nvspinmech.constants import HBAR
 from nvspinmech.crystal import transverse_reference
 from nvspinmech.mdmr import _driven_moments, _driven_total_torque
@@ -70,13 +69,6 @@ class TestDriveValidation:
 
 
 class TestMwSteadyState:
-    def test_zero_drive_identical_to_plain_steady_state(self, params):
-        b_nv = (0.001, 0.0, 0.05)
-        off = MicrowaveDrive(rabi_rate=0.0, frequencies=(2.2e9,))
-        rho_mw = mw_steady_state(params, b_nv, off)
-        rho = steady_state(params, b_nv)
-        assert np.array_equal(rho_mw, rho)
-
     def test_strong_resonant_drive_equalizes_pair(self, params):
         # saturation of the |0> -> |-1| transition pools the two populations
         b0 = 0.03
@@ -85,7 +77,8 @@ class TestMwSteadyState:
                     - params.gyromagnetic_ratio * b0) / TWO_PI
         rho0 = steady_state(params, b_nv)
         strong = drive_at([nu_minus], rabi_hz=30e6)
-        rho = mw_steady_state(params, b_nv, strong)
+        rho = steady_state(params, b_nv,
+                           microwave_superoperator(params, b_nv, nu_minus, strong))
         pooled = 0.5 * (rho0[1, 1] + rho0[2, 2]).real
         assert rho[1, 1].real == pytest.approx(pooled, rel=0.05)
         assert rho[2, 2].real == pytest.approx(pooled, rel=0.05)
@@ -100,18 +93,12 @@ class TestMwSteadyState:
         rabis = np.array([3e3, 1e4, 3e4])
         deltas = []
         for rabi in rabis:
-            rho = mw_steady_state(params, b_nv, drive_at([nu_minus], rabi))
+            weak = drive_at([nu_minus], rabi)
+            rho = steady_state(params, b_nv,
+                               microwave_superoperator(params, b_nv, nu_minus, weak))
             deltas.append(abs(spin_expectation(rho)[2] - sz0))
         slope = np.polyfit(np.log(rabis), np.log(deltas), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.05)
-
-    def test_forbidden_double_quantum_untouched(self, params):
-        # axial field: the |+1> <-> |-1| transition has no Sx matrix element
-        b_nv = (0.0, 0.0, 0.03)
-        rows = transition_table(params, b_nv)
-        weights = {(i, j): w for _, w, i, j in rows}
-        assert weights[(0, 2)] == pytest.approx(1.0, abs=1e-12)  # 0 <-> -1
-        assert weights[(1, 2)] == pytest.approx(0.0, abs=1e-12)  # +1 <-> -1
 
 
 class TestMicrowaveSuperoperator:
@@ -167,7 +154,9 @@ class TestMicrowaveSuperoperator:
                     # gimbal, whose response is 8e-12 of the moment: solve the
                     # axial field there, as the fallback direction presumes
                     pnorm = 0.0
-                rho = mw_steady_state(params, (pnorm, 0.0, bz), drive)
+                b_nv = (pnorm, 0.0, bz)
+                rho = steady_state(params, b_nv,
+                                   microwave_superoperator(params, b_nv, 2.1e9, drive))
                 m = -HBAR * params.gyromagnetic_ratio * spin_expectation(rho)
                 ref = m[0] * xhat + m[1] * np.cross(axis, xhat) + m[2] * axis
                 assert np.linalg.norm(moments[ic, it] - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -207,10 +196,6 @@ class TestScan:
         linewidth = params.gamma2_star / TWO_PI
         assert spec.class_lines_hz[0][0] == pytest.approx(expected_minus, abs=linewidth)
         assert spec.class_lines_hz[0][1] == pytest.approx(expected_plus, abs=linewidth)
-        # every record carries the per-class pair at its own tilt
-        assert all(len(p.class_lines_hz) == 1 for p in spec.points)
-        assert spec.points[0].class_lines_hz[0][0] == pytest.approx(
-            expected_minus, abs=linewidth)
 
     def test_diamagnetic_regime_line_at_180_mT(self, params, orientation, trap):
         b0 = 0.18

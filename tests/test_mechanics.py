@@ -10,7 +10,7 @@ from nvspinmech import (SpinParams, TrapModel, equilibrium_angle, equilibrium_br
                         critical_field, field_rotation_sweep,
                         landscape_curl_check, librational_frequency,
                         linear_torque_coefficient, magnetic_energy_landscape,
-                        spin_torque, tilt_geometry, tilt_torque, tilt_torque_batch,
+                        tilt_geometry, tilt_torque_batch,
                         RangeExhaustedError)
 from nvspinmech import mdmr, mechanics
 from nvspinmech.constants import KB
@@ -24,15 +24,15 @@ DEG = np.pi / 180.0
 
 class TestSpinTorque:
     def test_aligned_axial_field_gives_zero(self, params, orientation):
-        b = axial_field(orientation, 0.12)
-        tau = spin_torque(params, orientation, b, classes=(0,))
+        geom = tilt_geometry(orientation, axial_field(orientation, 0.12))
+        tau = tilt_torque_batch(params, geom, [0.0], classes=(0,))
         assert np.allclose(tau, 0.0, atol=1e-24)
 
     def test_linear_regime_matches_susceptibility(self, params, orientation):
         # dispersive point, small tilt: tau = (V/mu0) chi_perp B^2 theta
         b0, theta = 0.12, 0.5 * DEG
         geom = tilt_geometry(orientation, axial_field(orientation, b0))
-        tau = tilt_torque(params, geom, theta, classes=(0,))
+        tau = tilt_torque_batch(params, geom, [theta], classes=(0,))[0]
         expected = linear_torque_coefficient(params, b0) * theta
         assert tau == pytest.approx(expected, rel=1e-2)
 
@@ -50,8 +50,11 @@ class TestSpinTorque:
         assert (taus[1] - taus[0]) / (2 * h) > 0.0
 
     def test_four_class_torque_vector_cancels_when_aligned(self, params, orientation):
-        # C3 symmetry about the aligned axis: transverse components cancel
-        tau = spin_torque(params, orientation, axial_field(orientation, 0.13))
+        # C3 symmetry about the aligned axis: transverse components cancel;
+        # at theta = 0 the tilt torques at azimuths 0 and pi/2 are the two
+        # transverse components of the torque vector
+        tau = [tilt_torque_batch(params, TiltGeometry(b_mag=0.13, phi=phi), [0.0])[0]
+               for phi in (0.0, 0.5 * np.pi)]
         scale = params.n_spins_per_class * 2e-23 * 0.13
         assert np.linalg.norm(tau) < 1e-9 * scale
 
@@ -116,7 +119,7 @@ class TestEnergyLandscape:
             phi = float(rng.uniform(0.0, TWO_PI))
             geom = tilt_geometry(orientation, axial_field(orientation, b0))
             geom = type(geom)(b_mag=geom.b_mag, phi=phi)
-            tau = tilt_torque(params, geom, theta)
+            tau = tilt_torque_batch(params, geom, [theta])[0]
 
             def du_dtheta(h):
                 up = _integrate_torque(params, geom, theta, theta + h)
@@ -177,7 +180,7 @@ class TestTiltGeometry:
         thetas = np.random.default_rng(n).uniform(-0.5 * np.pi, np.pi, n)
         thetas[0] = 0.0
         batch = tilt_torque_batch(params, geom, thetas)
-        assert np.array_equal(batch, [tilt_torque(params, geom, t) for t in thetas])
+        assert np.array_equal(batch, [tilt_torque_batch(params, geom, [t])[0] for t in thetas])
 
 
 def _cubic(thetas):

@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 
 from nvspinmech import (FieldVector, SingularDetuningError, SpinParams, SteadyStateError,
                         build_hamiltonian, check_density_matrix, detunings,
-                        eigen_energies_vs_field, magnetization, magnetic_moment,
-                        minimum_gap, spin_expectation, steady_state,
+                        magnetization, spin_expectation, steady_state,
                         steady_state_batch, susceptibility_analytic,
                         susceptibility_numeric, susceptibility_van_vleck)
 from nvspinmech.constants import HBAR, MU0
@@ -197,12 +196,6 @@ class TestMagnetization:
         chi = susceptibility_analytic(p, b0)
         assert slope * MU0 == pytest.approx(chi.chi_perp, rel=1e-6)
 
-    def test_moment_is_per_center(self, params):
-        rho = np.zeros((3, 3), dtype=complex)
-        rho[0, 0] = 1.0
-        m = magnetic_moment(params, rho)
-        assert m[2] == pytest.approx(-HBAR * params.gyromagnetic_ratio, rel=1e-12)
-
 
 class TestSusceptibility:
     def test_numeric_matches_analytic_on_grid(self, params):
@@ -336,40 +329,38 @@ class TestVanVleck:
         assert errs[2] < 1e-6
 
 
+def crossing_gap(params, theta, b_values):
+    """Smallest gap (J) between the two lowest levels, ranked by energy,
+    along a field-magnitude sweep at a fixed tilt from the NV axis; for
+    theta > 0 the levels never cross, so rank is the level identity."""
+    sin, cos = np.sin(theta), np.cos(theta)
+    return min(np.diff(np.linalg.eigvalsh(build_hamiltonian(params, (b * sin, 0.0, b * cos))))[0]
+               for b in b_values)
+
+
 class TestEigenTracking:
     def test_aligned_sweep_has_exact_crossing(self, params):
         bs = np.linspace(0.09, 0.115, 121)
-        levels = eigen_energies_vs_field(params, 0.0, bs)
-        gap = minimum_gap(levels)
         # grid granularity limits the observed minimum in the crossing case
-        assert gap < HBAR * TWO_PI * 8e6
+        assert crossing_gap(params, 0.0, bs) < HBAR * TWO_PI * 8e6
 
     def test_tilted_sweep_has_avoided_crossing(self, params):
         bs = np.linspace(0.09, 0.135, 121)
-        levels = eigen_energies_vs_field(params, 0.2, bs)
-        assert minimum_gap(levels) > HBAR * TWO_PI * 3e8
+        assert crossing_gap(params, 0.2, bs) > HBAR * TWO_PI * 3e8
 
     def test_gap_grows_with_tilt(self, params):
         bs = np.linspace(0.09, 0.135, 81)
-        gaps = [minimum_gap(eigen_energies_vs_field(params, th, bs))
-                for th in (0.01, 0.05, 0.1, 0.2)]
+        gaps = [crossing_gap(params, th, bs) for th in (0.01, 0.05, 0.1, 0.2)]
         assert np.all(np.diff(gaps) > 0.0)
 
-    def test_labels_follow_through_crossing(self, params):
-        # the |-1|-labeled branch keeps falling through the crossing instead
-        # of being re-sorted by energy
-        bs = np.linspace(0.05, 0.15, 201)
-        levels = eigen_energies_vs_field(params, 0.0, bs)
-        e_m1 = np.array([ls.energies[2] for ls in levels])
-        assert np.all(np.diff(e_m1) < 0.0)
-
     def test_population_inversion_past_crossing(self, params):
-        # strong pumping keeps the |0>-labeled state dominant; past the
-        # crossing it is the higher-energy state of the (|0>, |-1|) pair
-        levels = eigen_energies_vs_field(params, 0.0, [0.13])[0]
-        assert np.argmax(levels.populations) == 1
-        assert levels.energies[1] > levels.energies[2]
-        assert levels.populations[1] > 0.9
+        # strong pumping keeps |0> dominant; past the crossing
+        # (Delta_-1 = D - gamma_e*B < 0) it is the upper level of the
+        # (|0>, |-1>) pair
+        pops = np.diag(steady_state(params, (0.0, 0.0, 0.13))).real
+        assert np.argmax(pops) == 1
+        assert detunings(params, 0.13)[0] < 0.0
+        assert pops[1] > 0.9
 
 
 class TestSpinExpectation:
