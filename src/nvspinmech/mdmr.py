@@ -19,6 +19,13 @@ k*(theta - theta0) nearest the previous tilt, found by the anchored scan
 and Brent polish that ``equilibrium_angle`` also uses
 (``mechanics._stable_root``); following the branch along the sweep yields
 direction-dependent jumps (hysteresis) at folds.
+
+The scan is anchored to fixed tilts, so off a fold the two sweeps of a
+hysteresis pair scan the same tilts at each frequency and take the same
+Brent steps, and both solve the same microwave-off baseline.  A pair
+therefore shares one memo of driven-torque batches between its sweeps,
+keyed by every input the torque reads: each batch is solved once, and a
+hit returns the array the same call computed.
 """
 
 from __future__ import annotations
@@ -97,7 +104,8 @@ def microwave_superoperator(params: SpinParams, b_nv, frequency_hz: float,
 class MdmrPoint:
     """One scan point.  ``converged`` is False only when the total torque
     has no stable root in [-pi/2, pi]; ``iterations`` counts the torque
-    evaluations of the point (a batched bracket scan counts as one).  The
+    evaluations the point requested (a batched bracket scan counts as one),
+    memo hits included, so it does not depend on the sweep order.  The
     class lines are recorded once per scan, at the baseline tilt
     (:attr:`MdmrSpectrum.class_lines_hz`)."""
 
@@ -165,7 +173,7 @@ def _driven_total_torque(params: SpinParams, geom: TiltGeometry, trap: TrapModel
 
 def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapModel,
               b_lab: FieldVector, drive: MicrowaveDrive,
-              classes=ALL_CLASSES) -> MdmrSpectrum:
+              classes=ALL_CLASSES, *, memo: dict | None = None) -> MdmrSpectrum:
     """Sweep the drive over its frequencies and record tilt displacements.
 
     Each point is the stable root of the drive-included total torque
@@ -175,6 +183,13 @@ def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapMod
     flagged unconverged; the scan continues.  The |0>-connected lines of
     each class are solved once, at the microwave-off baseline tilt.
 
+    Every torque batch (baseline, scan windows and Brent steps) is looked
+    up in ``memo`` first and stored there after a miss.  The key holds
+    every input the torque reads (parameters, geometry, trap, classes,
+    rabi rate, broadenings, frequency and the tilts' bytes), so one dict
+    may be shared between scans (:func:`hysteresis_pair`); without one the
+    scan makes its own.
+
     Raises:
         RangeExhaustedError: the microwave-off torque has no stable root in
             [-pi/2, pi], so there is no baseline to scan from.
@@ -183,10 +198,21 @@ def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapMod
         raise ValueError("drive sweep is empty")
     geom = tilt_geometry(orientation, b_lab)
     scale = _torque_scale(params, geom.b_mag)
+    classes = tuple(classes)
+    memo = {} if memo is None else memo
 
     def stable_tilt(drv, freq, guess):
-        return _stable_root(brentq, lambda th: _driven_total_torque(
-            params, geom, trap, drv, freq, th, classes), guess, scale)
+        def torque(thetas):
+            thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+            key = (params, geom, trap, classes, drv.rabi_rate, drv.extra_broadening,
+                   drv.power_broadening, freq, thetas.tobytes())
+            if (tau := memo.get(key)) is None:
+                tau = memo[key] = _driven_total_torque(params, geom, trap, drv, freq,
+                                                       thetas, classes)
+                tau.flags.writeable = False  # every hit hands out this array
+            return tau
+
+        return _stable_root(brentq, torque, guess, scale)
 
     off_drive = MicrowaveDrive(rabi_rate=0.0, frequencies=(0.0,))
     baseline, _ = stable_tilt(off_drive, 0.0, trap.theta0)
@@ -210,11 +236,19 @@ def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapMod
 def hysteresis_pair(params: SpinParams, orientation: CrystalOrientation,
                     trap: TrapModel, b_lab: FieldVector, drive: MicrowaveDrive,
                     classes=ALL_CLASSES) -> tuple[MdmrSpectrum, MdmrSpectrum]:
-    """The same sweep traversed in both directions: (up scan, down scan)."""
+    """The same sweep traversed in both directions: (up scan, down scan).
+
+    Both scans share one torque memo (:func:`mdmr_scan`), so the down
+    sweep solves only the batches the up sweep did not: off a fold it
+    scans the same tilts and takes the same Brent steps, and the
+    microwave-off baseline is solved once.  Each spectrum is bitwise that
+    of an independent scan, iteration counts included.
+    """
     up_drive = drive if drive.direction == "up" else drive.reversed()
     down_drive = up_drive.reversed()
-    up = mdmr_scan(params, orientation, trap, b_lab, up_drive, classes)
-    down = mdmr_scan(params, orientation, trap, b_lab, down_drive, classes)
+    memo = {}
+    up = mdmr_scan(params, orientation, trap, b_lab, up_drive, classes, memo=memo)
+    down = mdmr_scan(params, orientation, trap, b_lab, down_drive, classes, memo=memo)
     return up, down
 
 

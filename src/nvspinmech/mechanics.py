@@ -294,12 +294,16 @@ class EquilibriumResult:
 
     ``bound`` is False when no stable root exists in [-pi/2, pi]; the other
     fields are then NaN/0, and ``iterations`` counts the scan windows.
+    ``slope`` is the exact d(total torque)/dtheta at the root
+    (:func:`tilt_torque_and_slope` minus the trap stiffness), so the total
+    angular stiffness there is -slope.
     """
 
     theta: float
     stability: float  # sign of -d(total torque)/dtheta at the root
     torque_residual: float
     iterations: int
+    slope: float = np.nan  # N m/rad
     bound: bool = True
 
 
@@ -389,9 +393,10 @@ def equilibrium_angle(params: SpinParams, orientation: CrystalOrientation,
                                  iterations=evals, bound=False)
     tau, slope = tilt_torque_and_slope(params, geom, [root], classes)
     residual = tau[0] - trap.stiffness * (root - trap.theta0)
-    return EquilibriumResult(theta=root, stability=float(-np.sign(slope[0] - trap.stiffness)),
+    total_slope = float(slope[0] - trap.stiffness)
+    return EquilibriumResult(theta=root, stability=float(-np.sign(total_slope)),
                              torque_residual=abs(float(residual)), iterations=evals + 1,
-                             bound=True)
+                             slope=total_slope, bound=True)
 
 
 def equilibrium_branch(params: SpinParams, orientation: CrystalOrientation, cases,
@@ -525,11 +530,13 @@ def librational_frequency(params: SpinParams, orientation: CrystalOrientation,
     given), takes the magnetic stiffness U'' = -d(tau)/d(theta) there from
     the exact torque slope of :func:`tilt_torque_and_slope` (U is -integral
     of tau at constant phi, so this holds whatever the curl), adds the trap
-    stiffness and converts to a frequency.  Negative total stiffness
-    (anti-confined orientation, e.g. the aligned configuration of a pumped
-    ensemble before the level crossing) yields an unstable result rather
-    than an exception.  The closed form assumes the dispersive, aligned,
-    single-class regime and uses the tracked-class spin count.
+    stiffness and converts to a frequency; when it solves theta* itself,
+    it reuses the slope that :func:`equilibrium_angle` took at the root.
+    Negative total stiffness (anti-confined orientation, e.g. the aligned
+    configuration of a pumped ensemble before the level crossing) yields an
+    unstable result rather than an exception.  The closed form assumes the
+    dispersive, aligned, single-class regime and uses the tracked-class
+    spin count.
 
     ``omega_analytic`` is the |Delta_-|-only limit of the second-order
     energy shift of the pumped |0> state, with |<+-1|S_x|0>|^2 = 1/2.  The
@@ -552,14 +559,16 @@ def librational_frequency(params: SpinParams, orientation: CrystalOrientation,
                               / (trap.moment_of_inertia * delta))
                       * params.gyromagnetic_ratio * b_mag) if delta > 0 else np.inf
 
-    # theta* is NaN when no stable equilibrium is bound
-    theta_star = (equilibrium_angle(params, orientation, trap, b_lab, classes=classes).theta
-                  if at_theta is None else float(at_theta))
-    k_total = np.nan
-    if np.isfinite(theta_star):
-        _, slope = tilt_torque_and_slope(params, tilt_geometry(orientation, b_lab),
-                                         [theta_star], classes)
-        k_total = -float(slope[0]) + trap.stiffness
+    # theta* and the stiffness are NaN when no stable equilibrium is bound
+    if at_theta is None:
+        eq = equilibrium_angle(params, orientation, trap, b_lab, classes=classes)
+        theta_star, k_total = eq.theta, -eq.slope
+    else:
+        theta_star, k_total = float(at_theta), np.nan
+        if np.isfinite(theta_star):
+            _, slope = tilt_torque_and_slope(params, tilt_geometry(orientation, b_lab),
+                                             [theta_star], classes)
+            k_total = -float(slope[0]) + trap.stiffness
     stable = bool(k_total > 0.0)
     return LibrationResult(
         omega_numeric=float(np.sqrt(k_total / trap.moment_of_inertia)) if stable else np.nan,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from nvspinmech import (SX, CrystalOrientation, FieldVector, SpinParams, TrapModel,
                         build_hamiltonian)
@@ -8,6 +9,12 @@ from nvspinmech.mechanics import _CLASS_FRAMES
 
 TWO_PI = 2.0 * np.pi
 DEG = np.pi / 180.0
+
+
+# acceptance criterion 8's parameter ranges
+spin_params = st.builds(
+    lambda g2, g1, pump: SpinParams(gamma2_star=TWO_PI * g2, gamma1=g1, pump_rate=pump),
+    st.floats(1e6, 2e7), st.floats(5e2, 1e4), st.floats(1e4, 1e6))
 
 
 @pytest.fixture

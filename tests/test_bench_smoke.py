@@ -70,14 +70,19 @@ def test_traced_pass_reports_json_without_failures(workload):
     assert all(type(v) is int for v in result["counters"].values()), result["counters"]
 
 
-# Seed-1 counts of a traced pass.  Each equilibrium's stability, each
-# libration stiffness and each susceptibility point comes from one
-# steady_state_derivative_batch call (a solve and its derivative), and the
-# susceptibility sweep's populations from one steady_state_batch call.
+# Seed-1 counts of a traced pass.  Each equilibrium's stability and slope
+# and each susceptibility point comes from one steady_state_derivative_batch
+# call (a solve and its derivative); a libration row reuses its
+# equilibrium's slope and solves again only at a given tilt.  The
+# susceptibility sweep's populations come from one steady_state_batch call.
 # Equilibria and MDMR points share one stable-root search: 17 anchored
 # tilts around the guess in one batch, widened 4x until a stable bracket
 # appears (a low-field libration row with no trap scans all 472 tilts of
 # [-pi/2, pi]), then a Brent polish that stops at a rounding-level torque.
+# A hysteresis pair evaluates each driven-torque batch once: its two scans
+# share one memo, so the down sweep re-solves neither the baseline nor,
+# off a fold, the up sweep's scan windows and Brent steps, while
+# mdmr.iterations still counts every requested evaluation, hits included.
 # mdmr_scan solves its baseline once, with the drive off, and solves the
 # |0>-connected lines of each class at that baseline only (one
 # zero_connected_lines call per class and scan, none per point).  The trapped
@@ -93,10 +98,10 @@ def test_traced_pass_reports_json_without_failures(workload):
 BUDGETS = {
     "orientation_recipes": {"spincore.steady_state_batch": 1219,
                             "spincore.steady_state_batch.points": 38262,
-                            "spincore.steady_state_derivative_batch": 367},
-    "mdmr_hysteresis": {"spincore.steady_state_batch": 829,
-                        "spincore.steady_state_batch.points": 5843,
-                        "mdmr.microwave_superoperator": 800,
+                            "spincore.steady_state_derivative_batch": 287},
+    "mdmr_hysteresis": {"spincore.steady_state_batch": 512,
+                        "spincore.steady_state_batch.points": 4565,
+                        "mdmr.microwave_superoperator": 483,
                         "mdmr.iterations": 728,
                         "mdmr.zero_connected_lines": 22,
                         "spincore.steady_state_derivative_batch": 5},

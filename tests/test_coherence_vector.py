@@ -11,14 +11,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvspinmech import (NV_AXES, MicrowaveDrive, SpinParams, TiltGeometry,
+from nvspinmech import (NV_AXES, MicrowaveDrive, TiltGeometry,
                         build_hamiltonian, microwave_superoperator, spin_expectation,
                         steady_state_batch)
 from nvspinmech.constants import HBAR
 from nvspinmech.crystal import transverse_reference
 from nvspinmech.mechanics import _class_fields, _nv_moments
 
-from conftest import kron_jump_sum, to_crystal
+from conftest import kron_jump_sum, spin_params, to_crystal
 
 TWO_PI = 2.0 * np.pi
 
@@ -80,9 +80,6 @@ def transverse_frame_moment(params, b_crystal, axis):
     return m[0] * xhat + m[1] * np.cross(axis, xhat) + m[2] * axis
 
 
-spin_params = st.builds(
-    lambda g2, g1, pump: SpinParams(gamma2_star=TWO_PI * g2, gamma1=g1, pump_rate=pump),
-    st.floats(1e6, 2e7), st.floats(5e2, 1e4), st.floats(1e4, 1e6))
 directions = st.tuples(*3 * [st.floats(-1.0, 1.0)]).filter(
     lambda v: np.linalg.norm(v) > 1e-3).map(lambda v: np.array(v) / np.linalg.norm(v))
 fields = st.builds(lambda u, b: b * u, directions, st.floats(0.0, 0.3))

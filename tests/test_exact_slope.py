@@ -19,7 +19,7 @@ from nvspinmech.constants import HBAR
 from nvspinmech.mechanics import (_class_fields, _integrate_torque, _nv_moments,
                                   _spin_torque_along)
 
-from conftest import axial_field
+from conftest import axial_field, spin_params
 
 TWO_PI = 2.0 * np.pi
 ORIENTATION = CrystalOrientation.identity()
@@ -59,12 +59,6 @@ def stencil_curl(params, b_mag, theta, phi, h, classes=(0, 1, 2, 3)):
     scale = max(abs(tau_th[4]), abs(tau_ph[4]),
                 1e-9 * params.n_spins_per_class * HBAR * params.gyromagnetic_ratio * b_mag)
     return abs(curl) / scale
-
-
-# criterion 8's parameter ranges
-spin_params = st.builds(
-    lambda g2, g1, pump: SpinParams(gamma2_star=TWO_PI * g2, gamma1=g1, pump_rate=pump),
-    st.floats(1e6, 2e7), st.floats(5e2, 1e4), st.floats(1e4, 1e6))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

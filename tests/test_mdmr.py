@@ -9,6 +9,7 @@ from nvspinmech import (NV_AXES, MicrowaveDrive, SpinParams, TiltGeometry, TrapM
                         steady_state, zero_connected_lines)
 from nvspinmech.constants import HBAR
 from nvspinmech.crystal import transverse_reference
+from nvspinmech import mdmr
 from nvspinmech.mdmr import _driven_moments, _driven_total_torque
 from nvspinmech.mechanics import _class_fields
 
@@ -313,3 +314,78 @@ class TestHysteresis:
             assert abs(point.theta - previous) < 0.08, point
             previous = point.theta
         assert spec.points[-1].theta > 0.6
+
+
+def count_torque_batches(monkeypatch):
+    """Record (rabi rate, frequency, tilts) of every driven-torque batch;
+    within one pair the other inputs are fixed."""
+    keys = []
+    original = mdmr._driven_total_torque
+
+    def counting(params, geom, trap, drive, frequency_hz, thetas, classes):
+        thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+        keys.append((drive.rabi_rate, frequency_hz, thetas.tobytes()))
+        return original(params, geom, trap, drive, frequency_hz, thetas, classes)
+
+    monkeypatch.setattr(mdmr, "_driven_total_torque", counting)
+    return keys
+
+
+def assert_same_spectrum(spec, ref):
+    assert spec.drive == ref.drive
+    assert repr((spec.baseline_theta, spec.points)) == repr((ref.baseline_theta, ref.points))
+    assert np.array_equal(spec.class_lines_hz, ref.class_lines_hz)
+
+
+class TestPairMemo:
+    """A hysteresis pair solves each driven-torque batch once, and its
+    spectra are bitwise those of two independent scans."""
+
+    def fold_pair(self, params, orientation):
+        # acceptance criterion 7 below the crossing, upper line, 13 points
+        p = SpinParams(gamma2_star=TWO_PI * 1e6)
+        trap = TrapModel(trap_frequency=TWO_PI * 120.0, theta0=10.0 * DEG)
+        freqs, _ = scan_window(p, orientation, trap, 0.023, "upper", 60 * MHZ, 13)
+        return p, trap, axial_field(orientation, 0.023), drive_at(freqs, 2e6), (0,)
+
+    def linear_pair(self, params, orientation):
+        trap = TrapModel(trap_frequency=TWO_PI * 300.0, theta0=3.0 * DEG)
+        freqs, _ = scan_window(params, orientation, trap, 0.13, "lower", 120 * MHZ, 7)
+        return params, trap, axial_field(orientation, 0.13), drive_at(freqs, 0.2e6), (0,)
+
+    def four_class_pair(self, params, orientation):
+        # the README 180 mT recipe with all four classes, shortened
+        trap = TrapModel(trap_frequency=TWO_PI * 500.0, theta0=3.0 * DEG)
+        return (params, trap, axial_field(orientation, 0.18),
+                drive_at(np.linspace(2.1e9, 2.25e9, 9), 6e6), (0, 1, 2, 3))
+
+    def test_no_batch_is_solved_twice(self, params, orientation, monkeypatch):
+        keys = count_torque_batches(monkeypatch)
+        for case in (self.fold_pair, self.linear_pair, self.four_class_pair):
+            p, trap, field, drive, classes = case(params, orientation)
+            keys.clear()
+            up, down = hysteresis_pair(p, orientation, trap, field, drive, classes)
+            assert len(set(keys)) == len(keys), case.__name__
+            # the points alone requested more batches than the pair solved
+            requested = sum(point.iterations for s in (up, down) for point in s.points)
+            assert len(keys) < requested, case.__name__
+
+    def test_linear_down_sweep_solves_nothing_new(self, params, orientation, monkeypatch):
+        keys = count_torque_batches(monkeypatch)
+        p, trap, field, drive, classes = self.linear_pair(params, orientation)
+        mdmr_scan(p, orientation, trap, field, drive, classes)
+        up_keys = list(keys)
+        keys.clear()
+        _, down = hysteresis_pair(p, orientation, trap, field, drive, classes)
+        assert keys == up_keys
+        assert all(point.iterations > 0 for point in down.points)
+
+    @pytest.mark.parametrize("case", ["fold_pair", "four_class_pair"])
+    def test_pair_matches_independent_scans(self, params, orientation, case):
+        p, trap, field, drive, classes = getattr(self, case)(params, orientation)
+        up, down = hysteresis_pair(p, orientation, trap, field, drive, classes)
+        assert_same_spectrum(up, mdmr_scan(p, orientation, trap, field, drive, classes))
+        assert_same_spectrum(down, mdmr_scan(p, orientation, trap, field, drive.reversed(),
+                                             classes))
+        if case == "fold_pair":  # bistable: the two directions part at the jump
+            assert np.max(np.abs(up.delta_theta - down.delta_theta[::-1])) > 1.0 * DEG

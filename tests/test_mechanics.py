@@ -335,6 +335,15 @@ class TestEquilibrium:
         res = equilibrium_angle(params, orientation, far, axial_field(orientation, 0.13))
         assert not res.bound
         assert np.isnan(res.theta)
+        assert np.isnan(res.slope)
+
+    def test_slope_is_the_exact_total_slope_at_the_root(self, params, orientation, trap):
+        b = axial_field(orientation, 0.12)
+        res = equilibrium_angle(params, orientation, trap, b)
+        _, slope = mechanics.tilt_torque_and_slope(params, tilt_geometry(orientation, b),
+                                                   [res.theta])
+        assert res.slope == slope[0] - trap.stiffness
+        assert res.stability == -np.sign(res.slope)
 
     def test_trap_angle_past_right_angle_is_bound(self, params, orientation):
         # the search reaches past pi/2: a trap at 2 rad holds the axis there
@@ -511,6 +520,31 @@ class TestLibration:
         assert not res.stable
         assert res.stiffness < 0.0
         assert np.isnan(res.omega_numeric)
+
+    def test_one_derivative_solve_per_row(self, params, orientation, trap, monkeypatch):
+        # the slope equilibrium_angle took at theta* is the stiffness, bitwise
+        # that of a separate solve at the same tilt
+        calls = []
+        original = mechanics.steady_state_derivative_batch
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(mechanics, "steady_state_derivative_batch", counting)
+        b = axial_field(orientation, 0.15)
+        solved = librational_frequency(params, orientation, trap, b)
+        assert len(calls) == 1
+        given = librational_frequency(params, orientation, trap, b, at_theta=solved.theta_star)
+        assert len(calls) == 2
+        assert solved.stable
+        assert (given.stiffness, given.omega_numeric) == (solved.stiffness, solved.omega_numeric)
+
+        far = TrapModel(trap_frequency=TWO_PI * 500.0, theta0=4.0)
+        unbound = librational_frequency(params, orientation, far, axial_field(orientation, 0.13))
+        assert len(calls) == 2
+        assert not unbound.stable
+        assert np.isnan(unbound.theta_star) and np.isnan(unbound.stiffness)
 
     def test_monotone_locking_past_transition(self, params, orientation):
         # theta*(B) does not increase above the transition for this trap
