@@ -30,8 +30,8 @@ from .mechanics import (ALL_CLASSES, EnergyLandscape, EquilibriumResult,
                         RotationPoint, TiltGeometry, critical_field,
                         equilibrium_angle, equilibrium_branch, field_rotation_sweep,
                         landscape_curl_check, librational_frequency,
-                        linear_torque_coefficient, magnetic_energy_landscape,
-                        tilt_geometry, tilt_torque_and_slope, tilt_torque_batch)
+                        magnetic_energy_landscape, tilt_geometry,
+                        tilt_torque_and_slope, tilt_torque_batch)
 from .params import FieldVector, MicrowaveDrive, SpinParams, TrapModel
 from .spincore import (SX, SY, SZ, SingularDetuningError, SteadyStateError,
                        SusceptibilityTensor, build_hamiltonian, check_density_matrix,

@@ -14,18 +14,21 @@ line).  Every transition of every orientation class receives its
 Lorentzian tail simultaneously.  Coherences with the drive play no
 mechanical role at these frequencies, so a rate treatment suffices.
 
-A scan point is the stable root of F(theta; nu) = tau_spin(theta; nu) -
-k*(theta - theta0) nearest the previous tilt, found by the anchored scan
-and Brent polish that ``equilibrium_angle`` also uses
-(``mechanics._stable_root``); following the branch along the sweep yields
-direction-dependent jumps (hysteresis) at folds.
+The scan starts from the microwave-off equilibrium that
+``mechanics.equilibrium_angle`` solves; the MDMR signal is each point's
+displacement from it.  A scan point is the stable root of F(theta; nu) =
+tau_spin(theta; nu) - k*(theta - theta0) nearest the previous tilt, found
+by the same anchored scan and Brent polish (``mechanics._stable_root``);
+following the branch along the sweep yields direction-dependent jumps
+(hysteresis) at folds.  With the drive off F does not depend on nu, so a
+zero-drive scan solves nothing past its baseline.
 
 The scan is anchored to fixed tilts, so off a fold the two sweeps of a
 hysteresis pair scan the same tilts at each frequency and take the same
-Brent steps, and both solve the same microwave-off baseline.  A pair
-therefore shares one memo of driven-torque batches between its sweeps,
-keyed by every input the torque reads: each batch is solved once, and a
-hit returns the array the same call computed.
+Brent steps.  A pair therefore shares one memo between its sweeps: the
+baseline, and the driven-torque batches keyed by every input the torque
+reads.  Each is solved once, and a hit returns what the same call
+computed.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .constants import HBAR
 from .crystal import CrystalOrientation
 from .mechanics import (ALL_CLASSES, RangeExhaustedError, TiltGeometry, _class_fields,
                         _nv_moments, _spin_torque_along, _stable_root, _torque_scale,
-                        tilt_geometry)
+                        equilibrium_angle, tilt_geometry)
 from .params import FieldVector, MicrowaveDrive, SpinParams, TrapModel
 from .spincore import (SX, _coordinates, _field_array, _hamiltonian_batch, _structure,
                        build_hamiltonian)
@@ -176,19 +179,22 @@ def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapMod
               classes=ALL_CLASSES, *, memo: dict | None = None) -> MdmrSpectrum:
     """Sweep the drive over its frequencies and record tilt displacements.
 
-    Each point is the stable root of the drive-included total torque
-    nearest the previous point's tilt, which reproduces the direction
-    dependence of the response near bistable jumps.  A point with no
-    stable root anywhere in [-pi/2, pi] keeps the previous tilt and is
-    flagged unconverged; the scan continues.  The |0>-connected lines of
-    each class are solved once, at the microwave-off baseline tilt.
+    The baseline is the microwave-off equilibrium of
+    :func:`equilibrium_angle`.  Each point is the stable root of the
+    drive-included total torque nearest the previous point's tilt, which
+    reproduces the direction dependence of the response near bistable
+    jumps.  A point with no stable root anywhere in [-pi/2, pi] keeps the
+    previous tilt and is flagged unconverged; the scan continues.  With the
+    drive off the torque does not depend on the frequency, so every point
+    is the baseline, converged after 0 evaluations.  The |0>-connected
+    lines of each class are solved once, at the baseline tilt.
 
-    Every torque batch (baseline, scan windows and Brent steps) is looked
-    up in ``memo`` first and stored there after a miss.  The key holds
-    every input the torque reads (parameters, geometry, trap, classes,
-    rabi rate, broadenings, frequency and the tilts' bytes), so one dict
-    may be shared between scans (:func:`hysteresis_pair`); without one the
-    scan makes its own.
+    ``memo`` holds the baseline under (parameters, geometry, trap, classes)
+    and every driven-torque batch (scan windows and Brent steps) under
+    every input the torque reads (those four, rabi rate, broadenings,
+    frequency and the tilts' bytes); each is looked up first and stored
+    after a miss, so one dict may be shared between scans
+    (:func:`hysteresis_pair`); without one the scan makes its own.
 
     Raises:
         RangeExhaustedError: the microwave-off torque has no stable root in
@@ -201,28 +207,31 @@ def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapMod
     classes = tuple(classes)
     memo = {} if memo is None else memo
 
-    def stable_tilt(drv, freq, guess):
+    if (eq := memo.get(off_key := (params, geom, trap, classes))) is None:
+        eq = memo[off_key] = equilibrium_angle(params, orientation, trap, b_lab,
+                                               classes=classes)
+    if not eq.bound:
+        raise RangeExhaustedError("no stable microwave-off equilibrium: cannot scan")
+    baseline = eq.theta
+
+    def driven_torque(freq):
         def torque(thetas):
             thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-            key = (params, geom, trap, classes, drv.rabi_rate, drv.extra_broadening,
-                   drv.power_broadening, freq, thetas.tobytes())
+            key = (*off_key, drive.rabi_rate, drive.extra_broadening,
+                   drive.power_broadening, freq, thetas.tobytes())
             if (tau := memo.get(key)) is None:
-                tau = memo[key] = _driven_total_torque(params, geom, trap, drv, freq,
+                tau = memo[key] = _driven_total_torque(params, geom, trap, drive, freq,
                                                        thetas, classes)
                 tau.flags.writeable = False  # every hit hands out this array
             return tau
-
-        return _stable_root(brentq, torque, guess, scale)
-
-    off_drive = MicrowaveDrive(rabi_rate=0.0, frequencies=(0.0,))
-    baseline, _ = stable_tilt(off_drive, 0.0, trap.theta0)
-    if baseline is None:
-        raise RangeExhaustedError("no stable microwave-off equilibrium: cannot scan")
+        return torque
 
     points = []
     theta = baseline
     for freq in drive.frequencies:
-        root, evals = stable_tilt(drive, freq, theta)
+        # with the drive off the torque does not depend on freq: every root is the baseline
+        root, evals = ((baseline, 0) if drive.rabi_rate == 0.0
+                       else _stable_root(brentq, driven_torque(freq), theta, scale))
         ok = root is not None
         theta = root if ok else theta
         points.append(MdmrPoint(frequency_hz=float(freq), theta=theta,
@@ -238,11 +247,11 @@ def hysteresis_pair(params: SpinParams, orientation: CrystalOrientation,
                     classes=ALL_CLASSES) -> tuple[MdmrSpectrum, MdmrSpectrum]:
     """The same sweep traversed in both directions: (up scan, down scan).
 
-    Both scans share one torque memo (:func:`mdmr_scan`), so the down
-    sweep solves only the batches the up sweep did not: off a fold it
-    scans the same tilts and takes the same Brent steps, and the
-    microwave-off baseline is solved once.  Each spectrum is bitwise that
-    of an independent scan, iteration counts included.
+    Both scans share one memo (:func:`mdmr_scan`), so the microwave-off
+    baseline is solved once and the down sweep solves only the torque
+    batches the up sweep did not: off a fold it scans the same tilts and
+    takes the same Brent steps.  Each spectrum is bitwise that of an
+    independent scan, iteration counts included.
     """
     up_drive = drive if drive.direction == "up" else drive.reversed()
     down_drive = up_drive.reversed()

@@ -29,17 +29,19 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import brentq
 
-from .constants import HBAR, MU0
+from .constants import HBAR
 from .crystal import NV_AXES, CrystalOrientation, angular_state, transverse_reference
 from .params import FieldVector, SpinParams, TrapModel
 from .spincore import (detunings, spin_expectation, steady_state_batch,
-                       steady_state_derivative_batch, susceptibility_analytic)
+                       steady_state_derivative_batch)
 
 ALL_CLASSES = (0, 1, 2, 3)
 
-# Gauss-Legendre nodes for the adaptive torque quadrature.
+# Gauss-Legendre rules for the adaptive torque quadrature: both node sets
+# of a panel go into one batch, 6 nodes then 12.
 _GL_LO = np.polynomial.legendre.leggauss(6)
 _GL_HI = np.polynomial.legendre.leggauss(12)
+_GL_NODES = np.concatenate([_GL_LO[0], _GL_HI[0]])
 
 # Rows x, y, z of each class's NV frame, fixed in the crystal: z the axis,
 # y = z x transverse_reference(z), x = y x z (orthogonal to z in floating
@@ -176,12 +178,9 @@ def _integrate_torque(params: SpinParams, geom: TiltGeometry, a: float, b: float
 
     def panel(lo, hi, depth):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        x6, w6 = _GL_LO
-        x12, w12 = _GL_HI
-        t6 = tilt_torque_batch(params, geom, mid + half * x6, classes)
-        t12 = tilt_torque_batch(params, geom, mid + half * x12, classes)
-        coarse = half * float(w6 @ t6)
-        fine = half * float(w12 @ t12)
+        t = tilt_torque_batch(params, geom, mid + half * _GL_NODES, classes)
+        coarse = half * float(_GL_LO[1] @ t[:6])
+        fine = half * float(_GL_HI[1] @ t[6:])
         if abs(fine - coarse) <= max(atol, rtol * abs(fine)):
             return fine
         if depth <= 0:
@@ -334,9 +333,10 @@ def _stable_bracket(thetas: np.ndarray, values: np.ndarray, guess: float,
 
 
 # stable-root scan: tilts k * _STEP for k in [_K_LO, _K_HI], which puts
-# -pi/2, 0, pi/2 and pi on the grid bitwise
+# -pi/2, 0, pi/2 and pi on the grid bitwise; the polish stops within _XTOL
 _STEP = np.pi / 314
 _K_LO, _K_HI = -157, 314
+_XTOL = 1e-10  # rad
 
 
 def _stable_root(brent, torque, guess: float, scale: float) -> tuple[float | None, int]:
@@ -367,7 +367,7 @@ def _stable_root(brent, torque, guess: float, scale: float) -> tuple[float | Non
         return None, evals
     a, b, fa, fb = bracket  # brentq returns b at once when fb == 0
     root = brent(lambda th: fa if th == a else fb if th == b else float(f([th])[0]),
-                 a, b, xtol=1e-10)
+                 a, b, xtol=_XTOL)
     return float(root), evals
 
 
@@ -424,27 +424,29 @@ def critical_field(params: SpinParams, orientation: CrystalOrientation,
     """Field of the paramagnet-to-diamagnet orientation transition (tesla).
 
     With zero trap stiffness this is the zero crossing of the closed-form
-    transverse susceptibility.  With a trap, :func:`equilibrium_branch`
-    follows the equilibrium tilt upward in field over _COARSE_FIELDS
-    points, and _REFINE_ROUNDS rounds narrow the steepest drop of
-    theta*(B): each splits the steepest interval into 4 and follows the
-    branch from its lower end through the 3 new fields only, reusing the
-    end tilts (24 + 5 * 3 equilibria).  Returns the midpoint of the last
-    steepest interval.
+    transverse susceptibility (``susceptibility_analytic``):
+    chi_perp = 0 reduces to (Delta_- + Delta_+)(Delta_- Delta_+ + g2^2) = 0,
+    so gamma_e*B = sqrt(D^2 + g2^2) with g2 the |0>-|+-1> coherence width
+    ``gamma2_star``.  With a trap, :func:`equilibrium_branch` follows the
+    equilibrium tilt upward in field over _COARSE_FIELDS points, and
+    _REFINE_ROUNDS rounds narrow the steepest drop of theta*(B): each
+    splits the steepest interval into 4 and follows the branch from its
+    lower end through the 3 new fields only, reusing the end tilts (24 + 5
+    * 3 equilibria).  Returns the midpoint of the last steepest interval.
+    A drop no larger than the root tolerance _XTOL is rounding, not a drop.
 
     Raises:
         RangeExhaustedError: no crossing/drop inside ``b_range``.
     """
     b_lo, b_hi = b_range
     if trap.stiffness == 0.0:
-        f_lo = susceptibility_analytic(params, b_lo).chi_perp
-        f_hi = susceptibility_analytic(params, b_hi).chi_perp
-        if not f_lo * f_hi < 0.0:  # also rejects the unpumped chi == 0 case
+        b_cross = float(np.hypot(params.zero_field_splitting, params.gamma2_star)
+                        / params.gyromagnetic_ratio)
+        # an unpumped or empty ensemble has chi_perp == 0 at every field
+        if params.pumping_factor * params.density == 0.0 or not b_lo < b_cross < b_hi:
             raise RangeExhaustedError(
                 f"chi_perp does not change sign in [{b_lo}, {b_hi}] T")
-        return float(brentq(
-            lambda b: susceptibility_analytic(params, b).chi_perp, b_lo, b_hi,
-            xtol=1e-9))
+        return b_cross
 
     def branch(fields, guess=None):  # an unbound tilt is NaN
         return [res.theta for res in equilibrium_branch(
@@ -457,7 +459,7 @@ def critical_field(params: SpinParams, orientation: CrystalOrientation,
         raise RangeExhaustedError("no bound equilibrium in the field range")
     for _ in range(_REFINE_ROUNDS):
         drops = -np.diff(thetas)
-        if not np.any(drops > 0.0):
+        if not np.any(drops > _XTOL):
             raise RangeExhaustedError("equilibrium angle never drops in the field range")
         i = int(np.nanargmax(drops))
         # linspace keeps both ends bitwise, so their solved tilts carry over
@@ -543,9 +545,10 @@ def librational_frequency(params: SpinParams, orientation: CrystalOrientation,
     complete single-class small-angle stiffness keeps both transitions,
 
         K = hbar*N*P*(gamma_e*B)^2 * (1/|Delta_-| - 1/Delta_+)
-          = -linear_torque_coefficient(params, B)
+          = -(V/mu0) * chi_perp * B^2
 
-    (past the crossing, Delta_- < 0), which the magnetic stiffness of
+    with V = N/density and the closed-form chi_perp (past the crossing,
+    Delta_- < 0), which the magnetic stiffness of
     ``omega_numeric`` reproduces for ``classes=(0,)``.  The closed form
     therefore overestimates the frequency by sqrt(Delta_+/(Delta_+ -
     |Delta_-|)): x1.215 at 0.2 T (1388.5 Hz vs 1142.7 Hz for N = 1e9,
@@ -575,13 +578,3 @@ def librational_frequency(params: SpinParams, orientation: CrystalOrientation,
         omega_analytic=float(omega_analytic),
         theta_star=theta_star, stiffness=k_total, stable=stable)
 
-
-def linear_torque_coefficient(params: SpinParams, b0: float) -> float:
-    """Small-angle torque slope (V/mu0)*chi_perp*B0^2 per tracked class (N m/rad).
-
-    Uses the closed-form susceptibility; the volume follows from the class
-    spin count and density, V = N/d.
-    """
-    chi = susceptibility_analytic(params, b0).chi_perp
-    volume = params.n_spins_per_class / params.density
-    return volume / MU0 * chi * b0**2

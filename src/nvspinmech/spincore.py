@@ -278,21 +278,14 @@ class SusceptibilityTensor:
 
     chi_perp is the in-phase transverse response, chi_d the reactive
     off-diagonal component, chi_par the longitudinal response (zero for an
-    axial bias by symmetry).
+    axial bias by symmetry).  The tensor is rotationally invariant about
+    the NV axis: mu0 (M_x, M_y) = (chi_perp B_x - chi_d B_y, chi_d B_x +
+    chi_perp B_y).
     """
 
     chi_perp: float
     chi_d: float
     chi_par: float
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Rotationally invariant tensor about the NV axis."""
-        return np.array([
-            [self.chi_perp, -self.chi_d, 0.0],
-            [self.chi_d, self.chi_perp, 0.0],
-            [0.0, 0.0, self.chi_par],
-        ])
 
 
 def detunings(params: SpinParams, b0: float) -> tuple[float, float]:

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import strategies as st
 
 from nvspinmech import (SX, CrystalOrientation, FieldVector, SpinParams, TrapModel,
-                        build_hamiltonian)
-from nvspinmech.constants import HBAR
+                        build_hamiltonian, susceptibility_analytic)
+from nvspinmech.constants import HBAR, MU0
 from nvspinmech.mechanics import _CLASS_FRAMES
 
 TWO_PI = 2.0 * np.pi
@@ -36,6 +36,13 @@ def trap():
 def axial_field(orientation, b_mag):
     """Lab field along the tracked (class 0) axis."""
     return FieldVector.from_array(b_mag * orientation.axis_lab(0), frame="lab")
+
+
+def linear_torque_coefficient(params, b0):
+    """Small-angle torque slope (V/mu0)*chi_perp*B0^2 per tracked class
+    (N m/rad) from the closed-form susceptibility, with V = N/density."""
+    chi = susceptibility_analytic(params, b0).chi_perp
+    return params.n_spins_per_class / params.density / MU0 * chi * b0**2
 
 
 def coherence_basis():

@@ -20,9 +20,9 @@ from nvspinmech import (CrystalOrientation, FieldVector, MicrowaveDrive,
                         susceptibility_analytic, susceptibility_numeric,
                         tilt_geometry, tilt_torque_batch, transition_frequencies,
                         zero_connected_lines)
-from nvspinmech.mechanics import _integrate_torque, linear_torque_coefficient
+from nvspinmech.mechanics import _integrate_torque
 
-from conftest import spin_params
+from conftest import linear_torque_coefficient, spin_params
 
 TWO_PI = 2.0 * np.pi
 DEG = np.pi / 180.0

@@ -83,9 +83,12 @@ def test_traced_pass_reports_json_without_failures(workload):
 # share one memo, so the down sweep re-solves neither the baseline nor,
 # off a fold, the up sweep's scan windows and Brent steps, while
 # mdmr.iterations still counts every requested evaluation, hits included.
-# mdmr_scan solves its baseline once, with the drive off, and solves the
-# |0>-connected lines of each class at that baseline only (one
-# zero_connected_lines call per class and scan, none per point).  The trapped
+# An mdmr_scan baseline is one equilibrium_angle solve (one
+# steady_state_derivative_batch for its slope) shared by both scans of a
+# pair; a zero-drive scan solves nothing past it.  The |0>-connected lines
+# of each class are solved at that baseline only (one zero_connected_lines
+# call per class and scan, none per point).  A quadrature panel evaluates
+# its 6 and 12 Gauss-Legendre nodes as one 18-tilt batch.  The trapped
 # critical field solves 24 + 5x3 equilibria: each refinement round follows
 # the branch through its 3 new interior fields and reuses the end tilts.  A torque that
 # moves at rounding level can cost a Brent search one more evaluation,
@@ -96,15 +99,15 @@ def test_traced_pass_reports_json_without_failures(workload):
 # residuals and their Jacobian, 125 such evaluations in all.  Restarting
 # more than one inversion exceeds the call bound.
 BUDGETS = {
-    "orientation_recipes": {"spincore.steady_state_batch": 1219,
+    "orientation_recipes": {"spincore.steady_state_batch": 895,
                             "spincore.steady_state_batch.points": 38262,
                             "spincore.steady_state_derivative_batch": 287},
-    "mdmr_hysteresis": {"spincore.steady_state_batch": 512,
-                        "spincore.steady_state_batch.points": 4565,
-                        "mdmr.microwave_superoperator": 483,
-                        "mdmr.iterations": 728,
+    "mdmr_hysteresis": {"spincore.steady_state_batch": 484,
+                        "spincore.steady_state_batch.points": 4005,
+                        "mdmr.microwave_superoperator": 417,
+                        "mdmr.iterations": 700,
                         "mdmr.zero_connected_lines": 22,
-                        "spincore.steady_state_derivative_batch": 5},
+                        "spincore.steady_state_derivative_batch": 12},
     "magnetometry_readout": {"spincore.steady_state_batch": 0,
                              "spincore.steady_state_derivative_batch": 0,
                              "magnetometry.least_squares": 104,

@@ -69,12 +69,14 @@ class TestExitCodes:
                                  "--config", "/no/such/file.ini")
         assert code == 1
 
-    def test_numerical_failure_is_two(self, capsys):
-        # zero-pumping ensemble has no susceptibility sign change: the
+    @pytest.mark.parametrize("trap_hz", ["0", "500"], ids=["free", "trapped"])
+    def test_numerical_failure_is_two(self, capsys, trap_hz):
+        # a zero-pumping ensemble has no susceptibility sign change, and
+        # with a trap its tilt stays at the trap angle to rounding: either
         # critical-field search exhausts its range
         code, out, err = run_cli(capsys, "critical-field",
                                  "--set", "spin.pump_rate_per_s=0",
-                                 "--set", "trap.trap_frequency_hz=0",
+                                 "--set", f"trap.trap_frequency_hz={trap_hz}",
                                  "--set", "sweep.start=0.09",
                                  "--set", "sweep.stop=0.12",
                                  "--set", "sweep.steps=4")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nvspinmech import (NV_AXES, MicrowaveDrive, SpinParams, TiltGeometry, TrapModel,
-                        hysteresis_pair, mdmr_scan, tilt_geometry,
+                        equilibrium_angle, hysteresis_pair, mdmr_scan, tilt_geometry,
                         microwave_superoperator, sharp_edge_side, spin_expectation,
                         steady_state, zero_connected_lines)
 from nvspinmech.constants import HBAR
@@ -389,3 +389,39 @@ class TestPairMemo:
                                              classes))
         if case == "fold_pair":  # bistable: the two directions part at the jump
             assert np.max(np.abs(up.delta_theta - down.delta_theta[::-1])) > 1.0 * DEG
+
+
+class TestBaseline:
+    """The microwave-off baseline is the equilibrium_angle solve."""
+
+    @pytest.mark.parametrize("classes", [(0,), (0, 1, 2, 3)])
+    def test_baseline_is_equilibrium_angle(self, params, orientation, trap, classes):
+        field = axial_field(orientation, 0.18)
+        spec = mdmr_scan(params, orientation, trap, field,
+                         drive_at(np.linspace(2.1e9, 2.25e9, 3), 6e6), classes)
+        eq = equilibrium_angle(params, orientation, trap, field, classes=classes)
+        assert spec.baseline_theta == eq.theta
+
+    def test_zero_drive_solves_nothing_past_baseline(self, params, orientation, trap,
+                                                      monkeypatch):
+        keys = count_torque_batches(monkeypatch)
+        spec = mdmr_scan(params, orientation, trap, axial_field(orientation, 0.023),
+                         drive_at(np.linspace(2.0e9, 2.5e9, 7), rabi_hz=0.0))
+        assert keys == []
+        assert all(p.delta_theta == 0.0 and p.iterations == 0 and p.converged
+                   for p in spec.points)
+        assert all(p.theta == spec.baseline_theta for p in spec.points)
+
+    def test_pair_solves_baseline_once(self, params, orientation, trap, monkeypatch):
+        calls = []
+        original = mdmr.equilibrium_angle
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mdmr, "equilibrium_angle", counting)
+        up, down = hysteresis_pair(params, orientation, trap, axial_field(orientation, 0.18),
+                                   drive_at(np.linspace(2.1e9, 2.25e9, 3), 6e6), classes=(0,))
+        assert len(calls) == 1
+        assert up.baseline_theta == down.baseline_theta

@@ -9,14 +9,13 @@ from scipy.optimize import brentq
 from nvspinmech import (SpinParams, TrapModel, equilibrium_angle, equilibrium_branch,
                         critical_field, field_rotation_sweep,
                         landscape_curl_check, librational_frequency,
-                        linear_torque_coefficient, magnetic_energy_landscape,
-                        tilt_geometry, tilt_torque_batch,
-                        RangeExhaustedError)
+                        magnetic_energy_landscape, tilt_geometry, tilt_torque_batch,
+                        RangeExhaustedError, susceptibility_analytic)
 from nvspinmech import mdmr, mechanics
 from nvspinmech.constants import KB
 from nvspinmech.mechanics import TiltGeometry, _integrate_torque, _stable_bracket
 
-from conftest import axial_field
+from conftest import axial_field, linear_torque_coefficient
 
 TWO_PI = 2.0 * np.pi
 DEG = np.pi / 180.0
@@ -241,9 +240,12 @@ class TestStableBracket:
         scale = mechanics._torque_scale(params, 0.1)
         b_end = 31 * mechanics._STEP
         torque = self._flipping_torque(b_end, scale)
+        # the baseline is an equilibrium (no trap), the point a driven root
+        monkeypatch.setattr(mechanics, "tilt_torque_batch",
+                            lambda params, geom, thetas, classes: torque(thetas))
         monkeypatch.setattr(mdmr, "_driven_total_torque",
                             lambda *args: torque(args[5]))
-        drive = mdmr.MicrowaveDrive(rabi_rate=0.0, frequencies=(1e9,))
+        drive = mdmr.MicrowaveDrive(rabi_rate=2.0 * np.pi * 1e6, frequencies=(1e9,))
         spec = mdmr.mdmr_scan(params, orientation, TrapModel(trap_frequency=0.0),
                               axial_field(orientation, 0.1), drive)
         assert abs(spec.baseline_theta - (b_end - 1e-9)) < 1e-10
@@ -409,6 +411,15 @@ class TestCriticalField:
         bc = critical_field(params, orientation, free)
         assert bc == pytest.approx(0.1024, abs=1e-3)
 
+    @pytest.mark.parametrize("g2_mhz", [1.0, 5.0, 30.0])
+    def test_zero_trap_is_the_chi_perp_zero(self, params, orientation, g2_mhz):
+        # the closed form against a tight root of the closed-form chi_perp
+        p = params.with_(gamma2_star=TWO_PI * g2_mhz * 1e6)
+        root = brentq(lambda b: susceptibility_analytic(p, b).chi_perp, 0.09, 0.2,
+                      xtol=1e-16)
+        bc = critical_field(p, orientation, TrapModel(trap_frequency=0.0))
+        assert bc == pytest.approx(root, rel=1e-13)
+
     def test_trap_shifts_transition_upward(self, params, orientation):
         trap = TrapModel(trap_frequency=TWO_PI * 500.0, theta0=3.0 * DEG)
         bc = critical_field(params, orientation, trap, b_range=(0.09, 0.16))
@@ -425,6 +436,10 @@ class TestCriticalField:
         free = TrapModel(trap_frequency=0.0)
         with pytest.raises(RangeExhaustedError):
             critical_field(params, orientation, free, b_range=(0.15, 0.2))
+        # chi_perp vanishes at every field without pumping or spins
+        for dead in (params.with_(pump_rate=0.0), params.with_(density=0.0)):
+            with pytest.raises(RangeExhaustedError):
+                critical_field(dead, orientation, free)
 
 
 class TestRotationSweep:

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from nvspinmech import (FieldVector, SingularDetuningError, SpinParams, SteadyStateError,
                         build_hamiltonian, check_density_matrix, detunings,
                         magnetization, spin_expectation, steady_state,
-                        steady_state_batch, susceptibility_analytic,
+                        steady_state_batch, steady_state_derivative_batch,
+                        susceptibility_analytic,
                         susceptibility_numeric, susceptibility_van_vleck)
 from nvspinmech.constants import HBAR, MU0
 from nvspinmech.spincore import _dissipator_matrix
@@ -272,11 +273,18 @@ class TestSusceptibility:
             assert 14.0 < err1 / err2 < 18.0, b0
 
     def test_tensor_matrix_form(self, params):
-        t = susceptibility_analytic(params, 0.05)
-        m = t.matrix
-        assert m[0, 0] == m[1, 1] == t.chi_perp
-        assert m[1, 0] == -m[0, 1] == t.chi_d
-        assert m[2, 2] == t.chi_par == 0.0
+        # the closed form's tensor, rotationally invariant about the NV
+        # axis (mu0*M = tensor @ B), is the solved state's response to a
+        # field along x, y and z
+        b0 = 0.05
+        t = susceptibility_analytic(params, b0)
+        tensor = np.array([[t.chi_perp, -t.chi_d, 0.0],
+                           [t.chi_d, t.chi_perp, 0.0],
+                           [0.0, 0.0, t.chi_par]])
+        _, drho = steady_state_derivative_batch(params, np.array([[0.0, 0.0, b0]]),
+                                                np.eye(3)[None])
+        dm = -MU0 * params.density * HBAR * params.gyromagnetic_ratio * spin_expectation(drho[0])
+        assert np.allclose(dm.T, tensor, rtol=0.0, atol=1e-6 * abs(tensor[0, 0]))
 
 
 # pump 1e3-1e9/s, gamma2*/2pi 0.1-10 MHz, gamma1 10-1e4/s; B within 0.3 T
