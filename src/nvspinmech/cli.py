@@ -22,9 +22,10 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
+from .crystal import CrystalOrientation
 from .magnetometry import NoSolutionError, TransitionPair, invert_angle_field
 from .mdmr import hysteresis_pair, mdmr_scan
-from .mechanics import (QuadratureError, RangeExhaustedError, TiltGeometry, critical_field,
+from .mechanics import (QuadratureError, RangeExhaustedError, _axial_field, critical_field,
                         equilibrium_branch, field_rotation_sweep,
                         librational_frequency, magnetic_energy_landscape)
 from .params import FieldVector
@@ -37,13 +38,9 @@ _NUMERICAL_ERRORS = (SteadyStateError, QuadratureError, RangeExhaustedError,
                      NoSolutionError, SingularDetuningError,
                      np.linalg.LinAlgError, FloatingPointError)
 
-
-def _field_lab(cfg: RunConfig, magnitude: float | None = None) -> FieldVector:
-    """Lab field at the configured tilt/azimuth from the tracked axis."""
-    mag = cfg.get("field", "magnitude_tesla") if magnitude is None else magnitude
-    geom = TiltGeometry(b_mag=mag, phi=cfg.get("field", "azimuth_rad"))
-    return FieldVector.from_array(
-        cfg.orientation().to_lab(geom.b_crystal(cfg.get("field", "tilt_rad"))), frame="lab")
+# the CLI crystal is unrotated, and its field lies along the tracked axis
+# (theta = 0, phi = 0): every command solves for theta itself
+_CRYSTAL = CrystalOrientation.identity()
 
 
 def _base_meta(cfg: RunConfig, command: str) -> dict:
@@ -86,8 +83,8 @@ def cmd_equilibrium(cfg: RunConfig) -> ResultTable:
         meta=_base_meta(cfg, "equilibrium"))
     values = cfg.sweep_values()
     results = equilibrium_branch(
-        cfg.spin_params(), cfg.orientation(),
-        [(trap, _field_lab(cfg, magnitude=float(b))) for b in values], cfg.classes())
+        cfg.spin_params(), _CRYSTAL,
+        [(trap, _axial_field(_CRYSTAL, float(b))) for b in values], cfg.classes())
     for b, res in zip(values, results):
         table.add_row(float(b), res.theta, res.stability, res.torque_residual,
                       res.bound)
@@ -101,7 +98,7 @@ def cmd_rotation(cfg: RunConfig) -> ResultTable:
         units=["rad", "rad", "rad", "bool"],
         meta=_base_meta(cfg, "rotation"))
     points = field_rotation_sweep(
-        params, cfg.orientation(), cfg.trap(),
+        params, _CRYSTAL, cfg.trap(),
         cfg.get("field", "magnitude_tesla"), cfg.sweep_values(),
         classes=cfg.classes())
     for p in points:
@@ -111,11 +108,10 @@ def cmd_rotation(cfg: RunConfig) -> ResultTable:
 
 def cmd_mdmr(cfg: RunConfig) -> ResultTable:
     params = cfg.spin_params()
-    orientation = cfg.orientation()
     trap = cfg.trap()
     drive = cfg.microwave_drive()
     classes = cfg.classes()
-    b_lab = _field_lab(cfg)
+    b_lab = _axial_field(_CRYSTAL, cfg.get("field", "magnitude_tesla"))
     table = ResultTable(
         columns=["frequency", "theta", "delta_theta", "converged", "direction"],
         units=["hz", "rad", "rad", "bool", "updown"],
@@ -123,11 +119,11 @@ def cmd_mdmr(cfg: RunConfig) -> ResultTable:
     if len(drive.frequencies) == 0:
         return table
     if cfg.get("mdmr", "hysteresis"):
-        up, down = hysteresis_pair(params, orientation, trap, b_lab, drive,
+        up, down = hysteresis_pair(params, _CRYSTAL, trap, b_lab, drive,
                                    classes=classes)
         spectra = [(up, "up"), (down, "down")]
     else:
-        spectra = [(mdmr_scan(params, orientation, trap, b_lab, drive,
+        spectra = [(mdmr_scan(params, _CRYSTAL, trap, b_lab, drive,
                               classes=classes), drive.direction)]
     table.meta["baseline_theta_rad"] = repr(spectra[0][0].baseline_theta)
     for ic, lines in enumerate(spectra[0][0].class_lines_hz):
@@ -155,7 +151,7 @@ def cmd_landscape(cfg: RunConfig) -> ResultTable:
     (theta_grid, rows), (phi_grid, cols) = (np.unique(v, return_inverse=True)
                                             for v in (thetas, phis))
     landscape = magnetic_energy_landscape(
-        params, cfg.orientation(), FieldVector(0.0, 0.0, cfg.get("field", "magnitude_tesla")),
+        params, _CRYSTAL, FieldVector(0.0, 0.0, cfg.get("field", "magnitude_tesla")),
         theta_grid, phi_grid, classes=cfg.classes())
     for phi, j in zip(phis, cols):
         for theta, i in zip(thetas, rows):
@@ -165,7 +161,6 @@ def cmd_landscape(cfg: RunConfig) -> ResultTable:
 
 def cmd_libration(cfg: RunConfig) -> ResultTable:
     params = cfg.spin_params()
-    orientation = cfg.orientation()
     trap = cfg.trap()
     classes = cfg.classes()
     variable = cfg.get("libration", "variable")
@@ -179,9 +174,10 @@ def cmd_libration(cfg: RunConfig) -> ResultTable:
                "rad_per_s", "rad_per_s", "rad", "bool"],
         meta=_base_meta(cfg, "libration"))
     for v in cfg.sweep_values():
-        p, b_lab = ((params, _field_lab(cfg, magnitude=float(v))) if variable == "field"
-                    else (params.with_(pump_rate=float(v)), _field_lab(cfg)))
-        res = librational_frequency(p, orientation, trap, b_lab, classes=classes)
+        p, b = ((params, float(v)) if variable == "field"
+                else (params.with_(pump_rate=float(v)), cfg.get("field", "magnitude_tesla")))
+        res = librational_frequency(p, _CRYSTAL, trap, _axial_field(_CRYSTAL, b),
+                                    classes=classes)
         table.add_row(float(v), res.omega_numeric, res.omega_analytic,
                       res.theta_star, res.stable)
     return table
@@ -219,7 +215,7 @@ def cmd_critical_field(cfg: RunConfig) -> ResultTable:
         return table
     b_range = ((float(values.min()), float(values.max()))
                if values.size >= 2 else (0.09, 0.2))
-    bc = critical_field(params, cfg.orientation(), cfg.trap(), b_range=b_range,
+    bc = critical_field(params, _CRYSTAL, cfg.trap(), b_range=b_range,
                         classes=cfg.classes())
     table.add_row(bc)
     return table

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crystal import CrystalOrientation
 from .params import MicrowaveDrive, SpinParams, TrapModel
 
 TWO_PI = 2.0 * np.pi
@@ -27,7 +26,7 @@ class ConfigError(ValueError):
 
 
 # section -> key -> (type tag, default) ; types: f float, i int, b bool,
-# s string, v3 comma-separated 3-vector, list comma-separated floats
+# s string, list comma-separated floats
 SCHEMA = {
     "spin": {
         "zero_field_splitting_hz": ("f", 2.87e9),
@@ -38,10 +37,6 @@ SCHEMA = {
         "density_per_m3": ("f", 1.76e23),
         "n_spins_per_class": ("f", 2.5e8),
     },
-    "crystal": {
-        "rotation_axis": ("v3", (0.0, 0.0, 1.0)),
-        "rotation_angle_rad": ("f", 0.0),
-    },
     "trap": {
         "moment_of_inertia_kg_m2": ("f", 1.0e-22),
         "trap_frequency_hz": ("f", 500.0),
@@ -49,8 +44,6 @@ SCHEMA = {
     },
     "field": {
         "magnitude_tesla": ("f", 0.13),
-        "tilt_rad": ("f", 0.0),
-        "azimuth_rad": ("f", 0.0),
     },
     "sweep": {
         "start": ("f", 0.005),
@@ -65,8 +58,6 @@ SCHEMA = {
         "frequency_stop_hz": ("f", 4.0e9),
         "frequency_steps": ("i", 101),
         "direction": ("s", "up"),
-        "power_broadening": ("b", False),
-        "extra_broadening_hz": ("f", 0.0),
         "hysteresis": ("b", False),
     },
     "landscape": {
@@ -122,16 +113,6 @@ class RunConfig:
             n_spins_per_class=g("n_spins_per_class"),
         )
 
-    def orientation(self) -> CrystalOrientation:
-        angle = self.get("crystal", "rotation_angle_rad")
-        if angle == 0.0:
-            return CrystalOrientation.identity()
-        axis = np.asarray(self.get("crystal", "rotation_axis"), dtype=float)
-        norm = np.linalg.norm(axis)
-        if norm == 0.0:
-            raise ConfigError("crystal.rotation_axis must be nonzero")
-        return CrystalOrientation.from_axis_angle(axis / norm, angle)
-
     def trap(self) -> TrapModel:
         return TrapModel(
             moment_of_inertia=self.get("trap", "moment_of_inertia_kg_m2"),
@@ -164,8 +145,6 @@ class RunConfig:
             rabi_rate=TWO_PI * g("rabi_rate_hz"),
             frequencies=tuple(freqs.tolist()),
             direction=g("direction"),
-            power_broadening=g("power_broadening"),
-            extra_broadening=TWO_PI * g("extra_broadening_hz"),
         )
 
     def classes(self) -> tuple:
@@ -197,11 +176,6 @@ def _parse_value(section: str, key: str, raw: str):
             if raw.lower() in ("false", "0", "no", "off"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        if kind == "v3":
-            parts = [float(tok) for tok in raw.split(",")]
-            if len(parts) != 3:
-                raise ValueError("need exactly 3 components")
-            return tuple(parts)
         if kind == "list":
             if not raw:
                 return ()
@@ -228,7 +202,9 @@ def load_config(text: str | None = None, path: str | None = None,
               for k, (_, default) in keys.items()}
     for section in parser.sections():
         if section not in SCHEMA:
-            raise ConfigError(f"unknown section [{section}]")
+            keys = ", ".join(parser.options(section))
+            raise ConfigError(f"unknown section [{section}]"
+                              + (f" (keys {keys})" if keys else ""))
         for key, raw in parser.items(section):
             if key not in SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
@@ -250,7 +226,6 @@ def load_config(text: str | None = None, path: str | None = None,
     # construction of the model objects doubles as cross-field validation
     try:
         cfg.spin_params()
-        cfg.orientation()
         cfg.trap()
         cfg.microwave_drive()
         cfg.classes()

@@ -7,7 +7,7 @@ between instantaneous spin eigenstates,
     W_ij(nu) = (Omega_R^2 / 2) * w_ij * G / (delta_ij^2 + G^2),
 
 with delta_ij the angular detuning of the drive from the i<->j transition,
-G the response linewidth (dephasing rate, optionally power-broadened), and
+G the response linewidth (the dephasing rate ``gamma2_star``), and
 w_ij = 2|<i|Sx|j>|^2 the normalized drive matrix element (1 on the nominal
 single-quantum lines for an axial field, 0 on the forbidden double-quantum
 line).  Every transition of every orientation class receives its
@@ -61,14 +61,6 @@ def zero_connected_lines(params: SpinParams, b_nv) -> tuple[float, float]:
     return float(freqs[0]), float(freqs[1])
 
 
-def _response_linewidth(params: SpinParams, drive: MicrowaveDrive) -> float:
-    base = params.gamma2_star + drive.extra_broadening
-    if drive.power_broadening:
-        gamma_pop = 3.0 * params.gamma1 + params.pump_rate
-        return float(np.sqrt(base**2 + drive.rabi_rate**2 * base / gamma_pop))
-    return float(base)
-
-
 def microwave_superoperator(params: SpinParams, b_nv, frequency_hz: float,
                             drive: MicrowaveDrive) -> np.ndarray | None:
     """Population-transfer generator for a drive at ``frequency_hz``.
@@ -91,7 +83,7 @@ def microwave_superoperator(params: SpinParams, b_nv, frequency_hz: float,
     stack = np.ndim(b_nv) == 2
     b = np.asarray(b_nv, dtype=float) if stack else _field_array(b_nv)[None]
     vals, vecs = np.linalg.eigh(HBAR * _hamiltonian_batch(params, b))
-    g_eff = _response_linewidth(params, drive)
+    g_eff = params.gamma2_star
     vecs_h = np.conj(np.swapaxes(vecs, 1, 2))
     delta = 2.0 * np.pi * frequency_hz - np.abs(vals[:, None, :] - vals[:, :, None]) / HBAR
     weight = 2.0 * np.abs(vecs_h @ SX @ vecs) ** 2 * _OFF_DIAGONAL
@@ -191,10 +183,10 @@ def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapMod
 
     ``memo`` holds the baseline under (parameters, geometry, trap, classes)
     and every driven-torque batch (scan windows and Brent steps) under
-    every input the torque reads (those four, rabi rate, broadenings,
-    frequency and the tilts' bytes); each is looked up first and stored
-    after a miss, so one dict may be shared between scans
-    (:func:`hysteresis_pair`); without one the scan makes its own.
+    every input the torque reads (those four, rabi rate, frequency and the
+    tilts' bytes); each is looked up first and stored after a miss, so one
+    dict may be shared between scans (:func:`hysteresis_pair`); without one
+    the scan makes its own.
 
     Raises:
         RangeExhaustedError: the microwave-off torque has no stable root in
@@ -217,8 +209,7 @@ def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapMod
     def driven_torque(freq):
         def torque(thetas):
             thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-            key = (*off_key, drive.rabi_rate, drive.extra_broadening,
-                   drive.power_broadening, freq, thetas.tobytes())
+            key = (*off_key, drive.rabi_rate, freq, thetas.tobytes())
             if (tau := memo.get(key)) is None:
                 tau = memo[key] = _driven_total_torque(params, geom, trap, drive, freq,
                                                        thetas, classes)

@@ -38,10 +38,17 @@ from .spincore import (detunings, spin_expectation, steady_state_batch,
 ALL_CLASSES = (0, 1, 2, 3)
 
 # Gauss-Legendre rules for the adaptive torque quadrature: both node sets
-# of a panel go into one batch, 6 nodes then 12.
+# of a panel go into one batch, 6 nodes then 12.  A panel converges when
+# its two estimates agree to _QUAD_RTOL relative, or absolutely to
+# _QUAD_ATOL of the torque scale per radian (at least 1e-3 rad); it splits
+# at most _QUAD_DEPTH times (at the level crossing the torque changes sign
+# within 1e-4 rad of theta = 0, and the panel there takes 10 splits).
 _GL_LO = np.polynomial.legendre.leggauss(6)
 _GL_HI = np.polynomial.legendre.leggauss(12)
 _GL_NODES = np.concatenate([_GL_LO[0], _GL_HI[0]])
+_QUAD_RTOL = 1e-8
+_QUAD_ATOL = 1e-12
+_QUAD_DEPTH = 12
 
 # Rows x, y, z of each class's NV frame, fixed in the crystal: z the axis,
 # y = z x transverse_reference(z), x = y x z (orthogonal to z in floating
@@ -168,27 +175,25 @@ def tilt_torque_and_slope(params: SpinParams, geom: TiltGeometry, thetas,
 
 
 def _integrate_torque(params: SpinParams, geom: TiltGeometry, a: float, b: float,
-                      classes=ALL_CLASSES, rtol: float = 1e-8,
-                      atol: float | None = None, max_depth: int = 9) -> float:
+                      classes=ALL_CLASSES) -> float:
     """Adaptive Gauss-Legendre integral of tau_theta over [a, b]."""
     if a == b:
         return 0.0
-    if atol is None:
-        atol = 1e-12 * _torque_scale(params, geom.b_mag) * max(abs(b - a), 1e-3)
+    atol = _QUAD_ATOL * _torque_scale(params, geom.b_mag) * max(abs(b - a), 1e-3)
 
     def panel(lo, hi, depth):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         t = tilt_torque_batch(params, geom, mid + half * _GL_NODES, classes)
         coarse = half * float(_GL_LO[1] @ t[:6])
         fine = half * float(_GL_HI[1] @ t[6:])
-        if abs(fine - coarse) <= max(atol, rtol * abs(fine)):
+        if abs(fine - coarse) <= max(atol, _QUAD_RTOL * abs(fine)):
             return fine
         if depth <= 0:
             raise QuadratureError("torque quadrature did not converge",
                                   cell=(lo, hi, geom.phi))
         return panel(lo, mid, depth - 1) + panel(mid, hi, depth - 1)
 
-    return panel(a, b, max_depth)
+    return panel(a, b, _QUAD_DEPTH)
 
 
 @dataclass(frozen=True)
@@ -511,8 +516,8 @@ class LibrationResult:
     ``omega_numeric`` comes from the exact magnetic stiffness -d(tau)/d(theta)
     at theta* plus the trap stiffness; ``omega_analytic`` evaluates the
     dispersive single-class closed form sqrt(hbar*N*P/(I*Delta))*gamma_e*B.
-    ``stable`` is False when the total stiffness is negative (then
-    omega_numeric is NaN).
+    ``stable`` is False when the total stiffness is not positive, as when
+    no equilibrium is bound (then omega_numeric is NaN).
     """
 
     omega_numeric: float
@@ -524,19 +529,16 @@ class LibrationResult:
 
 def librational_frequency(params: SpinParams, orientation: CrystalOrientation,
                           trap: TrapModel, b_lab: FieldVector,
-                          classes=ALL_CLASSES,
-                          at_theta: float | None = None) -> LibrationResult:
+                          classes=ALL_CLASSES) -> LibrationResult:
     """Numeric and closed-form librational frequencies (rad/s).
 
-    The numeric route finds the equilibrium tilt (or uses ``at_theta`` when
-    given), takes the magnetic stiffness U'' = -d(tau)/d(theta) there from
-    the exact torque slope of :func:`tilt_torque_and_slope` (U is -integral
-    of tau at constant phi, so this holds whatever the curl), adds the trap
-    stiffness and converts to a frequency; when it solves theta* itself,
-    it reuses the slope that :func:`equilibrium_angle` took at the root.
-    Negative total stiffness (anti-confined orientation, e.g. the aligned
-    configuration of a pumped ensemble before the level crossing) yields an
-    unstable result rather than an exception.  The closed form assumes the
+    The numeric route solves the equilibrium tilt theta* with
+    :func:`equilibrium_angle` and reuses the exact torque slope it took at
+    the root: the magnetic stiffness U'' = -d(tau)/d(theta) (U is -integral
+    of tau at constant phi, so this holds whatever the curl) plus the trap
+    stiffness, converted to a frequency.  With no bound equilibrium
+    theta* and the stiffness are NaN and the result is unstable rather
+    than an exception.  The closed form assumes the
     dispersive, aligned, single-class regime and uses the tracked-class
     spin count.
 
@@ -563,15 +565,8 @@ def librational_frequency(params: SpinParams, orientation: CrystalOrientation,
                       * params.gyromagnetic_ratio * b_mag) if delta > 0 else np.inf
 
     # theta* and the stiffness are NaN when no stable equilibrium is bound
-    if at_theta is None:
-        eq = equilibrium_angle(params, orientation, trap, b_lab, classes=classes)
-        theta_star, k_total = eq.theta, -eq.slope
-    else:
-        theta_star, k_total = float(at_theta), np.nan
-        if np.isfinite(theta_star):
-            _, slope = tilt_torque_and_slope(params, tilt_geometry(orientation, b_lab),
-                                             [theta_star], classes)
-            k_total = -float(slope[0]) + trap.stiffness
+    eq = equilibrium_angle(params, orientation, trap, b_lab, classes=classes)
+    theta_star, k_total = eq.theta, -eq.slope
     stable = bool(k_total > 0.0)
     return LibrationResult(
         omega_numeric=float(np.sqrt(k_total / trap.moment_of_inertia)) if stable else np.nan,

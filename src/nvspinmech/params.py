@@ -135,24 +135,20 @@ class MicrowaveDrive:
         frequencies: sweep frequencies in Hz, strictly monotone in the
             direction given by ``direction``.
         direction: "up" (increasing) or "down" (decreasing).
-        power_broadening: widen the Lorentzian by the drive saturation term.
-        extra_broadening: additional linewidth added to the dephasing rate
-            in the response Lorentzian, rad/s (inhomogeneous broadening knob).
+
+    The response Lorentzian's width is the dephasing rate
+    ``SpinParams.gamma2_star``.
     """
 
     rabi_rate: float
     frequencies: tuple = field(default=())
     direction: str = "up"
-    power_broadening: bool = False
-    extra_broadening: float = 0.0
 
     def __post_init__(self):
         if not np.isfinite(self.rabi_rate) or self.rabi_rate < 0.0:
             raise ValueError("rabi_rate must be finite and >= 0")
         if self.direction not in ("up", "down"):
             raise ValueError(f"direction must be 'up' or 'down', got {self.direction!r}")
-        if not np.isfinite(self.extra_broadening) or self.extra_broadening < 0.0:
-            raise ValueError("extra_broadening must be finite and >= 0")
         freqs = np.asarray(self.frequencies, dtype=float)
         if not np.all(np.isfinite(freqs)):
             raise ValueError("sweep frequencies must be finite")

@@ -65,7 +65,7 @@ def kron_jump_sum(params, b_nv, frequency_hz, drive):
     if drive.rabi_rate == 0.0:
         return None
     i3 = np.eye(3)
-    g_eff = params.gamma2_star + drive.extra_broadening
+    g_eff = params.gamma2_star
     vals, vecs = np.linalg.eigh(build_hamiltonian(params, b_nv))
     total = np.zeros((9, 9), dtype=complex)
     for i in range(3):

@@ -5,7 +5,11 @@ import re
 import numpy as np
 import pytest
 
+from nvspinmech import (CrystalOrientation, equilibrium_branch, librational_frequency,
+                        mdmr_scan)
 from nvspinmech.cli import main
+from nvspinmech.config import load_config
+from nvspinmech.mechanics import _axial_field
 from nvspinmech.table import ResultTable
 
 DEG = np.pi / 180.0
@@ -55,7 +59,8 @@ class TestExitCodes:
             assert out == "" and "averages" in err, source
 
     def test_removed_tracked_class_key_is_a_config_error(self, capsys, tmp_path):
-        # class 0 is the one tracked axis: the key that chose another is gone
+        # class 0 is the one tracked axis: the key that chose another is gone,
+        # and so is its [crystal] section, which the error names with its keys
         ini = tmp_path / "tracked.ini"
         ini.write_text("[crystal]\ntracked_class = 1\n")
         for source in (["--set", "crystal.tracked_class=1"], ["--config", str(ini)]):
@@ -63,6 +68,22 @@ class TestExitCodes:
                                      "--set", "sweep.steps=1", *source)
             assert code == 1, source
             assert out == "" and "tracked_class" in err, source
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("crystal", "rotation_axis", "0,0,1"), ("crystal", "rotation_angle_rad", "0.5"),
+        ("field", "tilt_rad", "0.1"), ("field", "azimuth_rad", "0.5"),
+        ("mdmr", "power_broadening", "true"), ("mdmr", "extra_broadening_hz", "1e6")])
+    def test_removed_option_key_is_a_config_error(self, capsys, tmp_path, section, key,
+                                                  value):
+        # the crystal rotation is a gauge, no command reads a field tilt or
+        # azimuth, and the MDMR linewidth is the dephasing rate
+        ini = tmp_path / "removed.ini"
+        ini.write_text(f"[{section}]\n{key} = {value}\n")
+        for source in (["--set", f"{section}.{key}={value}"], ["--config", str(ini)]):
+            code, out, err = run_cli(capsys, "equilibrium", "--set", "sweep.steps=1", *source)
+            assert code == 1, source
+            assert out == "" and err.startswith("nvspinmech: config error"), source
+            assert key in err, source
 
     def test_missing_config_file_is_one(self, capsys):
         code, out, err = run_cli(capsys, "susceptibility",
@@ -106,11 +127,11 @@ class TestExitCodes:
         assert out == ""
 
     @pytest.mark.parametrize("command, overrides", [
-        ("mdmr", ["mdmr.extra_broadening_hz=-1"]),
+        ("mdmr", ["mdmr.rabi_rate_hz=nan"]),
         ("mdmr", ["mdmr.direction=sideways"]),
         ("mdmr", ["mdmr.rabi_rate_hz=-5"]),
         ("equilibrium", ["sweep.direction=sideways", "sweep.steps=2"]),
-        ("mdmr", ["mdmr.extra_broadening_hz=nan"]),
+        ("mdmr", ["mdmr.frequency_steps=3", "mdmr.frequency_stop_hz=2e9"]),
         ("mdmr", ["mdmr.frequency_steps=1", "mdmr.frequency_start_hz=nan"])])
     def test_bad_drive_or_sweep_setting_is_a_config_error(self, capsys, command, overrides):
         # rejected when the config loads, before any solve runs
@@ -364,3 +385,62 @@ class TestCommands:
                                "--set", "sweep.steps=2")
         table = ResultTable.parse(out)
         assert table.rows[0][0] == pytest.approx(0.1024, abs=1e-3)
+
+    def test_landscape_at_the_crossing_converges(self, capsys):
+        # at B = D/gamma the torque changes sign within 1e-4 rad of theta = 0;
+        # the first cell needs 12 subdivisions
+        crossing = 2.87e9 / 28.024e9
+        for steps in ("3", "5"):
+            code, out, err = run_cli(capsys, "landscape",
+                                     "--set", f"field.magnitude_tesla={crossing!r}",
+                                     "--set", f"landscape.theta_steps={steps}")
+            assert code == 0, err
+            table = ResultTable.parse(out)
+            assert len(table.rows) == 9 * int(steps)
+            iu = table.columns.index("energy")
+            assert all(np.isfinite(row[iu]) for row in table.rows)
+
+
+class TestCliField:
+    """The CLI crystal is unrotated and its field lies along the tracked
+    axis: each row is bitwise the library's result on that field."""
+
+    crystal = CrystalOrientation.identity()
+
+    def table(self, capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        return ResultTable.parse(out)
+
+    def test_equilibrium_rows(self, capsys):
+        fields = (0.11, 0.13)
+        table = self.table(capsys, "equilibrium", "--set", "sweep.values=0.11,0.13")
+        cfg = load_config(overrides=["sweep.values=0.11,0.13"])
+        results = equilibrium_branch(cfg.spin_params(), self.crystal,
+                                     [(cfg.trap(), _axial_field(self.crystal, b))
+                                      for b in fields])
+        assert [row[1] for row in table.rows] == [res.theta for res in results]
+        assert [row[3] for row in table.rows] == [res.torque_residual for res in results]
+
+    def test_mdmr_rows(self, capsys):
+        overrides = ["field.magnitude_tesla=0.023", "mdmr.frequency_start_hz=2.2e9",
+                     "mdmr.frequency_stop_hz=2.25e9", "mdmr.frequency_steps=3",
+                     "run.classes=tracked"]
+        table = self.table(capsys, "mdmr", *(a for o in overrides for a in ("--set", o)))
+        cfg = load_config(overrides=overrides)
+        spectrum = mdmr_scan(cfg.spin_params(), self.crystal, cfg.trap(),
+                             _axial_field(self.crystal, 0.023), cfg.microwave_drive(),
+                             classes=(0,))
+        assert float(table.meta["baseline_theta_rad"]) == spectrum.baseline_theta
+        assert [row[1] for row in table.rows] == list(spectrum.theta)
+        assert [row[2] for row in table.rows] == list(spectrum.delta_theta)
+
+    def test_libration_rows(self, capsys):
+        overrides = ["sweep.values=0.15,0.2", "run.classes=tracked",
+                     "trap.trap_frequency_hz=0", "spin.n_spins_per_class=1e9"]
+        table = self.table(capsys, "libration", *(a for o in overrides for a in ("--set", o)))
+        cfg = load_config(overrides=overrides)
+        for row, b in zip(table.rows, (0.15, 0.2), strict=True):
+            res = librational_frequency(cfg.spin_params(), self.crystal, cfg.trap(),
+                                        _axial_field(self.crystal, b), classes=(0,))
+            assert row[1:4] == [res.omega_numeric, res.omega_analytic, res.theta_star]

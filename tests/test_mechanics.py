@@ -9,7 +9,8 @@ from scipy.optimize import brentq
 from nvspinmech import (SpinParams, TrapModel, equilibrium_angle, equilibrium_branch,
                         critical_field, field_rotation_sweep,
                         landscape_curl_check, librational_frequency,
-                        magnetic_energy_landscape, tilt_geometry, tilt_torque_batch,
+                        magnetic_energy_landscape, tilt_geometry, tilt_torque_and_slope,
+                        tilt_torque_batch,
                         RangeExhaustedError, susceptibility_analytic)
 from nvspinmech import mdmr, mechanics
 from nvspinmech.constants import KB
@@ -148,14 +149,16 @@ class TestEnergyLandscape:
             landscape_curl_check(params, orientation, axial_field(orientation, 0.11),
                                  n_samples=n_samples)
 
-    def test_quadrature_failure_names_worst_cell(self, params, orientation):
+    def test_quadrature_failure_names_worst_cell(self, params, orientation, monkeypatch):
         # an exhausted subdivision budget reports the offending interval
         from nvspinmech import QuadratureError
 
+        monkeypatch.setattr(mechanics, "_QUAD_RTOL", 1e-14)
+        monkeypatch.setattr(mechanics, "_QUAD_ATOL", 1e-40)
+        monkeypatch.setattr(mechanics, "_QUAD_DEPTH", 0)
         geom = tilt_geometry(orientation, axial_field(orientation, 0.103))
         with pytest.raises(QuadratureError, match="worst cell") as exc:
-            _integrate_torque(params, geom, 0.0, 1.2, rtol=1e-14, atol=1e-40,
-                              max_depth=0)
+            _integrate_torque(params, geom, 0.0, 1.2)
         lo, hi, phi = exc.value.cell
         assert 0.0 <= lo < hi <= 1.2
 
@@ -526,19 +529,20 @@ class TestLibration:
 
     def test_unstable_orientation_flagged(self, params, orientation):
         # the aligned configuration of a pumped ensemble is anti-confining
-        # before the crossing: negative curvature, no frequency
+        # before the crossing: at theta = 0 the total torque slope is
+        # positive, so the stable tilt the libration solves lies off axis
         p = params.with_(n_spins_per_class=1e9)
         weak = TrapModel(trap_frequency=TWO_PI * 50.0, theta0=0.0)
-        res = librational_frequency(p, orientation, weak,
-                                    axial_field(orientation, 0.09),
-                                    classes=(0,), at_theta=0.0)
-        assert not res.stable
-        assert res.stiffness < 0.0
-        assert np.isnan(res.omega_numeric)
+        b = axial_field(orientation, 0.09)
+        _, slope = tilt_torque_and_slope(p, tilt_geometry(orientation, b), [0.0],
+                                         classes=(0,))
+        assert slope[0] - weak.stiffness > 0.0
+        res = librational_frequency(p, orientation, weak, b, classes=(0,))
+        assert res.stable and abs(res.theta_star) > DEG
 
     def test_one_derivative_solve_per_row(self, params, orientation, trap, monkeypatch):
         # the slope equilibrium_angle took at theta* is the stiffness, bitwise
-        # that of a separate solve at the same tilt
+        # that of a separate slope at the same tilt
         calls = []
         original = mechanics.steady_state_derivative_batch
 
@@ -550,10 +554,11 @@ class TestLibration:
         b = axial_field(orientation, 0.15)
         solved = librational_frequency(params, orientation, trap, b)
         assert len(calls) == 1
-        given = librational_frequency(params, orientation, trap, b, at_theta=solved.theta_star)
-        assert len(calls) == 2
         assert solved.stable
-        assert (given.stiffness, given.omega_numeric) == (solved.stiffness, solved.omega_numeric)
+        _, slope = mechanics.tilt_torque_and_slope(params, tilt_geometry(orientation, b),
+                                                   [solved.theta_star])
+        assert len(calls) == 2
+        assert solved.stiffness == -float(slope[0]) + trap.stiffness
 
         far = TrapModel(trap_frequency=TWO_PI * 500.0, theta0=4.0)
         unbound = librational_frequency(params, orientation, far, axial_field(orientation, 0.13))

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from nvspinmech.config import ConfigError, load_config
+from nvspinmech.cli import COMMANDS
+from nvspinmech.config import SCHEMA, ConfigError, RunConfig, load_config
 from nvspinmech.table import ResultTable
 
 TWO_PI = 2.0 * np.pi
@@ -118,12 +119,6 @@ class TestConfig:
         assert a.sha256 == b.sha256
         assert a.sha256 != c.sha256
 
-    def test_crystal_orientation_built(self):
-        cfg = load_config(text="[crystal]\nrotation_axis = 0,0,1\n"
-                               "rotation_angle_rad = 0.5\n")
-        ori = cfg.orientation()
-        assert np.isclose(np.linalg.det(ori.rotation), 1.0)
-
     def test_microwave_drive_built(self):
         cfg = load_config(text="[mdmr]\nrabi_rate_hz = 1e6\n"
                                "frequency_start_hz = 2e9\n"
@@ -131,3 +126,32 @@ class TestConfig:
         d = cfg.microwave_drive()
         assert d.rabi_rate == pytest.approx(TWO_PI * 1e6)
         assert len(d.frequencies) == 5
+
+    def test_every_key_is_read_by_a_command(self, monkeypatch):
+        # a key that no command reads selects nothing; the builders that
+        # load_config runs to validate do not count, only the commands
+        overrides = {
+            "susceptibility": ["sweep.steps=2"],
+            "equilibrium": ["sweep.steps=1"],
+            "rotation": ["sweep.steps=1"],
+            "mdmr": ["mdmr.frequency_steps=2", "mdmr.hysteresis=true",
+                     "run.classes=tracked"],
+            "landscape": ["landscape.theta_steps=2", "landscape.phi_steps=1"],
+            "libration": ["sweep.steps=1", "libration.variable=pump_rate"],
+            "invert": [],
+            "critical-field": ["sweep.steps=2", "trap.trap_frequency_hz=0"],
+        }
+        assert set(overrides) == set(COMMANDS)
+        read = set()
+        original = RunConfig.get
+
+        def recording(self, section, key):
+            read.add((section, key))
+            return original(self, section, key)
+
+        for command, items in overrides.items():
+            cfg = load_config(overrides=items)
+            with monkeypatch.context() as m:
+                m.setattr(RunConfig, "get", recording)
+                COMMANDS[command](cfg)
+        assert read == {(s, k) for s, keys in SCHEMA.items() for k in keys}
