@@ -29,7 +29,7 @@ from .mechanics import (ALL_CLASSES, EnergyLandscape, EquilibriumResult,
                         LibrationResult, QuadratureError, RangeExhaustedError,
                         RotationPoint, TiltGeometry, critical_field,
                         equilibrium_angle, equilibrium_branch, field_rotation_sweep,
-                        landscape_curl_check, librational_frequency,
+                        landscape_curl_check, libration_sweep, librational_frequency,
                         magnetic_energy_landscape, tilt_geometry,
                         tilt_torque_and_slope, tilt_torque_batch)
 from .params import FieldVector, MicrowaveDrive, SpinParams, TrapModel

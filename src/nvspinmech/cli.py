@@ -27,11 +27,10 @@ from .magnetometry import NoSolutionError, TransitionPair, invert_angle_field
 from .mdmr import hysteresis_pair, mdmr_scan
 from .mechanics import (QuadratureError, RangeExhaustedError, _axial_field, critical_field,
                         equilibrium_branch, field_rotation_sweep,
-                        librational_frequency, magnetic_energy_landscape)
+                        libration_sweep, magnetic_energy_landscape)
 from .params import FieldVector
-from .spincore import (SingularDetuningError, SteadyStateError,
-                       steady_state_batch, susceptibility_analytic,
-                       susceptibility_numeric, susceptibility_van_vleck)
+from .spincore import (SingularDetuningError, SteadyStateError, _numeric_susceptibilities,
+                       susceptibility_analytic, susceptibility_van_vleck)
 from .table import ResultTable
 
 _NUMERICAL_ERRORS = (SteadyStateError, QuadratureError, RangeExhaustedError,
@@ -60,9 +59,9 @@ def cmd_susceptibility(cfg: RunConfig) -> ResultTable:
         units=["tesla", "hz", "1", "1", "1", "1"],
         meta=_base_meta(cfg, "susceptibility"))
     values = cfg.sweep_values()
-    rhos = steady_state_batch(params, np.outer(values, [0.0, 0.0, 1.0]))
-    for b, rho in zip(values, rhos):
-        chi_n = susceptibility_numeric(params, b)
+    # one derivative batch: chi_perp of every field and the states it solved
+    chis, rhos = _numeric_susceptibilities(params, values)
+    for b, chi_n, rho in zip(values, chis, rhos):
         chi_a = susceptibility_analytic(params, b)
         pops = (rho[2, 2].real, rho[1, 1].real, rho[0, 0].real)
         try:
@@ -160,6 +159,10 @@ def cmd_landscape(cfg: RunConfig) -> ResultTable:
 
 
 def cmd_libration(cfg: RunConfig) -> ResultTable:
+    """Librational frequencies against the field or the pump rate.  Each
+    row starts from the trap angle, so the rows are independent: one
+    :func:`libration_sweep` call solves them all, and each row is bitwise
+    :func:`librational_frequency` of its own case."""
     params = cfg.spin_params()
     trap = cfg.trap()
     classes = cfg.classes()
@@ -173,11 +176,13 @@ def cmd_libration(cfg: RunConfig) -> ResultTable:
         units=[("tesla" if variable == "field" else "per_s"),
                "rad_per_s", "rad_per_s", "rad", "bool"],
         meta=_base_meta(cfg, "libration"))
-    for v in cfg.sweep_values():
-        p, b = ((params, float(v)) if variable == "field"
-                else (params.with_(pump_rate=float(v)), cfg.get("field", "magnitude_tesla")))
-        res = librational_frequency(p, _CRYSTAL, trap, _axial_field(_CRYSTAL, b),
-                                    classes=classes)
+    values = cfg.sweep_values()
+    cases = [(params, float(v)) if variable == "field"
+             else (params.with_(pump_rate=float(v)), cfg.get("field", "magnitude_tesla"))
+             for v in values]
+    results = libration_sweep(_CRYSTAL, trap, [(p, _axial_field(_CRYSTAL, b)) for p, b in cases],
+                              classes=classes)
+    for v, res in zip(values, results):
         table.add_row(float(v), res.omega_numeric, res.omega_analytic,
                       res.theta_star, res.stable)
     return table

@@ -18,7 +18,7 @@ The scan starts from the microwave-off equilibrium that
 ``mechanics.equilibrium_angle`` solves; the MDMR signal is each point's
 displacement from it.  A scan point is the stable root of F(theta; nu) =
 tau_spin(theta; nu) - k*(theta - theta0) nearest the previous tilt, found
-by the same anchored scan and Brent polish (``mechanics._stable_root``);
+by the same anchored scan and Brent polish (``roots._stable_root``);
 following the branch along the sweep yields direction-dependent jumps
 (hysteresis) at folds.  With the drive off F does not depend on nu, so a
 zero-drive scan solves nothing past its baseline.
@@ -41,9 +41,10 @@ from scipy.optimize import brentq
 from .constants import HBAR
 from .crystal import CrystalOrientation
 from .mechanics import (ALL_CLASSES, RangeExhaustedError, TiltGeometry, _class_fields,
-                        _nv_moments, _spin_torque_along, _stable_root, _torque_scale,
+                        _nv_moments, _spin_torque_along, _torque_scale,
                         equilibrium_angle, tilt_geometry)
 from .params import FieldVector, MicrowaveDrive, SpinParams, TrapModel
+from .roots import _stable_root
 from .spincore import (SX, _coordinates, _field_array, _hamiltonian_batch, _structure,
                        build_hamiltonian)
 

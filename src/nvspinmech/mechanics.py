@@ -32,6 +32,7 @@ from scipy.optimize import brentq
 from .constants import HBAR
 from .crystal import NV_AXES, CrystalOrientation, angular_state, transverse_reference
 from .params import FieldVector, SpinParams, TrapModel
+from .roots import _XTOL, _stable_roots
 from .spincore import (detunings, spin_expectation, steady_state_batch,
                        steady_state_derivative_batch)
 
@@ -122,22 +123,36 @@ def _class_fields(v_crystal: np.ndarray, classes=ALL_CLASSES) -> np.ndarray:
     return _dot3(v_crystal[None, :, None, :], _CLASS_FRAMES[list(classes), None])
 
 
+def _point_rows(rows, fields: np.ndarray):
+    """The row of each field of a (..., k, 3) stack, from the row of each
+    of its k tilts (None stays None)."""
+    return None if rows is None else np.broadcast_to(rows, fields.shape[:-1]).ravel()
+
+
+def _gamma(params, rows) -> float:
+    """The gyromagnetic ratio, which parameter rows share."""
+    return (params if rows is None else params[0]).gyromagnetic_ratio
+
+
 def _nv_moments(params: SpinParams, fields: np.ndarray,
-                extra_superoperator=None) -> np.ndarray:
+                extra_superoperator=None, rows=None) -> np.ndarray:
     """NV-frame moments (..., 3) at NV-frame fields (..., 3), one batch;
-    ``extra_superoperator`` is one 9x9 matrix or a stack in field order."""
-    rhos = steady_state_batch(params, fields.reshape(-1, 3), extra_superoperator)
-    return -HBAR * params.gyromagnetic_ratio * spin_expectation(rhos).reshape(fields.shape)
+    ``extra_superoperator`` is one 9x9 matrix or a stack in field order,
+    and ``rows`` the parameter row of each tilt (:func:`tilt_torque_batch`)."""
+    rhos = steady_state_batch(params, fields.reshape(-1, 3), extra_superoperator,
+                              _point_rows(rows, fields))
+    return -HBAR * _gamma(params, rows) * spin_expectation(rhos).reshape(fields.shape)
 
 
 def _nv_moment_derivatives(params: SpinParams, fields: np.ndarray,
-                           directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                           directions: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndarray]:
     """NV-frame moments (..., 3) at NV-frame fields (..., 3), bitwise those
     of :func:`_nv_moments`, and their derivatives (..., n, 3) along
     NV-frame field directions (..., n, 3), one batch."""
     rhos, drhos = steady_state_derivative_batch(
-        params, fields.reshape(-1, 3), directions.reshape((-1,) + directions.shape[-2:]))
-    scale = -HBAR * params.gyromagnetic_ratio
+        params, fields.reshape(-1, 3), directions.reshape((-1,) + directions.shape[-2:]),
+        _point_rows(rows, fields))
+    scale = -HBAR * _gamma(params, rows)
     return (scale * spin_expectation(rhos).reshape(fields.shape),
             scale * spin_expectation(drhos).reshape(directions.shape))
 
@@ -149,27 +164,44 @@ def _spin_torque_along(params: SpinParams, moments: np.ndarray, db_crystal: np.n
     return params.n_spins_per_class * sum(_dot3(moments, _class_fields(db_crystal, classes)))
 
 
+def _per_tilt(params, geom, rows) -> tuple[TiltGeometry, float | np.ndarray]:
+    """(geometry, spin count) of the tilts: ``geom`` and N without
+    ``rows``; with them, a geometry of (k, 1) columns (b_mag, phi) and k
+    spin counts, each of its tilt's row."""
+    if rows is None:
+        return geom, params.n_spins_per_class
+    column = lambda values: np.array(values)[rows]
+    return (TiltGeometry(b_mag=column([g.b_mag for g in geom])[:, None],
+                         phi=column([g.phi for g in geom])[:, None]),
+            column([p.n_spins_per_class for p in params]))
+
+
 def tilt_torque_batch(params: SpinParams, geom: TiltGeometry, thetas,
-                      classes=ALL_CLASSES) -> np.ndarray:
+                      classes=ALL_CLASSES, rows=None) -> np.ndarray:
     """Torque conjugate to the tilt angle (N m) at each requested theta; a
-    tilt gives the same bits alone as inside any batch."""
+    tilt gives the same bits alone as inside any batch.  With ``rows`` the
+    tilts belong to independent rows: ``params`` and ``geom`` are lists
+    with one entry per row and ``rows[j]`` is the row of tilt j, so the
+    tilts of many fields and pump rates are solved in one batch."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    moments = _nv_moments(params, _class_fields(geom.b_crystal(thetas), classes))
-    return _spin_torque_along(params, moments, geom.db_dtheta(thetas), classes)
+    geom, n = _per_tilt(params, geom, rows)
+    moments = _nv_moments(params, _class_fields(geom.b_crystal(thetas), classes), None, rows)
+    return n * sum(_dot3(moments, _class_fields(geom.db_dtheta(thetas), classes)))
 
 
 def tilt_torque_and_slope(params: SpinParams, geom: TiltGeometry, thetas,
-                          classes=ALL_CLASSES) -> tuple[np.ndarray, np.ndarray]:
+                          classes=ALL_CLASSES, rows=None) -> tuple[np.ndarray, np.ndarray]:
     """Torques (N m), bitwise those of :func:`tilt_torque_batch`, and their
     exact slopes (N m/rad) at each requested theta: with m_c' the moment's
     derivative along db_c/dtheta (:func:`steady_state_derivative_batch`)
     and d2b/dtheta2 = -b, tau' = N * sum_c (m_c' . db_c/dtheta - m_c . b_c).
+    ``rows`` is that of :func:`tilt_torque_batch`.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    geom, n = _per_tilt(params, geom, rows)
     fields = _class_fields(geom.b_crystal(thetas), classes)
     dfields = _class_fields(geom.db_dtheta(thetas), classes)
-    moments, dmoments = _nv_moment_derivatives(params, fields, dfields[..., None, :])
-    n = params.n_spins_per_class  # the torque summed as in _spin_torque_along
+    moments, dmoments = _nv_moment_derivatives(params, fields, dfields[..., None, :], rows)
     return (n * sum(_dot3(moments, dfields)),
             n * sum(_dot3(dmoments[..., 0, :], dfields) - _dot3(moments, fields)))
 
@@ -316,64 +348,38 @@ def _torque_scale(params: SpinParams, b_mag: float) -> float:
     return 4.0 * params.n_spins_per_class * HBAR * params.gyromagnetic_ratio * b_mag
 
 
-def _exact_zero(values, scale: float) -> np.ndarray:
-    """Torques with rounding-level values (|tau| <= 1e-12 * scale, e.g.
-    +-1e-32 at pi/2 with no trap) set to an exact zero."""
-    return np.where(np.abs(values) <= 1e-12 * scale, 0.0, values)
+def _equilibria(rows, trap: TrapModel, guesses, classes=ALL_CLASSES) -> list[EquilibriumResult]:
+    """Equilibria of independent rows [(params, geometry)] under one trap,
+    solved together: the scan rounds of :func:`_stable_roots` in shared
+    batches, a Brent polish per row, and the slopes at all bound roots in
+    one derivative batch.  A row gives the same result alone as among
+    others, since a tilt gives the same bits in any batch."""
+    params, geoms = [p for p, _ in rows], [g for _, g in rows]
 
+    def batch(kernel, idx, th):  # one tilt, or tilts of one row, need no per-tilt lookups
+        if len(rows) == 1 or len(idx) == 1:
+            return kernel(*rows[idx[0]], th, classes)
+        return kernel(params, geoms, th, classes, np.asarray(idx))
 
-def _stable_bracket(thetas: np.ndarray, values: np.ndarray, guess: float,
-                    scale: float) -> tuple | None:
-    """(a, b, tau(a), tau(b)) of the scanned total torque: the sign change
-    from + to <= 0 whose secant root is nearest ``guess``, or None.  A torque
-    at rounding level is an exact zero (:func:`_exact_zero`), so tau(b) == 0
-    means b is the root itself."""
-    vals = _exact_zero(values, scale)
-    hits = np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))
-    if hits.size == 0:
-        return None
-    a, b, fa, fb = thetas[hits], thetas[hits + 1], vals[hits], vals[hits + 1]
-    i = int(np.argmin(np.abs(a + fa * (b - a) / (fa - fb) - guess)))
-    return float(a[i]), float(b[i]), float(fa[i]), float(fb[i])
+    def total(idx, th):  # spin plus trap torque
+        return (batch(tilt_torque_batch, idx, th)
+                - trap.stiffness * (np.asarray(th, dtype=float) - trap.theta0))
 
-
-# stable-root scan: tilts k * _STEP for k in [_K_LO, _K_HI], which puts
-# -pi/2, 0, pi/2 and pi on the grid bitwise; the polish stops within _XTOL
-_STEP = np.pi / 314
-_K_LO, _K_HI = -157, 314
-_XTOL = 1e-10  # rad
-
-
-def _stable_root(brent, torque, guess: float, scale: float) -> tuple[float | None, int]:
-    """(root, torque evaluations): the stable root of the total torque in
-    [-pi/2, pi] nearest ``guess``, or None when there is none.
-
-    ``torque`` maps an array of tilts to their total torques in one batch.
-    The scan takes 17 tilts k * _STEP around the guess and widens 4x until
-    :func:`_stable_bracket` hits; the grid is anchored, so solving again
-    from a root scans the same tilts and returns that root bitwise.  The
-    caller's ``brentq`` (traced per module) polishes the bracket with its
-    ends pinned to the scanned values (a single-tilt torque may differ from
-    the batched one in the last bit) and stops at a rounding-level torque.
-    """
-    evals = 0
-
-    def f(thetas):
-        nonlocal evals
-        evals += 1
-        return _exact_zero(torque(thetas), scale)
-
-    center = min(max(round(guess / _STEP), _K_LO), _K_HI)
-    for half in (8, 32, 128, 512):  # 512 steps span the range from any centre in it
-        thetas = np.arange(max(center - half, _K_LO), min(center + half, _K_HI) + 1) * _STEP
-        if (bracket := _stable_bracket(thetas, f(thetas), guess, scale)) is not None:
-            break
-    else:
-        return None, evals
-    a, b, fa, fb = bracket  # brentq returns b at once when fb == 0
-    root = brent(lambda th: fa if th == a else fb if th == b else float(f([th])[0]),
-                 a, b, xtol=_XTOL)
-    return float(root), evals
+    found = _stable_roots(brentq, total, guesses,
+                          [_torque_scale(p, g.b_mag) for p, g in rows])
+    results = [EquilibriumResult(theta=np.nan, stability=0.0, torque_residual=np.nan,
+                                 iterations=evals, bound=False) for _, evals in found]
+    if not (bound := [i for i, (root, _) in enumerate(found) if root is not None]):
+        return results
+    taus, slopes = batch(tilt_torque_and_slope, bound, [found[i][0] for i in bound])
+    for i, tau, slope in zip(bound, taus, slopes):
+        root, evals = found[i]
+        total_slope = float(slope - trap.stiffness)
+        results[i] = EquilibriumResult(
+            theta=root, stability=float(-np.sign(total_slope)),
+            torque_residual=abs(float(tau - trap.stiffness * (root - trap.theta0))),
+            iterations=evals + 1, slope=total_slope, bound=True)
+    return results
 
 
 def equilibrium_angle(params: SpinParams, orientation: CrystalOrientation,
@@ -385,23 +391,12 @@ def equilibrium_angle(params: SpinParams, orientation: CrystalOrientation,
     The stable root of the total torque in [-pi/2, pi] nearest
     ``warm_start`` (the previous solution, which selects the branch in
     bistable regions) or, without one, nearest the trap angle, found by
-    :func:`_stable_root`.  ``iterations`` counts batched torque evaluations
-    (scan windows, Brent steps and the slope at the root).
+    :func:`_stable_roots`; the one-row case of :func:`_equilibria`.
+    ``iterations`` counts batched torque evaluations (scan windows, Brent
+    steps and the slope at the root).
     """
-    geom = tilt_geometry(orientation, b_lab)
-    root, evals = _stable_root(  # spin plus trap torque; Brent passes a one-tilt list
-        brentq, lambda th: (tilt_torque_batch(params, geom, th, classes)
-                            - trap.stiffness * (np.asarray(th, dtype=float) - trap.theta0)),
-        trap.theta0 if warm_start is None else warm_start, _torque_scale(params, geom.b_mag))
-    if root is None:
-        return EquilibriumResult(theta=np.nan, stability=0.0, torque_residual=np.nan,
-                                 iterations=evals, bound=False)
-    tau, slope = tilt_torque_and_slope(params, geom, [root], classes)
-    residual = tau[0] - trap.stiffness * (root - trap.theta0)
-    total_slope = float(slope[0] - trap.stiffness)
-    return EquilibriumResult(theta=root, stability=float(-np.sign(total_slope)),
-                             torque_residual=abs(float(residual)), iterations=evals + 1,
-                             slope=total_slope, bound=True)
+    return _equilibria([(params, tilt_geometry(orientation, b_lab))], trap,
+                       [trap.theta0 if warm_start is None else warm_start], classes)[0]
 
 
 def equilibrium_branch(params: SpinParams, orientation: CrystalOrientation, cases,
@@ -530,15 +525,16 @@ class LibrationResult:
 def librational_frequency(params: SpinParams, orientation: CrystalOrientation,
                           trap: TrapModel, b_lab: FieldVector,
                           classes=ALL_CLASSES) -> LibrationResult:
-    """Numeric and closed-form librational frequencies (rad/s).
+    """Numeric and closed-form librational frequencies (rad/s): the
+    one-row case of :func:`libration_sweep`.
 
-    The numeric route solves the equilibrium tilt theta* with
-    :func:`equilibrium_angle` and reuses the exact torque slope it took at
-    the root: the magnetic stiffness U'' = -d(tau)/d(theta) (U is -integral
-    of tau at constant phi, so this holds whatever the curl) plus the trap
-    stiffness, converted to a frequency.  With no bound equilibrium
-    theta* and the stiffness are NaN and the result is unstable rather
-    than an exception.  The closed form assumes the
+    The numeric route solves the equilibrium tilt theta* from the trap
+    angle, as :func:`equilibrium_angle` does, and reuses the exact torque
+    slope it took at the root: the magnetic stiffness U'' = -d(tau)/d(theta)
+    (U is -integral of tau at constant phi, so this holds whatever the
+    curl) plus the trap stiffness, converted to a frequency.  With no bound
+    equilibrium theta* and the stiffness are NaN and the result is unstable
+    rather than an exception.  The closed form assumes the
     dispersive, aligned, single-class regime and uses the tracked-class
     spin count.
 
@@ -557,19 +553,31 @@ def librational_frequency(params: SpinParams, orientation: CrystalOrientation,
     I = 1e-22 kg m^2, full pumping) and x1.110 at 0.15 T, the measured
     numeric/analytic ratio of 0.90 there.
     """
-    b_mag = b_lab.magnitude
-    d_m, _ = detunings(params, b_mag)
-    delta = abs(d_m)
-    omega_analytic = (np.sqrt(HBAR * params.n_spins_per_class * params.pumping_factor
-                              / (trap.moment_of_inertia * delta))
-                      * params.gyromagnetic_ratio * b_mag) if delta > 0 else np.inf
+    return libration_sweep(orientation, trap, [(params, b_lab)], classes)[0]
 
-    # theta* and the stiffness are NaN when no stable equilibrium is bound
-    eq = equilibrium_angle(params, orientation, trap, b_lab, classes=classes)
-    theta_star, k_total = eq.theta, -eq.slope
-    stable = bool(k_total > 0.0)
-    return LibrationResult(
-        omega_numeric=float(np.sqrt(k_total / trap.moment_of_inertia)) if stable else np.nan,
-        omega_analytic=float(omega_analytic),
-        theta_star=theta_star, stiffness=k_total, stable=stable)
 
+def libration_sweep(orientation: CrystalOrientation, trap: TrapModel, cases,
+                    classes=ALL_CLASSES) -> list[LibrationResult]:
+    """:func:`librational_frequency` of each independent ``(params,
+    b_lab)`` case, solved together by :func:`_equilibria` from the trap
+    angle: the scan rounds of all rows share batches and the slopes at all
+    bound roots are one derivative batch.  Each row is bitwise its own
+    :func:`librational_frequency`.  The rows share the gyromagnetic ratio
+    (a pump-rate sweep differs only in the field-independent generator)."""
+    rows = [(params, tilt_geometry(orientation, b_lab)) for params, b_lab in cases]
+    results = []
+    for (params, geom), eq in zip(rows, _equilibria(rows, trap, [trap.theta0] * len(rows),
+                                                    classes)):
+        d_m, _ = detunings(params, geom.b_mag)
+        delta = abs(d_m)
+        omega_analytic = (np.sqrt(HBAR * params.n_spins_per_class * params.pumping_factor
+                                  / (trap.moment_of_inertia * delta))
+                          * params.gyromagnetic_ratio * geom.b_mag) if delta > 0 else np.inf
+        # theta* and the stiffness are NaN when no stable equilibrium is bound
+        k_total = -eq.slope
+        stable = bool(k_total > 0.0)
+        results.append(LibrationResult(
+            omega_numeric=float(np.sqrt(k_total / trap.moment_of_inertia)) if stable else np.nan,
+            omega_analytic=float(omega_analytic), theta_star=eq.theta, stiffness=k_total,
+            stable=stable))
+    return results

@@ -173,13 +173,17 @@ def steady_state(params: SpinParams, b_nv,
     return steady_state_batch(params, b, extra_superoperator)[0]
 
 
-def _steady_vectors(params: SpinParams, b_nv_batch, extra_superoperator):
-    """(a, r): the solved systems A(b) with the trace row first, (k, 9, 9),
-    and the unit-trace coherence vectors (k, 9) at NV-frame fields (k, 3)."""
-    b = np.asarray(b_nv_batch, dtype=float)
-    if b.ndim != 2 or b.shape[1] != 3 or not np.isfinite(b).all():
-        raise ValueError("field batch must be a finite (k, 3) array")
-    a0, a_field = _generator_parts(params)
+# fields solved per linear solve: a larger batch is split, which keeps the
+# working arrays small and, since a field's bits do not depend on its
+# batch, changes no result
+_MAX_BATCH = 256
+
+
+def _steady_vectors(a0, a_field, b, extra_superoperator, directions):
+    """(r, dr): the unit-trace coherence vectors (k, 9) at NV-frame fields
+    (k, 3) and, with ``directions`` (k, n, 3), their derivatives (k, n, 9)
+    (else None), one batched solve; ``a0`` is one (9, 9) matrix or one per
+    field."""
     gen = (a0 + b[:, 0, None, None] * a_field[0] + b[:, 1, None, None] * a_field[1]
            + b[:, 2, None, None] * a_field[2])
     if extra_superoperator is not None:
@@ -202,11 +206,43 @@ def _steady_vectors(params: SpinParams, b_nv_batch, extra_superoperator):
         idx = int(np.argmax(ratio))
         raise SteadyStateError("steady-state residual too large in batch",
                                condition=float(np.linalg.cond(a[idx])))
-    return a, r
+    if directions is None:
+        return r, None
+    # -(sum_i d_i A_i) r, (k, 9, n), with 0 in the trace row
+    rhs = -np.einsum("kni,iab,kb->kan", directions, a_field, r)
+    rhs[:, 0] = 0.0
+    return r, np.swapaxes(np.linalg.solve(a, rhs), 1, 2)
+
+
+def _solve(params, b_nv_batch, extra_superoperator=None, rows=None, directions=None):
+    """(r, dr) of :func:`_steady_vectors` over the whole batch, solved in
+    slices of at most _MAX_BATCH fields.  With ``rows`` (the index of each
+    field's parameters), ``params`` is a sequence of SpinParams that share
+    the gyromagnetic ratio, and each field has the A0 of its own."""
+    b = np.asarray(b_nv_batch, dtype=float)
+    if b.ndim != 2 or b.shape[1] != 3 or not np.isfinite(b).all():
+        raise ValueError("field batch must be a finite (k, 3) array")
+    if rows is None:
+        a0, a_field = _generator_parts(params)
+    else:  # the A0 of each row, picked per slice
+        if len({p.gyromagnetic_ratio for p in params}) > 1:
+            raise ValueError("parameter rows must share the gyromagnetic ratio")
+        parts = [_generator_parts(p) for p in params]
+        a0, a_field = np.array([a for a, _ in parts]), parts[0][1]
+    if len(b) <= _MAX_BATCH:
+        return _steady_vectors(a0 if rows is None else a0[rows], a_field, b,
+                               extra_superoperator, directions)
+    part = lambda x, s: x[s] if x is not None and np.ndim(x) == 3 else x
+    solved = [_steady_vectors(a0 if rows is None else a0[rows[s]], a_field, b[s],
+                              part(extra_superoperator, s), part(directions, s))
+              for s in (slice(i, i + _MAX_BATCH) for i in range(0, len(b), _MAX_BATCH))]
+    r = np.concatenate([r for r, _ in solved])
+    return r, None if directions is None else np.concatenate([dr for _, dr in solved])
 
 
 def steady_state_batch(params: SpinParams, b_nv_batch: np.ndarray,
-                       extra_superoperator: np.ndarray | None = None) -> np.ndarray:
+                       extra_superoperator: np.ndarray | None = None,
+                       rows=None) -> np.ndarray:
     """Steady states for a batch of NV-frame fields, shape (k, 3) -> (k, 3, 3).
 
     Solves 0 = A(b) r for the real coherence vector r of rho, with
@@ -215,29 +251,31 @@ def steady_state_batch(params: SpinParams, b_nv_batch: np.ndarray,
     field gives the same bits in any batch.  The results are Hermitian and
     scaled to unit trace.  ``extra_superoperator`` is a real 9x9 generator
     in these coordinates (``mdmr.microwave_superoperator``) or a stack.
+    With ``rows``, ``params`` holds one SpinParams per row and ``rows[j]``
+    is the row of field j (:func:`_solve`).
 
     Raises:
         SteadyStateError: if a linear solve fails or leaves a large
             residual (near-singular generator).
     """
-    return _density_matrices(_steady_vectors(params, b_nv_batch, extra_superoperator)[1])
+    return _density_matrices(_solve(params, b_nv_batch, extra_superoperator, rows)[0])
 
 
 def steady_state_derivative_batch(params: SpinParams, b_nv_batch: np.ndarray,
-                                  directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                                  directions: np.ndarray,
+                                  rows=None) -> tuple[np.ndarray, np.ndarray]:
     """Steady states (k, 3, 3) at NV-frame fields (k, 3), bitwise those of
     :func:`steady_state_batch`, and their derivatives (k, n, 3, 3) along
     NV-frame field directions (k, n, 3).  Differentiating A(b) r = 0 with
     the trace row fixed, the solved system times r' is -(sum_i d_i A_i) r
     with 0 in the trace row: one more solve with the same matrix
     (Schweitzer 1968; Golub & Meyer 1986), and r' has zero trace.
+    ``rows`` is that of :func:`steady_state_batch`.
     """
-    a, r = _steady_vectors(params, b_nv_batch, None)
-    # -(sum_i d_i A_i) r, (k, 9, n), with 0 in the trace row
-    rhs = -np.einsum("kni,iab,kb->kan", directions, _generator_parts(params)[1], r)
-    rhs[:, 0] = 0.0
-    dr = np.swapaxes(np.linalg.solve(a, rhs), 1, 2).reshape(-1, 9)
-    return _density_matrices(r), _density_matrices(dr).reshape(len(r), -1, 3, 3)
+    directions = np.asarray(directions, dtype=float)
+    r, dr = _solve(params, b_nv_batch, None, rows, directions)
+    return (_density_matrices(r),
+            _density_matrices(dr.reshape(-1, 9)).reshape(len(r), directions.shape[1], 3, 3))
 
 
 def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,
@@ -312,17 +350,28 @@ def susceptibility_analytic(params: SpinParams, b0: float) -> SusceptibilityTens
 def susceptibility_numeric(params: SpinParams, b0: float) -> SusceptibilityTensor:
     """Susceptibility from the exact derivative of the solved steady state.
 
-    One :func:`steady_state_derivative_batch` solve at the axial bias ``b0``
-    along x and z: chi_perp = mu0 dM_x/dB_x, chi_d = mu0 dM_y/dB_x and
-    chi_par = mu0 dM_z/dB_z.  The bias state passes the positivity check of
-    :func:`magnetization`.
+    The one-field case of :func:`_numeric_susceptibilities`:
+    chi_perp = mu0 dM_x/dB_x, chi_d = mu0 dM_y/dB_x and chi_par =
+    mu0 dM_z/dB_z at the axial bias ``b0``.
     """
-    rho, drho = steady_state_derivative_batch(
-        params, np.array([[0.0, 0.0, b0]]), np.array([[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]]))
-    check_density_matrix(rho[0], **_STATE_TOLERANCES)
-    dm = -MU0 * params.density * HBAR * params.gyromagnetic_ratio * spin_expectation(drho[0])
-    return SusceptibilityTensor(chi_perp=float(dm[0, 0]), chi_d=float(dm[0, 1]),
-                                chi_par=float(dm[1, 2]))
+    return _numeric_susceptibilities(params, [b0])[0][0]
+
+
+def _numeric_susceptibilities(params: SpinParams, b0s) -> tuple[list, np.ndarray]:
+    """(tensors, states): :func:`susceptibility_numeric` at each axial bias
+    of ``b0s`` and the bias states (k, 3, 3), from one
+    :func:`steady_state_derivative_batch` along x and z, so each field
+    gives the same bits as alone.  Every state passes the positivity check
+    of :func:`magnetization`."""
+    fields = np.zeros((len(b0s), 3))
+    fields[:, 2] = b0s
+    rhos, drhos = steady_state_derivative_batch(
+        params, fields, np.broadcast_to([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], (len(b0s), 2, 3)))
+    for rho in rhos:
+        check_density_matrix(rho, **_STATE_TOLERANCES)
+    dms = -MU0 * params.density * HBAR * params.gyromagnetic_ratio * spin_expectation(drhos)
+    return [SusceptibilityTensor(chi_perp=float(dm[0, 0]), chi_d=float(dm[0, 1]),
+                                 chi_par=float(dm[1, 2])) for dm in dms], rhos
 
 
 def susceptibility_van_vleck(params: SpinParams, populations, b0: float) -> float:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from nvspinmech import (SX, CrystalOrientation, FieldVector, SpinParams, TrapModel,
+from nvspinmech import (SX, CrystalOrientation, SpinParams, TrapModel,
                         build_hamiltonian, susceptibility_analytic)
 from nvspinmech.constants import HBAR, MU0
 from nvspinmech.mechanics import _CLASS_FRAMES
@@ -31,11 +31,6 @@ def orientation():
 @pytest.fixture
 def trap():
     return TrapModel(trap_frequency=TWO_PI * 500.0, theta0=3.0 * DEG)
-
-
-def axial_field(orientation, b_mag):
-    """Lab field along the tracked (class 0) axis."""
-    return FieldVector.from_array(b_mag * orientation.axis_lab(0), frame="lab")
 
 
 def linear_torque_coefficient(params, b0):

@@ -71,14 +71,19 @@ def test_traced_pass_reports_json_without_failures(workload):
 
 
 # Seed-1 counts of a traced pass.  Each equilibrium's stability and slope
-# and each susceptibility point comes from one steady_state_derivative_batch
-# call (a solve and its derivative); a libration row reuses its
-# equilibrium's slope and solves again only at a given tilt.  The
-# susceptibility sweep's populations come from one steady_state_batch call.
+# comes from one steady_state_derivative_batch call (a solve and its
+# derivative).  Independent rows are solved together: a libration sweep
+# scans all its rows in shared batches, one per widening round, polishes
+# each row with Brent and takes the slopes at all bound roots in one
+# derivative batch, and the susceptibility sweep is one derivative batch
+# (the chi_perp of every field and the states the populations come from).
 # Equilibria and MDMR points share one stable-root search: 17 anchored
 # tilts around the guess in one batch, widened 4x until a stable bracket
-# appears (a low-field libration row with no trap scans all 472 tilts of
-# [-pi/2, pi]), then a Brent polish that stops at a rounding-level torque.
+# appears (a low-field libration row with no trap widens to all 472 tilts
+# of [-pi/2, pi]), then a Brent polish that stops at a rounding-level
+# torque.  A wider window holds the one before, so each round evaluates
+# only the tilts it adds.  A batch above 256 systems is solved in slices
+# inside one steady-state call, which counts once.
 # A hysteresis pair evaluates each driven-torque batch once: its two scans
 # share one memo, so the down sweep re-solves neither the baseline nor,
 # off a fold, the up sweep's scan windows and Brent steps, while
@@ -99,11 +104,11 @@ def test_traced_pass_reports_json_without_failures(workload):
 # residuals and their Jacobian, 125 such evaluations in all.  Restarting
 # more than one inversion exceeds the call bound.
 BUDGETS = {
-    "orientation_recipes": {"spincore.steady_state_batch": 895,
-                            "spincore.steady_state_batch.points": 38262,
-                            "spincore.steady_state_derivative_batch": 287},
+    "orientation_recipes": {"spincore.steady_state_batch": 788,
+                            "spincore.steady_state_batch.points": 35743,
+                            "spincore.steady_state_derivative_batch": 90},
     "mdmr_hysteresis": {"spincore.steady_state_batch": 484,
-                        "spincore.steady_state_batch.points": 4005,
+                        "spincore.steady_state_batch.points": 3869,
                         "mdmr.microwave_superoperator": 417,
                         "mdmr.iterations": 700,
                         "mdmr.zero_connected_lines": 22,

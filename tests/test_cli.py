@@ -1,12 +1,17 @@
 """End-to-end command-line runs: exit codes, determinism, table contracts."""
 
+import contextlib
+import io
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvspinmech import (CrystalOrientation, equilibrium_branch, librational_frequency,
-                        mdmr_scan)
+                        mdmr_scan, susceptibility_numeric)
+from nvspinmech import mechanics, spincore
 from nvspinmech.cli import main
 from nvspinmech.config import load_config
 from nvspinmech.mechanics import _axial_field
@@ -177,6 +182,7 @@ class TestTables:
             ("equilibrium", ["--set", "sweep.steps=0"]),
             ("rotation", ["--set", "sweep.steps=0"]),
             ("libration", ["--set", "sweep.steps=0"]),
+            ("libration", ["--set", "sweep.steps=0", "--set", "libration.variable=pump_rate"]),
             ("mdmr", ["--set", "mdmr.frequency_steps=0"]),
             ("landscape", ["--set", "landscape.theta_steps=0"]),
             ("critical-field", ["--set", "sweep.steps=0"]),
@@ -186,6 +192,30 @@ class TestTables:
             table = ResultTable.parse(out)
             assert table.rows == [], cmd
             assert len(table.units) == len(table.columns), cmd
+
+    @pytest.mark.parametrize("command, extra", [
+        ("susceptibility", ["sweep.start=0.13"]),
+        ("libration", ["sweep.start=0.13"]),
+        ("libration", ["libration.variable=pump_rate", "sweep.start=2e5"])],
+        ids=["susceptibility", "libration-field", "libration-pump"])
+    def test_one_step_sweep_is_the_per_row_result(self, capsys, command, extra):
+        # the batched commands give the one row the per-row functions give
+        overrides = ["sweep.steps=1", "run.classes=tracked", *extra]
+        code, out, err = run_cli(capsys, command, *_sets(*overrides))
+        assert code == 0, err
+        (row,) = ResultTable.parse(out).rows
+        cfg = load_config(overrides=overrides)
+        if command == "susceptibility":
+            assert row[2] == susceptibility_numeric(cfg.spin_params(), 0.13).chi_perp
+            return
+        params, b = cfg.spin_params(), cfg.get("field", "magnitude_tesla")
+        if "libration.variable=pump_rate" in extra:
+            params = params.with_(pump_rate=2e5)
+        else:
+            b = 0.13
+        res = librational_frequency(params, CrystalOrientation.identity(), cfg.trap(),
+                                    _axial_field(CrystalOrientation.identity(), b), classes=(0,))
+        assert row[1:] == [res.omega_numeric, res.omega_analytic, res.theta_star, res.stable]
 
     def test_metadata_block_present(self, capsys):
         _, out, _ = run_cli(capsys, "susceptibility", *FAST_SUSC)
@@ -444,3 +474,139 @@ class TestCliField:
             res = librational_frequency(cfg.spin_params(), self.crystal, cfg.trap(),
                                         _axial_field(self.crystal, b), classes=(0,))
             assert row[1:4] == [res.omega_numeric, res.omega_analytic, res.theta_star]
+
+
+def _sets(*overrides):
+    return [arg for item in overrides for arg in ("--set", item)]
+
+
+LIBRATION_FIELD = _sets("run.classes=tracked", "trap.trap_frequency_hz=0",
+                        "spin.n_spins_per_class=1e9")
+LIBRATION_PUMP = LIBRATION_FIELD + _sets("libration.variable=pump_rate", "sweep.start=1e3",
+                                         "sweep.stop=1e6")
+MDMR_23MT = _sets("field.magnitude_tesla=0.023", "mdmr.frequency_start_hz=2.0e9",
+                  "mdmr.frequency_stop_hz=3.8e9", "mdmr.frequency_steps=181",
+                  "mdmr.rabi_rate_hz=5e5", "run.classes=tracked")
+MDMR_180MT = _sets("field.magnitude_tesla=0.18", "mdmr.frequency_start_hz=2.1e9",
+                   "mdmr.frequency_stop_hz=2.25e9", "mdmr.frequency_steps=61",
+                   "run.classes=tracked")
+HYSTERESIS = _sets("mdmr.hysteresis=true", "mdmr.rabi_rate_hz=6e6")
+# the README reproduction recipes, the hysteresis row on both MDMR recipes
+README_RECIPES = {
+    "susceptibility": ["susceptibility", *_sets("sweep.start=0", "sweep.stop=0.2",
+                                                "sweep.steps=120")],
+    "equilibrium": ["equilibrium", *_sets("sweep.start=0.005", "sweep.stop=0.2",
+                                          "sweep.steps=40")],
+    "rotation": ["rotation", *_sets("field.magnitude_tesla=0.13", "sweep.start=0",
+                                    "sweep.stop=0.245", "sweep.steps=8",
+                                    "spin.n_spins_per_class=1e9", "trap.trap_frequency_hz=300")],
+    "mdmr_23mT": ["mdmr", *MDMR_23MT],
+    "mdmr_180mT": ["mdmr", *MDMR_180MT],
+    "hysteresis_23mT": ["mdmr", *MDMR_23MT, *HYSTERESIS],
+    "hysteresis_180mT": ["mdmr", *MDMR_180MT, *HYSTERESIS],
+    "landscape": ["landscape", *_sets("field.magnitude_tesla=0.11")],
+    "libration": ["libration", *LIBRATION_FIELD],
+    "libration_pump": ["libration", *LIBRATION_PUMP],
+    "invert": ["invert", *_sets("invert.nu_minus_hz=2.2254e9", "invert.nu_plus_hz=3.5146e9",
+                                "invert.linewidth_hz=10e6")],
+    "critical_field_free": ["critical-field", *_sets("trap.trap_frequency_hz=0")],
+    "critical_field": ["critical-field"],
+}
+
+
+class TestBatchedSweeps:
+    """The susceptibility and libration sweeps solve their independent rows
+    together; every row is bitwise the per-row function's."""
+
+    def test_susceptibility_rows_are_susceptibility_numeric(self, capsys):
+        code, out, err = run_cli(capsys, *README_RECIPES["susceptibility"])
+        assert code == 0, err
+        table = ResultTable.parse(out)
+        params = load_config(overrides=["sweep.steps=120"]).spin_params()
+        assert len(table.rows) == 120
+        for row in table.rows:
+            assert row[2] == susceptibility_numeric(params, row[0]).chi_perp, row[0]
+
+    @pytest.mark.parametrize("recipe", ["libration", "libration_pump"])
+    def test_libration_sweep_is_one_derivative_batch(self, capsys, monkeypatch, recipe):
+        # the slopes at all bound roots of the sweep come from one batch
+        calls = []
+        original = mechanics.steady_state_derivative_batch
+
+        def counting(*args):
+            calls.append(len(args[1]))
+            return original(*args)
+
+        monkeypatch.setattr(mechanics, "steady_state_derivative_batch", counting)
+        code, out, err = run_cli(capsys, *README_RECIPES[recipe])
+        assert code == 0, err
+        assert calls == [40]
+
+    def test_no_solve_exceeds_the_batch_cap(self, capsys, monkeypatch):
+        # a larger batch (the shared full-range libration scan has 6 * 343
+        # tilts) is split into slices of at most _MAX_BATCH systems
+        sizes = []
+        original = spincore._steady_vectors
+
+        def recording(a0, a_field, b, *rest):
+            sizes.append(len(b))
+            return original(a0, a_field, b, *rest)
+
+        monkeypatch.setattr(spincore, "_steady_vectors", recording)
+        for name, argv in README_RECIPES.items():
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 0, f"{name}: {err}"
+        assert max(sizes) == spincore._MAX_BATCH
+
+
+# B = D/gamma_e of the default config, where Delta_- = 0 exactly
+CROSSING = 0.10241221809877248
+
+
+def _with_edges(edges, lo, hi):
+    return st.one_of(st.sampled_from(edges), st.floats(lo, hi))
+
+
+FIELDS = _with_edges([0.0, CROSSING, 0.2], 0.0, 0.3)
+PUMPS = _with_edges([0.0, 1e9], 0.0, 1e9)
+# the columns documented to carry NaN: the van Vleck chi at the exact
+# crossing (SingularDetuningError), and theta* and omega_numeric of a
+# libration row with no bound or no stable equilibrium (LibrationResult)
+NON_FINITE_COLUMNS = {"susceptibility": {"chi_perp_vanvleck"},
+                      "libration": {"theta_star", "omega_numeric"}}
+
+
+@pytest.mark.parametrize("variable", [None, "field", "pump_rate"],
+                         ids=["susceptibility", "libration-field", "libration-pump"])
+@settings(max_examples=9, deadline=None, derandomize=True)
+@given(b=FIELDS, ends=st.tuples(FIELDS, FIELDS), pumps=st.tuples(PUMPS, PUMPS),
+       dephasing=_with_edges([1e-3], 1e-3, 1e7), trap_hz=_with_edges([0.0], 0.0, 1e3),
+       steps=st.integers(0, 3))
+def test_cli_edges_answer_or_fail_cleanly(variable, b, ends, pumps, dephasing, trap_hz,
+                                          steps):
+    # every override answers, or exits 1 (config) or 2 (numerical) without
+    # a traceback, and non-finite cells stay in the documented columns
+    command = "susceptibility" if variable is None else "libration"
+    sweep = sorted(pumps if variable == "pump_rate" else ends)
+    overrides = [f"field.magnitude_tesla={b!r}", f"spin.pump_rate_per_s={pumps[0]!r}",
+                 f"spin.dephasing_rate_hz={dephasing!r}",
+                 f"trap.trap_frequency_hz={trap_hz!r}", f"sweep.start={sweep[0]!r}",
+                 f"sweep.stop={sweep[1]!r}", f"sweep.steps={steps}"]
+    if variable is not None:
+        overrides.append(f"libration.variable={variable}")
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, *_sets(*overrides)])
+    except Exception as exc:  # noqa: BLE001 - the contract is that nothing escapes
+        pytest.fail(f"{type(exc).__name__} escaped main for {overrides}: {exc}")
+    assert code in (0, 1, 2), overrides
+    if code != 0:
+        assert err.getvalue().startswith("nvspinmech: "), err.getvalue()
+        return
+    table = ResultTable.parse(out.getvalue())
+    assert len(table.rows) == steps
+    for row in table.rows:
+        bad = {col for col, v in zip(table.columns, row)
+               if isinstance(v, float) and not np.isfinite(v)}
+        assert bad <= NON_FINITE_COLUMNS[command], (overrides, row)

@@ -11,9 +11,9 @@ from nvspinmech.constants import HBAR
 from nvspinmech.crystal import transverse_reference
 from nvspinmech import mdmr
 from nvspinmech.mdmr import _driven_moments, _driven_total_torque
-from nvspinmech.mechanics import _class_fields
+from nvspinmech.mechanics import _axial_field, _class_fields
 
-from conftest import axial_field, coherence_basis, kron_jump_sum, to_crystal
+from conftest import coherence_basis, kron_jump_sum, to_crystal
 
 TWO_PI = 2.0 * np.pi
 DEG = np.pi / 180.0
@@ -29,7 +29,7 @@ def scan_window(params, orientation, trap, b_mag, line, span_hz, n, classes=(0,)
     """Sweep frequencies centered on one |0>-connected line at equilibrium."""
     from nvspinmech import equilibrium_angle, tilt_geometry, NV_AXES
 
-    b = axial_field(orientation, b_mag)
+    b = _axial_field(orientation, b_mag)
     eq = equilibrium_angle(params, orientation, trap, b, classes=classes)
     geom = tilt_geometry(orientation, b)
     bc = geom.b_crystal(eq.theta)
@@ -168,7 +168,7 @@ class TestScan:
         freqs = np.linspace(2.0e9, 2.5e9, 7)
         drive = drive_at(freqs, rabi_hz=0.0)
         spec = mdmr_scan(params, orientation, trap,
-                         axial_field(orientation, 0.023), drive)
+                         _axial_field(orientation, 0.023), drive)
         assert np.all(spec.delta_theta == 0.0)
         assert spec.baseline_theta > 0.0
         assert all(p.converged for p in spec.points)
@@ -183,7 +183,7 @@ class TestScan:
         assert expected_minus == pytest.approx(2.2254e9, rel=1e-4)
         assert expected_plus == pytest.approx(3.5146e9, rel=1e-4)
         freqs = np.linspace(2.0e9, 3.8e9, 181)
-        spec = mdmr_scan(params, orientation, trap, axial_field(orientation, b0),
+        spec = mdmr_scan(params, orientation, trap, _axial_field(orientation, b0),
                          drive_at(freqs, rabi_hz=0.5e6), classes=(0,))
         dth = spec.delta_theta
         i_minus = np.argmin(np.abs(freqs - expected_minus))
@@ -203,7 +203,7 @@ class TestScan:
         expected = (params.gyromagnetic_ratio * b0
                     - params.zero_field_splitting) / TWO_PI
         freqs = np.linspace(expected - 60e6, expected + 60e6, 41)
-        spec = mdmr_scan(params, orientation, trap, axial_field(orientation, b0),
+        spec = mdmr_scan(params, orientation, trap, _axial_field(orientation, b0),
                          drive_at(freqs, rabi_hz=1e6), classes=(0,))
         peak = freqs[np.argmax(np.abs(spec.delta_theta))]
         assert peak == pytest.approx(expected, abs=10e6)
@@ -215,7 +215,7 @@ class TestScan:
         # far from the aligned class's and differ among themselves because
         # the baseline tilt breaks their equivalence
         b0 = 0.18
-        b = axial_field(orientation, b0)
+        b = _axial_field(orientation, b0)
         spec = mdmr_scan(params, orientation, trap, b,
                          drive_at(np.linspace(2.0e9, 2.4e9, 5), 1e6))
         lines_109 = spec.class_lines_hz[1]
@@ -230,7 +230,7 @@ class TestScan:
 
     def test_empty_sweep_rejected(self, params, orientation, trap):
         with pytest.raises(ValueError, match="empty"):
-            mdmr_scan(params, orientation, trap, axial_field(orientation, 0.02),
+            mdmr_scan(params, orientation, trap, _axial_field(orientation, 0.02),
                       MicrowaveDrive(rabi_rate=1.0, frequencies=()))
 
     def test_no_stable_baseline_raises(self, params, orientation):
@@ -238,7 +238,7 @@ class TestScan:
         # stable root in the searched range
         far = TrapModel(trap_frequency=TWO_PI * 500.0, theta0=4.0)
         with pytest.raises(RuntimeError, match="no stable microwave-off equilibrium"):
-            mdmr_scan(params, orientation, far, axial_field(orientation, 0.13),
+            mdmr_scan(params, orientation, far, _axial_field(orientation, 0.13),
                       drive_at([2.0e9], 1e6))
 
 
@@ -248,7 +248,7 @@ class TestHysteresis:
         freqs, center = scan_window(params, orientation, trap, 0.13,
                                     "lower", 120 * MHZ, 41)
         up, down = hysteresis_pair(params, orientation, trap,
-                                   axial_field(orientation, 0.13),
+                                   _axial_field(orientation, 0.13),
                                    drive_at(freqs, rabi_hz=0.2e6), classes=(0,))
         gap = np.max(np.abs(up.delta_theta - down.delta_theta[::-1]))
         assert gap < 1e-5 * DEG
@@ -258,7 +258,7 @@ class TestHysteresis:
         freqs, center = scan_window(params, orientation, trap, 0.14,
                                     "upper", 300 * MHZ, 61)
         up, down = hysteresis_pair(params, orientation, trap,
-                                   axial_field(orientation, 0.14),
+                                   _axial_field(orientation, 0.14),
                                    drive_at(freqs, rabi_hz=8e6), classes=(0,))
         gap = np.max(np.abs(up.delta_theta - down.delta_theta[::-1]))
         assert gap > 1.0 * DEG
@@ -270,7 +270,7 @@ class TestHysteresis:
         freqs, center = scan_window(params, orientation, trap_m, 0.12,
                                     "lower", 150 * MHZ, 61)
         up, down = hysteresis_pair(params, orientation, trap_m,
-                                   axial_field(orientation, 0.12),
+                                   _axial_field(orientation, 0.12),
                                    drive_at(freqs, 6e6), classes=(0,))
         assert sharp_edge_side(up, down, center) == "high"
 
@@ -278,7 +278,7 @@ class TestHysteresis:
         freqs, center = scan_window(params, orientation, trap_p, 0.14,
                                     "upper", 300 * MHZ, 61)
         up, down = hysteresis_pair(params, orientation, trap_p,
-                                   axial_field(orientation, 0.14),
+                                   _axial_field(orientation, 0.14),
                                    drive_at(freqs, 8e6), classes=(0,))
         assert sharp_edge_side(up, down, center) == "low"
 
@@ -290,7 +290,7 @@ class TestHysteresis:
             freqs, center = scan_window(p, orientation, trap, 0.023,
                                         line, 60 * MHZ, 61)
             up, down = hysteresis_pair(p, orientation, trap,
-                                       axial_field(orientation, 0.023),
+                                       _axial_field(orientation, 0.023),
                                        drive_at(freqs, rabi), classes=(0,))
             assert sharp_edge_side(up, down, center) == "low"
 
@@ -300,7 +300,7 @@ class TestHysteresis:
         # (and an unstable root between them); the scan stays on it
         p = SpinParams(gamma2_star=TWO_PI * 1e6)
         trap = TrapModel(trap_frequency=TWO_PI * 120.0, theta0=10.0 * DEG)
-        field = axial_field(orientation, 0.023)
+        field = _axial_field(orientation, 0.023)
         freqs, _ = scan_window(p, orientation, trap, 0.023, "upper", 60 * MHZ, 13)
         spec = mdmr_scan(p, orientation, trap, field,
                          drive_at(freqs[::-1], 2e6, direction="down"), classes=(0,))
@@ -346,17 +346,17 @@ class TestPairMemo:
         p = SpinParams(gamma2_star=TWO_PI * 1e6)
         trap = TrapModel(trap_frequency=TWO_PI * 120.0, theta0=10.0 * DEG)
         freqs, _ = scan_window(p, orientation, trap, 0.023, "upper", 60 * MHZ, 13)
-        return p, trap, axial_field(orientation, 0.023), drive_at(freqs, 2e6), (0,)
+        return p, trap, _axial_field(orientation, 0.023), drive_at(freqs, 2e6), (0,)
 
     def linear_pair(self, params, orientation):
         trap = TrapModel(trap_frequency=TWO_PI * 300.0, theta0=3.0 * DEG)
         freqs, _ = scan_window(params, orientation, trap, 0.13, "lower", 120 * MHZ, 7)
-        return params, trap, axial_field(orientation, 0.13), drive_at(freqs, 0.2e6), (0,)
+        return params, trap, _axial_field(orientation, 0.13), drive_at(freqs, 0.2e6), (0,)
 
     def four_class_pair(self, params, orientation):
         # the README 180 mT recipe with all four classes, shortened
         trap = TrapModel(trap_frequency=TWO_PI * 500.0, theta0=3.0 * DEG)
-        return (params, trap, axial_field(orientation, 0.18),
+        return (params, trap, _axial_field(orientation, 0.18),
                 drive_at(np.linspace(2.1e9, 2.25e9, 9), 6e6), (0, 1, 2, 3))
 
     def test_no_batch_is_solved_twice(self, params, orientation, monkeypatch):
@@ -396,7 +396,7 @@ class TestBaseline:
 
     @pytest.mark.parametrize("classes", [(0,), (0, 1, 2, 3)])
     def test_baseline_is_equilibrium_angle(self, params, orientation, trap, classes):
-        field = axial_field(orientation, 0.18)
+        field = _axial_field(orientation, 0.18)
         spec = mdmr_scan(params, orientation, trap, field,
                          drive_at(np.linspace(2.1e9, 2.25e9, 3), 6e6), classes)
         eq = equilibrium_angle(params, orientation, trap, field, classes=classes)
@@ -405,7 +405,7 @@ class TestBaseline:
     def test_zero_drive_solves_nothing_past_baseline(self, params, orientation, trap,
                                                       monkeypatch):
         keys = count_torque_batches(monkeypatch)
-        spec = mdmr_scan(params, orientation, trap, axial_field(orientation, 0.023),
+        spec = mdmr_scan(params, orientation, trap, _axial_field(orientation, 0.023),
                          drive_at(np.linspace(2.0e9, 2.5e9, 7), rabi_hz=0.0))
         assert keys == []
         assert all(p.delta_theta == 0.0 and p.iterations == 0 and p.converged
@@ -421,7 +421,7 @@ class TestBaseline:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(mdmr, "equilibrium_angle", counting)
-        up, down = hysteresis_pair(params, orientation, trap, axial_field(orientation, 0.18),
+        up, down = hysteresis_pair(params, orientation, trap, _axial_field(orientation, 0.18),
                                    drive_at(np.linspace(2.1e9, 2.25e9, 3), 6e6), classes=(0,))
         assert len(calls) == 1
         assert up.baseline_theta == down.baseline_theta

@@ -12,11 +12,12 @@ from nvspinmech import (SpinParams, TrapModel, equilibrium_angle, equilibrium_br
                         magnetic_energy_landscape, tilt_geometry, tilt_torque_and_slope,
                         tilt_torque_batch,
                         RangeExhaustedError, susceptibility_analytic)
-from nvspinmech import mdmr, mechanics
+from nvspinmech import mdmr, mechanics, roots
 from nvspinmech.constants import KB
-from nvspinmech.mechanics import TiltGeometry, _integrate_torque, _stable_bracket
+from nvspinmech.mechanics import TiltGeometry, _axial_field, _integrate_torque
+from nvspinmech.roots import _stable_bracket
 
-from conftest import axial_field, linear_torque_coefficient
+from conftest import linear_torque_coefficient
 
 TWO_PI = 2.0 * np.pi
 DEG = np.pi / 180.0
@@ -24,27 +25,27 @@ DEG = np.pi / 180.0
 
 class TestSpinTorque:
     def test_aligned_axial_field_gives_zero(self, params, orientation):
-        geom = tilt_geometry(orientation, axial_field(orientation, 0.12))
+        geom = tilt_geometry(orientation, _axial_field(orientation, 0.12))
         tau = tilt_torque_batch(params, geom, [0.0], classes=(0,))
         assert np.allclose(tau, 0.0, atol=1e-24)
 
     def test_linear_regime_matches_susceptibility(self, params, orientation):
         # dispersive point, small tilt: tau = (V/mu0) chi_perp B^2 theta
         b0, theta = 0.12, 0.5 * DEG
-        geom = tilt_geometry(orientation, axial_field(orientation, b0))
+        geom = tilt_geometry(orientation, _axial_field(orientation, b0))
         tau = tilt_torque_batch(params, geom, [theta], classes=(0,))[0]
         expected = linear_torque_coefficient(params, b0) * theta
         assert tau == pytest.approx(expected, rel=1e-2)
 
     def test_restoring_past_crossing(self, params, orientation):
         # pumped ensemble past the level crossing: d(tau)/d(theta) < 0 at 0
-        geom = tilt_geometry(orientation, axial_field(orientation, 0.13))
+        geom = tilt_geometry(orientation, _axial_field(orientation, 0.13))
         h = 1e-4
         taus = tilt_torque_batch(params, geom, [-h, h], classes=(0,))
         assert (taus[1] - taus[0]) / (2 * h) < 0.0
 
     def test_anti_restoring_before_crossing(self, params, orientation):
-        geom = tilt_geometry(orientation, axial_field(orientation, 0.05))
+        geom = tilt_geometry(orientation, _axial_field(orientation, 0.05))
         h = 1e-4
         taus = tilt_torque_batch(params, geom, [-h, h], classes=(0,))
         assert (taus[1] - taus[0]) / (2 * h) > 0.0
@@ -65,7 +66,7 @@ class TestEnergyLandscape:
         thetas = np.linspace(-1.0, 1.0, 11)
         phis = np.linspace(0.0, TWO_PI, 4)
         scape = magnetic_energy_landscape(p, orientation,
-                                          axial_field(orientation, 0.11),
+                                          _axial_field(orientation, 0.11),
                                           thetas, phis)
         i0 = np.argmin(np.abs(thetas))
         assert np.all(scape.energy >= scape.energy[i0, :].max() - 1e-25)
@@ -75,7 +76,7 @@ class TestEnergyLandscape:
         p = params.with_(n_spins_per_class=2.5e8)
         thetas = np.linspace(0.0, 1.0, 9)
         scape = magnetic_energy_landscape(p, orientation,
-                                          axial_field(orientation, 0.11),
+                                          _axial_field(orientation, 0.11),
                                           thetas, np.array([0.0]))
         assert scape.depth > 100.0 * KB * 300.0
 
@@ -83,7 +84,7 @@ class TestEnergyLandscape:
         thetas = np.linspace(0.0, 0.9, 7)
         phis = np.array([0.4, 0.4 + TWO_PI / 3.0])
         scape = magnetic_energy_landscape(params, orientation,
-                                          axial_field(orientation, 0.11),
+                                          _axial_field(orientation, 0.11),
                                           thetas, phis)
         scale = np.max(np.abs(scape.energy))
         assert np.max(np.abs(scape.energy[:, 0] - scape.energy[:, 1])) < 1e-9 * scale
@@ -92,7 +93,7 @@ class TestEnergyLandscape:
         thetas = np.linspace(0.0, 0.9, 6)
         phis = np.array([0.3, 1.7, 4.0])
         scape = magnetic_energy_landscape(params, orientation,
-                                          axial_field(orientation, 0.11),
+                                          _axial_field(orientation, 0.11),
                                           thetas, phis, classes=(0,))
         scale = np.max(np.abs(scape.energy))
         spread = scape.energy.max(axis=1) - scape.energy.min(axis=1)
@@ -102,7 +103,7 @@ class TestEnergyLandscape:
         # the three off-axis classes break the +-theta symmetry at phi = 0
         thetas = np.array([-0.6, -0.3, 0.3, 0.6])
         scape = magnetic_energy_landscape(params, orientation,
-                                          axial_field(orientation, 0.11),
+                                          _axial_field(orientation, 0.11),
                                           thetas, np.array([0.0]))
         u = scape.energy[:, 0]
         assert abs(u[1] - u[2]) > 0.05 * abs(u[2])
@@ -117,7 +118,7 @@ class TestEnergyLandscape:
             b0 = float(rng.uniform(0.02, 0.18))
             theta = float(rng.uniform(0.05, 1.3))
             phi = float(rng.uniform(0.0, TWO_PI))
-            geom = tilt_geometry(orientation, axial_field(orientation, b0))
+            geom = tilt_geometry(orientation, _axial_field(orientation, b0))
             geom = type(geom)(b_mag=geom.b_mag, phi=phi)
             tau = tilt_torque_batch(params, geom, [theta])[0]
 
@@ -132,21 +133,21 @@ class TestEnergyLandscape:
             assert abs(-grad - tau) <= 1e-6 * scale + 1e-30
 
     def test_grid_validation(self, params, orientation):
-        b = axial_field(orientation, 0.1)
+        b = _axial_field(orientation, 0.1)
         with pytest.raises(ValueError, match="increasing"):
             magnetic_energy_landscape(params, orientation, b,
                                       np.array([0.2, 0.1]), np.array([0.0]))
 
     def test_curl_diagnostic_is_small(self, params, orientation):
         rel_curl = landscape_curl_check(params, orientation,
-                                        axial_field(orientation, 0.11),
+                                        _axial_field(orientation, 0.11),
                                         n_samples=4, seed=3)
         assert rel_curl < 0.05
 
     @pytest.mark.parametrize("n_samples", [0, -1])
     def test_curl_diagnostic_needs_a_sample(self, params, orientation, n_samples):
         with pytest.raises(ValueError, match="n_samples"):
-            landscape_curl_check(params, orientation, axial_field(orientation, 0.11),
+            landscape_curl_check(params, orientation, _axial_field(orientation, 0.11),
                                  n_samples=n_samples)
 
     def test_quadrature_failure_names_worst_cell(self, params, orientation, monkeypatch):
@@ -156,7 +157,7 @@ class TestEnergyLandscape:
         monkeypatch.setattr(mechanics, "_QUAD_RTOL", 1e-14)
         monkeypatch.setattr(mechanics, "_QUAD_ATOL", 1e-40)
         monkeypatch.setattr(mechanics, "_QUAD_DEPTH", 0)
-        geom = tilt_geometry(orientation, axial_field(orientation, 0.103))
+        geom = tilt_geometry(orientation, _axial_field(orientation, 0.103))
         with pytest.raises(QuadratureError, match="worst cell") as exc:
             _integrate_torque(params, geom, 0.0, 1.2)
         lo, hi, phi = exc.value.cell
@@ -229,9 +230,9 @@ class TestStableBracket:
 
     def test_equilibrium_polish_keeps_scanned_end_values(self, params, orientation,
                                                          monkeypatch):
-        field = axial_field(orientation, 0.1)
+        field = _axial_field(orientation, 0.1)
         scale = mechanics._torque_scale(params, 0.1)
-        b_end = 31 * mechanics._STEP
+        b_end = 31 * roots._STEP
         torque = self._flipping_torque(b_end, scale)
         monkeypatch.setattr(mechanics, "tilt_torque_batch",
                             lambda params, geom, thetas, classes: torque(thetas))
@@ -241,7 +242,7 @@ class TestStableBracket:
 
     def test_mdmr_polish_keeps_scanned_end_values(self, params, orientation, monkeypatch):
         scale = mechanics._torque_scale(params, 0.1)
-        b_end = 31 * mechanics._STEP
+        b_end = 31 * roots._STEP
         torque = self._flipping_torque(b_end, scale)
         # the baseline is an equilibrium (no trap), the point a driven root
         monkeypatch.setattr(mechanics, "tilt_torque_batch",
@@ -250,7 +251,7 @@ class TestStableBracket:
                             lambda *args: torque(args[5]))
         drive = mdmr.MicrowaveDrive(rabi_rate=2.0 * np.pi * 1e6, frequencies=(1e9,))
         spec = mdmr.mdmr_scan(params, orientation, TrapModel(trap_frequency=0.0),
-                              axial_field(orientation, 0.1), drive)
+                              _axial_field(orientation, 0.1), drive)
         assert abs(spec.baseline_theta - (b_end - 1e-9)) < 1e-10
         assert spec.points[0].converged
         assert abs(spec.points[0].theta - (b_end - 1e-9)) < 1e-10
@@ -261,14 +262,14 @@ class TestStableRoot:
         # a stable root 1e-9 rad below the grid tilt 31 * _STEP whose
         # single-tilt value there has the wrong sign, as a last-ulp
         # difference of a marginal value would
-        b_end = 31 * mechanics._STEP
+        b_end = 31 * roots._STEP
 
         def torque(thetas):
             thetas = np.asarray(thetas, dtype=float)
             vals = b_end - 1e-9 - thetas
             return -vals if thetas.size == 1 and thetas[0] == b_end else vals
 
-        root, _ = mechanics._stable_root(brentq, torque, 0.3, scale=1.0)
+        root, _ = roots._stable_root(brentq, torque, 0.3, scale=1.0)
         assert abs(root - (b_end - 1e-9)) < 1e-10
 
     def test_polish_stops_at_rounding_level_torque(self):
@@ -279,32 +280,131 @@ class TestStableRoot:
             thetas = np.asarray(thetas, dtype=float)
             return np.where(np.abs(thetas - 0.3) < 1e-6, -1e-13, 0.3 - thetas)
 
-        root, evals = mechanics._stable_root(brentq, torque, 0.3, scale=1.0)
+        root, evals = roots._stable_root(brentq, torque, 0.3, scale=1.0)
         assert abs(root - 0.3) < 1e-12
         assert evals == 2  # the scan and one polish step
 
     def test_grid_holds_range_ends_bitwise(self):
-        step, k_lo, k_hi = mechanics._STEP, mechanics._K_LO, mechanics._K_HI
+        step, k_lo, k_hi = roots._STEP, roots._K_LO, roots._K_HI
         assert (k_lo * step, k_hi * step) == (-0.5 * np.pi, np.pi)
         assert (157 * step, 0 * step) == (0.5 * np.pi, 0.0)
 
     def test_guess_outside_range_scans_clipped_windows(self):
         # the scan centre is clipped into the grid, so every window holds
-        # tilts and the last one is the whole of [-pi/2, pi]
-        sizes = []
+        # tilts and the last one is the whole of [-pi/2, pi]; each round
+        # evaluates only the tilts its window adds
+        scanned = []
 
         def torque(thetas):
-            sizes.append(len(thetas))
+            scanned.append(np.asarray(thetas))
             return np.ones(len(thetas))
 
-        assert mechanics._stable_root(brentq, torque, 4.0, scale=1.0) == (None, 4)
-        assert sizes == [9, 33, 129, 472]
+        assert roots._stable_root(brentq, torque, 4.0, scale=1.0) == (None, 4)
+        assert np.cumsum([len(t) for t in scanned]).tolist() == [9, 33, 129, 472]
+        step, k_lo, k_hi = roots._STEP, roots._K_LO, roots._K_HI
+        assert np.array_equal(np.sort(np.concatenate(scanned)),
+                              np.arange(k_lo, k_hi + 1) * step)
+
+
+def _whole_window_root(brent, torque, guess, scale):
+    """The stable-root search with every window evaluated whole: the
+    reference that the widening scan reproduces."""
+    evals = 0
+
+    def f(thetas):
+        nonlocal evals
+        evals += 1
+        return roots._exact_zero(torque(thetas), scale)
+
+    center = min(max(round(guess / roots._STEP), roots._K_LO), roots._K_HI)
+    for half in (8, 32, 128, 512):
+        thetas = np.arange(max(center - half, roots._K_LO),
+                           min(center + half, roots._K_HI) + 1) * roots._STEP
+        if (bracket := _stable_bracket(thetas, f(thetas), guess, scale)) is not None:
+            break
+    else:
+        return None, evals
+    a, b, fa, fb = bracket
+    return float(brent(lambda th: fa if th == a else fb if th == b else float(f([th])[0]),
+                       a, b, xtol=roots._XTOL)), evals
+
+
+def _bits(result):
+    """A result dataclass as bytes: equal bits, NaN included."""
+    return np.array(dataclasses.astuple(result), dtype=float).tobytes()
+
+
+# the README libration recipes (tracked class, no trap, N = 1e9): the field
+# sweep from 0 T (no torque: unbound) and the pump-rate sweep at 0.13 T
+_FREE = TrapModel(trap_frequency=0.0, theta0=0.05236)
+_RECIPE_PARAMS = SpinParams(n_spins_per_class=1e9)
+_FIELD_ROWS = [(_RECIPE_PARAMS, b) for b in np.linspace(0.0, 0.2, 41)]
+_PUMP_ROWS = [(_RECIPE_PARAMS.with_(pump_rate=pump), 0.13) for pump in np.linspace(1e3, 1e6, 40)]
+
+
+class TestBatchedRows:
+    @pytest.mark.parametrize("cases", [_FIELD_ROWS, _PUMP_ROWS], ids=["field", "pump_rate"])
+    def test_equilibria_rows_are_equilibrium_angle(self, orientation, cases):
+        rows = [(p, tilt_geometry(orientation, _axial_field(orientation, b))) for p, b in cases]
+        batched = mechanics._equilibria(rows, _FREE, [_FREE.theta0] * len(rows), (0,))
+        for (p, b), res in zip(cases, batched, strict=True):
+            alone = equilibrium_angle(p, orientation, _FREE, _axial_field(orientation, b),
+                                      classes=(0,))
+            assert _bits(res) == _bits(alone), b
+        if cases is _FIELD_ROWS:
+            # 0 T is unbound after the full-range scan; up to 0.03 T the
+            # root pi/2 lies only in the fourth, 472-tilt window
+            assert not batched[0].bound and batched[0].iterations == 4
+            assert [res.theta for res in batched[1:7]] == [0.5 * np.pi] * 6
+
+    @pytest.mark.parametrize("cases", [_FIELD_ROWS, _PUMP_ROWS], ids=["field", "pump_rate"])
+    def test_libration_sweep_rows_are_librational_frequency(self, orientation, cases):
+        sweep = mechanics.libration_sweep(
+            orientation, _FREE, [(p, _axial_field(orientation, b)) for p, b in cases], (0,))
+        for (p, b), res in zip(cases, sweep, strict=True):
+            alone = librational_frequency(p, orientation, _FREE, _axial_field(orientation, b),
+                                          classes=(0,))
+            assert _bits(res) == _bits(alone), b
+
+    @pytest.mark.parametrize("b_mag, guess", [(0.01, 0.05236), (0.13, 0.05236), (0.13, -1.5),
+                                              (0.0, 0.3)])
+    def test_widening_scan_evaluates_each_tilt_once(self, params, b_mag, guess):
+        # the same root and count as a scan that evaluates whole windows,
+        # and no scanned tilt is evaluated twice
+        geom = TiltGeometry(b_mag=b_mag, phi=0.0)
+        scale = mechanics._torque_scale(params, b_mag)
+        scanned = []
+
+        def torque(thetas):
+            thetas = np.asarray(thetas, dtype=float)
+            scanned.append(thetas)
+            return tilt_torque_batch(params, geom, thetas)
+
+        found = roots._stable_root(brentq, torque, guess, scale)
+        scan = np.concatenate([t for t in scanned if t.size > 1])
+        assert np.unique(scan).size == scan.size
+        assert found == _whole_window_root(brentq, torque, guess, scale)
+
+    def test_rows_widen_independently(self):
+        # rows that bracket in different rounds share the rounds they scan
+        batches = []
+
+        def torque(rows, thetas):
+            batches.append(np.bincount(rows, minlength=3).tolist())
+            return np.array([0.3, 1.0, 2.0])[rows] - thetas
+
+        found = roots._stable_roots(brentq, torque, [0.3, 0.3, 0.3], [1.0] * 3)
+        # bracketed in rounds 1, 3 and 4, then one secant step each
+        assert [evals for _, evals in found] == [2, 4, 5]
+        assert batches[:4] == [[17, 17, 17], [0, 48, 48], [0, 192, 192], [0, 0, 215]]
+        for row, (root, _) in zip((0.3, 1.0, 2.0), found):
+            assert abs(root - row) < 1e-10
 
 
 class TestEquilibrium:
     def test_weak_field_stays_at_trap_angle(self, params, orientation, trap):
         res = equilibrium_angle(params, orientation, trap,
-                                axial_field(orientation, 0.02))
+                                _axial_field(orientation, 0.02))
         assert res.bound
         assert abs(res.theta - trap.theta0) < 1.0 * DEG
         assert res.stability > 0.0
@@ -312,14 +412,14 @@ class TestEquilibrium:
     def test_zero_trap_past_crossing_aligns_exactly(self, params, orientation):
         free = TrapModel(trap_frequency=0.0)
         res = equilibrium_angle(params, orientation, free,
-                                axial_field(orientation, 0.13))
+                                _axial_field(orientation, 0.13))
         assert res.bound
         assert abs(res.theta) < 1e-6
 
     def test_residual_is_small(self, params, orientation, trap):
         res = equilibrium_angle(params, orientation, trap,
-                                axial_field(orientation, 0.12))
-        geom = tilt_geometry(orientation, axial_field(orientation, 0.12))
+                                _axial_field(orientation, 0.12))
+        geom = tilt_geometry(orientation, _axial_field(orientation, 0.12))
         taus = tilt_torque_batch(params, geom, np.linspace(0, 0.3, 8))
         assert res.torque_residual < 1e-3 * np.max(np.abs(taus))
 
@@ -328,7 +428,7 @@ class TestEquilibrium:
         thetas = []
         for b in np.linspace(0.08, 0.13, 6):
             res = equilibrium_angle(params, orientation, trap,
-                                    axial_field(orientation, b), warm_start=warm)
+                                    _axial_field(orientation, b), warm_start=warm)
             warm = res.theta
             thetas.append(res.theta)
         assert all(np.isfinite(thetas))
@@ -337,13 +437,13 @@ class TestEquilibrium:
         # a trap angle beyond the searched range [-pi/2, pi]: the trap torque
         # outweighs the spin torque everywhere in it, so no root is stable
         far = TrapModel(trap_frequency=TWO_PI * 500.0, theta0=4.0)
-        res = equilibrium_angle(params, orientation, far, axial_field(orientation, 0.13))
+        res = equilibrium_angle(params, orientation, far, _axial_field(orientation, 0.13))
         assert not res.bound
         assert np.isnan(res.theta)
         assert np.isnan(res.slope)
 
     def test_slope_is_the_exact_total_slope_at_the_root(self, params, orientation, trap):
-        b = axial_field(orientation, 0.12)
+        b = _axial_field(orientation, 0.12)
         res = equilibrium_angle(params, orientation, trap, b)
         _, slope = mechanics.tilt_torque_and_slope(params, tilt_geometry(orientation, b),
                                                    [res.theta])
@@ -353,7 +453,7 @@ class TestEquilibrium:
     def test_trap_angle_past_right_angle_is_bound(self, params, orientation):
         # the search reaches past pi/2: a trap at 2 rad holds the axis there
         trap = TrapModel(trap_frequency=TWO_PI * 500.0, theta0=2.0)
-        res = equilibrium_angle(params, orientation, trap, axial_field(orientation, 0.13))
+        res = equilibrium_angle(params, orientation, trap, _axial_field(orientation, 0.13))
         assert res.bound
         assert res.stability > 0.0
         assert res.theta == pytest.approx(1.9695, abs=1e-4)
@@ -365,7 +465,7 @@ class TestEquilibriumBranch:
         # the middle case is unbound (trap angle beyond the searched range):
         # the case after it starts from the last bound root
         far = TrapModel(trap_frequency=TWO_PI * 500.0, theta0=4.0)
-        cases = [(t, axial_field(orientation, b))
+        cases = [(t, _axial_field(orientation, b))
                  for t, b in ((trap, 0.08), (trap, 0.1), (far, 0.11), (trap, 0.12))]
         expected, warm = [], None
         for t, b_lab in cases:
@@ -388,7 +488,7 @@ class TestEquilibriumBranch:
                                expected[1].theta]
 
     def test_guess_seeds_the_first_case(self, params, orientation, trap):
-        b_lab = axial_field(orientation, 0.1)
+        b_lab = _axial_field(orientation, 0.1)
         res = equilibrium_angle(params, orientation, trap, b_lab, warm_start=0.2)
         assert equilibrium_branch(params, orientation, [(trap, b_lab)], guess=0.2) == [res]
 
@@ -481,7 +581,7 @@ class TestLibration:
         p = params.with_(n_spins_per_class=1e9, pump_rate=1e8)
         trap = TrapModel(trap_frequency=0.0)
         res = librational_frequency(p, orientation, trap,
-                                    axial_field(orientation, 0.2), classes=(0,))
+                                    _axial_field(orientation, 0.2), classes=(0,))
         delta = abs(p.zero_field_splitting - p.gyromagnetic_ratio * 0.2)
         expected = np.sqrt(1.054571817e-34 * 1e9 * p.pumping_factor
                            / (1e-22 * delta)) * p.gyromagnetic_ratio * 0.2
@@ -494,7 +594,7 @@ class TestLibration:
         p = params.with_(n_spins_per_class=1e9, pump_rate=1e9)
         trap = TrapModel(moment_of_inertia=1e-22, trap_frequency=0.0)
         res = librational_frequency(p, orientation, trap,
-                                    axial_field(orientation, 0.2), classes=(0,))
+                                    _axial_field(orientation, 0.2), classes=(0,))
         full = np.sqrt(abs(linear_torque_coefficient(p, 0.2)) / 1e-22)
         assert res.omega_numeric == pytest.approx(full, rel=1e-4)
         d_m = p.zero_field_splitting - p.gyromagnetic_ratio * 0.2
@@ -508,12 +608,12 @@ class TestLibration:
         p = params.with_(n_spins_per_class=1e9)
         trap = TrapModel(trap_frequency=0.0)
         r1 = librational_frequency(p, orientation, trap,
-                                   axial_field(orientation, 0.2), classes=(0,))
+                                   _axial_field(orientation, 0.2), classes=(0,))
         d1 = abs(p.zero_field_splitting - p.gyromagnetic_ratio * 0.2)
         b2 = 0.4
         d2 = abs(p.zero_field_splitting - p.gyromagnetic_ratio * b2)
         r2 = librational_frequency(p, orientation, trap,
-                                   axial_field(orientation, b2), classes=(0,))
+                                   _axial_field(orientation, b2), classes=(0,))
         assert r2.omega_analytic / r1.omega_analytic == pytest.approx(
             (b2 / 0.2) * np.sqrt(d1 / d2), rel=1e-9)
 
@@ -523,7 +623,7 @@ class TestLibration:
         p = params.with_(n_spins_per_class=1e9)
         trap = TrapModel(trap_frequency=0.0)
         res = librational_frequency(p, orientation, trap,
-                                    axial_field(orientation, 0.15), classes=(0,))
+                                    _axial_field(orientation, 0.15), classes=(0,))
         assert res.stable
         assert res.omega_numeric == pytest.approx(res.omega_analytic, rel=0.2)
 
@@ -533,7 +633,7 @@ class TestLibration:
         # positive, so the stable tilt the libration solves lies off axis
         p = params.with_(n_spins_per_class=1e9)
         weak = TrapModel(trap_frequency=TWO_PI * 50.0, theta0=0.0)
-        b = axial_field(orientation, 0.09)
+        b = _axial_field(orientation, 0.09)
         _, slope = tilt_torque_and_slope(p, tilt_geometry(orientation, b), [0.0],
                                          classes=(0,))
         assert slope[0] - weak.stiffness > 0.0
@@ -551,7 +651,7 @@ class TestLibration:
             return original(*args)
 
         monkeypatch.setattr(mechanics, "steady_state_derivative_batch", counting)
-        b = axial_field(orientation, 0.15)
+        b = _axial_field(orientation, 0.15)
         solved = librational_frequency(params, orientation, trap, b)
         assert len(calls) == 1
         assert solved.stable
@@ -561,7 +661,7 @@ class TestLibration:
         assert solved.stiffness == -float(slope[0]) + trap.stiffness
 
         far = TrapModel(trap_frequency=TWO_PI * 500.0, theta0=4.0)
-        unbound = librational_frequency(params, orientation, far, axial_field(orientation, 0.13))
+        unbound = librational_frequency(params, orientation, far, _axial_field(orientation, 0.13))
         assert len(calls) == 2
         assert not unbound.stable
         assert np.isnan(unbound.theta_star) and np.isnan(unbound.stiffness)
@@ -573,7 +673,7 @@ class TestLibration:
         thetas = []
         for b in np.arange(0.115, 0.2001, 0.017):
             res = equilibrium_angle(params, orientation, trap,
-                                    axial_field(orientation, b), warm_start=warm)
+                                    _axial_field(orientation, b), warm_start=warm)
             warm = res.theta
             thetas.append(res.theta)
         assert np.all(np.diff(thetas) <= 2e-5)

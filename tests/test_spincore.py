@@ -135,6 +135,25 @@ class TestSteadyState:
             for b, rho in zip(fields, batch):
                 assert np.array_equal(rho, steady_state(params, b))
 
+    def test_parameter_rows_give_each_field_its_own_bits(self):
+        # one A0 per field: a field of a mixed batch (300 fields, so split
+        # into slices) gives the bits of a batch of its own parameters
+        rows = [SpinParams(pump_rate=pump) for pump in (0.0, 1e3, 1e6)]
+        rng = np.random.default_rng(5)
+        fields = rng.normal(scale=0.08, size=(300, 3))
+        dirs = rng.normal(size=(300, 1, 3))
+        idx = rng.integers(0, 3, size=300)
+        mixed = steady_state_batch(rows, fields, rows=idx)
+        _, dmixed = steady_state_derivative_batch(rows, fields, dirs, rows=idx)
+        for i, p in enumerate(rows):
+            own = idx == i
+            assert np.array_equal(mixed[own], steady_state_batch(p, fields[own]))
+            assert np.array_equal(dmixed[own],
+                                  steady_state_derivative_batch(p, fields[own], dirs[own])[1])
+        other = rows[0].with_(gyromagnetic_ratio=0.5 * rows[0].gyromagnetic_ratio)
+        with pytest.raises(ValueError, match="gyromagnetic"):
+            steady_state_batch([rows[0], other], fields[:2], rows=[0, 1])
+
     def test_batch_rejects_malformed_fields(self, params):
         with pytest.raises(ValueError):
             steady_state_batch(params, np.array([[0.0, 0.1]]))
