@@ -23,30 +23,36 @@ following the branch along the sweep yields direction-dependent jumps
 (hysteresis) at folds.  With the drive off F does not depend on nu, so a
 zero-drive scan solves nothing past its baseline.
 
-The scan is anchored to fixed tilts, so off a fold the two sweeps of a
-hysteresis pair scan the same tilts at each frequency and take the same
-Brent steps.  A pair therefore shares one memo between its sweeps: the
-baseline, and the driven-torque batches keyed by every input the torque
-reads.  Each is solved once, and a hit returns what the same call
-computed.
+A driven-torque batch has two halves.  The tilt half depends only on the
+tilts: the class-frame fields, the eigenbasis of H with its level gaps,
+drive weights and projectors, and the undriven generator.  The frequency
+half adds the Lorentzian rates and the drive generator, solves the steady
+state and rotates the moments back.  The scan is anchored to fixed tilts,
+so consecutive frequencies scan the same windows, and off a fold the two
+sweeps of a hysteresis pair scan the same tilts at each frequency and take
+the same Brent steps.  A pair therefore shares one memo between its
+sweeps: the baseline, the tilt half of each tilt batch, and the
+driven-torque batches keyed by every input the torque reads.  Each is
+built once, and a hit returns what the same call computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .constants import HBAR
 from .crystal import CrystalOrientation
-from .mechanics import (ALL_CLASSES, RangeExhaustedError, TiltGeometry, _class_fields,
-                        _nv_moments, _spin_torque_along, _torque_scale,
-                        equilibrium_angle, tilt_geometry)
+from .mechanics import (ALL_CLASSES, RangeExhaustedError, TiltGeometry, _class_fields, _dot3,
+                        _torque_scale, equilibrium_angle, tilt_geometry)
 from .params import FieldVector, MicrowaveDrive, SpinParams, TrapModel
 from .roots import _stable_root
-from .spincore import (SX, _coordinates, _field_array, _hamiltonian_batch, _structure,
-                       build_hamiltonian)
+from .spincore import (SX, _coordinates, _density_matrices, _field_array, _generator_parts,
+                       _generators, _hamiltonian_batch, _in_slices, _steady_vectors, _structure,
+                       build_hamiltonian, spin_expectation)
 
 _BARE_ZERO = np.array([0.0, 1.0, 0.0])  # |m_s = 0> in the (+1, 0, -1) basis
 _OFF_DIAGONAL = 1.0 - np.eye(3)
@@ -60,6 +66,30 @@ def zero_connected_lines(params: SpinParams, b_nv) -> tuple[float, float]:
     freqs = sorted(abs(vals[k] - vals[k0]) / HBAR / (2.0 * np.pi)
                    for k in range(3) if k != k0)
     return float(freqs[0]), float(freqs[1])
+
+
+def _eigenbasis(params: SpinParams, b: np.ndarray) -> tuple:
+    """The frequency-independent part of the drive at NV-frame fields
+    (k, 3): level gaps (rad/s) and drive weights w_ab, both (k, 3, 3), the
+    projector coordinates (k, 3, 9), V and V^+ of :func:`microwave_superoperator`."""
+    vals, vecs = np.linalg.eigh(HBAR * _hamiltonian_batch(params, b))
+    vecs_h = np.conj(np.swapaxes(vecs, 1, 2))
+    gaps = np.abs(vals[:, None, :] - vals[:, :, None]) / HBAR
+    weight = 2.0 * np.abs(vecs_h @ SX @ vecs) ** 2 * _OFF_DIAGONAL
+    proj = _coordinates(np.einsum("kpa,kqa->kapq", vecs, np.conj(vecs)))  # (k, 3, 9)
+    return gaps, weight, proj, vecs, vecs_h
+
+
+def _drive_generator(basis: tuple, g_eff: float, rabi_rate: float,
+                     frequency_hz: float) -> np.ndarray:
+    """The drive generators (k, 9, 9) at ``frequency_hz`` over an
+    :func:`_eigenbasis`: Lorentzian rates W_ab and the jump sum."""
+    gaps, weight, proj, vecs, vecs_h = basis
+    delta = 2.0 * np.pi * frequency_hz - gaps
+    rates = 0.5 * rabi_rate**2 * weight * g_eff / (delta**2 + g_eff**2)
+    gain = np.swapaxes(proj, 1, 2) @ rates @ proj
+    g = _coordinates((vecs * rates.sum(axis=1)[:, None, :]) @ vecs_h)
+    return gain - 0.5 * np.einsum("kj,jab->kab", g, _structure()[1])
 
 
 def microwave_superoperator(params: SpinParams, b_nv, frequency_hz: float,
@@ -83,16 +113,8 @@ def microwave_superoperator(params: SpinParams, b_nv, frequency_hz: float,
         return None
     stack = np.ndim(b_nv) == 2
     b = np.asarray(b_nv, dtype=float) if stack else _field_array(b_nv)[None]
-    vals, vecs = np.linalg.eigh(HBAR * _hamiltonian_batch(params, b))
-    g_eff = params.gamma2_star
-    vecs_h = np.conj(np.swapaxes(vecs, 1, 2))
-    delta = 2.0 * np.pi * frequency_hz - np.abs(vals[:, None, :] - vals[:, :, None]) / HBAR
-    weight = 2.0 * np.abs(vecs_h @ SX @ vecs) ** 2 * _OFF_DIAGONAL
-    rates = 0.5 * drive.rabi_rate**2 * weight * g_eff / (delta**2 + g_eff**2)
-    proj = _coordinates(np.einsum("kpa,kqa->kapq", vecs, np.conj(vecs)))  # (k, 3, 9)
-    gain = np.swapaxes(proj, 1, 2) @ rates @ proj
-    g = _coordinates((vecs * rates.sum(axis=1)[:, None, :]) @ vecs_h)
-    total = gain - 0.5 * np.einsum("kj,jab->kab", g, _structure()[1])
+    total = _drive_generator(_eigenbasis(params, b), params.gamma2_star, drive.rabi_rate,
+                             frequency_hz)
     return total if stack else total[0]
 
 
@@ -140,30 +162,59 @@ class MdmrSpectrum:
         return np.array([p.theta for p in self.points])
 
 
-def _driven_moments(params: SpinParams, fields: np.ndarray, frequency_hz: float,
-                    drive: MicrowaveDrive) -> np.ndarray:
-    """Class-frame moments (n_classes, k, 3) under the drive at class-frame
-    fields of that shape, one steady-state batch.  The drive acts along S_x
-    of each class's transverse-field frame: a point is solved at (|b_perp|,
-    0, b_z) and its moment rotated back by the azimuth alpha of b_perp (0
-    for an axial field: the transverse reference)."""
-    bx, by, bz = np.moveaxis(fields, -1, 0)
-    inplane = np.stack([np.hypot(bx, by), np.zeros_like(bz), bz], axis=-1)
-    extra = microwave_superoperator(params, inplane.reshape(-1, 3), frequency_hz, drive)
-    mx, my, mz = np.moveaxis(_nv_moments(params, inplane, extra), -1, 0)
+class _TiltHalf(NamedTuple):
+    """The frequency-independent half of a driven-torque batch at k tilts.
+    Each class-frame point is solved at its in-plane field (|b_perp|, 0,
+    b_z), where the drive acts along S_x, and its moment is rotated back by
+    the azimuth alpha of b_perp (0 for an axial field: the transverse
+    reference)."""
+
+    dfields: np.ndarray  # class-frame db/dtheta (n_classes, k, 3)
+    cos: np.ndarray  # cos(alpha) and sin(alpha) (n_classes, k)
+    sin: np.ndarray
+    basis: tuple  # the _eigenbasis of the in-plane fields
+    generators: np.ndarray  # undriven A0 + sum_i b_i A_i (n_classes * k, 9, 9)
+
+
+def _tilt_half(params: SpinParams, geom: TiltGeometry, thetas: np.ndarray,
+               classes) -> _TiltHalf:
+    """The :class:`_TiltHalf` at ``thetas``; the class-frame field and its
+    theta-derivative come from one :func:`_class_fields` call."""
+    k = len(thetas)
+    both = _class_fields(np.concatenate([geom.b_crystal(thetas), geom.db_dtheta(thetas)]),
+                         classes)
+    bx, by, bz = both[:, :k, 0], both[:, :k, 1], both[:, :k, 2]
+    inplane = np.zeros((len(classes), k, 3))
+    inplane[..., 0], inplane[..., 2] = np.hypot(bx, by), bz
+    inplane = inplane.reshape(-1, 3)
     alpha = np.arctan2(by, bx)
-    cos, sin = np.cos(alpha), np.sin(alpha)
-    return np.stack([cos * mx - sin * my, sin * mx + cos * my, mz], axis=-1)
+    return _TiltHalf(both[:, k:], np.cos(alpha), np.sin(alpha), _eigenbasis(params, inplane),
+                     _generators(*_generator_parts(params), inplane))
 
 
-def _driven_total_torque(params: SpinParams, geom: TiltGeometry, trap: TrapModel,
-                         drive: MicrowaveDrive, frequency_hz: float, thetas,
-                         classes) -> np.ndarray:
-    """Spin torque under the drive plus trap torque, one steady-state batch."""
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    fields = _class_fields(geom.b_crystal(thetas), classes)
-    moments = _driven_moments(params, fields, frequency_hz, drive)
-    spin = _spin_torque_along(params, moments, geom.db_dtheta(thetas), classes)
+def _driven_class_moments(params: SpinParams, tilt: _TiltHalf, rabi_rate: float,
+                          frequency_hz: float) -> np.ndarray:
+    """Class-frame moments (n_classes, k, 3) under the drive: the Lorentzian
+    rates and drive generators on the tilt half's eigenbasis, one
+    steady-state solve of the driven generators, and the rotation by
+    alpha."""
+    gen = tilt.generators + _drive_generator(tilt.basis, params.gamma2_star, rabi_rate,
+                                             frequency_hz)
+    r, _ = _in_slices(len(gen), lambda s: _steady_vectors(gen[s]))
+    m = (-HBAR * params.gyromagnetic_ratio
+         * spin_expectation(_density_matrices(r))).reshape(tilt.dfields.shape)
+    mx, my = m[..., 0], m[..., 1]
+    out = m.copy()
+    out[..., 0], out[..., 1] = tilt.cos * mx - tilt.sin * my, tilt.sin * mx + tilt.cos * my
+    return out
+
+
+def _driven_total_torque(params: SpinParams, tilt: _TiltHalf, trap: TrapModel,
+                         rabi_rate: float, frequency_hz: float, thetas) -> np.ndarray:
+    """Spin torque under the drive plus trap torque at the tilt half's
+    tilts ``thetas``: the frequency half of a driven-torque batch."""
+    moments = _driven_class_moments(params, tilt, rabi_rate, frequency_hz)
+    spin = params.n_spins_per_class * sum(_dot3(moments, tilt.dfields))
     return spin - trap.stiffness * (thetas - trap.theta0)
 
 
@@ -182,12 +233,14 @@ def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapMod
     is the baseline, converged after 0 evaluations.  The |0>-connected
     lines of each class are solved once, at the baseline tilt.
 
-    ``memo`` holds the baseline under (parameters, geometry, trap, classes)
-    and every driven-torque batch (scan windows and Brent steps) under
-    every input the torque reads (those four, rabi rate, frequency and the
-    tilts' bytes); each is looked up first and stored after a miss, so one
-    dict may be shared between scans (:func:`hysteresis_pair`); without one
-    the scan makes its own.
+    ``memo`` holds, under (parameters, geometry, trap, classes), the
+    baseline, the tilt half of every driven-torque batch (scan windows and
+    Brent steps) under the tilts' bytes, and every driven-torque batch under
+    the tilts' bytes, rabi rate and frequency: every input the torque
+    reads.  Each is looked up first and stored after a miss, so one dict
+    may be shared between scans (:func:`hysteresis_pair`); without one the
+    scan makes its own, and a window that a later frequency scans again
+    reuses its tilt half.
 
     Raises:
         RangeExhaustedError: the microwave-off torque has no stable root in
@@ -200,9 +253,10 @@ def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapMod
     classes = tuple(classes)
     memo = {} if memo is None else memo
 
-    if (eq := memo.get(off_key := (params, geom, trap, classes))) is None:
-        eq = memo[off_key] = equilibrium_angle(params, orientation, trap, b_lab,
-                                               classes=classes)
+    if (entry := memo.get(off_key := (params, geom, trap, classes))) is None:
+        entry = memo[off_key] = (equilibrium_angle(params, orientation, trap, b_lab,
+                                                   classes=classes), {}, {})
+    eq, tilts, torques = entry
     if not eq.bound:
         raise RangeExhaustedError("no stable microwave-off equilibrium: cannot scan")
     baseline = eq.theta
@@ -210,10 +264,11 @@ def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapMod
     def driven_torque(freq):
         def torque(thetas):
             thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-            key = (*off_key, drive.rabi_rate, freq, thetas.tobytes())
-            if (tau := memo.get(key)) is None:
-                tau = memo[key] = _driven_total_torque(params, geom, trap, drive, freq,
-                                                       thetas, classes)
+            if (tau := torques.get(key := (thetas.tobytes(), drive.rabi_rate, freq))) is None:
+                if (tilt := tilts.get(key[0])) is None:
+                    tilt = tilts[key[0]] = _tilt_half(params, geom, thetas, classes)
+                tau = torques[key] = _driven_total_torque(params, tilt, trap, drive.rabi_rate,
+                                                          freq, thetas)
                 tau.flags.writeable = False  # every hit hands out this array
             return tau
         return torque
@@ -240,10 +295,11 @@ def hysteresis_pair(params: SpinParams, orientation: CrystalOrientation,
     """The same sweep traversed in both directions: (up scan, down scan).
 
     Both scans share one memo (:func:`mdmr_scan`), so the microwave-off
-    baseline is solved once and the down sweep solves only the torque
-    batches the up sweep did not: off a fold it scans the same tilts and
-    takes the same Brent steps.  Each spectrum is bitwise that of an
-    independent scan, iteration counts included.
+    baseline is solved once, the tilt half of each tilt batch is built once
+    for both sweeps, and the down sweep solves only the torque batches the
+    up sweep did not: off a fold it scans the same tilts and takes the same
+    Brent steps.  Each spectrum is bitwise that of an independent scan,
+    iteration counts included.
     """
     up_drive = drive if drive.direction == "up" else drive.reversed()
     down_drive = up_drive.reversed()

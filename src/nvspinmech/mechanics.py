@@ -509,10 +509,10 @@ class LibrationResult:
     """Librational frequency about the equilibrium tilt.
 
     ``omega_numeric`` comes from the exact magnetic stiffness -d(tau)/d(theta)
-    at theta* plus the trap stiffness; ``omega_analytic`` evaluates the
-    dispersive single-class closed form sqrt(hbar*N*P/(I*Delta))*gamma_e*B.
-    ``stable`` is False when the total stiffness is not positive, as when
-    no equilibrium is bound (then omega_numeric is NaN).
+    at theta* plus the trap stiffness; ``omega_analytic`` is the dispersive
+    single-class closed form sqrt(hbar*N*P/(I*|Delta_-|))*gamma_e*B, inf where
+    Delta_- = 0.  ``stable`` is False when the total stiffness is not
+    positive, as when no equilibrium is bound (then omega_numeric is NaN).
     """
 
     omega_numeric: float

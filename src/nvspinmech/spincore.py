@@ -43,6 +43,7 @@ SY = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / np.sqrt(
 SZ = np.diag([1.0, 0.0, -1.0]).astype(complex)
 
 _SZ2 = SZ @ SZ
+_SQRT_HALF = np.sqrt(0.5)
 
 
 # Unitary T taking the row-major vec(h) of a Hermitian 3x3 matrix to its real
@@ -51,8 +52,8 @@ _SZ2 = SZ @ SZ
 # vec indices (1, 3), (2, 6), (5, 7) of (h_ab, h_ba).
 _T = np.zeros((9, 9), dtype=complex)
 _T[[0, 1, 2], [0, 4, 8]] = 1.0
-_T[[3, 4, 5, 3, 4, 5], [1, 2, 5, 3, 6, 7]] = np.sqrt(0.5)
-_T[[6, 7, 8, 6, 7, 8], [1, 2, 5, 3, 6, 7]] = np.sqrt(0.5) * np.repeat([-1j, 1j], 3)
+_T[[3, 4, 5, 3, 4, 5], [1, 2, 5, 3, 6, 7]] = _SQRT_HALF
+_T[[6, 7, 8, 6, 7, 8], [1, 2, 5, 3, 6, 7]] = _SQRT_HALF * np.repeat([-1j, 1j], 3)
 # vec(rho) = T^+ r from real products, one per entry (one nonzero per column):
 # the same bits in any batch, and rho_ba exactly the conjugate of rho_ab
 _TO_REAL, _TO_IMAG = _T.real.copy(), -_T.imag
@@ -179,15 +180,18 @@ def steady_state(params: SpinParams, b_nv,
 _MAX_BATCH = 256
 
 
-def _steady_vectors(a0, a_field, b, extra_superoperator, directions):
-    """(r, dr): the unit-trace coherence vectors (k, 9) at NV-frame fields
-    (k, 3) and, with ``directions`` (k, n, 3), their derivatives (k, n, 9)
-    (else None), one batched solve; ``a0`` is one (9, 9) matrix or one per
-    field."""
-    gen = (a0 + b[:, 0, None, None] * a_field[0] + b[:, 1, None, None] * a_field[1]
-           + b[:, 2, None, None] * a_field[2])
-    if extra_superoperator is not None:
-        gen += extra_superoperator
+def _generators(a0, a_field, b) -> np.ndarray:
+    """Generators A0 + sum_i b_i A_i (k, 9, 9) at NV-frame fields (k, 3);
+    ``a0`` is one (9, 9) matrix or one per field."""
+    return (a0 + b[:, 0, None, None] * a_field[0] + b[:, 1, None, None] * a_field[1]
+            + b[:, 2, None, None] * a_field[2])
+
+
+def _steady_vectors(gen, a_field=None, directions=None):
+    """(r, dr): the unit-trace coherence vectors (k, 9) of an assembled
+    generator stack (k, 9, 9), one batched solve with a residual check, and
+    with ``directions`` (k, n, 3) their derivatives (k, n, 9) along the
+    field (else None)."""
     a = gen.copy()
     a[:, 0] = _TRACE_ROW
     try:
@@ -214,11 +218,22 @@ def _steady_vectors(a0, a_field, b, extra_superoperator, directions):
     return r, np.swapaxes(np.linalg.solve(a, rhs), 1, 2)
 
 
+def _in_slices(k: int, solve):
+    """(r, dr) of ``solve(s)`` over slices s of at most _MAX_BATCH of k
+    systems, concatenated."""
+    if k <= _MAX_BATCH:
+        return solve(slice(None))
+    solved = [solve(slice(i, i + _MAX_BATCH)) for i in range(0, k, _MAX_BATCH)]
+    r = np.concatenate([r for r, _ in solved])
+    return r, None if solved[0][1] is None else np.concatenate([dr for _, dr in solved])
+
+
 def _solve(params, b_nv_batch, extra_superoperator=None, rows=None, directions=None):
-    """(r, dr) of :func:`_steady_vectors` over the whole batch, solved in
-    slices of at most _MAX_BATCH fields.  With ``rows`` (the index of each
-    field's parameters), ``params`` is a sequence of SpinParams that share
-    the gyromagnetic ratio, and each field has the A0 of its own."""
+    """(r, dr) of :func:`_steady_vectors` at NV-frame fields (k, 3), each
+    slice's generators assembled and solved in turn.  With ``rows`` (the
+    index of each field's parameters), ``params`` is a sequence of
+    SpinParams that share the gyromagnetic ratio, and each field has the
+    A0 of its own."""
     b = np.asarray(b_nv_batch, dtype=float)
     if b.ndim != 2 or b.shape[1] != 3 or not np.isfinite(b).all():
         raise ValueError("field batch must be a finite (k, 3) array")
@@ -229,15 +244,15 @@ def _solve(params, b_nv_batch, extra_superoperator=None, rows=None, directions=N
             raise ValueError("parameter rows must share the gyromagnetic ratio")
         parts = [_generator_parts(p) for p in params]
         a0, a_field = np.array([a for a, _ in parts]), parts[0][1]
-    if len(b) <= _MAX_BATCH:
-        return _steady_vectors(a0 if rows is None else a0[rows], a_field, b,
-                               extra_superoperator, directions)
-    part = lambda x, s: x[s] if x is not None and np.ndim(x) == 3 else x
-    solved = [_steady_vectors(a0 if rows is None else a0[rows[s]], a_field, b[s],
-                              part(extra_superoperator, s), part(directions, s))
-              for s in (slice(i, i + _MAX_BATCH) for i in range(0, len(b), _MAX_BATCH))]
-    r = np.concatenate([r for r, _ in solved])
-    return r, None if directions is None else np.concatenate([dr for _, dr in solved])
+
+    def solve(s):
+        gen = _generators(a0 if rows is None else a0[rows[s]], a_field, b[s])
+        if extra_superoperator is not None:
+            gen += (extra_superoperator[s] if np.ndim(extra_superoperator) == 3
+                    else extra_superoperator)
+        return _steady_vectors(gen, a_field, None if directions is None else directions[s])
+
+    return _in_slices(len(b), solve)
 
 
 def steady_state_batch(params: SpinParams, b_nv_batch: np.ndarray,
@@ -300,8 +315,11 @@ def spin_expectation(rho: np.ndarray) -> np.ndarray:
     same bits alone as inside any stack."""
     rho = np.asarray(rho)
     up, down = rho[..., 0, 1] + rho[..., 1, 2], rho[..., 1, 0] + rho[..., 2, 1]
-    return np.stack([np.sqrt(0.5) * (up + down).real, np.sqrt(0.5) * (down - up).imag,
-                     rho[..., 0, 0].real - rho[..., 2, 2].real], axis=-1)
+    out = np.empty(rho.shape[:-2] + (3,))
+    out[..., 0] = _SQRT_HALF * (up + down).real
+    out[..., 1] = _SQRT_HALF * (down - up).imag
+    out[..., 2] = rho[..., 0, 0].real - rho[..., 2, 2].real
+    return out
 
 
 def magnetization(params: SpinParams, rho: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from nvspinmech import (CrystalOrientation, equilibrium_branch, librational_frequency,
                         mdmr_scan, susceptibility_numeric)
-from nvspinmech import mechanics, spincore
+from nvspinmech import mdmr, mechanics, spincore
 from nvspinmech.cli import main
 from nvspinmech.config import load_config
 from nvspinmech.mechanics import _axial_field
@@ -544,15 +544,17 @@ class TestBatchedSweeps:
 
     def test_no_solve_exceeds_the_batch_cap(self, capsys, monkeypatch):
         # a larger batch (the shared full-range libration scan has 6 * 343
-        # tilts) is split into slices of at most _MAX_BATCH systems
+        # tilts) is split into slices of at most _MAX_BATCH systems; the
+        # driven MDMR solves go through the same solve
         sizes = []
         original = spincore._steady_vectors
 
-        def recording(a0, a_field, b, *rest):
-            sizes.append(len(b))
-            return original(a0, a_field, b, *rest)
+        def recording(gen, *rest):
+            sizes.append(len(gen))
+            return original(gen, *rest)
 
         monkeypatch.setattr(spincore, "_steady_vectors", recording)
+        monkeypatch.setattr(mdmr, "_steady_vectors", recording)
         for name, argv in README_RECIPES.items():
             code, _, err = run_cli(capsys, *argv)
             assert code == 0, f"{name}: {err}"
@@ -569,11 +571,12 @@ def _with_edges(edges, lo, hi):
 
 FIELDS = _with_edges([0.0, CROSSING, 0.2], 0.0, 0.3)
 PUMPS = _with_edges([0.0, 1e9], 0.0, 1e9)
-# the columns documented to carry NaN: the van Vleck chi at the exact
-# crossing (SingularDetuningError), and theta* and omega_numeric of a
-# libration row with no bound or no stable equilibrium (LibrationResult)
+# the columns documented to carry NaN or inf: the van Vleck chi at the
+# exact crossing (SingularDetuningError), theta* and omega_numeric of a
+# libration row with no bound or no stable equilibrium, and omega_analytic
+# (inf) where Delta_- = 0 (LibrationResult)
 NON_FINITE_COLUMNS = {"susceptibility": {"chi_perp_vanvleck"},
-                      "libration": {"theta_star", "omega_numeric"}}
+                      "libration": {"theta_star", "omega_numeric", "omega_analytic"}}
 
 
 @pytest.mark.parametrize("variable", [None, "field", "pump_rate"],

@@ -6,12 +6,12 @@ import pytest
 from nvspinmech import (NV_AXES, MicrowaveDrive, SpinParams, TiltGeometry, TrapModel,
                         equilibrium_angle, hysteresis_pair, mdmr_scan, tilt_geometry,
                         microwave_superoperator, sharp_edge_side, spin_expectation,
-                        steady_state, zero_connected_lines)
+                        steady_state, steady_state_batch, zero_connected_lines)
 from nvspinmech.constants import HBAR
 from nvspinmech.crystal import transverse_reference
 from nvspinmech import mdmr
-from nvspinmech.mdmr import _driven_moments, _driven_total_torque
-from nvspinmech.mechanics import _axial_field, _class_fields
+from nvspinmech.mdmr import _driven_class_moments, _driven_total_torque, _tilt_half
+from nvspinmech.mechanics import _axial_field, _class_fields, _dot3
 
 from conftest import coherence_basis, kron_jump_sum, to_crystal
 
@@ -141,8 +141,9 @@ class TestMicrowaveSuperoperator:
         thetas = np.array([0.0, 0.05, 0.4, 1.2])
         classes = (0, 1, 2, 3)
         drive = drive_at([2.1e9], 8e6)
-        fields = _class_fields(geom.b_crystal(thetas), classes)
-        moments = to_crystal(_driven_moments(params, fields, 2.1e9, drive), classes)
+        tilt = _tilt_half(params, geom, thetas, classes)
+        moments = to_crystal(_driven_class_moments(params, tilt, drive.rabi_rate, 2.1e9),
+                             classes)
         for ic, c in enumerate(classes):
             axis = NV_AXES[c]
             for it, theta in enumerate(thetas):
@@ -307,9 +308,10 @@ class TestHysteresis:
         geom = tilt_geometry(orientation, field)
         previous = spec.baseline_theta
         for point in spec.points:
-            lower, upper = _driven_total_torque(
-                p, geom, trap, spec.drive, point.frequency_hz,
-                [point.theta - 1e-4, point.theta + 1e-4], (0,))
+            thetas = np.array([point.theta - 1e-4, point.theta + 1e-4])
+            lower, upper = _driven_total_torque(p, _tilt_half(p, geom, thetas, (0,)), trap,
+                                                spec.drive.rabi_rate, point.frequency_hz,
+                                                thetas)
             assert lower > 0.0 > upper, point
             assert abs(point.theta - previous) < 0.08, point
             previous = point.theta
@@ -322,10 +324,9 @@ def count_torque_batches(monkeypatch):
     keys = []
     original = mdmr._driven_total_torque
 
-    def counting(params, geom, trap, drive, frequency_hz, thetas, classes):
-        thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        keys.append((drive.rabi_rate, frequency_hz, thetas.tobytes()))
-        return original(params, geom, trap, drive, frequency_hz, thetas, classes)
+    def counting(params, tilt, trap, rabi_rate, frequency_hz, thetas):
+        keys.append((rabi_rate, frequency_hz, thetas.tobytes()))
+        return original(params, tilt, trap, rabi_rate, frequency_hz, thetas)
 
     monkeypatch.setattr(mdmr, "_driven_total_torque", counting)
     return keys
@@ -380,6 +381,27 @@ class TestPairMemo:
         assert keys == up_keys
         assert all(point.iterations > 0 for point in down.points)
 
+    def test_each_tilt_batch_builds_its_half_once(self, params, orientation, monkeypatch):
+        # the frequency-independent half is held per tilt batch: a window
+        # that a later frequency scans again reuses it
+        built = []
+        original = mdmr._tilt_half
+
+        def counting(params, geom, thetas, classes):
+            built.append(thetas.tobytes())
+            return original(params, geom, thetas, classes)
+
+        monkeypatch.setattr(mdmr, "_tilt_half", counting)
+        keys = count_torque_batches(monkeypatch)
+        for case in (self.fold_pair, self.linear_pair, self.four_class_pair):
+            p, trap, field, drive, classes = case(params, orientation)
+            built.clear()
+            keys.clear()
+            hysteresis_pair(p, orientation, trap, field, drive, classes)
+            assert len(set(built)) == len(built), case.__name__
+            assert set(built) == {tilts for _, _, tilts in keys}, case.__name__
+            assert len(built) < len(keys), case.__name__
+
     @pytest.mark.parametrize("case", ["fold_pair", "four_class_pair"])
     def test_pair_matches_independent_scans(self, params, orientation, case):
         p, trap, field, drive, classes = getattr(self, case)(params, orientation)
@@ -389,6 +411,47 @@ class TestPairMemo:
                                              classes))
         if case == "fold_pair":  # bistable: the two directions part at the jump
             assert np.max(np.abs(up.delta_theta - down.delta_theta[::-1])) > 1.0 * DEG
+
+
+def public_driven_torque(params, geom, trap, drive, frequency_hz, thetas, classes):
+    """The driven total torque composed of the public solves: each class
+    point at its in-plane field (|b_perp|, 0, b_z), with the drive of
+    microwave_superoperator along S_x, one steady_state_batch, and the
+    moment rotated back by the azimuth of b_perp."""
+    fields = _class_fields(geom.b_crystal(thetas), classes)
+    bx, by, bz = np.moveaxis(fields, -1, 0)
+    inplane = np.stack([np.hypot(bx, by), np.zeros_like(bz), bz], axis=-1).reshape(-1, 3)
+    rhos = steady_state_batch(params, inplane,
+                              microwave_superoperator(params, inplane, frequency_hz, drive))
+    m = -HBAR * params.gyromagnetic_ratio * spin_expectation(rhos).reshape(fields.shape)
+    mx, my, mz = np.moveaxis(m, -1, 0)
+    alpha = np.arctan2(by, bx)
+    cos, sin = np.cos(alpha), np.sin(alpha)
+    moments = np.stack([cos * mx - sin * my, sin * mx + cos * my, mz], axis=-1)
+    spin = params.n_spins_per_class * sum(
+        _dot3(moments, _class_fields(geom.db_dtheta(thetas), classes)))
+    return spin - trap.stiffness * (thetas - trap.theta0)
+
+
+class TestTiltHalf:
+    """A driven-torque batch is a tilt half and a frequency half: a held
+    tilt half serves every frequency, bitwise a fresh one and the public
+    composition."""
+
+    @pytest.mark.parametrize("classes", [(0,), (0, 1, 2, 3)])
+    @pytest.mark.parametrize("k", [1, 17])
+    def test_held_half_is_the_fresh_half_and_the_public_path(self, params, trap, k, classes):
+        geom = TiltGeometry(b_mag=0.12, phi=0.3)
+        thetas = np.linspace(0.0, 0.8, k)  # theta = 0 is the gimbal of class 0
+        drive = drive_at([2.0e9, 2.1e9, 2.2e9], 8e6)
+        held = _tilt_half(params, geom, thetas, classes)
+        for freq in drive.frequencies:  # the held half serves every frequency
+            tau = _driven_total_torque(params, held, trap, drive.rabi_rate, freq, thetas)
+            fresh = _tilt_half(params, geom, thetas, classes)
+            assert np.array_equal(
+                tau, _driven_total_torque(params, fresh, trap, drive.rabi_rate, freq, thetas))
+            assert np.array_equal(
+                tau, public_driven_torque(params, geom, trap, drive, freq, thetas, classes))
 
 
 class TestBaseline:

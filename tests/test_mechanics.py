@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from nvspinmech import (SpinParams, TrapModel, equilibrium_angle, equilibrium_branch,
+from nvspinmech import (FieldVector, SpinParams, TrapModel, equilibrium_angle, equilibrium_branch,
                         critical_field, field_rotation_sweep,
                         landscape_curl_check, librational_frequency,
                         magnetic_energy_landscape, tilt_geometry, tilt_torque_and_slope,
                         tilt_torque_batch,
                         RangeExhaustedError, susceptibility_analytic)
 from nvspinmech import mdmr, mechanics, roots
+from nvspinmech.config import load_config
 from nvspinmech.constants import KB
 from nvspinmech.mechanics import TiltGeometry, _axial_field, _integrate_torque
 from nvspinmech.roots import _stable_bracket
@@ -616,6 +617,17 @@ class TestLibration:
                                    _axial_field(orientation, b2), classes=(0,))
         assert r2.omega_analytic / r1.omega_analytic == pytest.approx(
             (b2 / 0.2) * np.sqrt(d1 / d2), rel=1e-9)
+
+    def test_analytic_is_inf_where_delta_minus_vanishes(self, orientation):
+        # B = D/gamma_e of the default config exactly, where Delta_- = 0: the
+        # |Delta_-|-only closed form diverges, and the numeric route answers
+        p = load_config().spin_params()
+        b = 0.10241221809877248
+        assert p.zero_field_splitting - p.gyromagnetic_ratio * b == 0.0
+        res = librational_frequency(p, orientation, TrapModel(), FieldVector(0.0, 0.0, b),
+                                    classes=(0,))
+        assert res.omega_analytic == np.inf
+        assert res.stable and np.isfinite(res.omega_numeric)
 
     def test_numeric_matches_analytic_in_dispersive_regime(self, params, orientation):
         # single class, zero trap, B = 0.15 T: the closed form neglects the
