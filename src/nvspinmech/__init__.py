@@ -37,6 +37,6 @@ from .spincore import (SX, SY, SZ, SingularDetuningError, SteadyStateError,
                        SusceptibilityTensor, build_hamiltonian, check_density_matrix,
                        detunings, magnetization, spin_expectation, steady_state,
                        steady_state_batch, steady_state_derivative_batch,
-                       susceptibility_analytic, susceptibility_numeric,
+                       steady_state_moments, susceptibility_analytic, susceptibility_numeric,
                        susceptibility_van_vleck)
 from .table import ResultTable

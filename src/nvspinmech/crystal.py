@@ -97,6 +97,11 @@ def transverse_reference(axis_crystal) -> np.ndarray:
     return ref / np.linalg.norm(ref)
 
 
+# the azimuth reference pair of the tracked (class 0) axis
+_XREF0 = transverse_reference(NV_AXES[0])
+_YREF0 = np.cross(NV_AXES[0], _XREF0)
+
+
 @dataclass(frozen=True)
 class AngularState:
     """Orientation of the tracked NV axis relative to the field.
@@ -129,11 +134,9 @@ def angular_state(orientation: CrystalOrientation, b_lab: FieldVector) -> Angula
     axis = NV_AXES[0]
     ct = float(np.clip(bc @ axis, -1.0, 1.0))
     theta = float(np.arccos(ct))
-    xref = transverse_reference(axis)
-    yref = np.cross(axis, xref)
     perp = bc - ct * axis
     if np.linalg.norm(perp) < 1e-15:
         phi = 0.0
     else:
-        phi = float(np.arctan2(perp @ yref, perp @ xref)) % (2.0 * np.pi)
+        phi = float(np.arctan2(perp @ _YREF0, perp @ _XREF0)) % (2.0 * np.pi)
     return AngularState(theta=theta, phi=phi)

@@ -31,9 +31,11 @@ state and rotates the moments back.  The scan is anchored to fixed tilts,
 so consecutive frequencies scan the same windows, and off a fold the two
 sweeps of a hysteresis pair scan the same tilts at each frequency and take
 the same Brent steps.  A pair therefore shares one memo between its
-sweeps: the baseline, the tilt half of each tilt batch, and the
-driven-torque batches keyed by every input the torque reads.  Each is
-built once, and a hit returns what the same call computed.
+sweeps: the baseline, the tilt half of each scan window (a batch of more
+than one tilt; a one-tilt Brent step never recurs, so its half is not
+held), and the driven-torque batches keyed by every input the torque
+reads.  Each is built once, and a hit returns what the same call
+computed.
 """
 
 from __future__ import annotations
@@ -50,9 +52,9 @@ from .mechanics import (ALL_CLASSES, RangeExhaustedError, TiltGeometry, _class_f
                         _torque_scale, equilibrium_angle, tilt_geometry)
 from .params import FieldVector, MicrowaveDrive, SpinParams, TrapModel
 from .roots import _stable_root
-from .spincore import (SX, _coordinates, _density_matrices, _field_array, _generator_parts,
-                       _generators, _hamiltonian_batch, _in_slices, _steady_vectors, _structure,
-                       build_hamiltonian, spin_expectation)
+from .spincore import (SX, _coordinates, _field_array, _generator_parts, _generators,
+                       _hamiltonian_batch, _in_slices, _moments, _steady_vectors, _structure,
+                       build_hamiltonian)
 
 _BARE_ZERO = np.array([0.0, 1.0, 0.0])  # |m_s = 0> in the (+1, 0, -1) basis
 _OFF_DIAGONAL = 1.0 - np.eye(3)
@@ -201,8 +203,7 @@ def _driven_class_moments(params: SpinParams, tilt: _TiltHalf, rabi_rate: float,
     gen = tilt.generators + _drive_generator(tilt.basis, params.gamma2_star, rabi_rate,
                                              frequency_hz)
     r, _ = _in_slices(len(gen), lambda s: _steady_vectors(gen[s]))
-    m = (-HBAR * params.gyromagnetic_ratio
-         * spin_expectation(_density_matrices(r))).reshape(tilt.dfields.shape)
+    m = (-HBAR * params.gyromagnetic_ratio * _moments(r)).reshape(tilt.dfields.shape)
     mx, my = m[..., 0], m[..., 1]
     out = m.copy()
     out[..., 0], out[..., 1] = tilt.cos * mx - tilt.sin * my, tilt.sin * mx + tilt.cos * my
@@ -234,13 +235,15 @@ def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapMod
     lines of each class are solved once, at the baseline tilt.
 
     ``memo`` holds, under (parameters, geometry, trap, classes), the
-    baseline, the tilt half of every driven-torque batch (scan windows and
-    Brent steps) under the tilts' bytes, and every driven-torque batch under
-    the tilts' bytes, rabi rate and frequency: every input the torque
-    reads.  Each is looked up first and stored after a miss, so one dict
-    may be shared between scans (:func:`hysteresis_pair`); without one the
-    scan makes its own, and a window that a later frequency scans again
-    reuses its tilt half.
+    baseline, the tilt half of every driven-torque batch of more than one
+    tilt (the scan windows) under the tilts' bytes, and every driven-torque
+    batch under the tilts' bytes, rabi rate and frequency: every input the
+    torque reads.  Each is looked up first and stored after a miss, so one
+    dict may be shared between scans (:func:`hysteresis_pair`); without
+    one the scan makes its own, and a window that a later frequency scans
+    again reuses its tilt half.  The half of a one-tilt Brent step is not
+    held: that step never recurs at another frequency, and the torque
+    batch it gave serves the other sweep of a pair.
 
     Raises:
         RangeExhaustedError: the microwave-off torque has no stable root in
@@ -266,7 +269,9 @@ def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapMod
             thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
             if (tau := torques.get(key := (thetas.tobytes(), drive.rabi_rate, freq))) is None:
                 if (tilt := tilts.get(key[0])) is None:
-                    tilt = tilts[key[0]] = _tilt_half(params, geom, thetas, classes)
+                    tilt = _tilt_half(params, geom, thetas, classes)
+                    if len(thetas) > 1:
+                        tilts[key[0]] = tilt
                 tau = torques[key] = _driven_total_torque(params, tilt, trap, drive.rabi_rate,
                                                           freq, thetas)
                 tau.flags.writeable = False  # every hit hands out this array
@@ -295,7 +300,7 @@ def hysteresis_pair(params: SpinParams, orientation: CrystalOrientation,
     """The same sweep traversed in both directions: (up scan, down scan).
 
     Both scans share one memo (:func:`mdmr_scan`), so the microwave-off
-    baseline is solved once, the tilt half of each tilt batch is built once
+    baseline is solved once, the tilt half of each scan window is built once
     for both sweeps, and the down sweep solves only the torque batches the
     up sweep did not: off a fold it scans the same tilts and takes the same
     Brent steps.  Each spectrum is bitwise that of an independent scan,

@@ -11,7 +11,8 @@ frame, and the torque conjugate to theta is
 
 with the field-direction derivative taken analytically.  In the linear
 regime this reduces to the classical (V/mu0) * chi_perp * B^2 * theta form
-of the induced-moment torque.
+of the induced-moment torque.  A torque batch is one pass: one sin/cos, one
+class projection and one ``steady_state_moments`` batch for all of it.
 
 The magnetic potential U(theta, phi) is defined as -integral of tau_theta
 along constant-phi paths from theta = 0 (the steady-state torque field
@@ -24,7 +25,7 @@ stiffness at equilibrium.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -33,8 +34,7 @@ from .constants import HBAR
 from .crystal import NV_AXES, CrystalOrientation, angular_state, transverse_reference
 from .params import FieldVector, SpinParams, TrapModel
 from .roots import _XTOL, _stable_roots
-from .spincore import (detunings, spin_expectation, steady_state_batch,
-                       steady_state_derivative_batch)
+from .spincore import detunings, steady_state_moments
 
 ALL_CLASSES = (0, 1, 2, 3)
 
@@ -58,6 +58,7 @@ _QUAD_DEPTH = 12
 # dissipator, one dephasing rate), so no frame needs to follow the field.
 _Y = np.cross(NV_AXES, [transverse_reference(axis) for axis in NV_AXES])
 _CLASS_FRAMES = np.stack([np.cross(_Y, NV_AXES), _Y, NV_AXES], axis=1)
+_Z0_PAIR = np.stack([NV_AXES[0], -NV_AXES[0]])[:, None]
 
 
 class QuadratureError(RuntimeError):
@@ -117,51 +118,16 @@ def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
+@lru_cache(maxsize=None)
+def _frames(classes: tuple) -> np.ndarray:
+    """The NV frames (n_classes, 1, 3, 3) of ``classes``, ready to broadcast."""
+    return _CLASS_FRAMES[list(classes), None]
+
+
 def _class_fields(v_crystal: np.ndarray, classes=ALL_CLASSES) -> np.ndarray:
-    """Class-frame components (n_classes, k, 3) of a (k, 3) stack of
-    crystal-frame vectors: the NV-frame fields of a field stack."""
-    return _dot3(v_crystal[None, :, None, :], _CLASS_FRAMES[list(classes), None])
-
-
-def _point_rows(rows, fields: np.ndarray):
-    """The row of each field of a (..., k, 3) stack, from the row of each
-    of its k tilts (None stays None)."""
-    return None if rows is None else np.broadcast_to(rows, fields.shape[:-1]).ravel()
-
-
-def _gamma(params, rows) -> float:
-    """The gyromagnetic ratio, which parameter rows share."""
-    return (params if rows is None else params[0]).gyromagnetic_ratio
-
-
-def _nv_moments(params: SpinParams, fields: np.ndarray,
-                extra_superoperator=None, rows=None) -> np.ndarray:
-    """NV-frame moments (..., 3) at NV-frame fields (..., 3), one batch;
-    ``extra_superoperator`` is one 9x9 matrix or a stack in field order,
-    and ``rows`` the parameter row of each tilt (:func:`tilt_torque_batch`)."""
-    rhos = steady_state_batch(params, fields.reshape(-1, 3), extra_superoperator,
-                              _point_rows(rows, fields))
-    return -HBAR * _gamma(params, rows) * spin_expectation(rhos).reshape(fields.shape)
-
-
-def _nv_moment_derivatives(params: SpinParams, fields: np.ndarray,
-                           directions: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndarray]:
-    """NV-frame moments (..., 3) at NV-frame fields (..., 3), bitwise those
-    of :func:`_nv_moments`, and their derivatives (..., n, 3) along
-    NV-frame field directions (..., n, 3), one batch."""
-    rhos, drhos = steady_state_derivative_batch(
-        params, fields.reshape(-1, 3), directions.reshape((-1,) + directions.shape[-2:]),
-        _point_rows(rows, fields))
-    scale = -HBAR * _gamma(params, rows)
-    return (scale * spin_expectation(rhos).reshape(fields.shape),
-            scale * spin_expectation(drhos).reshape(directions.shape))
-
-
-def _spin_torque_along(params: SpinParams, moments: np.ndarray, db_crystal: np.ndarray,
-                       classes=ALL_CLASSES) -> np.ndarray:
-    """N * sum_c m_c . db (N m), shape (k,), of class-frame moments (n_classes,
-    k, 3) along crystal-frame field derivatives (k, 3), classes row by row."""
-    return params.n_spins_per_class * sum(_dot3(moments, _class_fields(db_crystal, classes)))
+    """Class-frame components (..., n_classes, k, 3) of a (..., k, 3) stack
+    of crystal-frame vectors: the NV-frame fields of a field stack."""
+    return _dot3(v_crystal[..., None, :, None, :], _frames(tuple(classes)))
 
 
 def _per_tilt(params, geom, rows) -> tuple[TiltGeometry, float | np.ndarray]:
@@ -176,6 +142,40 @@ def _per_tilt(params, geom, rows) -> tuple[TiltGeometry, float | np.ndarray]:
             column([p.n_spins_per_class for p in params]))
 
 
+def _class_moments(params, fields: np.ndarray, directions=None, rows=None):
+    """(m, m'): class-frame moments (..., 3) at class-frame fields (..., 3)
+    and, with ``directions`` (..., n, 3), their derivatives (..., n, 3) along
+    them (else None), from one :func:`steady_state_moments` batch.  ``rows``
+    holds the parameter row of each of the k tilts of a (..., k, 3) stack,
+    and the rows share the gyromagnetic ratio."""
+    m, dm = steady_state_moments(
+        params, fields.reshape(-1, 3),
+        None if rows is None else np.broadcast_to(rows, fields.shape[:-1]).ravel(),
+        None if directions is None else directions.reshape((-1,) + directions.shape[-2:]))
+    scale = -HBAR * (params if rows is None else params[0]).gyromagnetic_ratio
+    return (scale * m.reshape(fields.shape),
+            None if dm is None else scale * dm.reshape(directions.shape))
+
+
+def _tilt_torques(params, geom, thetas, classes, rows, slope: bool):
+    """Torques at ``thetas`` and, if ``slope``, their exact slopes (else
+    None): b and db/dtheta from one sin/cos, their class-frame components
+    from one projection, and one moment batch."""
+    th = np.atleast_1d(np.asarray(thetas, dtype=float))[:, None]
+    geom, n = _per_tilt(params, geom, rows)
+    trig = np.empty((2,) + th.shape)
+    np.sin(th, out=trig[0])
+    np.cos(th, out=trig[1])
+    # (sin, cos) e_phi + (cos, sin) (z0, -z0): b_crystal and db_dtheta, bitwise
+    fields, dfields = _class_fields(geom.b_mag * (trig * geom.e_phi + trig[::-1] * _Z0_PAIR),
+                                    classes)
+    moments, dmoments = _class_moments(params, fields, dfields[..., None, :] if slope else None,
+                                       rows)
+    tau = n * sum(_dot3(moments, dfields))
+    return tau, (n * sum(_dot3(dmoments[..., 0, :], dfields) - _dot3(moments, fields))
+                 if slope else None)
+
+
 def tilt_torque_batch(params: SpinParams, geom: TiltGeometry, thetas,
                       classes=ALL_CLASSES, rows=None) -> np.ndarray:
     """Torque conjugate to the tilt angle (N m) at each requested theta; a
@@ -183,27 +183,18 @@ def tilt_torque_batch(params: SpinParams, geom: TiltGeometry, thetas,
     tilts belong to independent rows: ``params`` and ``geom`` are lists
     with one entry per row and ``rows[j]`` is the row of tilt j, so the
     tilts of many fields and pump rates are solved in one batch."""
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    geom, n = _per_tilt(params, geom, rows)
-    moments = _nv_moments(params, _class_fields(geom.b_crystal(thetas), classes), None, rows)
-    return n * sum(_dot3(moments, _class_fields(geom.db_dtheta(thetas), classes)))
+    return _tilt_torques(params, geom, thetas, classes, rows, False)[0]
 
 
 def tilt_torque_and_slope(params: SpinParams, geom: TiltGeometry, thetas,
                           classes=ALL_CLASSES, rows=None) -> tuple[np.ndarray, np.ndarray]:
     """Torques (N m), bitwise those of :func:`tilt_torque_batch`, and their
     exact slopes (N m/rad) at each requested theta: with m_c' the moment's
-    derivative along db_c/dtheta (:func:`steady_state_derivative_batch`)
-    and d2b/dtheta2 = -b, tau' = N * sum_c (m_c' . db_c/dtheta - m_c . b_c).
+    derivative along db_c/dtheta (:func:`steady_state_moments`) and
+    d2b/dtheta2 = -b, tau' = N * sum_c (m_c' . db_c/dtheta - m_c . b_c).
     ``rows`` is that of :func:`tilt_torque_batch`.
     """
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    geom, n = _per_tilt(params, geom, rows)
-    fields = _class_fields(geom.b_crystal(thetas), classes)
-    dfields = _class_fields(geom.db_dtheta(thetas), classes)
-    moments, dmoments = _nv_moment_derivatives(params, fields, dfields[..., None, :], rows)
-    return (n * sum(_dot3(moments, dfields)),
-            n * sum(_dot3(dmoments[..., 0, :], dfields) - _dot3(moments, fields)))
+    return _tilt_torques(params, geom, thetas, classes, rows, True)
 
 
 def _integrate_torque(params: SpinParams, geom: TiltGeometry, a: float, b: float,
@@ -314,12 +305,12 @@ def landscape_curl_check(params: SpinParams, orientation: CrystalOrientation,
     db_th = np.array([g.db_dtheta(th) for g, th in geoms])
     db_ph = np.array([b_mag * np.sin(th) * np.cross(g.z0, g.e_phi) for g, th in geoms])
     fields = _class_fields(np.array([g.b_crystal(th) for g, th in geoms]), classes)
-    dfields = np.stack([_class_fields(db_th, classes), _class_fields(db_ph, classes)], axis=2)
-    moments, dmoments = _nv_moment_derivatives(params, fields, dfields)
+    dfields = np.moveaxis(_class_fields(np.stack([db_th, db_ph]), classes), 0, 2)
+    moments, dmoments = _class_moments(params, fields, dfields)
     n = params.n_spins_per_class
     curl = n * sum(_dot3(dmoments[:, :, 1], dfields[:, :, 0])
                    - _dot3(dmoments[:, :, 0], dfields[:, :, 1]))
-    tau = [np.abs(_spin_torque_along(params, moments, db, classes)) for db in (db_th, db_ph)]
+    tau = [np.abs(n * sum(_dot3(moments, dfields[:, :, i]))) for i in (0, 1)]
     floor = 1e-9 * n * HBAR * params.gyromagnetic_ratio * b_mag
     return float(np.max(np.abs(curl) / np.maximum(np.maximum(*tau), floor)))
 

@@ -20,7 +20,9 @@ oracles below.
 
 The state is its real coherence vector (Hioe & Eberly 1981), whose
 generator A0 + sum_i b_i A_i is affine in the NV-frame field; the steady
-state is a trace-constrained real linear solve.  Linear-response
+state is a trace-constrained real linear solve, and
+:func:`steady_state_moments` reads <S> straight from the solved vectors,
+bitwise the route through the density matrix.  Linear-response
 susceptibilities of the steady-state magnetization are available through
 three independent routes: the exact derivative of the solved steady state,
 closed-form expressions of the first-order solution, and second-order
@@ -57,6 +59,12 @@ _T[[6, 7, 8, 6, 7, 8], [1, 2, 5, 3, 6, 7]] = _SQRT_HALF * np.repeat([-1j, 1j], 3
 # vec(rho) = T^+ r from real products, one per entry (one nonzero per column):
 # the same bits in any batch, and rho_ba exactly the conjugate of rho_ab
 _TO_REAL, _TO_IMAG = _T.real.copy(), -_T.imag
+# the columns of _TO_REAL and _TO_IMAG for the entries of vec(rho) that <S>
+# reads, as two blocks that add up to Re and Im of up = rho_01 + rho_12 and
+# down = rho_10 + rho_21, then Re rho_00 and Re rho_22
+_MOMENT_COLUMNS = np.concatenate([_TO_REAL[:, [1, 3]], _TO_IMAG[:, [3, 1]],
+                                  _TO_REAL[:, [5, 7]], _TO_IMAG[:, [7, 5]],
+                                  _TO_REAL[:, [0, 8]]], axis=1)
 # first row of each system: r_0 + r_1 + r_2 = tr(rho) = 1; the others 0
 _TRACE_ROW = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 _TRACE_RHS = np.eye(9)[:, :1]
@@ -115,6 +123,21 @@ def _density_matrices(r: np.ndarray) -> np.ndarray:
     rho.real = r @ _TO_REAL
     rho.imag = r @ _TO_IMAG
     return rho.reshape(-1, 3, 3)
+
+
+def _moments(r: np.ndarray) -> np.ndarray:
+    """<S> (k, 3) of real coherence vectors (k, 9), bitwise
+    ``spin_expectation(_density_matrices(r))``, sign of zero included: the
+    entries it reads, each the same single product, then the same real
+    adds in the same order."""
+    x = r @ _MOMENT_COLUMNS
+    s = x[:, :4] + x[:, 4:8]  # Re up, Re down, Im down, Im up
+    out = np.empty((len(r), 3))
+    out[:, 0] = s[:, 0] + s[:, 1]
+    out[:, 1] = s[:, 2] - s[:, 3]
+    out[:, :2] *= _SQRT_HALF
+    out[:, 2] = x[:, 8] - x[:, 9]
+    return out
 
 
 @lru_cache(maxsize=1)
@@ -291,6 +314,23 @@ def steady_state_derivative_batch(params: SpinParams, b_nv_batch: np.ndarray,
     r, dr = _solve(params, b_nv_batch, None, rows, directions)
     return (_density_matrices(r),
             _density_matrices(dr.reshape(-1, 9)).reshape(len(r), directions.shape[1], 3, 3))
+
+
+def steady_state_moments(params: SpinParams, b_nv_batch: np.ndarray, rows=None,
+                         directions: np.ndarray | None = None):
+    """(<S>, d<S>): <S> (k, 3) of the steady states at NV-frame fields
+    (k, 3) and, with ``directions`` (k, n, 3), its derivatives (k, n, 3)
+    (else None), read straight from the solved coherence vectors: bitwise
+    ``spin_expectation`` of :func:`steady_state_batch` and of
+    :func:`steady_state_derivative_batch`, from the same solve, slicing and
+    residual check.  ``rows`` is that of :func:`steady_state_batch`.
+
+    Raises:
+        SteadyStateError: as :func:`steady_state_batch`.
+    """
+    r, dr = _solve(params, b_nv_batch, None, rows, directions)
+    return (_moments(r),
+            None if dr is None else _moments(dr.reshape(-1, 9)).reshape(dr.shape[:2] + (3,)))
 
 
 def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,

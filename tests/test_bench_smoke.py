@@ -70,13 +70,17 @@ def test_traced_pass_reports_json_without_failures(workload):
     assert all(type(v) is int for v in result["counters"].values()), result["counters"]
 
 
-# Seed-1 counts of a traced pass.  Each equilibrium's stability and slope
-# comes from one steady_state_derivative_batch call (a solve and its
+# Seed-1 counts of a traced pass.  Every undriven torque batch is one
+# steady_state_moments call, which reads <S> straight from the solved
+# coherence vectors: no steady_state_batch or steady_state_derivative_batch
+# call is left in mechanics.  Each equilibrium's stability and slope comes
+# from one steady_state_moments call with directions (a solve and its
 # derivative).  Independent rows are solved together: a libration sweep
 # scans all its rows in shared batches, one per widening round, polishes
 # each row with Brent and takes the slopes at all bound roots in one
-# derivative batch, and the susceptibility sweep is one derivative batch
-# (the chi_perp of every field and the states the populations come from).
+# derivative batch, and the susceptibility sweep is one
+# steady_state_derivative_batch (the chi_perp of every field and the states
+# the populations come from), the only one left on either workload.
 # Equilibria and MDMR points share one stable-root search: 17 anchored
 # tilts around the guess in one batch, widened 4x until a stable bracket
 # appears (a low-field libration row with no trap widens to all 472 tilts
@@ -88,16 +92,16 @@ def test_traced_pass_reports_json_without_failures(workload):
 # share one memo, so the down sweep re-solves neither the baseline nor,
 # off a fold, the up sweep's scan windows and Brent steps, while
 # mdmr.iterations still counts every requested evaluation, hits included.
-# The memo also holds the frequency-independent half of each tilt batch
+# The memo also holds the frequency-independent half of each scan window
 # (its eigenbasis and undriven generators), and a driven solve runs the
 # private solve under steady_state_batch on the generators it assembles
-# from that half.  So the steady_state_batch calls and points of
-# mdmr_hysteresis are those of the microwave-off equilibria alone, and
+# from that half.  So the steady_state_moments calls of mdmr_hysteresis are
+# those of the microwave-off equilibria alone, and
 # microwave_superoperator, the public composition of the two halves, is
 # not called.
 # An mdmr_scan baseline is one equilibrium_angle solve (one
-# steady_state_derivative_batch for its slope) shared by both scans of a
-# pair; a zero-drive scan solves nothing past it.  The |0>-connected lines
+# steady_state_moments call with directions for its slope) shared by both
+# scans of a pair; a zero-drive scan solves nothing past it.  The |0>-connected lines
 # of each class are solved at that baseline only (one zero_connected_lines
 # call per class and scan, none per point).  A quadrature panel evaluates
 # its 6 and 12 Gauss-Legendre nodes as one 18-tilt batch.  The trapped
@@ -111,15 +115,19 @@ def test_traced_pass_reports_json_without_failures(workload):
 # residuals and their Jacobian, 125 such evaluations in all.  Restarting
 # more than one inversion exceeds the call bound.
 BUDGETS = {
-    "orientation_recipes": {"spincore.steady_state_batch": 788,
-                            "spincore.steady_state_batch.points": 35743,
-                            "spincore.steady_state_derivative_batch": 90},
-    "mdmr_hysteresis": {"spincore.steady_state_batch": 67,
-                        "spincore.steady_state_batch.points": 664,
+    "orientation_recipes": {"spincore.steady_state_moments": 877,
+                            "spincore.steady_state_batch": 0,
+                            "spincore.steady_state_batch.points": 0,
+                            "spincore.steady_state_derivative_batch": 1,
+                            "crystal.transverse_reference": 0},
+    "mdmr_hysteresis": {"spincore.steady_state_moments": 79,
+                        "spincore.steady_state_batch": 0,
+                        "spincore.steady_state_batch.points": 0,
                         "mdmr.microwave_superoperator": 0,
                         "mdmr.iterations": 700,
                         "mdmr.zero_connected_lines": 22,
-                        "spincore.steady_state_derivative_batch": 12},
+                        "spincore.steady_state_derivative_batch": 0,
+                        "crystal.transverse_reference": 0},
     "magnetometry_readout": {"spincore.steady_state_batch": 0,
                              "spincore.steady_state_derivative_batch": 0,
                              "magnetometry.least_squares": 104,

@@ -531,13 +531,14 @@ class TestBatchedSweeps:
     def test_libration_sweep_is_one_derivative_batch(self, capsys, monkeypatch, recipe):
         # the slopes at all bound roots of the sweep come from one batch
         calls = []
-        original = mechanics.steady_state_derivative_batch
+        original = mechanics.steady_state_moments
 
-        def counting(*args):
-            calls.append(len(args[1]))
-            return original(*args)
+        def counting(params, b_nv, rows=None, directions=None):
+            if directions is not None:
+                calls.append(len(b_nv))
+            return original(params, b_nv, rows, directions)
 
-        monkeypatch.setattr(mechanics, "steady_state_derivative_batch", counting)
+        monkeypatch.setattr(mechanics, "steady_state_moments", counting)
         code, out, err = run_cli(capsys, *README_RECIPES[recipe])
         assert code == 0, err
         assert calls == [40]
@@ -574,27 +575,37 @@ PUMPS = _with_edges([0.0, 1e9], 0.0, 1e9)
 # the columns documented to carry NaN or inf: the van Vleck chi at the
 # exact crossing (SingularDetuningError), theta* and omega_numeric of a
 # libration row with no bound or no stable equilibrium, and omega_analytic
-# (inf) where Delta_- = 0 (LibrationResult)
+# (inf) where Delta_- = 0 (LibrationResult); theta and torque_residual of an
+# unbound equilibrium (EquilibriumResult) and theta of an unbound rotation
+# step (RotationPoint).  Landscape energies and critical fields are finite.
 NON_FINITE_COLUMNS = {"susceptibility": {"chi_perp_vanvleck"},
-                      "libration": {"theta_star", "omega_numeric", "omega_analytic"}}
+                      "libration": {"theta_star", "omega_numeric", "omega_analytic"},
+                      "equilibrium": {"theta", "torque_residual"},
+                      "rotation": {"theta"},
+                      "landscape": set(),
+                      "critical-field": set()}
 
 
-@pytest.mark.parametrize("variable", [None, "field", "pump_rate"],
-                         ids=["susceptibility", "libration-field", "libration-pump"])
+@pytest.mark.parametrize("command, variable", [
+    ("susceptibility", None), ("libration", "field"), ("libration", "pump_rate"),
+    ("equilibrium", None), ("rotation", None), ("landscape", None), ("critical-field", None)],
+    ids=["susceptibility", "libration-field", "libration-pump", "equilibrium", "rotation",
+         "landscape", "critical-field"])
 @settings(max_examples=9, deadline=None, derandomize=True)
 @given(b=FIELDS, ends=st.tuples(FIELDS, FIELDS), pumps=st.tuples(PUMPS, PUMPS),
        dephasing=_with_edges([1e-3], 1e-3, 1e7), trap_hz=_with_edges([0.0], 0.0, 1e3),
        steps=st.integers(0, 3))
-def test_cli_edges_answer_or_fail_cleanly(variable, b, ends, pumps, dephasing, trap_hz,
-                                          steps):
+def test_cli_edges_answer_or_fail_cleanly(command, variable, b, ends, pumps, dephasing,
+                                          trap_hz, steps):
     # every override answers, or exits 1 (config) or 2 (numerical) without
-    # a traceback, and non-finite cells stay in the documented columns
-    command = "susceptibility" if variable is None else "libration"
+    # a traceback, and non-finite cells stay in the documented columns; the
+    # landscape grid is steps x steps, and a critical field is one row
     sweep = sorted(pumps if variable == "pump_rate" else ends)
     overrides = [f"field.magnitude_tesla={b!r}", f"spin.pump_rate_per_s={pumps[0]!r}",
                  f"spin.dephasing_rate_hz={dephasing!r}",
                  f"trap.trap_frequency_hz={trap_hz!r}", f"sweep.start={sweep[0]!r}",
-                 f"sweep.stop={sweep[1]!r}", f"sweep.steps={steps}"]
+                 f"sweep.stop={sweep[1]!r}", f"sweep.steps={steps}",
+                 f"landscape.theta_steps={steps}", f"landscape.phi_steps={steps}"]
     if variable is not None:
         overrides.append(f"libration.variable={variable}")
     out, err = io.StringIO(), io.StringIO()
@@ -608,7 +619,8 @@ def test_cli_edges_answer_or_fail_cleanly(variable, b, ends, pumps, dephasing, t
         assert err.getvalue().startswith("nvspinmech: "), err.getvalue()
         return
     table = ResultTable.parse(out.getvalue())
-    assert len(table.rows) == steps
+    rows = {"landscape": steps * steps, "critical-field": min(steps, 1)}.get(command, steps)
+    assert len(table.rows) == rows
     for row in table.rows:
         bad = {col for col, v in zip(table.columns, row)
                if isinstance(v, float) and not np.isfinite(v)}

@@ -16,7 +16,7 @@ from nvspinmech import (NV_AXES, MicrowaveDrive, TiltGeometry,
                         steady_state_batch)
 from nvspinmech.constants import HBAR
 from nvspinmech.crystal import transverse_reference
-from nvspinmech.mechanics import _class_fields, _nv_moments
+from nvspinmech.mechanics import _class_fields, _class_moments
 
 from conftest import kron_jump_sum, spin_params, to_crystal
 
@@ -120,7 +120,7 @@ def test_crystal_frame_moments_match_transverse_field_frame(params, b_mag, phi, 
     geom = TiltGeometry(b_mag=b_mag, phi=phi)
     thetas = np.array([0.0, 0.5 * np.pi, *tilts])
     b = geom.b_crystal(thetas)
-    moments = to_crystal(_nv_moments(params, _class_fields(b)))
+    moments = to_crystal(_class_moments(params, _class_fields(b))[0])
     # relative to the moment of a fully polarized spin: the solves round at
     # ~1e-13 of it, so a nearly unpolarized class (|m| ~ 1e-3 of it at the
     # slowest rates) agrees to only ~1e-10 of its own size

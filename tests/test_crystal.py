@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from nvspinmech import (NV_AXES, TETRAHEDRAL_ANGLE, AngularState,
-                        CrystalOrientation, FieldVector, angular_state)
+                        CrystalOrientation, FieldVector, angular_state, tilt_geometry)
+from nvspinmech.crystal import transverse_reference
 from nvspinmech.mechanics import _CLASS_FRAMES, _class_fields
 
 DEG = np.pi / 180.0
@@ -116,3 +117,38 @@ class TestAngularState:
         # tilt toward another class raises theta to the tetrahedral angle
         s1 = angular_state(ori, FieldVector.from_array(0.1 * NV_AXES[1], "lab"))
         assert s1.theta == pytest.approx(TETRAHEDRAL_ANGLE, rel=1e-12)
+
+
+def per_call_phi(orientation, b_lab) -> float:
+    """The azimuth with the reference pair rebuilt on every call."""
+    b = b_lab.as_array()
+    bmag = np.linalg.norm(b)
+    if bmag == 0.0:
+        return 0.0
+    bc = orientation.to_crystal(b) / bmag
+    axis = NV_AXES[0]
+    ct = float(np.clip(bc @ axis, -1.0, 1.0))
+    xref = transverse_reference(axis)
+    yref = np.cross(axis, xref)
+    perp = bc - ct * axis
+    if np.linalg.norm(perp) < 1e-15:
+        return 0.0
+    return float(np.arctan2(perp @ yref, perp @ xref)) % (2.0 * np.pi)
+
+
+class TestConstantTiltFrame:
+    """The class-0 reference pair is a module constant: every azimuth is
+    bitwise that of the pair rebuilt per call."""
+
+    def test_phi_is_the_per_call_route(self):
+        rng = np.random.default_rng(4)
+        rotated = CrystalOrientation.from_axis_angle([0.0, 0.6, 0.8], 0.9)
+        fields = [np.zeros(3), 0.1 * NV_AXES[0], -0.07 * NV_AXES[0], 0.13 * NV_AXES[2],
+                  *rng.normal(scale=0.1, size=(40, 3))]
+        for orientation in (CrystalOrientation.identity(), rotated):
+            for b in fields:
+                b_lab = FieldVector.from_array(b, frame="lab")
+                phi = tilt_geometry(orientation, b_lab).phi
+                assert np.float64(phi).tobytes() == np.float64(
+                    AngularState(theta=angular_state(orientation, b_lab).theta,
+                                 phi=per_call_phi(orientation, b_lab)).phi).tobytes(), b

@@ -16,8 +16,8 @@ from nvspinmech import (CrystalOrientation, SpinParams, TiltGeometry, TrapModel,
                         steady_state_batch, steady_state_derivative_batch,
                         tilt_torque_and_slope, tilt_torque_batch)
 from nvspinmech.constants import HBAR
-from nvspinmech.mechanics import (_axial_field, _class_fields, _integrate_torque, _nv_moments,
-                                  _spin_torque_along)
+from nvspinmech.mechanics import (_axial_field, _class_fields, _class_moments, _dot3,
+                                  _integrate_torque)
 
 from conftest import spin_params
 
@@ -49,12 +49,15 @@ def stencil_curl(params, b_mag, theta, phi, h, classes=(0, 1, 2, 3)):
     points = [(theta, phi + h), (theta, phi - h), (theta + h, phi), (theta - h, phi),
               (theta, phi)]
     geoms = [(TiltGeometry(b_mag=b_mag, phi=ph), th) for th, ph in points]
-    moments = _nv_moments(params, _class_fields(
+    moments, _ = _class_moments(params, _class_fields(
         np.array([g.b_crystal(th) for g, th in geoms]), classes))
-    tau_th = _spin_torque_along(params, moments,
-                                np.array([g.db_dtheta(th) for g, th in geoms]), classes)
-    dbdphi = [b_mag * np.sin(th) * np.cross(g.z0, g.e_phi) for g, th in geoms]
-    tau_ph = _spin_torque_along(params, moments, np.array(dbdphi), classes)
+
+    def torque_along(db):  # N * sum_c m_c . db_c
+        return params.n_spins_per_class * sum(_dot3(moments, _class_fields(db, classes)))
+
+    tau_th = torque_along(np.array([g.db_dtheta(th) for g, th in geoms]))
+    tau_ph = torque_along(np.array([b_mag * np.sin(th) * np.cross(g.z0, g.e_phi)
+                                    for g, th in geoms]))
     curl = (tau_th[0] - tau_th[1]) / (2 * h) - (tau_ph[2] - tau_ph[3]) / (2 * h)
     scale = max(abs(tau_th[4]), abs(tau_ph[4]),
                 1e-9 * params.n_spins_per_class * HBAR * params.gyromagnetic_ratio * b_mag)

@@ -1,8 +1,10 @@
-"""Golden tables of the README MDMR recipes: every cell is pinned.
+"""Golden tables of the README recipes: every cell is pinned.
 
 ``tests/golden/`` holds the table body (column row, units row and data,
-without the ``#`` block) of both README MDMR recipes, with and without
-``mdmr.hysteresis=true``.  Each recipe is rerun in process and compared
+without the ``#`` block) of the eight orientation recipes (those of the
+``orientation_recipes`` benchmark workload), the ``invert`` recipe, and
+both MDMR recipes with and without ``mdmr.hysteresis=true``.  Each recipe
+is rerun in process and compared
 column by column: NaN positions exactly, every other number within 1e-12
 of the column's largest finite |value|, and flags and labels exactly.  The
 tolerance lets the test pass on a host whose BLAS rounds differently;
@@ -10,8 +12,9 @@ byte identity against an earlier version is a diff of the CLI output.
 On failure every moved cell is listed.
 
 The fixtures are test data.  Regenerate them (``python
-tests/test_golden.py``) only in a change that means to move numbers, and
-list the moved cells that this test printed before.
+tests/test_golden.py [NAME ...]``, all cases without a name) only in a
+change that means to move numbers, and list the moved cells that this test
+printed before.
 """
 
 import contextlib
@@ -27,7 +30,9 @@ from nvspinmech.table import ResultTable
 from test_cli import README_RECIPES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-CASES = ["mdmr_23mT", "mdmr_180mT", "hysteresis_23mT", "hysteresis_180mT"]
+CASES = ["susceptibility", "equilibrium", "rotation", "landscape", "libration",
+         "libration_pump", "critical_field_free", "critical_field", "invert",
+         "mdmr_23mT", "mdmr_180mT", "hysteresis_23mT", "hysteresis_180mT"]
 RTOL = 1e-12
 
 
@@ -77,5 +82,7 @@ def test_recipe_matches_golden_table(name):
 
 
 if __name__ == "__main__":
-    for name in CASES:
+    import sys
+
+    for name in sys.argv[1:] or CASES:
         (GOLDEN / f"{name}.csv").write_text(body(name))

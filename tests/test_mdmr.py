@@ -402,6 +402,19 @@ class TestPairMemo:
             assert set(built) == {tilts for _, _, tilts in keys}, case.__name__
             assert len(built) < len(keys), case.__name__
 
+    def test_no_one_tilt_half_is_held(self, params, orientation):
+        # a one-tilt Brent step never recurs, so only the scan windows keep
+        # their tilt halves; the torque memo still holds every batch
+        for case in (self.fold_pair, self.linear_pair, self.four_class_pair):
+            p, trap, field, drive, classes = case(params, orientation)
+            memo = {}
+            for sweep in (drive, drive.reversed()):
+                mdmr_scan(p, orientation, trap, field, sweep, classes, memo=memo)
+            (_, tilts, torques), = memo.values()
+            sizes = lambda keys: [len(np.frombuffer(k)) for k in keys]
+            assert tilts and min(sizes(tilts)) > 1, case.__name__
+            assert min(sizes(key for key, _, _ in torques)) == 1, case.__name__
+
     @pytest.mark.parametrize("case", ["fold_pair", "four_class_pair"])
     def test_pair_matches_independent_scans(self, params, orientation, case):
         p, trap, field, drive, classes = getattr(self, case)(params, orientation)

@@ -14,8 +14,11 @@ from nvspinmech import (FieldVector, SpinParams, TrapModel, equilibrium_angle, e
                         RangeExhaustedError, susceptibility_analytic)
 from nvspinmech import mdmr, mechanics, roots
 from nvspinmech.config import load_config
-from nvspinmech.constants import KB
-from nvspinmech.mechanics import TiltGeometry, _axial_field, _integrate_torque
+from nvspinmech.constants import HBAR, KB
+from nvspinmech.mechanics import (_CLASS_FRAMES, TiltGeometry, _axial_field, _dot3,
+                                  _integrate_torque, _per_tilt)
+from nvspinmech.spincore import (spin_expectation, steady_state_batch,
+                                 steady_state_derivative_batch)
 from nvspinmech.roots import _stable_bracket
 
 from conftest import linear_torque_coefficient
@@ -185,6 +188,75 @@ class TestTiltGeometry:
         thetas[0] = 0.0
         batch = tilt_torque_batch(params, geom, thetas)
         assert np.array_equal(batch, [tilt_torque_batch(params, geom, [t])[0] for t in thetas])
+
+
+def composed_torque_and_slope(params, geom, thetas, classes, rows=None):
+    """The torque and slope composed of separate steps, as the one-pass
+    kernel must reproduce them bit for bit: b and db/dtheta from the
+    geometry's own methods, one class projection each, density matrices
+    from steady_state_batch and steady_state_derivative_batch, and <S>
+    from spin_expectation."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    geom, n = _per_tilt(params, geom, rows)
+    project = lambda v: _dot3(v[None, :, None, :], _CLASS_FRAMES[list(classes), None])
+    fields, dfields = project(geom.b_crystal(thetas)), project(geom.db_dtheta(thetas))
+    point_rows = None if rows is None else np.broadcast_to(rows, fields.shape[:-1]).ravel()
+    scale = -HBAR * (params if rows is None else params[0]).gyromagnetic_ratio
+    rhos = steady_state_batch(params, fields.reshape(-1, 3), rows=point_rows)
+    moments = scale * spin_expectation(rhos).reshape(fields.shape)
+    _, drhos = steady_state_derivative_batch(params, fields.reshape(-1, 3),
+                                             dfields.reshape(-1, 1, 3), point_rows)
+    dmoments = scale * spin_expectation(drhos).reshape(fields.shape)
+    return (n * sum(_dot3(moments, dfields)),
+            n * sum(_dot3(dmoments, dfields) - _dot3(moments, fields)))
+
+
+def kernel_cases():
+    """(name, params, geometry, tilts, classes, rows): B = 0, tilts of +0
+    and -0, one, two and several classes, 1 to 29 tilts, and parameter
+    rows of three fields and pump rates."""
+    rng = np.random.default_rng(8)
+    tilts = lambda k: np.concatenate([[0.0, -0.0], rng.uniform(-0.5 * np.pi, np.pi, k - 2)])
+    base = SpinParams()
+    rows = [base.with_(pump_rate=pump) for pump in (0.0, 1e3, 1e6)]
+    fields = [TiltGeometry(b_mag=b, phi=0.0) for b in (0.0, 0.05, 0.10241221809877248)]
+    return [("zero_field", base, TiltGeometry(b_mag=0.0, phi=0.0), [0.0], (0, 1, 2, 3), None),
+            ("aligned", base, TiltGeometry(b_mag=0.12, phi=0.0), [-0.0], (0,), None),
+            ("pair", base, TiltGeometry(b_mag=0.13, phi=0.7), tilts(2), (1, 3), None),
+            ("eighteen", base, TiltGeometry(b_mag=0.18, phi=2.1), tilts(18), (0, 1, 2, 3),
+             None),
+            ("unpumped", base.with_(pump_rate=0.0), TiltGeometry(b_mag=0.023, phi=0.0),
+             tilts(29), (0, 1, 2, 3), None),
+            ("rows", rows, fields, tilts(29), (0, 1, 2, 3), rng.integers(0, 3, 29)),
+            ("one_row", rows, fields, [0.4], (0,), np.array([2]))]
+
+
+class TestOnePassKernel:
+    """tilt_torque_batch and tilt_torque_and_slope are one pass (one sin/cos,
+    one class projection, one moment batch) and bitwise the composition of
+    the separate steps, sign of zero included (``tobytes``)."""
+
+    @pytest.mark.parametrize("name, params, geom, thetas, classes, rows", kernel_cases(),
+                             ids=[case[0] for case in kernel_cases()])
+    def test_kernel_is_the_composed_route(self, name, params, geom, thetas, classes, rows):
+        tau, slope = composed_torque_and_slope(params, geom, thetas, classes, rows)
+        assert tilt_torque_batch(params, geom, thetas, classes, rows).tobytes() == tau.tobytes()
+        got_tau, got_slope = tilt_torque_and_slope(params, geom, thetas, classes, rows)
+        assert (got_tau.tobytes(), got_slope.tobytes()) == (tau.tobytes(), slope.tobytes())
+
+    def test_one_moment_batch_per_call(self, params, monkeypatch):
+        calls = []
+        original = mechanics.steady_state_moments
+
+        def counting(params, b_nv, rows=None, directions=None):
+            calls.append((len(b_nv), directions is not None))
+            return original(params, b_nv, rows, directions)
+
+        monkeypatch.setattr(mechanics, "steady_state_moments", counting)
+        geom = TiltGeometry(b_mag=0.13, phi=0.7)
+        tilt_torque_batch(params, geom, [0.1, 0.2, 0.3])
+        tilt_torque_and_slope(params, geom, [0.1], classes=(0, 2))
+        assert calls == [(12, False), (2, True)]
 
 
 def _cubic(thetas):
@@ -656,13 +728,14 @@ class TestLibration:
         # the slope equilibrium_angle took at theta* is the stiffness, bitwise
         # that of a separate slope at the same tilt
         calls = []
-        original = mechanics.steady_state_derivative_batch
+        original = mechanics.steady_state_moments
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def counting(params, b_nv, rows=None, directions=None):
+            if directions is not None:
+                calls.append(b_nv)
+            return original(params, b_nv, rows, directions)
 
-        monkeypatch.setattr(mechanics, "steady_state_derivative_batch", counting)
+        monkeypatch.setattr(mechanics, "steady_state_moments", counting)
         b = _axial_field(orientation, 0.15)
         solved = librational_frequency(params, orientation, trap, b)
         assert len(calls) == 1

@@ -17,10 +17,11 @@ from nvspinmech import (FieldVector, SingularDetuningError, SpinParams, SteadySt
                         build_hamiltonian, check_density_matrix, detunings,
                         magnetization, spin_expectation, steady_state,
                         steady_state_batch, steady_state_derivative_batch,
-                        susceptibility_analytic,
+                        steady_state_moments, susceptibility_analytic,
                         susceptibility_numeric, susceptibility_van_vleck)
+from nvspinmech import spincore
 from nvspinmech.constants import HBAR, MU0
-from nvspinmech.spincore import _dissipator_matrix
+from nvspinmech.spincore import _density_matrices, _dissipator_matrix, _moments
 
 TWO_PI = 2.0 * np.pi
 
@@ -398,3 +399,69 @@ class TestSpinExpectation:
         rho = np.zeros((3, 3), dtype=complex)
         rho[2, 2] = 1.0
         assert spin_expectation(rho)[2] == pytest.approx(-1.0)
+
+
+# B = D/gamma_e of the default parameters, where Delta_- = 0 exactly
+CROSSING = 0.10241221809877248
+
+
+def moment_cases():
+    """(name, params, fields (k, 3), rows): B = 0, axial fields (theta = 0)
+    up to and through the exact crossing, zero pump, 1, 18 and 300 fields
+    (the last split into slices), and rows of three pump rates."""
+    rng = np.random.default_rng(11)
+    axial = np.zeros((18, 3))
+    axial[:, 2] = np.linspace(0.0, 0.2, 18)
+    axial[7, 2] = CROSSING
+    mixed = rng.normal(scale=0.08, size=(300, 3))
+    mixed[:20] = 0.0
+    mixed[20:60, :2] = 0.0
+    mixed[60:65] = [0.0, 0.0, CROSSING]
+    rows = [SpinParams(pump_rate=pump) for pump in (0.0, 1e3, 1e6)]
+    return [("zero_field", SpinParams(), np.zeros((1, 3)), None),
+            ("crossing", SpinParams(), np.array([[0.0, 0.0, CROSSING]]), None),
+            ("axial", SpinParams(), axial, None),
+            ("zero_pump", SpinParams(pump_rate=0.0), axial, None),
+            ("one", SpinParams(), rng.normal(scale=0.08, size=(1, 3)), None),
+            ("eighteen", SpinParams(), rng.normal(scale=0.08, size=(18, 3)), None),
+            ("sliced", SpinParams(), mixed, None),
+            ("rows", rows, mixed, rng.integers(0, 3, size=300))]
+
+
+class TestSteadyStateMoments:
+    """<S> read straight from the coherence vector is bitwise the old route
+    through the density matrix, sign of zero included (``tobytes``)."""
+
+    @pytest.mark.parametrize("name, params, fields, rows", moment_cases(),
+                             ids=[case[0] for case in moment_cases()])
+    def test_moments_are_spin_expectation_of_the_states(self, name, params, fields, rows):
+        dirs = np.random.default_rng(len(fields)).normal(size=(len(fields), 2, 3))
+        dirs[:, 0] = [1.0, 0.0, 0.0]  # an exact direction: derivatives of exactly 0
+        moments, none = steady_state_moments(params, fields, rows)
+        assert none is None
+        assert moments.tobytes() == spin_expectation(
+            steady_state_batch(params, fields, rows=rows)).tobytes()
+        same, dmoments = steady_state_moments(params, fields, rows, dirs)
+        assert same.tobytes() == moments.tobytes()
+        _, drhos = steady_state_derivative_batch(params, fields, dirs, rows)
+        assert dmoments.shape == (len(fields), 2, 3)
+        assert dmoments.tobytes() == spin_expectation(drhos).tobytes()
+
+    def test_moments_of_coherence_vectors_with_signed_zeros(self):
+        rng = np.random.default_rng(2)
+        r = rng.normal(size=(500, 9))
+        r[rng.random(r.shape) < 0.3] = 0.0
+        r[rng.random(r.shape) < 0.3] = -0.0
+        assert _moments(r).tobytes() == spin_expectation(_density_matrices(r)).tobytes()
+
+    def test_singular_generator_raises_typed_error(self, params, monkeypatch):
+        # the generator of test_singular_generator_raises_typed_error, with
+        # the incoherent part cancelled inside A0: the same solve fails
+        a0, a_field = spincore._generator_parts(params)
+        cancel = -_dissipator_matrix(params.gamma1, params.gamma2_star, params.pump_rate)
+        monkeypatch.setattr(spincore, "_generator_parts", lambda p: (a0 + cancel, a_field))
+        for directions in (None, np.ones((2, 1, 3))):
+            with pytest.raises(SteadyStateError) as info:
+                steady_state_moments(params, np.array([[0.0, 0.0, 0.1], [0.0, 0.0, 0.0]]),
+                                     directions=directions)
+            assert info.value.condition > 1e12
