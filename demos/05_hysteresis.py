@@ -26,7 +26,7 @@ def axial(b):
 def line(params, trap, b_mag, which):
     eq = equilibrium_angle(params, orientation, trap, axial(b_mag), classes=(0,))
     geom = tilt_geometry(orientation, axial(b_mag))
-    bc = geom.b_crystal(eq.theta)
+    bc = geom.field_and_derivative(eq.theta)[0, 0]
     bz = float(bc @ NV_AXES[0])
     perp = float(np.linalg.norm(bc - bz * NV_AXES[0]))
     lines = zero_connected_lines(params, (perp, 0.0, bz))

@@ -6,7 +6,7 @@ Library layout:
   states and the three susceptibility routes (numeric, closed form,
   perturbative).
 * :mod:`nvspinmech.crystal` -- the four [111] orientation classes and
-  frame transforms.
+  the crystal's proper rotation into the lab.
 * :mod:`nvspinmech.mechanics` -- torques, angular energy landscapes,
   equilibrium orientation, transition field and librational frequencies.
 * :mod:`nvspinmech.mdmr` -- mechanically detected magnetic resonance
@@ -20,7 +20,7 @@ Library layout:
 __version__ = "0.1.0"
 
 from .constants import GSLAC_FIELD, GYROMAGNETIC_RATIO, HBAR, KB, MU0, PPM_DENSITY, ZERO_FIELD_SPLITTING
-from .crystal import NV_AXES, TETRAHEDRAL_ANGLE, AngularState, CrystalOrientation, angular_state
+from .crystal import NV_AXES, TETRAHEDRAL_ANGLE, CrystalOrientation
 from .magnetometry import (AngleFieldEstimate, NoSolutionError, TransitionPair,
                            invert_angle_field, transition_frequencies)
 from .mdmr import (MdmrPoint, MdmrSpectrum, hysteresis_pair, mdmr_scan,

@@ -183,14 +183,13 @@ def _tilt_half(params: SpinParams, geom: TiltGeometry, thetas: np.ndarray,
     """The :class:`_TiltHalf` at ``thetas``; the class-frame field and its
     theta-derivative come from one :func:`_class_fields` call."""
     k = len(thetas)
-    both = _class_fields(np.concatenate([geom.b_crystal(thetas), geom.db_dtheta(thetas)]),
-                         classes)
-    bx, by, bz = both[:, :k, 0], both[:, :k, 1], both[:, :k, 2]
+    fields, dfields = _class_fields(geom.field_and_derivative(thetas), classes)
+    bx, by, bz = fields[..., 0], fields[..., 1], fields[..., 2]
     inplane = np.zeros((len(classes), k, 3))
     inplane[..., 0], inplane[..., 2] = np.hypot(bx, by), bz
     inplane = inplane.reshape(-1, 3)
     alpha = np.arctan2(by, bx)
-    return _TiltHalf(both[:, k:], np.cos(alpha), np.sin(alpha), _eigenbasis(params, inplane),
+    return _TiltHalf(dfields, np.cos(alpha), np.sin(alpha), _eigenbasis(params, inplane),
                      _generators(*_generator_parts(params), inplane))
 
 
@@ -288,7 +287,7 @@ def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapMod
         theta = root if ok else theta
         points.append(MdmrPoint(frequency_hz=float(freq), theta=theta,
                                 delta_theta=theta - baseline, converged=ok, iterations=evals))
-    fields = _class_fields(geom.b_crystal([baseline]), classes)[:, 0]
+    fields = _class_fields(geom.field_and_derivative(baseline)[0], classes)[:, 0]
     return MdmrSpectrum(drive=drive, baseline_theta=baseline, points=tuple(points),
                         class_lines_hz=np.array([zero_connected_lines(params, f)
                                                  for f in fields]))

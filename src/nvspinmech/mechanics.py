@@ -31,7 +31,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .constants import HBAR
-from .crystal import NV_AXES, CrystalOrientation, angular_state, transverse_reference
+from .crystal import NV_AXES, CrystalOrientation, transverse_reference
 from .params import FieldVector, SpinParams, TrapModel
 from .roots import _XTOL, _stable_roots
 from .spincore import detunings, steady_state_moments
@@ -83,8 +83,9 @@ class TiltGeometry:
     """Crystal-frame description of the field great circle.
 
     The field direction is b(theta) = sin(theta)*e_phi + cos(theta)*z0
-    where z0 is the tracked (class 0) NV axis and e_phi the azimuthal
-    transverse direction; all class axes are constants of the crystal frame.
+    where z0 is the tracked (class 0) NV axis and e_phi = cos(phi)*x0 +
+    sin(phi)*y0 the azimuthal direction in the x and y rows of its NV
+    frame; all class axes are constants of the crystal frame.
     """
 
     b_mag: float
@@ -97,19 +98,33 @@ class TiltGeometry:
         x, y = _CLASS_FRAMES[0, :2]
         return np.cos(self.phi) * x + np.sin(self.phi) * y
 
-    def b_crystal(self, theta) -> np.ndarray:
-        """Field (3,) at one tilt, or (k, 3) at an array of k tilts."""
-        th = np.asarray(theta, dtype=float)[..., None]
-        return self.b_mag * (np.sin(th) * self.e_phi + np.cos(th) * self.z0)
-
-    def db_dtheta(self, theta) -> np.ndarray:
-        th = np.asarray(theta, dtype=float)[..., None]
-        return self.b_mag * (np.cos(th) * self.e_phi - np.sin(th) * self.z0)
+    def field_and_derivative(self, thetas) -> np.ndarray:
+        """b and db/dtheta (2, k, 3) at k tilts, from one sin/cos."""
+        th = np.atleast_1d(np.asarray(thetas, dtype=float))[:, None]
+        trig = np.empty((2,) + th.shape)
+        np.sin(th, out=trig[0])
+        np.cos(th, out=trig[1])
+        # (sin, cos) e_phi + (cos, sin) (z0, -z0)
+        return self.b_mag * (trig * self.e_phi + trig[::-1] * _Z0_PAIR)
 
 
 def tilt_geometry(orientation: CrystalOrientation, b_lab: FieldVector) -> TiltGeometry:
-    """Geometry of the tilt coordinate for a lab-frame field."""
-    return TiltGeometry(b_mag=b_lab.magnitude, phi=angular_state(orientation, b_lab).phi)
+    """Geometry of the tilt coordinate for a lab-frame field: |B| and the
+    azimuth phi of the field around the tracked axis, in [0, 2 pi) from
+    the x row of the axis's NV frame toward its y row (those of
+    :attr:`TiltGeometry.e_phi`).  phi = 0 at zero field, on the axis of
+    either sign, and where the tilt rounds to 0 (gimbal degenerate)."""
+    b = b_lab.require_frame("lab").as_array()
+    b_mag, phi = b_lab.magnitude, 0.0
+    if b_mag > 0.0:
+        x, y, z = _CLASS_FRAMES[0]
+        bc = orientation.to_crystal(b) / b_mag
+        ct = float(np.clip(bc @ z, -1.0, 1.0))
+        perp = bc - ct * z
+        if np.linalg.norm(perp) >= 1e-15 and np.arccos(ct) != 0.0:
+            phi = float(np.mod(float(np.arctan2(perp @ y, perp @ x)) % (2.0 * np.pi),
+                               2.0 * np.pi))
+    return TiltGeometry(b_mag=b_mag, phi=phi)
 
 
 def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -161,14 +176,8 @@ def _tilt_torques(params, geom, thetas, classes, rows, slope: bool):
     """Torques at ``thetas`` and, if ``slope``, their exact slopes (else
     None): b and db/dtheta from one sin/cos, their class-frame components
     from one projection, and one moment batch."""
-    th = np.atleast_1d(np.asarray(thetas, dtype=float))[:, None]
     geom, n = _per_tilt(params, geom, rows)
-    trig = np.empty((2,) + th.shape)
-    np.sin(th, out=trig[0])
-    np.cos(th, out=trig[1])
-    # (sin, cos) e_phi + (cos, sin) (z0, -z0): b_crystal and db_dtheta, bitwise
-    fields, dfields = _class_fields(geom.b_mag * (trig * geom.e_phi + trig[::-1] * _Z0_PAIR),
-                                    classes)
+    fields, dfields = _class_fields(geom.field_and_derivative(thetas), classes)
     moments, dmoments = _class_moments(params, fields, dfields[..., None, :] if slope else None,
                                        rows)
     tau = n * sum(_dot3(moments, dfields))
@@ -262,12 +271,12 @@ def magnetic_energy_landscape(params: SpinParams, orientation: CrystalOrientatio
             raise ValueError(f"{name} must be strictly increasing")
     b_mag = b_lab.magnitude
     energy = np.zeros((theta_grid.size, phi_grid.size))
+    # anchor the cumulative integral at theta = 0; integrate over the
+    # sorted anchor path so intervals stay short
+    sorted_anchors = np.sort(np.concatenate([[0.0], theta_grid]))
+    i0 = int(np.searchsorted(sorted_anchors, 0.0))
     for j, phi in enumerate(phi_grid):
         geom = TiltGeometry(b_mag=b_mag, phi=float(phi))
-        # anchor the cumulative integral at theta = 0; integrate over the
-        # sorted anchor path so intervals stay short
-        sorted_anchors = np.sort(np.concatenate([[0.0], theta_grid]))
-        i0 = int(np.searchsorted(sorted_anchors, 0.0))
         u_at = {sorted_anchors[i0]: 0.0}
         for idx in range(i0 + 1, sorted_anchors.size):
             a, c = sorted_anchors[idx - 1], sorted_anchors[idx]
@@ -302,9 +311,9 @@ def landscape_curl_check(params: SpinParams, orientation: CrystalOrientation,
     samples = [(rng.uniform(0.1, 1.2), rng.uniform(0.0, 2.0 * np.pi))
                for _ in range(n_samples)]
     geoms = [(TiltGeometry(b_mag=b_mag, phi=float(ph)), float(th)) for th, ph in samples]
-    db_th = np.array([g.db_dtheta(th) for g, th in geoms])
+    b, db_th = np.concatenate([g.field_and_derivative(th) for g, th in geoms], axis=1)
     db_ph = np.array([b_mag * np.sin(th) * np.cross(g.z0, g.e_phi) for g, th in geoms])
-    fields = _class_fields(np.array([g.b_crystal(th) for g, th in geoms]), classes)
+    fields = _class_fields(b, classes)
     dfields = np.moveaxis(_class_fields(np.stack([db_th, db_ph]), classes), 0, 2)
     moments, dmoments = _class_moments(params, fields, dfields)
     n = params.n_spins_per_class

@@ -43,7 +43,7 @@ def line_center(params, trap, b_mag, which, classes=(0,)):
 
     eq = equilibrium_angle(params, ORIENTATION, trap, axial(b_mag), classes=classes)
     geom = tilt_geometry(ORIENTATION, axial(b_mag))
-    bc = geom.b_crystal(eq.theta)
+    bc = geom.field_and_derivative(eq.theta)[0, 0]
     bz = float(bc @ NV_AXES[0])
     perp = float(np.linalg.norm(bc - bz * NV_AXES[0]))
     lines = zero_connected_lines(params, (perp, 0.0, bz))

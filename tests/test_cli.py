@@ -572,18 +572,45 @@ def _with_edges(edges, lo, hi):
 
 FIELDS = _with_edges([0.0, CROSSING, 0.2], 0.0, 0.3)
 PUMPS = _with_edges([0.0, 1e9], 0.0, 1e9)
+RABI_RATES = _with_edges([0.0, 1e12], 0.0, 1e12)
+DRIVE_FREQUENCIES = _with_edges([0.0, 2.87e9], 0.0, 6e9)
 # the columns documented to carry NaN or inf: the van Vleck chi at the
 # exact crossing (SingularDetuningError), theta* and omega_numeric of a
 # libration row with no bound or no stable equilibrium, and omega_analytic
 # (inf) where Delta_- = 0 (LibrationResult); theta and torque_residual of an
 # unbound equilibrium (EquilibriumResult) and theta of an unbound rotation
-# step (RotationPoint).  Landscape energies and critical fields are finite.
+# step (RotationPoint).  Landscape energies, critical fields, MDMR tilts (an
+# unconverged point keeps the previous tilt) and inversions are finite.
 NON_FINITE_COLUMNS = {"susceptibility": {"chi_perp_vanvleck"},
                       "libration": {"theta_star", "omega_numeric", "omega_analytic"},
                       "equilibrium": {"theta", "torque_residual"},
                       "rotation": {"theta"},
                       "landscape": set(),
-                      "critical-field": set()}
+                      "critical-field": set(),
+                      "mdmr": set(),
+                      "invert": set()}
+
+
+def run_edge_case(command, overrides) -> ResultTable | None:
+    """The table of one CLI run, or None when it exits 1 (config) or 2
+    (numerical) with its one-line diagnostic; no exception may escape main,
+    and non-finite cells stay in the command's documented columns."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, *_sets(*overrides)])
+    except Exception as exc:  # noqa: BLE001 - the contract is that nothing escapes
+        pytest.fail(f"{type(exc).__name__} escaped main for {overrides}: {exc}")
+    assert code in (0, 1, 2), overrides
+    if code != 0:
+        assert err.getvalue().startswith("nvspinmech: "), err.getvalue()
+        return None
+    table = ResultTable.parse(out.getvalue())
+    for row in table.rows:
+        bad = {col for col, v in zip(table.columns, row)
+               if isinstance(v, float) and not np.isfinite(v)}
+        assert bad <= NON_FINITE_COLUMNS[command], (overrides, row)
+    return table
 
 
 @pytest.mark.parametrize("command, variable", [
@@ -608,20 +635,46 @@ def test_cli_edges_answer_or_fail_cleanly(command, variable, b, ends, pumps, dep
                  f"landscape.theta_steps={steps}", f"landscape.phi_steps={steps}"]
     if variable is not None:
         overrides.append(f"libration.variable={variable}")
-    out, err = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, *_sets(*overrides)])
-    except Exception as exc:  # noqa: BLE001 - the contract is that nothing escapes
-        pytest.fail(f"{type(exc).__name__} escaped main for {overrides}: {exc}")
-    assert code in (0, 1, 2), overrides
-    if code != 0:
-        assert err.getvalue().startswith("nvspinmech: "), err.getvalue()
-        return
-    table = ResultTable.parse(out.getvalue())
-    rows = {"landscape": steps * steps, "critical-field": min(steps, 1)}.get(command, steps)
-    assert len(table.rows) == rows
-    for row in table.rows:
-        bad = {col for col, v in zip(table.columns, row)
-               if isinstance(v, float) and not np.isfinite(v)}
-        assert bad <= NON_FINITE_COLUMNS[command], (overrides, row)
+    table = run_edge_case(command, overrides)
+    if table is not None:
+        rows = {"landscape": steps * steps, "critical-field": min(steps, 1)}.get(command, steps)
+        assert len(table.rows) == rows
+
+
+@pytest.mark.parametrize("hysteresis", [False, True], ids=["scan", "hysteresis"])
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(b=FIELDS, rabi_hz=RABI_RATES, ends=st.tuples(DRIVE_FREQUENCIES, DRIVE_FREQUENCIES),
+       direction=st.sampled_from(["up", "down"]), steps=st.integers(0, 3), pump=PUMPS,
+       trap_hz=_with_edges([0.0], 0.0, 1e3), classes=st.sampled_from(["tracked", "all"]))
+def test_mdmr_cli_edges_answer_or_fail_cleanly(hysteresis, b, rabi_hz, ends, direction, steps,
+                                               pump, trap_hz, classes):
+    # a scan has one row per frequency, a hysteresis pair two
+    start, stop = sorted(ends)
+    overrides = [f"field.magnitude_tesla={b!r}", f"mdmr.rabi_rate_hz={rabi_hz!r}",
+                 f"mdmr.frequency_start_hz={start!r}", f"mdmr.frequency_stop_hz={stop!r}",
+                 f"mdmr.frequency_steps={steps}", f"mdmr.direction={direction}",
+                 f"mdmr.hysteresis={hysteresis}", f"spin.pump_rate_per_s={pump!r}",
+                 f"trap.trap_frequency_hz={trap_hz!r}", f"run.classes={classes}"]
+    table = run_edge_case("mdmr", overrides)
+    if table is not None:
+        assert len(table.rows) == (2 if hysteresis else 1) * steps
+
+
+LINE_FREQUENCIES = _with_edges([0.0, 2.87e9], 0.0, 1e10)
+# the README pair, the aligned pair at the crossing B = D/gamma_e, or any two
+LINE_PAIRS = st.one_of(st.sampled_from([(2.2254e9, 3.5146e9), (0.0, 5.74e9)]),
+                       st.tuples(LINE_FREQUENCIES, LINE_FREQUENCIES))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(nus=LINE_PAIRS, width=_with_edges([1e7, 0.0, 1e9], 0.0, 1e9),
+       theta_max=_with_edges([0.5 * np.pi, 0.0, np.pi], 0.0, 4.0),
+       b_max=_with_edges([0.3, 0.0], 0.0, 1.0))
+def test_invert_cli_edges_answer_or_fail_cleanly(nus, width, theta_max, b_max):
+    # an inversion is one row
+    overrides = [f"invert.nu_minus_hz={nus[0]!r}", f"invert.nu_plus_hz={nus[1]!r}",
+                 f"invert.linewidth_hz={width!r}", f"invert.theta_max_rad={theta_max!r}",
+                 f"invert.b_max_tesla={b_max!r}"]
+    table = run_edge_case("invert", overrides)
+    if table is not None:
+        assert len(table.rows) == 1

@@ -119,7 +119,7 @@ def test_driven_states_match_complex_reference(params, b, drive):
 def test_crystal_frame_moments_match_transverse_field_frame(params, b_mag, phi, tilts):
     geom = TiltGeometry(b_mag=b_mag, phi=phi)
     thetas = np.array([0.0, 0.5 * np.pi, *tilts])
-    b = geom.b_crystal(thetas)
+    b = geom.field_and_derivative(thetas)[0]
     moments = to_crystal(_class_moments(params, _class_fields(b))[0])
     # relative to the moment of a fully polarized spin: the solves round at
     # ~1e-13 of it, so a nearly unpolarized class (|m| ~ 1e-3 of it at the

@@ -1,14 +1,30 @@
-"""Geometry of the four orientation classes and frame transforms."""
+"""Geometry of the four orientation classes and the azimuth of the tilt."""
 
 import numpy as np
 import pytest
 
-from nvspinmech import (NV_AXES, TETRAHEDRAL_ANGLE, AngularState,
-                        CrystalOrientation, FieldVector, angular_state, tilt_geometry)
-from nvspinmech.crystal import transverse_reference
-from nvspinmech.mechanics import _CLASS_FRAMES, _class_fields
+from nvspinmech import (NV_AXES, TETRAHEDRAL_ANGLE, CrystalOrientation, FieldVector, TiltGeometry,
+                        tilt_geometry, tilt_torque_batch)
+from nvspinmech.mechanics import _CLASS_FRAMES, _axial_field, _class_fields, _torque_scale
 
 DEG = np.pi / 180.0
+EPS = np.finfo(float).eps
+
+# (x, y, z) -> (y, z, x): the 120 degree turn about [111], exact in integers
+CYCLIC = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+
+
+def random_rotation(rng) -> np.ndarray:
+    """A proper rotation from the QR decomposition of a normal matrix."""
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0.0 else -q
+
+
+def sample_orientations(seed):
+    rng = np.random.default_rng(seed)
+    return [CrystalOrientation.identity(), CrystalOrientation(CYCLIC),
+            CrystalOrientation(random_rotation(rng)), CrystalOrientation(random_rotation(rng))]
 
 
 class TestAxes:
@@ -23,12 +39,22 @@ class TestAxes:
         assert TETRAHEDRAL_ANGLE == pytest.approx(109.47 * DEG, abs=1e-3)
 
     def test_tetrahedral_symmetry_permutes_axes(self):
-        # 120 degrees about any axis maps the other three onto each other
-        rot = CrystalOrientation.from_axis_angle(NV_AXES[0], 2 * np.pi / 3)
-        mapped = (rot.rotation @ NV_AXES.T).T
-        for axis in mapped:
-            match = np.max(NV_AXES @ axis)
-            assert match == pytest.approx(1.0, abs=1e-12)
+        # 120 degrees about the class 0 axis fixes it and maps the other
+        # three onto each other, 1 -> 3 -> 2 -> 1, exactly
+        mapped = CrystalOrientation(CYCLIC).axis_lab
+        assert np.array_equal(mapped(0), NV_AXES[0])
+        for c, image in ((1, 3), (3, 2), (2, 1)):
+            assert np.array_equal(mapped(c), NV_AXES[image])
+
+    @pytest.mark.parametrize("b_mag", [0.02, 0.13, 0.2])
+    def test_four_class_torque_has_the_three_fold_symmetry(self, params, b_mag):
+        # the turn about the tracked axis permutes the other three classes,
+        # so the four-class torque repeats when the azimuth advances 2 pi/3
+        thetas = np.array([0.0, 0.3, 1.0, 2.0])
+        for phi in (0.0, 0.4, 2.5):
+            taus = [tilt_torque_batch(params, TiltGeometry(b_mag=b_mag, phi=p), thetas)
+                    for p in (phi, phi + 2.0 * np.pi / 3.0)]
+            assert np.max(np.abs(taus[0] - taus[1])) <= 1e-12 * _torque_scale(params, b_mag)
 
 
 class TestOrientation:
@@ -41,29 +67,25 @@ class TestOrientation:
             CrystalOrientation(np.eye(3) + 1e-6)
 
     def test_full_turn_is_identity(self):
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
-            turned = CrystalOrientation.from_axis_angle(axis, 2.0 * np.pi)
-            assert np.allclose(turned.rotation, np.eye(3), atol=1e-12)
+        # three 120 degree turns are a proper rotation that moves no class axis
+        turned = CrystalOrientation(CYCLIC @ CYCLIC @ CYCLIC)
+        assert np.array_equal(turned.rotation, np.eye(3))
+        for c in range(4):
+            assert np.array_equal(turned.axis_lab(c), NV_AXES[c])
 
     def test_rotation_composition(self):
-        axis = np.array([0.0, 0.0, 1.0])
-        a = CrystalOrientation.from_axis_angle(axis, 0.3)
-        b = CrystalOrientation.from_axis_angle(axis, 0.5).rotation @ a.rotation
-        direct = CrystalOrientation.from_axis_angle(axis, 0.8)
-        assert np.allclose(b, direct.rotation, atol=1e-13)
+        # two 120 degree turns are the 240 degree turn, the inverse of one
+        once, twice = CrystalOrientation(CYCLIC), CrystalOrientation(CYCLIC @ CYCLIC)
+        for c in range(4):
+            assert np.array_equal(twice.axis_lab(c), CYCLIC @ once.axis_lab(c))
+        assert np.array_equal(twice.rotation, CYCLIC.T)
 
     def test_inverse_round_trip(self):
-        axis = np.array([1.0, 0.0, 0.0])
-        fwd = CrystalOrientation.from_axis_angle(axis, 0.7)
-        back = CrystalOrientation.from_axis_angle(axis, -0.7).rotation @ fwd.rotation
-        assert np.allclose(back, np.eye(3), atol=1e-13)
-
-    def test_rejects_non_unit_axis(self):
-        with pytest.raises(ValueError, match="unit"):
-            CrystalOrientation.from_axis_angle((1.0, 1.0, 0.0), 0.1)
+        # to_crystal undoes the rotation that axis_lab applies
+        for ori in sample_orientations(7):
+            for c in range(4):
+                assert np.allclose(ori.to_crystal(ori.axis_lab(c)), NV_AXES[c],
+                                   rtol=0.0, atol=4 * EPS)
 
 
 class TestFieldTransforms:
@@ -81,13 +103,12 @@ class TestFieldTransforms:
 
     def test_round_trip_preserves_vector(self):
         rng = np.random.default_rng(5)
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        ori = CrystalOrientation.from_axis_angle(axis, 0.9)
+        ori = CrystalOrientation(CYCLIC)
         for frame in _CLASS_FRAMES:
             assert np.allclose(frame @ frame.T, np.eye(3), atol=1e-12)
         for _ in range(10):
             vec = rng.normal(scale=0.2, size=3)
+            assert np.array_equal(ori.to_crystal(ori.rotation @ vec), vec)
             b_nv = _class_fields(ori.to_crystal(vec)[None])[:, 0]
             assert np.allclose(np.linalg.norm(b_nv, axis=1), np.linalg.norm(vec), rtol=1e-12)
 
@@ -96,59 +117,35 @@ class TestFieldTransforms:
             CrystalOrientation.identity().axis_lab(4)
 
 
-class TestAngularState:
-    def test_ranges_enforced(self):
-        with pytest.raises(ValueError):
-            AngularState(theta=-0.1)
-        with pytest.raises(ValueError):
-            AngularState(theta=3.5)
-        s = AngularState(theta=0.3, phi=7.0)
-        assert 0.0 <= s.phi < 2.0 * np.pi
-
-    def test_gimbal_degenerate_azimuth(self):
-        s = AngularState(theta=0.0, phi=1.2)
-        assert s.phi == 0.0
-
-    def test_derived_from_field(self):
-        ori = CrystalOrientation.identity()
-        b = FieldVector.from_array(0.1 * NV_AXES[0], frame="lab")
-        s = angular_state(ori, b)
-        assert s.theta == pytest.approx(0.0, abs=1e-8)
-        # tilt toward another class raises theta to the tetrahedral angle
-        s1 = angular_state(ori, FieldVector.from_array(0.1 * NV_AXES[1], "lab"))
-        assert s1.theta == pytest.approx(TETRAHEDRAL_ANGLE, rel=1e-12)
-
-
-def per_call_phi(orientation, b_lab) -> float:
-    """The azimuth with the reference pair rebuilt on every call."""
-    b = b_lab.as_array()
-    bmag = np.linalg.norm(b)
-    if bmag == 0.0:
-        return 0.0
-    bc = orientation.to_crystal(b) / bmag
-    axis = NV_AXES[0]
-    ct = float(np.clip(bc @ axis, -1.0, 1.0))
-    xref = transverse_reference(axis)
-    yref = np.cross(axis, xref)
-    perp = bc - ct * axis
-    if np.linalg.norm(perp) < 1e-15:
-        return 0.0
-    return float(np.arctan2(perp @ yref, perp @ xref)) % (2.0 * np.pi)
-
-
 class TestConstantTiltFrame:
-    """The class-0 reference pair is a module constant: every azimuth is
-    bitwise that of the pair rebuilt per call."""
+    """tilt_geometry is the one place the azimuth of a lab field is decided,
+    in the class-0 frame rows that TiltGeometry builds its field from."""
 
-    def test_phi_is_the_per_call_route(self):
+    def test_field_rebuilt_from_the_angles_is_the_crystal_field(self):
         rng = np.random.default_rng(4)
-        rotated = CrystalOrientation.from_axis_angle([0.0, 0.6, 0.8], 0.9)
-        fields = [np.zeros(3), 0.1 * NV_AXES[0], -0.07 * NV_AXES[0], 0.13 * NV_AXES[2],
-                  *rng.normal(scale=0.1, size=(40, 3))]
-        for orientation in (CrystalOrientation.identity(), rotated):
+        fields = [0.1 * NV_AXES[0], -0.07 * NV_AXES[0], 0.13 * NV_AXES[2],
+                  *rng.normal(scale=0.1, size=(200, 3))]
+        for ori in sample_orientations(4):
             for b in fields:
-                b_lab = FieldVector.from_array(b, frame="lab")
-                phi = tilt_geometry(orientation, b_lab).phi
-                assert np.float64(phi).tobytes() == np.float64(
-                    AngularState(theta=angular_state(orientation, b_lab).theta,
-                                 phi=per_call_phi(orientation, b_lab)).phi).tobytes(), b
+                geom = tilt_geometry(ori, FieldVector.from_array(b, frame="lab"))
+                assert 0.0 <= geom.phi < 2.0 * np.pi
+                bc = ori.to_crystal(b)
+                theta = np.arctan2(np.linalg.norm(np.cross(NV_AXES[0], bc)), NV_AXES[0] @ bc)
+                rebuilt = geom.field_and_derivative(theta)[0, 0]
+                assert np.max(np.abs(rebuilt - bc)) <= 8 * EPS * np.linalg.norm(b), (ori, b)
+
+    def test_phi_is_zero_where_the_azimuth_is_degenerate(self):
+        # zero field, either sign of the axis, a tilt that rounds to 0, the CLI fields
+        for ori in sample_orientations(6):
+            assert tilt_geometry(ori, FieldVector(0.0, 0.0, 0.0)).phi == 0.0
+            for b in (1e-3, 0.1, -0.07, 0.3):
+                b_lab = FieldVector.from_array(b * ori.axis_lab(0), frame="lab")
+                assert tilt_geometry(ori, b_lab).phi == 0.0, (ori, b)
+            # tilted by 1e-9 rad: cos(theta) rounds to 1, so theta to 0
+            for row in _CLASS_FRAMES[0, :2]:
+                nudged = ori.rotation @ (NV_AXES[0] + 1e-9 * row)
+                assert tilt_geometry(ori, FieldVector.from_array(0.1 * nudged)).phi == 0.0
+        # the CLI's crystal is unrotated and its field lies along the tracked axis
+        cli = CrystalOrientation.identity()
+        for b in np.linspace(1e-3, 0.3, 3000):
+            assert tilt_geometry(cli, _axial_field(cli, float(b))).phi == 0.0, b

@@ -49,13 +49,13 @@ def stencil_curl(params, b_mag, theta, phi, h, classes=(0, 1, 2, 3)):
     points = [(theta, phi + h), (theta, phi - h), (theta + h, phi), (theta - h, phi),
               (theta, phi)]
     geoms = [(TiltGeometry(b_mag=b_mag, phi=ph), th) for th, ph in points]
-    moments, _ = _class_moments(params, _class_fields(
-        np.array([g.b_crystal(th) for g, th in geoms]), classes))
+    b, db_th = np.concatenate([g.field_and_derivative(th) for g, th in geoms], axis=1)
+    moments, _ = _class_moments(params, _class_fields(b, classes))
 
     def torque_along(db):  # N * sum_c m_c . db_c
         return params.n_spins_per_class * sum(_dot3(moments, _class_fields(db, classes)))
 
-    tau_th = torque_along(np.array([g.db_dtheta(th) for g, th in geoms]))
+    tau_th = torque_along(db_th)
     tau_ph = torque_along(np.array([b_mag * np.sin(th) * np.cross(g.z0, g.e_phi)
                                     for g, th in geoms]))
     curl = (tau_th[0] - tau_th[1]) / (2 * h) - (tau_ph[2] - tau_ph[3]) / (2 * h)

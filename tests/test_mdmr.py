@@ -32,7 +32,7 @@ def scan_window(params, orientation, trap, b_mag, line, span_hz, n, classes=(0,)
     b = _axial_field(orientation, b_mag)
     eq = equilibrium_angle(params, orientation, trap, b, classes=classes)
     geom = tilt_geometry(orientation, b)
-    bc = geom.b_crystal(eq.theta)
+    bc = geom.field_and_derivative(eq.theta)[0, 0]
     axis = NV_AXES[0]
     bz = float(bc @ axis)
     perp = float(np.linalg.norm(bc - bz * axis))
@@ -147,7 +147,7 @@ class TestMicrowaveSuperoperator:
         for ic, c in enumerate(classes):
             axis = NV_AXES[c]
             for it, theta in enumerate(thetas):
-                b = geom.b_crystal(theta)
+                b = geom.field_and_derivative(theta)[0, 0]
                 bz = float(b @ axis)
                 pnorm = float(np.linalg.norm(b - bz * axis))
                 xhat = (b - bz * axis) / pnorm if pnorm > 1e-12 else transverse_reference(axis)
@@ -431,7 +431,8 @@ def public_driven_torque(params, geom, trap, drive, frequency_hz, thetas, classe
     point at its in-plane field (|b_perp|, 0, b_z), with the drive of
     microwave_superoperator along S_x, one steady_state_batch, and the
     moment rotated back by the azimuth of b_perp."""
-    fields = _class_fields(geom.b_crystal(thetas), classes)
+    b, db = geom.field_and_derivative(thetas)
+    fields = _class_fields(b, classes)
     bx, by, bz = np.moveaxis(fields, -1, 0)
     inplane = np.stack([np.hypot(bx, by), np.zeros_like(bz), bz], axis=-1).reshape(-1, 3)
     rhos = steady_state_batch(params, inplane,
@@ -442,7 +443,7 @@ def public_driven_torque(params, geom, trap, drive, frequency_hz, thetas, classe
     cos, sin = np.cos(alpha), np.sin(alpha)
     moments = np.stack([cos * mx - sin * my, sin * mx + cos * my, mz], axis=-1)
     spin = params.n_spins_per_class * sum(
-        _dot3(moments, _class_fields(geom.db_dtheta(thetas), classes)))
+        _dot3(moments, _class_fields(db, classes)))
     return spin - trap.stiffness * (thetas - trap.theta0)
 
 

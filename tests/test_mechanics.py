@@ -173,11 +173,11 @@ class TestTiltGeometry:
     def test_tilt_arrays_match_single_tilts_bitwise(self, n):
         geom = TiltGeometry(b_mag=0.13, phi=0.7)
         thetas = np.random.default_rng(n).uniform(-0.5 * np.pi, np.pi, n)
-        for method in (geom.b_crystal, geom.db_dtheta):
-            batch = method(thetas)
-            assert batch.shape == (n, 3)
-            assert np.array_equal(batch, np.array([method(float(t)) for t in thetas]))
-            assert method(float(thetas[0])).shape == (3,)
+        batch = geom.field_and_derivative(thetas)
+        assert batch.shape == (2, n, 3)
+        singles = [geom.field_and_derivative(float(t)) for t in thetas]
+        assert singles[0].shape == (2, 1, 3)
+        assert np.array_equal(batch, np.concatenate(singles, axis=1))
 
     @pytest.mark.parametrize("n", [2, 9, 17, 40, 81])
     def test_tilt_torque_batches_match_single_tilts_bitwise(self, params, n):
@@ -193,13 +193,13 @@ class TestTiltGeometry:
 def composed_torque_and_slope(params, geom, thetas, classes, rows=None):
     """The torque and slope composed of separate steps, as the one-pass
     kernel must reproduce them bit for bit: b and db/dtheta from the
-    geometry's own methods, one class projection each, density matrices
-    from steady_state_batch and steady_state_derivative_batch, and <S>
-    from spin_expectation."""
+    geometry's field_and_derivative, one class projection each, density
+    matrices from steady_state_batch and steady_state_derivative_batch,
+    and <S> from spin_expectation."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     geom, n = _per_tilt(params, geom, rows)
     project = lambda v: _dot3(v[None, :, None, :], _CLASS_FRAMES[list(classes), None])
-    fields, dfields = project(geom.b_crystal(thetas)), project(geom.db_dtheta(thetas))
+    fields, dfields = map(project, geom.field_and_derivative(thetas))
     point_rows = None if rows is None else np.broadcast_to(rows, fields.shape[:-1]).ravel()
     scale = -HBAR * (params if rows is None else params[0]).gyromagnetic_ratio
     rhos = steady_state_batch(params, fields.reshape(-1, 3), rows=point_rows)
