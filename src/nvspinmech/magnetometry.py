@@ -102,12 +102,20 @@ def transition_frequencies(params: SpinParams, theta: float, b: float) -> Transi
     Args:
         theta: angle between the NV axis and the field, rad, in [0, pi/2].
         b: field magnitude, tesla, >= 0.
+
+    Raises:
+        ValueError: ``theta`` or ``b`` is out of range, or the field sits on
+            the level crossing, where the lower two levels are degenerate
+            and ``nu_minus`` is exactly 0 (an aligned field of D/gamma_e).
     """
     if not 0.0 <= theta <= 0.5 * np.pi:
         raise ValueError(f"theta must lie in [0, pi/2], got {theta!r}")
     if b < 0.0 or not np.isfinite(b):
         raise ValueError(f"field magnitude must be finite and >= 0, got {b!r}")
     nu_minus, nu_plus = _line_pairs(params, theta, b)
+    if nu_minus == 0.0:
+        raise ValueError(f"no line pair at the level crossing (theta={theta!r}, b={b!r} T): "
+                         "the lower two levels are degenerate, so nu_minus is 0")
     return TransitionPair(nu_minus=float(nu_minus), nu_plus=float(nu_plus))
 
 

@@ -33,7 +33,7 @@ from scipy.optimize import brentq
 from .constants import HBAR
 from .crystal import NV_AXES, CrystalOrientation, transverse_reference
 from .params import FieldVector, SpinParams, TrapModel
-from .roots import _XTOL, _stable_roots
+from .roots import _XTOL, _branch_roots, _stable_roots
 from .spincore import detunings, steady_state_moments
 
 ALL_CLASSES = (0, 1, 2, 3)
@@ -348,13 +348,16 @@ def _torque_scale(params: SpinParams, b_mag: float) -> float:
     return 4.0 * params.n_spins_per_class * HBAR * params.gyromagnetic_ratio * b_mag
 
 
-def _equilibria(rows, trap: TrapModel, guesses, classes=ALL_CLASSES) -> list[EquilibriumResult]:
-    """Equilibria of independent rows [(params, geometry)] under one trap,
-    solved together: the scan rounds of :func:`_stable_roots` in shared
-    batches, a Brent polish per row, and the slopes at all bound roots in
-    one derivative batch.  A row gives the same result alone as among
-    others, since a tilt gives the same bits in any batch."""
+def _equilibria(rows, traps, guesses, classes=ALL_CLASSES,
+                follow: bool = False) -> list[EquilibriumResult]:
+    """Equilibria of rows [(params, geometry)], one trap each: roots by
+    :func:`_stable_roots` in shared scan and polish batches (with
+    ``follow``, of a sweep by :func:`_branch_roots`), the slopes at all
+    bound roots in one derivative batch.  A row gives the same result alone
+    as among others, since a tilt gives the same bits in any batch."""
     params, geoms = [p for p, _ in rows], [g for _, g in rows]
+    stiffness = np.array([trap.stiffness for trap in traps])
+    theta0 = np.array([trap.theta0 for trap in traps])
 
     def batch(kernel, idx, th):  # one tilt, or tilts of one row, need no per-tilt lookups
         if len(rows) == 1 or len(idx) == 1:
@@ -363,17 +366,17 @@ def _equilibria(rows, trap: TrapModel, guesses, classes=ALL_CLASSES) -> list[Equ
 
     def total(idx, th):  # spin plus trap torque
         return (batch(tilt_torque_batch, idx, th)
-                - trap.stiffness * (np.asarray(th, dtype=float) - trap.theta0))
+                - stiffness[idx] * (np.asarray(th, dtype=float) - theta0[idx]))
 
-    found = _stable_roots(brentq, total, guesses,
-                          [_torque_scale(p, g.b_mag) for p, g in rows])
+    found = (_branch_roots if follow else _stable_roots)(
+        brentq, total, guesses, [_torque_scale(p, g.b_mag) for p, g in rows])
     results = [EquilibriumResult(theta=np.nan, stability=0.0, torque_residual=np.nan,
                                  iterations=evals, bound=False) for _, evals in found]
     if not (bound := [i for i, (root, _) in enumerate(found) if root is not None]):
         return results
     taus, slopes = batch(tilt_torque_and_slope, bound, [found[i][0] for i in bound])
     for i, tau, slope in zip(bound, taus, slopes):
-        root, evals = found[i]
+        (root, evals), trap = found[i], traps[i]
         total_slope = float(slope - trap.stiffness)
         results[i] = EquilibriumResult(
             theta=root, stability=float(-np.sign(total_slope)),
@@ -395,22 +398,22 @@ def equilibrium_angle(params: SpinParams, orientation: CrystalOrientation,
     ``iterations`` counts batched torque evaluations (scan windows, Brent
     steps and the slope at the root).
     """
-    return _equilibria([(params, tilt_geometry(orientation, b_lab))], trap,
+    return _equilibria([(params, tilt_geometry(orientation, b_lab))], [trap],
                        [trap.theta0 if warm_start is None else warm_start], classes)[0]
 
 
 def equilibrium_branch(params: SpinParams, orientation: CrystalOrientation, cases,
                        classes=ALL_CLASSES, guess: float | None = None) -> list[EquilibriumResult]:
     """Equilibria along a sweep: :func:`equilibrium_angle` of each
-    ``(trap, b_lab)`` case in order, warm-started from the last bound root
-    (``guess`` until there is one), which follows the stable branch."""
-    results = []
-    for trap, b_lab in cases:
-        res = equilibrium_angle(params, orientation, trap, b_lab, warm_start=guess,
-                                classes=classes)
-        guess = res.theta if res.bound else guess
-        results.append(res)
-    return results
+    ``(trap, b_lab)`` case warm-started from the last bound root before it
+    (``guess``, else its trap angle, until there is one), which follows the
+    stable branch.  The cases are solved together in waves, bitwise the
+    case-by-case loop (:func:`_branch_roots`)."""
+    cases = list(cases)
+    return _equilibria([(params, tilt_geometry(orientation, b_lab)) for _, b_lab in cases],
+                       [trap for trap, _ in cases],
+                       [trap.theta0 if guess is None else guess for trap, _ in cases],
+                       classes, follow=True)
 
 
 # trapped critical field: a coarse sweep, then rounds of 5-point refinement
@@ -431,8 +434,9 @@ def critical_field(params: SpinParams, orientation: CrystalOrientation,
     equilibrium tilt upward in field over _COARSE_FIELDS points, and
     _REFINE_ROUNDS rounds narrow the steepest drop of theta*(B): each
     splits the steepest interval into 4 and follows the branch from its
-    lower end through the 3 new fields only, reusing the end tilts (24 + 5
-    * 3 equilibria).  Returns the midpoint of the last steepest interval.
+    lower end through the 3 new fields only (each sweep solved in waves),
+    reusing the end tilts (24 + 5 * 3 equilibria).  Returns the midpoint of
+    the last steepest interval.
     A drop no larger than the root tolerance _XTOL is rounding, not a drop.
 
     Raises:
@@ -492,7 +496,8 @@ def field_rotation_sweep(params: SpinParams, orientation: CrystalOrientation,
 
     The trap reference stays fixed in the lab, so rotating the field by
     theta_b moves the trap-preferred tilt to theta0 + theta_b; a spin-free
-    particle would follow it exactly (the emitted control line).
+    particle would follow it exactly (the emitted control line).  The
+    steps are one :func:`equilibrium_branch`, with the trap moved per step.
     """
     theta_bs = np.asarray(theta_b_values, dtype=float)
     b_lab = _axial_field(orientation, b_mag)
@@ -560,14 +565,15 @@ def libration_sweep(orientation: CrystalOrientation, trap: TrapModel, cases,
                     classes=ALL_CLASSES) -> list[LibrationResult]:
     """:func:`librational_frequency` of each independent ``(params,
     b_lab)`` case, solved together by :func:`_equilibria` from the trap
-    angle: the scan rounds of all rows share batches and the slopes at all
-    bound roots are one derivative batch.  Each row is bitwise its own
-    :func:`librational_frequency`.  The rows share the gyromagnetic ratio
-    (a pump-rate sweep differs only in the field-independent generator)."""
+    angle: the scan rounds and Brent steps of all rows share batches and
+    the slopes at all bound roots are one derivative batch.  Each row is
+    bitwise its own :func:`librational_frequency`.  The rows share the
+    gyromagnetic ratio (a pump-rate sweep differs only in the
+    field-independent generator)."""
     rows = [(params, tilt_geometry(orientation, b_lab)) for params, b_lab in cases]
     results = []
-    for (params, geom), eq in zip(rows, _equilibria(rows, trap, [trap.theta0] * len(rows),
-                                                    classes)):
+    for (params, geom), eq in zip(rows, _equilibria(rows, [trap] * len(rows),
+                                                    [trap.theta0] * len(rows), classes)):
         d_m, _ = detunings(params, geom.b_mag)
         delta = abs(d_m)
         omega_analytic = (np.sqrt(HBAR * params.n_spins_per_class * params.pumping_factor

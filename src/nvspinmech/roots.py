@@ -6,6 +6,16 @@ rows at once, the one nearest a guess on an anchored grid of tilts in
 [-pi/2, pi], and polishes it with the caller's Brent routine.  The torque
 is a callable, so the same search serves the undriven torque of
 ``mechanics`` and the drive-included torque of ``mdmr``.
+
+A torque gives the same bits for a tilt alone as inside any batch, so
+rows share batches without changing a bit: the scan rounds of all rows,
+and the polish, where each row's Brent run is replayed on the torques it
+knows until it asks for one it lacks (:func:`_polish`).  The same holds
+for a chain of rows, each warm-started from the root before it:
+:func:`_branch_roots` solves all of them in waves to the fixed point of
+their warm starts, which is the serial chain bitwise (the fixed-point
+idea of waveform relaxation, Lelarasmee, Ruehli & Sangiovanni-Vincentelli
+1982, and of parareal, Lions, Maday & Turinici 2001).
 """
 
 from __future__ import annotations
@@ -39,67 +49,183 @@ def _stable_bracket(thetas: np.ndarray, values: np.ndarray, guess: float,
 _STEP = np.pi / 314
 _K_LO, _K_HI = -157, 314
 _GRID = np.arange(_K_LO, _K_HI + 1) * _STEP
+_TILTS = _GRID.tolist()  # the grid as floats, the keys of a torque memory
 _XTOL = 1e-10  # rad
 _HALVES = (8, 32, 128, 512)  # scan half-widths in steps; 512 spans the grid from any tilt
 
 
-def _stable_roots(brent, torque, guesses, scales) -> list[tuple[float | None, int]]:
+def _center(guess: float) -> int:
+    """Grid index of the scan centre: the guess rounded onto the grid."""
+    return min(max(round(guess / _STEP), _K_LO), _K_HI) - _K_LO
+
+
+def _scan_row(torque, guess: float, scale: float) -> tuple[tuple | None, int]:
+    """(bracket, scan rounds) of :func:`_scan_rows` for one row and no
+    memory: each round's tilts in one call with one row tag, the scanned
+    torques in one growing array."""
+    c = lo = hi = _center(guess)
+    values = np.empty(0)
+    for rounds, half in enumerate(_HALVES, 1):
+        new_lo, new_hi = max(c - half, 0), min(c + half + 1, _GRID.size)
+        tau = torque([0], np.concatenate([_GRID[new_lo:lo], _GRID[hi:new_hi]]))
+        values = np.concatenate([tau[:lo - new_lo], values, tau[lo - new_lo:]])
+        lo, hi = new_lo, new_hi
+        if (bracket := _stable_bracket(_GRID[lo:hi], values, guess, scale)) is not None:
+            return bracket, rounds
+    return None, len(_HALVES)
+
+
+def _scan_rows(torque, guesses, scales, known) -> tuple[list, list[int]]:
+    """([bracket or None], [scan rounds]) of independent rows.  Each row
+    scans 17 tilts k * _STEP around its guess and widens 4x until
+    :func:`_stable_bracket` hits.  A wider window has the same centre and
+    holds the one before, so a round adds tilts only, and evaluates those
+    of every row still without a bracket that the row's torque memory
+    ``known`` (tilt -> raw total torque) lacks in one batch.  A round
+    counts one evaluation per row, whatever it found in the memory."""
+    n = len(guesses)
+    centers = [_center(g) for g in guesses]
+    windows = [(c, c) for c in centers]  # grid slice [lo, hi) scanned so far, empty at first
+    rounds, brackets, todo = [0] * n, [None] * n, list(range(n))
+    for half in _HALVES:
+        if not todo:
+            break
+        tags, tilts = [], []
+        for i in todo:
+            (lo, hi), c = windows[i], centers[i]
+            new_lo, new_hi = windows[i] = max(c - half, 0), min(c + half + 1, _GRID.size)
+            new = [t for t in _TILTS[new_lo:lo] + _TILTS[hi:new_hi] if t not in known[i]]
+            tags += [i] * len(new)
+            tilts += new
+            rounds[i] += 1
+        if tilts:  # raw torques are stored: _stable_bracket zeroes rounding-level ones
+            for i, t, tau in zip(tags, tilts, torque(np.array(tags), np.array(tilts)).tolist()):
+                known[i][t] = tau
+        for i in todo:
+            lo, hi = windows[i]
+            values = np.array([known[i][t] for t in _TILTS[lo:hi]])
+            brackets[i] = _stable_bracket(_GRID[lo:hi], values, guesses[i], scales[i])
+        todo = [i for i in todo if brackets[i] is None]
+    return brackets, rounds
+
+
+class _Unknown(Exception):
+    """A polish replay asked for a tilt (the argument) that its row's torque
+    memory lacks."""
+
+
+def _replay(brent, bracket: tuple, scale: float, known: dict, evaluate=None) -> tuple[float, int]:
+    """(root, evaluations) of ``brent`` on a bracket (a, b, tau(a), tau(b))
+    with its ends pinned to these scanned values and every other tilt's
+    torque read from ``known`` (raw, zeroed at rounding level as by
+    :func:`_exact_zero`).  A tilt not there is evaluated and stored by
+    ``evaluate``, or without it stops the run (:class:`_Unknown`).  Every
+    call at a tilt other than an end counts, known or not."""
+    a, b, fa, fb = bracket
+    calls = 0
+
+    def f(th):  # brentq returns b at once when fb == 0
+        nonlocal calls
+        if th == a or th == b:
+            return fa if th == a else fb
+        calls += 1
+        if (tau := known.get(th)) is None:
+            if evaluate is None:
+                raise _Unknown(th)
+            tau = known[th] = evaluate(th)
+        return 0.0 if abs(tau) <= 1e-12 * scale else tau
+
+    try:
+        return float(brent(f, a, b, xtol=_XTOL)), calls
+    finally:  # brentq keeps f in a reference cycle: drop the memory and torque it holds
+        known = evaluate = None
+
+
+def _polish(brent, torque, brackets, scales, known) -> list[tuple[float | None, int]]:
+    """[(root or None, evaluations)] of the bracketed rows, polished in
+    lockstep.  Each round replays every unfinished row's Brent run from its
+    bracket on the torques it knows (:func:`_replay`); the first tilt a row
+    lacks stops it, and the stopped tilts of all rows are evaluated in one
+    batch.  Brent is deterministic, so a replay retraces the run before it
+    and asks for one new tilt, and the completed run is the serial one
+    bitwise.  A lone unfinished row evaluates its tilts inline."""
+    found = [(None, 0)] * len(brackets)
+    live = [i for i, bracket in enumerate(brackets) if bracket is not None]
+    while live:
+        stopped = []
+        for i in live:
+            evaluate = (lambda th: float(torque([i], [th])[0])) if len(live) == 1 else None
+            try:
+                found[i] = _replay(brent, brackets[i], scales[i], known[i], evaluate)
+            except _Unknown as stop:
+                stopped.append((i, stop.args[0]))
+        if stopped:
+            rows, thetas = zip(*stopped)
+            for i, th, tau in zip(rows, thetas, torque(np.array(rows), np.array(thetas)).tolist()):
+                known[i][th] = tau
+        live = [i for i, _ in stopped]
+    return found
+
+
+def _stable_roots(brent, torque, guesses, scales,
+                  memory=None) -> list[tuple[float | None, int]]:
     """[(root, torque evaluations)] of independent rows: the stable root of
     each row's total torque in [-pi/2, pi] nearest its guess, or None when
     there is none.
 
-    ``torque(rows, thetas)`` maps tilts, and the row of each, to their
-    total torques in one batch.  Each row scans 17 tilts k * _STEP around
-    its guess and widens 4x until :func:`_stable_bracket` hits.  A wider
-    window has the same centre and holds the one before, so a round
-    evaluates only the tilts it adds, for every row still without a
-    bracket in one batch, and counts one evaluation per row.  The grid is
-    anchored, so solving again from a root scans the same tilts and
-    returns that root bitwise.  The caller's ``brentq`` (traced per module)
-    polishes each bracket with its ends pinned to the scanned values (a
-    single-tilt torque may differ from the batched one in the last bit)
-    and stops at a rounding-level torque.
+    ``torque(rows, thetas)`` maps tilts to their total torques in one
+    batch; ``rows`` holds the row of each tilt, or one row for all of
+    them.  The scan (:func:`_scan_rows`) counts one evaluation per
+    widening round.  The grid is anchored, so solving again from a root
+    scans the same tilts and returns that root bitwise.  The caller's
+    ``brentq`` (traced per module) polishes each bracket with its ends
+    pinned to the scanned values, stops at a rounding-level torque and
+    counts one evaluation per call (:func:`_polish`).  ``memory``, one
+    dict per row that the caller may keep across calls, holds the raw
+    total torque of every tilt solved (tilt -> torque), so no tilt of a
+    row is evaluated twice; it changes no root and no count.  A lone row
+    without one is scanned by :func:`_scan_row`, with no row tags and no
+    lookups.
     """
-    n = len(guesses)
-    centers = [min(max(round(g / _STEP), _K_LO), _K_HI) - _K_LO for g in guesses]
-    windows = [(c, c) for c in centers]  # grid slice [lo, hi) scanned so far, empty at first
-    values = np.empty((n, _GRID.size))  # the scanned torques by row and grid index
-    evals, brackets, todo = [0] * n, [None] * n, list(range(n))
-    for half in _HALVES:
-        if not todo:
-            break
-        grown, pieces = [], []  # each row's old and new window, and the tilts it adds
-        for i in todo:
-            (lo, hi), c = windows[i], centers[i]
-            new_lo, new_hi = windows[i] = max(c - half, 0), min(c + half + 1, _GRID.size)
-            grown.append((i, new_lo, lo, hi, new_hi))
-            pieces += (_GRID[new_lo:lo], _GRID[hi:new_hi])
-        tau = torque(np.array(todo).repeat([lo - a + b - hi for _, a, lo, hi, b in grown]),
-                     np.concatenate(pieces))
-        start = 0  # raw torques are stored: _stable_bracket zeroes rounding-level ones
-        for i, new_lo, lo, hi, new_hi in grown:
-            left, right = lo - new_lo, new_hi - hi
-            values[i, new_lo:lo] = tau[start:start + left]
-            values[i, hi:new_hi] = tau[start + left:start + left + right]
-            start += left + right
-            evals[i] += 1
-            brackets[i] = _stable_bracket(_GRID[new_lo:new_hi], values[i, new_lo:new_hi],
-                                          guesses[i], scales[i])
-        todo = [i for i in todo if brackets[i] is None]
-
-    def polish(i, a, b, fa, fb):  # brentq returns b at once when fb == 0
-        def f(th):
-            if th == a or th == b:
-                return fa if th == a else fb
-            evals[i] += 1
-            return float(_exact_zero(torque([i], [th]), scales[i])[0])
-        return float(brent(f, a, b, xtol=_XTOL))
-
-    return [(None if bracket is None else polish(i, *bracket), evals[i])
-            for i, bracket in enumerate(brackets)]
+    if len(guesses) == 1 and memory is None:
+        bracket, rounds = _scan_row(torque, guesses[0], scales[0])
+        brackets, rounds, memory = [bracket], [rounds], [{}]
+    else:
+        memory = [{} for _ in guesses] if memory is None else memory
+        brackets, rounds = _scan_rows(torque, guesses, scales, memory)
+    return [(root, n + calls) for n, (root, calls)
+            in zip(rounds, _polish(brent, torque, brackets, scales, memory))]
 
 
 def _stable_root(brent, torque, guess: float, scale: float) -> tuple[float | None, int]:
     """The one-row case of :func:`_stable_roots`; ``torque`` maps an array
     of tilts to their total torques in one batch."""
     return _stable_roots(brent, lambda rows, thetas: torque(thetas), [guess], [scale])[0]
+
+
+def _branch_roots(brent, torque, firsts, scales) -> list[tuple[float | None, int]]:
+    """:func:`_stable_roots` of a chain of rows, each solved from its warm
+    start: the last bound root before it, or ``firsts[i]`` until there is
+    one.  The serial loop solves one row after another; here the first
+    wave solves every row from its ``firsts`` entry, and each later wave
+    re-solves together only the rows whose warm start is no longer the
+    guess they were solved from.  A row's (root, evaluations) is a function
+    of its guess alone, so when no warm start changes the waves have
+    reached the serial loop's answer bitwise.  Rows keep one torque memory
+    across the waves, so a tilt of a row is evaluated once per chain."""
+    n = len(firsts)
+    memory = [{} for _ in range(n)]
+    found, starts = [(None, 0)] * n, [None] * n
+    while True:
+        warm, last = [], None
+        for first, (root, _) in zip(firsts, found):
+            warm.append(first if last is None else last)
+            last = last if root is None else root
+        if not (redo := [i for i in range(n) if starts[i] != warm[i]]):
+            return found
+        tags = np.array(redo)
+        solved = _stable_roots(brent, lambda rows, thetas: torque(tags[rows], thetas),
+                               [warm[i] for i in redo], [scales[i] for i in redo],
+                               [memory[i] for i in redo])
+        for i, got in zip(redo, solved):
+            found[i], starts[i] = got, warm[i]

@@ -75,10 +75,16 @@ def test_traced_pass_reports_json_without_failures(workload):
 # coherence vectors: no steady_state_batch or steady_state_derivative_batch
 # call is left in mechanics.  Each equilibrium's stability and slope comes
 # from one steady_state_moments call with directions (a solve and its
-# derivative).  Independent rows are solved together: a libration sweep
-# scans all its rows in shared batches, one per widening round, polishes
-# each row with Brent and takes the slopes at all bound roots in one
-# derivative batch, and the susceptibility sweep is one
+# derivative).  Rows are solved together: a libration sweep scans all its
+# rows in shared batches, one per widening round, polishes them in lockstep
+# (each round replays every unfinished row's Brent run and evaluates the
+# one new tilt of each in one batch) and takes the slopes at all bound
+# roots in one derivative batch.  A branch sweep (equilibrium, rotation,
+# trapped critical field) is solved the same way in waves: all its rows
+# from the first guess, then only those whose warm start, the last bound
+# root before them, changed, until none does (two waves for every recipe
+# sweep); each row keeps its solved torques across the waves, so no tilt
+# of a row is evaluated twice.  The susceptibility sweep is one
 # steady_state_derivative_batch (the chi_perp of every field and the states
 # the populations come from), the only one left on either workload.
 # Equilibria and MDMR points share one stable-root search: 17 anchored
@@ -115,7 +121,7 @@ def test_traced_pass_reports_json_without_failures(workload):
 # residuals and their Jacobian, 125 such evaluations in all.  Restarting
 # more than one inversion exceeds the call bound.
 BUDGETS = {
-    "orientation_recipes": {"spincore.steady_state_moments": 877,
+    "orientation_recipes": {"spincore.steady_state_moments": 395,
                             "spincore.steady_state_batch": 0,
                             "spincore.steady_state_batch.points": 0,
                             "spincore.steady_state_derivative_batch": 1,

@@ -76,6 +76,17 @@ class TestForwardModel:
         assert tp.nu_minus == pytest.approx(2.226e9, rel=3e-4)
         assert tp.nu_plus == pytest.approx(3.514e9, rel=3e-4)
 
+    def test_aligned_crossing_raises_naming_it(self, params):
+        # at b = D/gamma_e the aligned lower two levels are degenerate and
+        # nu_minus is exactly 0; the float neighbours still answer
+        b = 0.10241221809877248
+        assert b == params.zero_field_splitting / params.gyromagnetic_ratio
+        with pytest.raises(ValueError, match="level crossing"):
+            transition_frequencies(params, 0.0, b)
+        for near in (np.nextafter(b, 0.0), np.nextafter(b, 1.0)):
+            tp = transition_frequencies(params, 0.0, float(near))
+            assert 0.0 < tp.nu_minus < 1.0
+
     def test_past_crossing_label_tracks_pair(self, params):
         # at 180 mT the |0> <-> |-1|-labeled line reads gamma_e B - D
         tp = transition_frequencies(params, 0.0, 0.18)

@@ -4,9 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from nvspinmech import (FieldVector, SpinParams, TrapModel, equilibrium_angle, equilibrium_branch,
+from nvspinmech import (CrystalOrientation, FieldVector, SpinParams, TrapModel,
+                        equilibrium_angle, equilibrium_branch,
                         critical_field, field_rotation_sweep,
                         landscape_curl_check, librational_frequency,
                         magnetic_energy_landscape, tilt_geometry, tilt_torque_and_slope,
@@ -15,7 +18,7 @@ from nvspinmech import (FieldVector, SpinParams, TrapModel, equilibrium_angle, e
 from nvspinmech import mdmr, mechanics, roots
 from nvspinmech.config import load_config
 from nvspinmech.constants import HBAR, KB
-from nvspinmech.mechanics import (_CLASS_FRAMES, TiltGeometry, _axial_field, _dot3,
+from nvspinmech.mechanics import (ALL_CLASSES, _CLASS_FRAMES, TiltGeometry, _axial_field, _dot3,
                                   _integrate_torque, _per_tilt)
 from nvspinmech.spincore import (spin_expectation, steady_state_batch,
                                  steady_state_derivative_batch)
@@ -330,30 +333,31 @@ class TestStableBracket:
         assert abs(spec.points[0].theta - (b_end - 1e-9)) < 1e-10
 
 
+def _flipped_end_torque(thetas):
+    # a stable root 1e-9 rad below the grid tilt 31 * _STEP whose
+    # single-tilt value there has the wrong sign, as a last-ulp
+    # difference of a marginal value would
+    b_end = 31 * roots._STEP
+    thetas = np.asarray(thetas, dtype=float)
+    vals = b_end - 1e-9 - thetas
+    return -vals if thetas.size == 1 and thetas[0] == b_end else vals
+
+
+def _plateau_torque(thetas):
+    # within 1e-6 rad of the root 0.3 the torque is -1e-13 * scale
+    thetas = np.asarray(thetas, dtype=float)
+    return np.where(np.abs(thetas - 0.3) < 1e-6, -1e-13, 0.3 - thetas)
+
+
 class TestStableRoot:
     def test_polish_keeps_scanned_end_values(self):
-        # a stable root 1e-9 rad below the grid tilt 31 * _STEP whose
-        # single-tilt value there has the wrong sign, as a last-ulp
-        # difference of a marginal value would
-        b_end = 31 * roots._STEP
-
-        def torque(thetas):
-            thetas = np.asarray(thetas, dtype=float)
-            vals = b_end - 1e-9 - thetas
-            return -vals if thetas.size == 1 and thetas[0] == b_end else vals
-
-        root, _ = roots._stable_root(brentq, torque, 0.3, scale=1.0)
-        assert abs(root - (b_end - 1e-9)) < 1e-10
+        root, _ = roots._stable_root(brentq, _flipped_end_torque, 0.3, scale=1.0)
+        assert abs(root - (31 * roots._STEP - 1e-9)) < 1e-10
 
     def test_polish_stops_at_rounding_level_torque(self):
-        # within 1e-6 rad of the root the torque is -1e-13 * scale: the
-        # secant step lands there, and that first zero is the root (Brent
-        # would otherwise converge on the plateau's edge)
-        def torque(thetas):
-            thetas = np.asarray(thetas, dtype=float)
-            return np.where(np.abs(thetas - 0.3) < 1e-6, -1e-13, 0.3 - thetas)
-
-        root, evals = roots._stable_root(brentq, torque, 0.3, scale=1.0)
+        # the secant step lands on the plateau, and that first zero is the
+        # root (Brent would otherwise converge on the plateau's edge)
+        root, evals = roots._stable_root(brentq, _plateau_torque, 0.3, scale=1.0)
         assert abs(root - 0.3) < 1e-12
         assert evals == 2  # the scan and one polish step
 
@@ -419,7 +423,8 @@ class TestBatchedRows:
     @pytest.mark.parametrize("cases", [_FIELD_ROWS, _PUMP_ROWS], ids=["field", "pump_rate"])
     def test_equilibria_rows_are_equilibrium_angle(self, orientation, cases):
         rows = [(p, tilt_geometry(orientation, _axial_field(orientation, b))) for p, b in cases]
-        batched = mechanics._equilibria(rows, _FREE, [_FREE.theta0] * len(rows), (0,))
+        batched = mechanics._equilibria(rows, [_FREE] * len(rows), [_FREE.theta0] * len(rows),
+                                        (0,))
         for (p, b), res in zip(cases, batched, strict=True):
             alone = equilibrium_angle(p, orientation, _FREE, _axial_field(orientation, b),
                                       classes=(0,))
@@ -472,6 +477,77 @@ class TestBatchedRows:
         assert batches[:4] == [[17, 17, 17], [0, 48, 48], [0, 192, 192], [0, 0, 215]]
         for row, (root, _) in zip((0.3, 1.0, 2.0), found):
             assert abs(root - row) < 1e-10
+
+
+def _recipe_row_torque(orientation, cases, batches):
+    """The total torque of the libration recipe rows, tilts tagged by row,
+    recording the size of each batch."""
+    rows = [(p, tilt_geometry(orientation, _axial_field(orientation, b))) for p, b in cases]
+    params, geoms = [p for p, _ in rows], [g for _, g in rows]
+
+    def torque(idx, thetas):
+        batches.append(len(thetas))
+        return tilt_torque_batch(params, geoms, thetas, (0,),
+                                 np.broadcast_to(idx, np.shape(thetas)))
+
+    return torque, [mechanics._torque_scale(p, g.b_mag) for p, g in rows]
+
+
+_ONE_ROW_CASES = [(lambda rows, thetas: _flipped_end_torque(thetas), 0.3),
+                  (lambda rows, thetas: _plateau_torque(thetas), 0.3),
+                  (lambda rows, thetas: np.ones(len(thetas)), 4.0)]
+
+
+class TestLockstepPolish:
+    @pytest.mark.parametrize("torque, guess", _ONE_ROW_CASES,
+                             ids=["flipped_end", "plateau", "no_root"])
+    def test_one_row_path_is_the_multi_row_path(self, torque, guess):
+        # the lone-row scan (no row tags, no memory) against the tagged,
+        # memory-backed scan of the same row, alone and beside another
+        alone = roots._stable_roots(brentq, torque, [guess], [1.0])
+        assert roots._stable_roots(brentq, torque, [guess], [1.0], [{}]) == alone
+        assert roots._stable_roots(brentq, torque, [guess, 0.0], [1.0, 1.0])[:1] == alone
+
+    @pytest.mark.parametrize("b_mag, guess", [(0.01, 0.05236), (0.13, 0.05236), (0.13, -1.5),
+                                              (0.0, 0.3)])
+    def test_one_row_path_on_real_torques(self, params, b_mag, guess):
+        geom = TiltGeometry(b_mag=b_mag, phi=0.0)
+        scale = mechanics._torque_scale(params, b_mag)
+        torque = lambda rows, thetas: tilt_torque_batch(params, geom, thetas)
+        alone = roots._stable_roots(brentq, torque, [guess], [scale])
+        assert roots._stable_roots(brentq, torque, [guess], [scale], [{}]) == alone
+        assert roots._stable_roots(brentq, torque, [guess, 0.3], [scale, scale])[:1] == alone
+
+    @pytest.mark.parametrize("cases", [_FIELD_ROWS, _PUMP_ROWS], ids=["field", "pump_rate"])
+    def test_lockstep_rows_are_rows_alone(self, orientation, cases):
+        # every row's (root, evaluations) is that of the row solved alone,
+        # and the polish takes one batch per Brent step of the slowest row
+        batches = []
+        torque, scales = _recipe_row_torque(orientation, cases, batches)
+        guesses = [_FREE.theta0] * len(cases)
+        together = roots._stable_roots(brentq, torque, guesses, scales)
+        assert len(batches) <= len(roots._HALVES) + max(evals for _, evals in together)
+        for i, found in enumerate(together):
+            one = lambda rows, thetas, i=i: torque(i, thetas)
+            assert roots._stable_roots(brentq, one, [guesses[i]], [scales[i]]) == [found]
+
+    def test_replays_stop_at_the_first_unknown_tilt(self):
+        # two rows need two Brent steps each: both stop at their first
+        # step, which one batch solves, then at their second
+        batches = []
+
+        def torque(rows, thetas):
+            batches.append(np.broadcast_to(rows, np.shape(thetas)).tolist())
+            return np.cbrt(np.array([0.31, 0.77])[rows] - thetas)
+
+        found = roots._stable_roots(brentq, torque, [0.3, 0.8], [1.0, 1.0])
+        steps = [evals - 1 for _, evals in found]
+        assert min(steps) >= 2
+        polish = batches[1:]
+        assert polish[0] == [0, 1]
+        assert len(polish) == max(steps)
+        for row, (root, _) in zip((0.31, 0.77), found):
+            assert abs(root - row) < 1e-9
 
 
 class TestEquilibrium:
@@ -532,6 +608,32 @@ class TestEquilibrium:
         assert res.theta == pytest.approx(1.9695, abs=1e-4)
 
 
+def _serial_branch(params, orientation, cases, classes=ALL_CLASSES, guess=None):
+    """The branch oracle: equilibrium_angle of each case in order, warm-started
+    from the last bound root (``guess`` until there is one)."""
+    results = []
+    for trap, b_lab in cases:
+        res = equilibrium_angle(params, orientation, trap, b_lab, warm_start=guess,
+                                classes=classes)
+        guess = res.theta if res.bound else guess
+        results.append(res)
+    return results
+
+
+def _recording_solves(monkeypatch):
+    """Record (scale, guess, (root, evaluations)) of every row that
+    roots._stable_roots solves; the waves call it through the module."""
+    solves, original = [], roots._stable_roots
+
+    def recording(brent, torque, guesses, scales, memory=None):
+        found = original(brent, torque, guesses, scales, memory)
+        solves.append(list(zip(scales, guesses, found)))
+        return found
+
+    monkeypatch.setattr(roots, "_stable_roots", recording)
+    return solves
+
+
 class TestEquilibriumBranch:
     def test_matches_warm_started_loop_bitwise(self, params, orientation, trap,
                                                monkeypatch):
@@ -540,25 +642,73 @@ class TestEquilibriumBranch:
         far = TrapModel(trap_frequency=TWO_PI * 500.0, theta0=4.0)
         cases = [(t, _axial_field(orientation, b))
                  for t, b in ((trap, 0.08), (trap, 0.1), (far, 0.11), (trap, 0.12))]
-        expected, warm = [], None
-        for t, b_lab in cases:
-            res = equilibrium_angle(params, orientation, t, b_lab, warm_start=warm)
-            warm = res.theta if res.bound else warm
-            expected.append(res)
+        expected = _serial_branch(params, orientation, cases)
         assert [r.bound for r in expected] == [True, True, False, True]
-        # the follower calls the module global, where a tracer sees each solve
-        warm_starts = []
-
-        def recording(*args, warm_start=None, **kwargs):
-            warm_starts.append(warm_start)
-            return equilibrium_angle(*args, warm_start=warm_start, **kwargs)
-
-        monkeypatch.setattr(mechanics, "equilibrium_angle", recording)
+        solves = _recording_solves(monkeypatch)
         got = equilibrium_branch(params, orientation, cases)
         np.testing.assert_array_equal([dataclasses.astuple(r) for r in got],
                                       [dataclasses.astuple(r) for r in expected])
-        assert warm_starts == [None, expected[0].theta, expected[1].theta,
-                               expected[1].theta]
+        # the last solve of each row, the accepted one, started from the
+        # serial warm start (the fields, hence the scales, tell rows apart)
+        warm = [trap.theta0, expected[0].theta, expected[1].theta, expected[1].theta]
+        for (_, b_lab), start, res in zip(cases, warm, expected, strict=True):
+            scale = mechanics._torque_scale(params, b_lab.magnitude)
+            last = [solve for wave in solves for solve in wave if solve[0] == scale][-1]
+            assert last[1] == start
+            assert last[2] == ((res.theta, res.iterations - 1) if res.bound
+                               else (None, res.iterations))
+
+    def test_unchanged_warm_starts_are_not_resolved(self, monkeypatch):
+        # rows 0 and 3 have no root; each bound row has one root whatever
+        # its guess.  Wave 1 solves every row from its first guess; row 1
+        # still starts there (nothing bound before it), so wave 2 re-solves
+        # rows 2-4 only, and their roots leave every warm start as it was
+        solves = _recording_solves(monkeypatch)
+        targets = np.array([np.inf, 0.2, 0.5, np.inf, 0.9])
+        scales = [1.0, 2.0, 3.0, 4.0, 5.0]
+
+        def torque(rows, thetas):
+            return np.where(np.isinf(targets[rows]), 1.0,
+                            np.array(scales)[rows] * (targets[rows] - thetas))
+
+        found = roots._branch_roots(brentq, torque, [0.3, 0.35, 0.4, 0.45, 1.0], scales)
+        assert [[(s, g) for s, g, _ in wave] for wave in solves] == [
+            list(zip(scales, [0.3, 0.35, 0.4, 0.45, 1.0])),
+            [(3.0, found[1][0]), (4.0, found[2][0]), (5.0, found[2][0])]]
+        assert [root is None for root, _ in found] == [True, False, False, True, False]
+
+    def test_fold_warm_start_picks_the_branch(self, params, orientation):
+        # a weak trap: below ~0.1 T the tilt has two stable roots, one on
+        # each side of the field, which merge into one near 0 above it.  Up
+        # the sweep follows the branch its start picks; back down it leaves
+        # the merged root on the branch nearest 0, so at 0.05 T the sweep
+        # ends on the other side from where it began
+        weak = TrapModel(trap_frequency=TWO_PI * 100.0, theta0=3.0 * DEG)
+        up = np.linspace(0.05, 0.13, 9)
+        cases = [(weak, _axial_field(orientation, b)) for b in [*up, *up[::-1][1:]]]
+        for guess, first in ((None, 0.2254), (-0.2, -0.2096)):
+            got = equilibrium_branch(params, orientation, cases, guess=guess)
+            assert [_bits(r) for r in got] == [
+                _bits(r) for r in _serial_branch(params, orientation, cases, guess=guess)]
+            assert got[0].theta == pytest.approx(first, abs=1e-4)
+            assert got[-1].theta == pytest.approx(-0.2096, abs=1e-4)
+            assert abs(got[8].theta) < 1e-3
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(rows=st.lists(st.tuples(st.floats(0.0, 0.2), st.sampled_from([0.0, 100.0, 500.0]),
+                                   st.sampled_from([0.05236, -0.3, 1.2, 4.0])), max_size=6),
+           guess=st.none() | st.floats(-1.5, 3.0),
+           classes=st.sampled_from([(0,), ALL_CLASSES]))
+    def test_branch_is_the_serial_loop(self, rows, guess, classes):
+        # random field sweeps with per-row trap angles and stiffnesses
+        # (a trap at 4 rad leaves its row unbound), empty and one-case
+        # sweeps included: every result is the serial loop's, bitwise
+        params, orientation = SpinParams(), CrystalOrientation.identity()
+        cases = [(TrapModel(trap_frequency=TWO_PI * hz, theta0=theta0),
+                  _axial_field(orientation, b)) for b, hz, theta0 in rows]
+        got = equilibrium_branch(params, orientation, cases, classes, guess)
+        expected = _serial_branch(params, orientation, cases, classes, guess)
+        assert [_bits(r) for r in got] == [_bits(r) for r in expected]
 
     def test_guess_seeds_the_first_case(self, params, orientation, trap):
         b_lab = _axial_field(orientation, 0.1)
@@ -571,16 +721,17 @@ class TestCriticalField:
                                                monkeypatch):
         # 24 coarse fields, then 5 rounds of 3 interior fields each; the
         # reused end tilts leave the value bitwise that of re-solving them
-        calls = []
+        fields = []
 
-        def counting(*args, **kwargs):
-            calls.append(args[3].magnitude)
-            return equilibrium_angle(*args, **kwargs)
+        def recording(params, orientation, cases, *args, **kwargs):
+            cases = list(cases)
+            fields.extend(b_lab.magnitude for _, b_lab in cases)
+            return equilibrium_branch(params, orientation, cases, *args, **kwargs)
 
-        monkeypatch.setattr(mechanics, "equilibrium_angle", counting)
+        monkeypatch.setattr(mechanics, "equilibrium_branch", recording)
         assert critical_field(params, orientation, trap) == 0.11257494055706521
-        assert len(calls) == 24 + 5 * 3
-        assert len(set(calls)) == len(calls)
+        assert len(fields) == 24 + 5 * 3
+        assert len(set(fields)) == len(fields)
 
     def test_zero_trap_matches_crossing_field(self, params, orientation):
         free = TrapModel(trap_frequency=0.0)
