@@ -59,22 +59,6 @@ def _center(guess: float) -> int:
     return min(max(round(guess / _STEP), _K_LO), _K_HI) - _K_LO
 
 
-def _scan_row(torque, guess: float, scale: float) -> tuple[tuple | None, int]:
-    """(bracket, scan rounds) of :func:`_scan_rows` for one row and no
-    memory: each round's tilts in one call with one row tag, the scanned
-    torques in one growing array."""
-    c = lo = hi = _center(guess)
-    values = np.empty(0)
-    for rounds, half in enumerate(_HALVES, 1):
-        new_lo, new_hi = max(c - half, 0), min(c + half + 1, _GRID.size)
-        tau = torque([0], np.concatenate([_GRID[new_lo:lo], _GRID[hi:new_hi]]))
-        values = np.concatenate([tau[:lo - new_lo], values, tau[lo - new_lo:]])
-        lo, hi = new_lo, new_hi
-        if (bracket := _stable_bracket(_GRID[lo:hi], values, guess, scale)) is not None:
-            return bracket, rounds
-    return None, len(_HALVES)
-
-
 def _scan_rows(torque, guesses, scales, known) -> tuple[list, list[int]]:
     """([bracket or None], [scan rounds]) of independent rows.  Each row
     scans 17 tilts k * _STEP around its guess and widens 4x until
@@ -154,6 +138,10 @@ def _polish(brent, torque, brackets, scales, known) -> list[tuple[float | None, 
     while live:
         stopped = []
         for i in live:
+            # a lone row has no batch to share, and replaying it once per
+            # Brent step costs O(k^2) calls: the one-row MDMR points of a
+            # seed-1 mdmr_hysteresis pass would make 698 brentq runs, not
+            # 136, and take about 9% longer
             evaluate = (lambda th: float(torque([i], [th])[0])) if len(live) == 1 else None
             try:
                 found[i] = _replay(brent, brackets[i], scales[i], known[i], evaluate)
@@ -183,16 +171,10 @@ def _stable_roots(brent, torque, guesses, scales,
     counts one evaluation per call (:func:`_polish`).  ``memory``, one
     dict per row that the caller may keep across calls, holds the raw
     total torque of every tilt solved (tilt -> torque), so no tilt of a
-    row is evaluated twice; it changes no root and no count.  A lone row
-    without one is scanned by :func:`_scan_row`, with no row tags and no
-    lookups.
+    row is evaluated twice; it changes no root and no count.
     """
-    if len(guesses) == 1 and memory is None:
-        bracket, rounds = _scan_row(torque, guesses[0], scales[0])
-        brackets, rounds, memory = [bracket], [rounds], [{}]
-    else:
-        memory = [{} for _ in guesses] if memory is None else memory
-        brackets, rounds = _scan_rows(torque, guesses, scales, memory)
+    memory = [{} for _ in guesses] if memory is None else memory
+    brackets, rounds = _scan_rows(torque, guesses, scales, memory)
     return [(root, n + calls) for n, (root, calls)
             in zip(rounds, _polish(brent, torque, brackets, scales, memory))]
 

@@ -501,21 +501,24 @@ _ONE_ROW_CASES = [(lambda rows, thetas: _flipped_end_torque(thetas), 0.3),
 class TestLockstepPolish:
     @pytest.mark.parametrize("torque, guess", _ONE_ROW_CASES,
                              ids=["flipped_end", "plateau", "no_root"])
-    def test_one_row_path_is_the_multi_row_path(self, torque, guess):
-        # the lone-row scan (no row tags, no memory) against the tagged,
-        # memory-backed scan of the same row, alone and beside another
-        alone = roots._stable_roots(brentq, torque, [guess], [1.0])
-        assert roots._stable_roots(brentq, torque, [guess], [1.0], [{}]) == alone
+    def test_a_row_alone_is_the_row_beside_another(self, torque, guess):
+        # the same (root, evaluations) alone, beside another row, and again
+        # from the torque memory its first solve filled
+        memory = [{}]
+        alone = roots._stable_roots(brentq, torque, [guess], [1.0], memory)
+        assert roots._stable_roots(brentq, torque, [guess], [1.0], memory) == alone
         assert roots._stable_roots(brentq, torque, [guess, 0.0], [1.0, 1.0])[:1] == alone
 
     @pytest.mark.parametrize("b_mag, guess", [(0.01, 0.05236), (0.13, 0.05236), (0.13, -1.5),
                                               (0.0, 0.3)])
-    def test_one_row_path_on_real_torques(self, params, b_mag, guess):
+    def test_a_row_alone_is_the_row_beside_another_on_real_torques(self, params, b_mag,
+                                                                     guess):
         geom = TiltGeometry(b_mag=b_mag, phi=0.0)
         scale = mechanics._torque_scale(params, b_mag)
         torque = lambda rows, thetas: tilt_torque_batch(params, geom, thetas)
-        alone = roots._stable_roots(brentq, torque, [guess], [scale])
-        assert roots._stable_roots(brentq, torque, [guess], [scale], [{}]) == alone
+        memory = [{}]
+        alone = roots._stable_roots(brentq, torque, [guess], [scale], memory)
+        assert roots._stable_roots(brentq, torque, [guess], [scale], memory) == alone
         assert roots._stable_roots(brentq, torque, [guess, 0.3], [scale, scale])[:1] == alone
 
     @pytest.mark.parametrize("cases", [_FIELD_ROWS, _PUMP_ROWS], ids=["field", "pump_rate"])
