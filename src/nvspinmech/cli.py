@@ -220,8 +220,11 @@ def cmd_critical_field(cfg: RunConfig) -> ResultTable:
         return table
     b_range = ((float(values.min()), float(values.max()))
                if values.size >= 2 else (0.09, 0.2))
-    bc = critical_field(params, _CRYSTAL, cfg.trap(), b_range=b_range,
-                        classes=cfg.classes())
+    trap, classes = cfg.trap(), cfg.classes()
+    try:
+        bc = critical_field(params, _CRYSTAL, trap, b_range=b_range, classes=classes)
+    except ValueError as exc:
+        raise ConfigError(f"critical-field: {exc}") from exc
     table.add_row(bc)
     return table
 

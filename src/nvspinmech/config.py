@@ -157,8 +157,8 @@ class RunConfig:
             classes = tuple(int(tok) for tok in spec.split(",") if tok.strip())
         except ValueError as exc:
             raise ConfigError(f"run.classes: cannot parse {spec!r}") from exc
-        if not classes or any(c not in (0, 1, 2, 3) for c in classes):
-            raise ConfigError(f"run.classes must name classes 0..3, got {spec!r}")
+        if not classes or len(set(classes)) < len(classes) or not set(classes) <= {0, 1, 2, 3}:
+            raise ConfigError(f"run.classes must name distinct classes 0..3, got {spec!r}")
         return classes
 
 

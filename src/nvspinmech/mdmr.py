@@ -17,31 +17,24 @@ mechanical role at these frequencies, so a rate treatment suffices.
 The scan starts from the microwave-off equilibrium that
 ``mechanics.equilibrium_angle`` solves; the MDMR signal is each point's
 displacement from it.  A scan point is the stable root of F(theta; nu) =
-tau_spin(theta; nu) - k*(theta - theta0) nearest the previous tilt, found
-by the same anchored scan and Brent polish (``roots._stable_root``);
-following the branch along the sweep yields direction-dependent jumps
-(hysteresis) at folds.  With the drive off F does not depend on nu, so a
-zero-drive scan solves nothing past its baseline.
+tau_spin(theta; nu) - k*(theta - theta0) nearest the previous tilt, so a
+scan is a chain of warm starts, solved like the equilibrium sweeps by
+``roots._branch_roots``: the rows are the frequencies, each tilt is
+evaluated at its row's frequency, and the tilts a wave asks for at all
+frequencies are one driven-torque call.  Following the branch along the
+sweep yields direction-dependent jumps (hysteresis) at folds.  With the drive off F
+does not depend on nu, so a zero-drive scan solves nothing past its
+baseline.
 
-A driven-torque batch has two halves.  The tilt half depends only on the
-tilts: the class-frame fields, the eigenbasis of H with its level gaps,
-drive weights and projectors, and the undriven generator.  The frequency
-half adds the Lorentzian rates and the drive generator, solves the steady
-state and rotates the moments back.  The scan is anchored to fixed tilts,
-so consecutive frequencies scan the same windows, and off a fold the two
-sweeps of a hysteresis pair scan the same tilts at each frequency and take
-the same Brent steps.  A pair therefore shares one memo between its
-sweeps: the baseline, the tilt half of each scan window (a batch of more
-than one tilt; a one-tilt Brent step never recurs, so its half is not
-held), and the driven-torque batches keyed by every input the torque
-reads.  Each is built once, and a hit returns what the same call
-computed.
+Each frequency keeps the torques it has solved, one tilt -> torque dict,
+and the two sweeps of a hysteresis pair share these dicts and the
+baseline: the scan is anchored to fixed tilts, so off a fold the down
+sweep asks for the tilts the up sweep solved, and evaluates none again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -51,13 +44,17 @@ from .crystal import CrystalOrientation
 from .mechanics import (ALL_CLASSES, RangeExhaustedError, TiltGeometry, _class_fields, _dot3,
                         _torque_scale, equilibrium_angle, tilt_geometry)
 from .params import FieldVector, MicrowaveDrive, SpinParams, TrapModel
-from .roots import _stable_root
+from .roots import _branch_roots
 from .spincore import (SX, _coordinates, _field_array, _generator_parts, _generators,
-                       _hamiltonian_batch, _in_slices, _moments, _steady_vectors, _structure,
+                       _hamiltonian_batch, _moments, _steady_vectors, _structure,
                        build_hamiltonian)
 
 _BARE_ZERO = np.array([0.0, 1.0, 0.0])  # |m_s = 0> in the (+1, 0, -1) basis
 _OFF_DIAGONAL = 1.0 - np.eye(3)
+# class points (orientation class x tilt) per driven solve: a wave of a
+# long scan asks for thousands, and slices keep the working arrays, and so
+# peak memory, as small as a one-frequency scan window's
+_SLICE_POINTS = 64
 
 
 def zero_connected_lines(params: SpinParams, b_nv) -> tuple[float, float]:
@@ -83,11 +80,12 @@ def _eigenbasis(params: SpinParams, b: np.ndarray) -> tuple:
 
 
 def _drive_generator(basis: tuple, g_eff: float, rabi_rate: float,
-                     frequency_hz: float) -> np.ndarray:
-    """The drive generators (k, 9, 9) at ``frequency_hz`` over an
-    :func:`_eigenbasis`: Lorentzian rates W_ab and the jump sum."""
+                     frequency_hz) -> np.ndarray:
+    """The drive generators (k, 9, 9) over an :func:`_eigenbasis`:
+    Lorentzian rates W_ab and the jump sum, at ``frequency_hz``, one
+    frequency or one per field."""
     gaps, weight, proj, vecs, vecs_h = basis
-    delta = 2.0 * np.pi * frequency_hz - gaps
+    delta = 2.0 * np.pi * np.asarray(frequency_hz, dtype=float)[..., None, None] - gaps
     rates = 0.5 * rabi_rate**2 * weight * g_eff / (delta**2 + g_eff**2)
     gain = np.swapaxes(proj, 1, 2) @ rates @ proj
     g = _coordinates((vecs * rates.sum(axis=1)[:, None, :]) @ vecs_h)
@@ -125,7 +123,8 @@ class MdmrPoint:
     """One scan point.  ``converged`` is False only when the total torque
     has no stable root in [-pi/2, pi]; ``iterations`` counts the torque
     evaluations the point requested (a batched bracket scan counts as one),
-    memo hits included, so it does not depend on the sweep order.  The
+    tilts already solved included, so it depends neither on the sweep
+    order nor on the waves that solved the scan.  The
     class lines are recorded once per scan, at the baseline tilt
     (:attr:`MdmrSpectrum.class_lines_hz`)."""
 
@@ -164,57 +163,42 @@ class MdmrSpectrum:
         return np.array([p.theta for p in self.points])
 
 
-class _TiltHalf(NamedTuple):
-    """The frequency-independent half of a driven-torque batch at k tilts.
-    Each class-frame point is solved at its in-plane field (|b_perp|, 0,
-    b_z), where the drive acts along S_x, and its moment is rotated back by
-    the azimuth alpha of b_perp (0 for an axial field: the transverse
-    reference)."""
+def _driven_torque(params: SpinParams, geom: TiltGeometry, trap: TrapModel,
+                   rabi_rate: float, freqs, thetas, classes) -> np.ndarray:
+    """Spin torque under the drive plus trap torque at ``thetas``, each
+    tilt at its drive frequency ``freqs`` (Hz; one, or one per tilt).
 
-    dfields: np.ndarray  # class-frame db/dtheta (n_classes, k, 3)
-    cos: np.ndarray  # cos(alpha) and sin(alpha) (n_classes, k)
-    sin: np.ndarray
-    basis: tuple  # the _eigenbasis of the in-plane fields
-    generators: np.ndarray  # undriven A0 + sum_i b_i A_i (n_classes * k, 9, 9)
-
-
-def _tilt_half(params: SpinParams, geom: TiltGeometry, thetas: np.ndarray,
-               classes) -> _TiltHalf:
-    """The :class:`_TiltHalf` at ``thetas``; the class-frame field and its
-    theta-derivative come from one :func:`_class_fields` call."""
-    k = len(thetas)
+    The class-frame fields and their theta-derivatives come from one
+    :func:`_class_fields` call.  Each class point is solved at its in-plane
+    field (|b_perp|, 0, b_z), where the drive acts along S_x: the undriven
+    generator plus the drive generator on the :func:`_eigenbasis` there,
+    one steady-state solve per slice of at most _SLICE_POINTS class points,
+    and the moment rotated back by the azimuth alpha of b_perp (0 for an
+    axial field: the transverse reference).  Every step is elementwise or
+    per point, so a tilt gives the same bits alone as in any batch.
+    """
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     fields, dfields = _class_fields(geom.field_and_derivative(thetas), classes)
-    bx, by, bz = fields[..., 0], fields[..., 1], fields[..., 2]
-    inplane = np.zeros((len(classes), k, 3))
-    inplane[..., 0], inplane[..., 2] = np.hypot(bx, by), bz
-    inplane = inplane.reshape(-1, 3)
-    alpha = np.arctan2(by, bx)
-    return _TiltHalf(dfields, np.cos(alpha), np.sin(alpha), _eigenbasis(params, inplane),
-                     _generators(*_generator_parts(params), inplane))
-
-
-def _driven_class_moments(params: SpinParams, tilt: _TiltHalf, rabi_rate: float,
-                          frequency_hz: float) -> np.ndarray:
-    """Class-frame moments (n_classes, k, 3) under the drive: the Lorentzian
-    rates and drive generators on the tilt half's eigenbasis, one
-    steady-state solve of the driven generators, and the rotation by
-    alpha."""
-    gen = tilt.generators + _drive_generator(tilt.basis, params.gamma2_star, rabi_rate,
-                                             frequency_hz)
-    r, _ = _in_slices(len(gen), lambda s: _steady_vectors(gen[s]))
-    m = (-HBAR * params.gyromagnetic_ratio * _moments(r)).reshape(tilt.dfields.shape)
-    mx, my = m[..., 0], m[..., 1]
-    out = m.copy()
-    out[..., 0], out[..., 1] = tilt.cos * mx - tilt.sin * my, tilt.sin * mx + tilt.cos * my
-    return out
-
-
-def _driven_total_torque(params: SpinParams, tilt: _TiltHalf, trap: TrapModel,
-                         rabi_rate: float, frequency_hz: float, thetas) -> np.ndarray:
-    """Spin torque under the drive plus trap torque at the tilt half's
-    tilts ``thetas``: the frequency half of a driven-torque batch."""
-    moments = _driven_class_moments(params, tilt, rabi_rate, frequency_hz)
-    spin = params.n_spins_per_class * sum(_dot3(moments, tilt.dfields))
+    n, k = fields.shape[:2]
+    freqs = np.broadcast_to(np.asarray(freqs, dtype=float), (n, k))
+    moments = np.empty_like(fields)
+    step = _SLICE_POINTS // n
+    for s in (slice(i, i + step) for i in range(0, k, step)):
+        b = fields[:, s]
+        inplane = np.zeros(b.shape)
+        inplane[..., 0], inplane[..., 2] = np.hypot(b[..., 0], b[..., 1]), b[..., 2]
+        inplane = inplane.reshape(-1, 3)
+        gen = (_generators(*_generator_parts(params), inplane)
+               + _drive_generator(_eigenbasis(params, inplane), params.gamma2_star, rabi_rate,
+                                  freqs[:, s].reshape(-1)))
+        r, _ = _steady_vectors(gen)
+        m = (-HBAR * params.gyromagnetic_ratio * _moments(r)).reshape(b.shape)
+        alpha = np.arctan2(b[..., 1], b[..., 0])
+        cos, sin = np.cos(alpha), np.sin(alpha)
+        mx, my = m[..., 0], m[..., 1]
+        moments[:, s] = m
+        moments[:, s, 0], moments[:, s, 1] = cos * mx - sin * my, sin * mx + cos * my
+    spin = params.n_spins_per_class * sum(_dot3(moments, dfields))
     return spin - trap.stiffness * (thetas - trap.theta0)
 
 
@@ -227,22 +211,19 @@ def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapMod
     :func:`equilibrium_angle`.  Each point is the stable root of the
     drive-included total torque nearest the previous point's tilt, which
     reproduces the direction dependence of the response near bistable
-    jumps.  A point with no stable root anywhere in [-pi/2, pi] keeps the
-    previous tilt and is flagged unconverged; the scan continues.  With the
-    drive off the torque does not depend on the frequency, so every point
-    is the baseline, converged after 0 evaluations.  The |0>-connected
-    lines of each class are solved once, at the baseline tilt.
+    jumps; the points are solved together in waves, bitwise the
+    point-by-point loop (``roots._branch_roots``).  A point with no stable
+    root anywhere in [-pi/2, pi] keeps the previous tilt and is flagged
+    unconverged; the scan continues.  With the drive off the torque does
+    not depend on the frequency, so every point is the baseline, converged
+    after 0 evaluations.  The |0>-connected lines of each class are solved
+    once, at the baseline tilt.
 
     ``memo`` holds, under (parameters, geometry, trap, classes), the
-    baseline, the tilt half of every driven-torque batch of more than one
-    tilt (the scan windows) under the tilts' bytes, and every driven-torque
-    batch under the tilts' bytes, rabi rate and frequency: every input the
-    torque reads.  Each is looked up first and stored after a miss, so one
-    dict may be shared between scans (:func:`hysteresis_pair`); without
-    one the scan makes its own, and a window that a later frequency scans
-    again reuses its tilt half.  The half of a one-tilt Brent step is not
-    held: that step never recurs at another frequency, and the torque
-    batch it gave serves the other sweep of a pair.
+    baseline and, under each (Rabi rate, frequency), the torque memory of
+    that point's row (tilt -> total torque of every tilt solved there), so
+    every input the torque reads is in a key.  One dict may be shared
+    between scans (:func:`hysteresis_pair`); it changes no point.
 
     Raises:
         RangeExhaustedError: the microwave-off torque has no stable root in
@@ -251,41 +232,33 @@ def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapMod
     if len(drive.frequencies) == 0:
         raise ValueError("drive sweep is empty")
     geom = tilt_geometry(orientation, b_lab)
-    scale = _torque_scale(params, geom.b_mag)
     classes = tuple(classes)
     memo = {} if memo is None else memo
 
-    if (entry := memo.get(off_key := (params, geom, trap, classes))) is None:
-        entry = memo[off_key] = (equilibrium_angle(params, orientation, trap, b_lab,
-                                                   classes=classes), {}, {})
-    eq, tilts, torques = entry
+    if (entry := memo.get(key := (params, geom, trap, classes))) is None:
+        entry = memo[key] = (equilibrium_angle(params, orientation, trap, b_lab,
+                                               classes=classes), {})
+    eq, solved = entry
     if not eq.bound:
         raise RangeExhaustedError("no stable microwave-off equilibrium: cannot scan")
     baseline = eq.theta
-
-    def driven_torque(freq):
-        def torque(thetas):
-            thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-            if (tau := torques.get(key := (thetas.tobytes(), drive.rabi_rate, freq))) is None:
-                if (tilt := tilts.get(key[0])) is None:
-                    tilt = _tilt_half(params, geom, thetas, classes)
-                    if len(thetas) > 1:
-                        tilts[key[0]] = tilt
-                tau = torques[key] = _driven_total_torque(params, tilt, trap, drive.rabi_rate,
-                                                          freq, thetas)
-                tau.flags.writeable = False  # every hit hands out this array
-            return tau
-        return torque
+    freqs = np.array(drive.frequencies, dtype=float)
+    n = len(freqs)
+    if drive.rabi_rate == 0.0:  # the torque does not depend on freq: every root is the baseline
+        found = [(baseline, 0)] * n
+    else:
+        found = _branch_roots(
+            brentq, lambda rows, thetas: _driven_torque(params, geom, trap, drive.rabi_rate,
+                                                        freqs[rows], thetas, classes),
+            [baseline] * n, [_torque_scale(params, geom.b_mag)] * n,
+            [solved.setdefault((drive.rabi_rate, f), {}) for f in freqs.tolist()])
 
     points = []
     theta = baseline
-    for freq in drive.frequencies:
-        # with the drive off the torque does not depend on freq: every root is the baseline
-        root, evals = ((baseline, 0) if drive.rabi_rate == 0.0
-                       else _stable_root(brentq, driven_torque(freq), theta, scale))
+    for freq, (root, evals) in zip(freqs.tolist(), found):
         ok = root is not None
         theta = root if ok else theta
-        points.append(MdmrPoint(frequency_hz=float(freq), theta=theta,
+        points.append(MdmrPoint(frequency_hz=freq, theta=theta,
                                 delta_theta=theta - baseline, converged=ok, iterations=evals))
     fields = _class_fields(geom.field_and_derivative(baseline)[0], classes)[:, 0]
     return MdmrSpectrum(drive=drive, baseline_theta=baseline, points=tuple(points),
@@ -299,11 +272,10 @@ def hysteresis_pair(params: SpinParams, orientation: CrystalOrientation,
     """The same sweep traversed in both directions: (up scan, down scan).
 
     Both scans share one memo (:func:`mdmr_scan`), so the microwave-off
-    baseline is solved once, the tilt half of each scan window is built once
-    for both sweeps, and the down sweep solves only the torque batches the
-    up sweep did not: off a fold it scans the same tilts and takes the same
-    Brent steps.  Each spectrum is bitwise that of an independent scan,
-    iteration counts included.
+    baseline is solved once, and the down sweep evaluates only the
+    (frequency, tilt) pairs the up sweep did not: off a fold it scans the
+    same tilts and takes the same Brent steps.  Each spectrum is bitwise
+    that of an independent scan, iteration counts included.
     """
     up_drive = drive if drive.direction == "up" else drive.reversed()
     down_drive = up_drive.reversed()

@@ -135,7 +135,10 @@ def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _frames(classes: tuple) -> np.ndarray:
-    """The NV frames (n_classes, 1, 3, 3) of ``classes``, ready to broadcast."""
+    """The NV frames (n_classes, 1, 3, 3) of ``classes``, ready to broadcast;
+    ValueError unless ``classes`` names distinct classes of 0..3."""
+    if not classes or len(set(classes)) < len(classes) or not set(classes) <= set(ALL_CLASSES):
+        raise ValueError(f"classes must be distinct classes of 0..3, got {classes!r}")
     return _CLASS_FRAMES[list(classes), None]
 
 
@@ -440,9 +443,12 @@ def critical_field(params: SpinParams, orientation: CrystalOrientation,
     A drop no larger than the root tolerance _XTOL is rounding, not a drop.
 
     Raises:
+        ValueError: ``b_range`` is not finite with 0 <= lo < hi.
         RangeExhaustedError: no crossing/drop inside ``b_range``.
     """
     b_lo, b_hi = b_range
+    if not (np.isfinite(b_lo) and np.isfinite(b_hi) and 0.0 <= b_lo < b_hi):
+        raise ValueError(f"b_range must be finite with 0 <= lo < hi, got {(b_lo, b_hi)!r}")
     if trap.stiffness == 0.0:
         b_cross = float(np.hypot(params.zero_field_splitting, params.gamma2_star)
                         / params.gyromagnetic_ratio)

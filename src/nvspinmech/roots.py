@@ -11,7 +11,8 @@ A torque gives the same bits for a tilt alone as inside any batch, so
 rows share batches without changing a bit: the scan rounds of all rows,
 and the polish, where each row's Brent run is replayed on the torques it
 knows until it asks for one it lacks (:func:`_polish`).  The same holds
-for a chain of rows, each warm-started from the root before it:
+for a chain of rows, each warm-started from the root before it (the
+equilibrium sweeps of ``mechanics``, the frequencies of an MDMR scan):
 :func:`_branch_roots` solves all of them in waves to the fixed point of
 their warm starts, which is the serial chain bitwise (the fixed-point
 idea of waveform relaxation, Lelarasmee, Ruehli & Sangiovanni-Vincentelli
@@ -179,13 +180,8 @@ def _stable_roots(brent, torque, guesses, scales,
             in zip(rounds, _polish(brent, torque, brackets, scales, memory))]
 
 
-def _stable_root(brent, torque, guess: float, scale: float) -> tuple[float | None, int]:
-    """The one-row case of :func:`_stable_roots`; ``torque`` maps an array
-    of tilts to their total torques in one batch."""
-    return _stable_roots(brent, lambda rows, thetas: torque(thetas), [guess], [scale])[0]
-
-
-def _branch_roots(brent, torque, firsts, scales) -> list[tuple[float | None, int]]:
+def _branch_roots(brent, torque, firsts, scales,
+                  memory=None) -> list[tuple[float | None, int]]:
     """:func:`_stable_roots` of a chain of rows, each solved from its warm
     start: the last bound root before it, or ``firsts[i]`` until there is
     one.  The serial loop solves one row after another; here the first
@@ -194,9 +190,11 @@ def _branch_roots(brent, torque, firsts, scales) -> list[tuple[float | None, int
     guess they were solved from.  A row's (root, evaluations) is a function
     of its guess alone, so when no warm start changes the waves have
     reached the serial loop's answer bitwise.  Rows keep one torque memory
-    across the waves, so a tilt of a row is evaluated once per chain."""
+    across the waves, ``memory`` if the caller passes one (as to
+    :func:`_stable_roots`), so a tilt of a row is evaluated once per
+    chain."""
     n = len(firsts)
-    memory = [{} for _ in range(n)]
+    memory = [{} for _ in range(n)] if memory is None else memory
     found, starts = [(None, 0)] * n, [None] * n
     while True:
         warm, last = [], None

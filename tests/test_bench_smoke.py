@@ -94,17 +94,19 @@ def test_traced_pass_reports_json_without_failures(workload):
 # torque.  A wider window holds the one before, so each round evaluates
 # only the tilts it adds.  A batch above 256 systems is solved in slices
 # inside one steady-state call, which counts once.
-# A hysteresis pair evaluates each driven-torque batch once: its two scans
-# share one memo, so the down sweep re-solves neither the baseline nor,
-# off a fold, the up sweep's scan windows and Brent steps, while
-# mdmr.iterations still counts every requested evaluation, hits included.
-# The memo also holds the frequency-independent half of each scan window
-# (its eigenbasis and undriven generators), and a driven solve runs the
-# private solve under steady_state_batch on the generators it assembles
-# from that half.  So the steady_state_moments calls of mdmr_hysteresis are
-# those of the microwave-off equilibria alone, and
-# microwave_superoperator, the public composition of the two halves, is
-# not called.
+# An MDMR scan is a branch sweep over its frequencies, solved in the same
+# waves; a wave's tilts of all frequencies are one driven-torque call,
+# solved in slices of at most 64 class points.  So mdmr.brentq counts
+# replays: 545 runs for the 136 polished points (a lone row still
+# evaluates its tilts inline).  A hysteresis pair keeps one torque memory
+# per (Rabi rate, frequency) for both scans, so the down sweep re-solves
+# neither the baseline nor, off a fold, any tilt of the up sweep, while
+# mdmr.iterations still counts every requested evaluation, tilts already
+# solved included.  A driven solve runs the private solve under
+# steady_state_batch on the generators it assembles, so the
+# steady_state_moments calls of mdmr_hysteresis are those of the
+# microwave-off equilibria alone, and microwave_superoperator, the public
+# composition of the drive, is not called.
 # An mdmr_scan baseline is one equilibrium_angle solve (one
 # steady_state_moments call with directions for its slope) shared by both
 # scans of a pair; a zero-drive scan solves nothing past it.  The |0>-connected lines
@@ -131,6 +133,7 @@ BUDGETS = {
                         "spincore.steady_state_batch.points": 0,
                         "mdmr.microwave_superoperator": 0,
                         "mdmr.iterations": 700,
+                        "mdmr.brentq": 545,
                         "mdmr.zero_connected_lines": 22,
                         "spincore.steady_state_derivative_batch": 0,
                         "crystal.transverse_reference": 0},

@@ -146,6 +146,20 @@ class TestExitCodes:
         assert err.startswith("nvspinmech: config error") and err.count("\n") == 1, err
         assert out == ""
 
+    @pytest.mark.parametrize("command, overrides", [
+        ("equilibrium", ["run.classes=0,0", "sweep.steps=2"]),
+        ("mdmr", ["run.classes=1,2,1", "mdmr.frequency_steps=2"]),
+        ("critical-field", ["sweep.values=0.1,0.1"]),
+        ("critical-field", ["sweep.values=-0.2,0.2"]),
+        ("critical-field", ["sweep.values=-0.2,0.2", "trap.trap_frequency_hz=0"])])
+    def test_repeated_class_or_bad_field_range_is_a_config_error(self, capsys, command,
+                                                                 overrides):
+        argv = [arg for item in overrides for arg in ("--set", item)]
+        code, out, err = run_cli(capsys, command, *argv)
+        assert code == 1
+        assert err.startswith("nvspinmech: config error") and err.count("\n") == 1, err
+        assert out == ""
+
     def test_unknown_command_is_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["definitely-not-a-command"])

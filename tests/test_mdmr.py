@@ -9,11 +9,12 @@ from nvspinmech import (NV_AXES, MicrowaveDrive, SpinParams, TiltGeometry, TrapM
                         steady_state, steady_state_batch, zero_connected_lines)
 from nvspinmech.constants import HBAR
 from nvspinmech.crystal import transverse_reference
-from nvspinmech import mdmr
-from nvspinmech.mdmr import _driven_class_moments, _driven_total_torque, _tilt_half
-from nvspinmech.mechanics import _axial_field, _class_fields, _dot3
+from nvspinmech import mdmr, roots
+from nvspinmech.mdmr import _driven_torque
+from nvspinmech.mechanics import _axial_field, _class_fields, _dot3, _torque_scale
+from scipy.optimize import brentq
 
-from conftest import coherence_basis, kron_jump_sum, to_crystal
+from conftest import coherence_basis, kron_jump_sum
 
 TWO_PI = 2.0 * np.pi
 DEG = np.pi / 180.0
@@ -134,20 +135,20 @@ class TestMicrowaveSuperoperator:
         assert microwave_superoperator(params, np.zeros((3, 3)), 2.2e9, off) is None
 
     def test_class_batch_matches_per_class_steady_states(self, params):
-        # the class-batched moments with a per-point drive stack equal one
-        # driven steady state per class in a frame built point by point,
-        # including the theta = 0 gimbal of the tracked class
+        # the class-batched driven torque with a per-point drive stack equals
+        # that of one driven steady state per class in a frame built point
+        # by point, including the theta = 0 gimbal of the tracked class
         geom = TiltGeometry(b_mag=0.12, phi=0.3)
         thetas = np.array([0.0, 0.05, 0.4, 1.2])
         classes = (0, 1, 2, 3)
         drive = drive_at([2.1e9], 8e6)
-        tilt = _tilt_half(params, geom, thetas, classes)
-        moments = to_crystal(_driven_class_moments(params, tilt, drive.rabi_rate, 2.1e9),
-                             classes)
-        for ic, c in enumerate(classes):
-            axis = NV_AXES[c]
-            for it, theta in enumerate(thetas):
-                b = geom.field_and_derivative(theta)[0, 0]
+        free = TrapModel(trap_frequency=0.0)
+        taus = _driven_torque(params, geom, free, drive.rabi_rate, 2.1e9, thetas, classes)
+        for theta, tau in zip(thetas, taus):
+            b, db = geom.field_and_derivative(theta)[:, 0]
+            terms, scale = [], 0.0
+            for c in classes:
+                axis = NV_AXES[c]
                 bz = float(b @ axis)
                 pnorm = float(np.linalg.norm(b - bz * axis))
                 xhat = (b - bz * axis) / pnorm if pnorm > 1e-12 else transverse_reference(axis)
@@ -161,7 +162,9 @@ class TestMicrowaveSuperoperator:
                                    microwave_superoperator(params, b_nv, 2.1e9, drive))
                 m = -HBAR * params.gyromagnetic_ratio * spin_expectation(rho)
                 ref = m[0] * xhat + m[1] * np.cross(axis, xhat) + m[2] * axis
-                assert np.linalg.norm(moments[ic, it] - ref) <= 1e-12 * np.linalg.norm(ref)
+                terms.append(params.n_spins_per_class * float(ref @ db))
+                scale += params.n_spins_per_class * np.linalg.norm(ref) * np.linalg.norm(db)
+            assert abs(tau - sum(terms)) <= 1e-12 * scale, theta
 
 
 class TestScan:
@@ -233,6 +236,12 @@ class TestScan:
         with pytest.raises(ValueError, match="empty"):
             mdmr_scan(params, orientation, trap, _axial_field(orientation, 0.02),
                       MicrowaveDrive(rabi_rate=1.0, frequencies=()))
+
+    @pytest.mark.parametrize("classes", [(), (0, 0), (-1,), (5,)])
+    def test_invalid_classes_rejected(self, params, orientation, trap, classes):
+        with pytest.raises(ValueError, match="classes"):
+            mdmr_scan(params, orientation, trap, _axial_field(orientation, 0.02),
+                      drive_at([2.0e9], 1e6), classes)
 
     def test_no_stable_baseline_raises(self, params, orientation):
         # a trap angle beyond [-pi/2, pi] leaves the undriven torque with no
@@ -309,26 +318,27 @@ class TestHysteresis:
         previous = spec.baseline_theta
         for point in spec.points:
             thetas = np.array([point.theta - 1e-4, point.theta + 1e-4])
-            lower, upper = _driven_total_torque(p, _tilt_half(p, geom, thetas, (0,)), trap,
-                                                spec.drive.rabi_rate, point.frequency_hz,
-                                                thetas)
+            lower, upper = _driven_torque(p, geom, trap, spec.drive.rabi_rate,
+                                          point.frequency_hz, thetas, (0,))
             assert lower > 0.0 > upper, point
             assert abs(point.theta - previous) < 0.08, point
             previous = point.theta
         assert spec.points[-1].theta > 0.6
 
 
-def count_torque_batches(monkeypatch):
-    """Record (rabi rate, frequency, tilts) of every driven-torque batch;
-    within one pair the other inputs are fixed."""
+def count_torque_points(monkeypatch):
+    """Record (rabi rate, frequency, tilt) of every tilt of every
+    driven-torque batch; within one pair the other inputs are fixed."""
     keys = []
-    original = mdmr._driven_total_torque
+    original = mdmr._driven_torque
 
-    def counting(params, tilt, trap, rabi_rate, frequency_hz, thetas):
-        keys.append((rabi_rate, frequency_hz, thetas.tobytes()))
-        return original(params, tilt, trap, rabi_rate, frequency_hz, thetas)
+    def counting(params, geom, trap, rabi_rate, freqs, thetas, classes):
+        thetas = np.atleast_1d(thetas)
+        keys.extend((rabi_rate, float(f), float(t))
+                    for f, t in zip(np.broadcast_to(freqs, thetas.shape), thetas))
+        return original(params, geom, trap, rabi_rate, freqs, thetas, classes)
 
-    monkeypatch.setattr(mdmr, "_driven_total_torque", counting)
+    monkeypatch.setattr(mdmr, "_driven_torque", counting)
     return keys
 
 
@@ -338,9 +348,31 @@ def assert_same_spectrum(spec, ref):
     assert np.array_equal(spec.class_lines_hz, ref.class_lines_hz)
 
 
+def serial_points(params, orientation, trap, field, drive, classes):
+    """The scan as a point-by-point loop: each point one row of
+    ``roots._stable_roots`` warm-started from the last bound tilt, and
+    with the drive off the baseline after 0 evaluations."""
+    geom = tilt_geometry(orientation, field)
+    baseline = equilibrium_angle(params, orientation, trap, field, classes=classes).theta
+    scale = _torque_scale(params, geom.b_mag)
+    points, theta = [], baseline
+    for freq in drive.frequencies:
+        def torque(rows, thetas):
+            return _driven_torque(params, geom, trap, drive.rabi_rate, freq, thetas, classes)
+
+        root, evals = ((baseline, 0) if drive.rabi_rate == 0.0
+                       else roots._stable_roots(brentq, torque, [theta], [scale])[0])
+        theta = theta if root is None else root
+        points.append(mdmr.MdmrPoint(frequency_hz=float(freq), theta=theta,
+                                     delta_theta=theta - baseline, converged=root is not None,
+                                     iterations=evals))
+    return tuple(points)
+
+
 class TestPairMemo:
-    """A hysteresis pair solves each driven-torque batch once, and its
-    spectra are bitwise those of two independent scans."""
+    """A scan is solved in waves, bitwise the point-by-point loop; a
+    hysteresis pair evaluates each (frequency, tilt) once, and its spectra
+    are bitwise those of two independent scans."""
 
     def fold_pair(self, params, orientation):
         # acceptance criterion 7 below the crossing, upper line, 13 points
@@ -360,19 +392,31 @@ class TestPairMemo:
         return (params, trap, _axial_field(orientation, 0.18),
                 drive_at(np.linspace(2.1e9, 2.25e9, 9), 6e6), (0, 1, 2, 3))
 
+    def zero_drive_pair(self, params, orientation):
+        trap = TrapModel(trap_frequency=TWO_PI * 500.0, theta0=3.0 * DEG)
+        return (params, trap, _axial_field(orientation, 0.023),
+                drive_at(np.linspace(2.0e9, 2.5e9, 7), 0.0), (0,))
+
+    @pytest.mark.parametrize("case", ["fold_pair", "linear_pair", "four_class_pair",
+                                      "zero_drive_pair"])
+    def test_scan_is_the_serial_loop(self, params, orientation, case):
+        p, trap, field, drive, classes = getattr(self, case)(params, orientation)
+        for sweep in (drive, drive.reversed()):
+            spec = mdmr_scan(p, orientation, trap, field, sweep, classes)
+            assert repr(spec.points) == repr(serial_points(p, orientation, trap, field, sweep,
+                                                           classes))
+
     def test_no_batch_is_solved_twice(self, params, orientation, monkeypatch):
-        keys = count_torque_batches(monkeypatch)
+        # no (frequency, tilt) of a pair is evaluated twice, in any batch
+        keys = count_torque_points(monkeypatch)
         for case in (self.fold_pair, self.linear_pair, self.four_class_pair):
             p, trap, field, drive, classes = case(params, orientation)
             keys.clear()
-            up, down = hysteresis_pair(p, orientation, trap, field, drive, classes)
-            assert len(set(keys)) == len(keys), case.__name__
-            # the points alone requested more batches than the pair solved
-            requested = sum(point.iterations for s in (up, down) for point in s.points)
-            assert len(keys) < requested, case.__name__
+            hysteresis_pair(p, orientation, trap, field, drive, classes)
+            assert keys and len(set(keys)) == len(keys), case.__name__
 
     def test_linear_down_sweep_solves_nothing_new(self, params, orientation, monkeypatch):
-        keys = count_torque_batches(monkeypatch)
+        keys = count_torque_points(monkeypatch)
         p, trap, field, drive, classes = self.linear_pair(params, orientation)
         mdmr_scan(p, orientation, trap, field, drive, classes)
         up_keys = list(keys)
@@ -381,39 +425,27 @@ class TestPairMemo:
         assert keys == up_keys
         assert all(point.iterations > 0 for point in down.points)
 
-    def test_each_tilt_batch_builds_its_half_once(self, params, orientation, monkeypatch):
-        # the frequency-independent half is held per tilt batch: a window
-        # that a later frequency scans again reuses it
-        built = []
-        original = mdmr._tilt_half
+    def test_no_driven_solve_exceeds_the_slice(self, params, orientation, monkeypatch):
+        # a wave asks for hundreds of class points at once; each steady-state
+        # solve takes at most _SLICE_POINTS of them
+        sizes, solves = [], []
+        original_torque, original_solve = mdmr._driven_torque, mdmr._steady_vectors
 
-        def counting(params, geom, thetas, classes):
-            built.append(thetas.tobytes())
-            return original(params, geom, thetas, classes)
+        def torque(params, geom, trap, rabi_rate, freqs, thetas, classes):
+            sizes.append(len(classes) * len(np.atleast_1d(thetas)))
+            return original_torque(params, geom, trap, rabi_rate, freqs, thetas, classes)
 
-        monkeypatch.setattr(mdmr, "_tilt_half", counting)
-        keys = count_torque_batches(monkeypatch)
-        for case in (self.fold_pair, self.linear_pair, self.four_class_pair):
-            p, trap, field, drive, classes = case(params, orientation)
-            built.clear()
-            keys.clear()
-            hysteresis_pair(p, orientation, trap, field, drive, classes)
-            assert len(set(built)) == len(built), case.__name__
-            assert set(built) == {tilts for _, _, tilts in keys}, case.__name__
-            assert len(built) < len(keys), case.__name__
+        def solve(gen, *args):
+            solves.append(len(gen))
+            return original_solve(gen, *args)
 
-    def test_no_one_tilt_half_is_held(self, params, orientation):
-        # a one-tilt Brent step never recurs, so only the scan windows keep
-        # their tilt halves; the torque memo still holds every batch
-        for case in (self.fold_pair, self.linear_pair, self.four_class_pair):
-            p, trap, field, drive, classes = case(params, orientation)
-            memo = {}
-            for sweep in (drive, drive.reversed()):
-                mdmr_scan(p, orientation, trap, field, sweep, classes, memo=memo)
-            (_, tilts, torques), = memo.values()
-            sizes = lambda keys: [len(np.frombuffer(k)) for k in keys]
-            assert tilts and min(sizes(tilts)) > 1, case.__name__
-            assert min(sizes(key for key, _, _ in torques)) == 1, case.__name__
+        monkeypatch.setattr(mdmr, "_driven_torque", torque)
+        monkeypatch.setattr(mdmr, "_steady_vectors", solve)
+        p, trap, field, drive, classes = self.four_class_pair(params, orientation)
+        hysteresis_pair(p, orientation, trap, field, drive, classes)
+        assert max(sizes) > mdmr._SLICE_POINTS
+        assert max(solves) <= mdmr._SLICE_POINTS == 64
+        assert sum(solves) == sum(sizes)
 
     @pytest.mark.parametrize("case", ["fold_pair", "four_class_pair"])
     def test_pair_matches_independent_scans(self, params, orientation, case):
@@ -447,25 +479,27 @@ def public_driven_torque(params, geom, trap, drive, frequency_hz, thetas, classe
     return spin - trap.stiffness * (thetas - trap.theta0)
 
 
-class TestTiltHalf:
-    """A driven-torque batch is a tilt half and a frequency half: a held
-    tilt half serves every frequency, bitwise a fresh one and the public
-    composition."""
+class TestDrivenTorque:
+    """A driven-torque batch may mix frequencies: each tilt gets the bits
+    it has alone at its frequency, and those of the public composition."""
 
     @pytest.mark.parametrize("classes", [(0,), (0, 1, 2, 3)])
     @pytest.mark.parametrize("k", [1, 17])
-    def test_held_half_is_the_fresh_half_and_the_public_path(self, params, trap, k, classes):
+    def test_mixed_batch_is_each_tilt_alone_and_the_public_path(self, params, trap, k,
+                                                                classes):
         geom = TiltGeometry(b_mag=0.12, phi=0.3)
         thetas = np.linspace(0.0, 0.8, k)  # theta = 0 is the gimbal of class 0
         drive = drive_at([2.0e9, 2.1e9, 2.2e9], 8e6)
-        held = _tilt_half(params, geom, thetas, classes)
-        for freq in drive.frequencies:  # the held half serves every frequency
-            tau = _driven_total_torque(params, held, trap, drive.rabi_rate, freq, thetas)
-            fresh = _tilt_half(params, geom, thetas, classes)
+        freqs = np.resize(drive.frequencies, k)  # the sweep's frequencies in turn
+        mixed = _driven_torque(params, geom, trap, drive.rabi_rate, freqs, thetas, classes)
+        for freq, theta, tau in zip(freqs, thetas, mixed):
+            alone = _driven_torque(params, geom, trap, drive.rabi_rate, freq, [theta], classes)
+            assert alone.tobytes() == tau.tobytes()
+        for freq in drive.frequencies:
+            at = freqs == freq
             assert np.array_equal(
-                tau, _driven_total_torque(params, fresh, trap, drive.rabi_rate, freq, thetas))
-            assert np.array_equal(
-                tau, public_driven_torque(params, geom, trap, drive, freq, thetas, classes))
+                mixed[at],
+                public_driven_torque(params, geom, trap, drive, freq, thetas[at], classes))
 
 
 class TestBaseline:
@@ -481,7 +515,7 @@ class TestBaseline:
 
     def test_zero_drive_solves_nothing_past_baseline(self, params, orientation, trap,
                                                       monkeypatch):
-        keys = count_torque_batches(monkeypatch)
+        keys = count_torque_points(monkeypatch)
         spec = mdmr_scan(params, orientation, trap, _axial_field(orientation, 0.023),
                          drive_at(np.linspace(2.0e9, 2.5e9, 7), rabi_hz=0.0))
         assert keys == []

@@ -323,8 +323,7 @@ class TestStableBracket:
         # the baseline is an equilibrium (no trap), the point a driven root
         monkeypatch.setattr(mechanics, "tilt_torque_batch",
                             lambda params, geom, thetas, classes: torque(thetas))
-        monkeypatch.setattr(mdmr, "_driven_total_torque",
-                            lambda *args: torque(args[5]))
+        monkeypatch.setattr(mdmr, "_driven_torque", lambda *args: torque(args[5]))
         drive = mdmr.MicrowaveDrive(rabi_rate=2.0 * np.pi * 1e6, frequencies=(1e9,))
         spec = mdmr.mdmr_scan(params, orientation, TrapModel(trap_frequency=0.0),
                               _axial_field(orientation, 0.1), drive)
@@ -349,15 +348,21 @@ def _plateau_torque(thetas):
     return np.where(np.abs(thetas - 0.3) < 1e-6, -1e-13, 0.3 - thetas)
 
 
+def _one_row(torque, guess, scale):
+    """(root, evaluations) of ``roots._stable_roots`` for one row whose
+    ``torque`` maps an array of tilts to their torques."""
+    return roots._stable_roots(brentq, lambda rows, thetas: torque(thetas), [guess], [scale])[0]
+
+
 class TestStableRoot:
     def test_polish_keeps_scanned_end_values(self):
-        root, _ = roots._stable_root(brentq, _flipped_end_torque, 0.3, scale=1.0)
+        root, _ = _one_row(_flipped_end_torque, 0.3, scale=1.0)
         assert abs(root - (31 * roots._STEP - 1e-9)) < 1e-10
 
     def test_polish_stops_at_rounding_level_torque(self):
         # the secant step lands on the plateau, and that first zero is the
         # root (Brent would otherwise converge on the plateau's edge)
-        root, evals = roots._stable_root(brentq, _plateau_torque, 0.3, scale=1.0)
+        root, evals = _one_row(_plateau_torque, 0.3, scale=1.0)
         assert abs(root - 0.3) < 1e-12
         assert evals == 2  # the scan and one polish step
 
@@ -376,7 +381,7 @@ class TestStableRoot:
             scanned.append(np.asarray(thetas))
             return np.ones(len(thetas))
 
-        assert roots._stable_root(brentq, torque, 4.0, scale=1.0) == (None, 4)
+        assert _one_row(torque, 4.0, scale=1.0) == (None, 4)
         assert np.cumsum([len(t) for t in scanned]).tolist() == [9, 33, 129, 472]
         step, k_lo, k_hi = roots._STEP, roots._K_LO, roots._K_HI
         assert np.array_equal(np.sort(np.concatenate(scanned)),
@@ -458,7 +463,7 @@ class TestBatchedRows:
             scanned.append(thetas)
             return tilt_torque_batch(params, geom, thetas)
 
-        found = roots._stable_root(brentq, torque, guess, scale)
+        found = _one_row(torque, guess, scale)
         scan = np.concatenate([t for t in scanned if t.size > 1])
         assert np.unique(scan).size == scan.size
         assert found == _whole_window_root(brentq, torque, guess, scale)
@@ -554,6 +559,13 @@ class TestLockstepPolish:
 
 
 class TestEquilibrium:
+    @pytest.mark.parametrize("classes", [(), (0, 0), (-1,), (5,), (0, 4)])
+    def test_invalid_classes_rejected(self, params, orientation, trap, classes):
+        # empty, repeated or out of 0..3: before any torque is summed
+        with pytest.raises(ValueError, match="classes"):
+            equilibrium_angle(params, orientation, trap, _axial_field(orientation, 0.1),
+                              classes=classes)
+
     def test_weak_field_stays_at_trap_angle(self, params, orientation, trap):
         res = equilibrium_angle(params, orientation, trap,
                                 _axial_field(orientation, 0.02))
@@ -770,6 +782,14 @@ class TestCriticalField:
         for dead in (params.with_(pump_rate=0.0), params.with_(density=0.0)):
             with pytest.raises(RangeExhaustedError):
                 critical_field(dead, orientation, free)
+
+    @pytest.mark.parametrize("b_range", [(0.2, 0.09), (-0.2, 0.2), (0.1, 0.1),
+                                         (0.09, np.inf), (np.nan, 0.2)])
+    @pytest.mark.parametrize("trap_hz", [0.0, 500.0])
+    def test_bad_b_range_rejected(self, params, orientation, b_range, trap_hz):
+        trap = TrapModel(trap_frequency=TWO_PI * trap_hz, theta0=3.0 * DEG)
+        with pytest.raises(ValueError, match="b_range"):
+            critical_field(params, orientation, trap, b_range=b_range)
 
 
 class TestRotationSweep:
