@@ -12,7 +12,10 @@ w_ij = 2|<i|Sx|j>|^2 the normalized drive matrix element (1 on the nominal
 single-quantum lines for an axial field, 0 on the forbidden double-quantum
 line).  Every transition of every orientation class receives its
 Lorentzian tail simultaneously.  Coherences with the drive play no
-mechanical role at these frequencies, so a rate treatment suffices.
+mechanical role at these frequencies, so a rate treatment suffices.  The
+drive is built from eigenvector components with no complex matrix product
+(:func:`_eigenbasis`): coherence vectors are linear (Hioe & Eberly 1981),
+so sum_i s_i |v_i><v_i| has sum_i s_i times the projectors' coordinates.
 
 The scan starts from the microwave-off equilibrium that
 ``mechanics.equilibrium_angle`` solves; the MDMR signal is each point's
@@ -24,12 +27,7 @@ evaluated at its row's frequency, and the tilts a wave asks for at all
 frequencies are one driven-torque call.  Following the branch along the
 sweep yields direction-dependent jumps (hysteresis) at folds.  With the drive off F
 does not depend on nu, so a zero-drive scan solves nothing past its
-baseline.
-
-Each frequency keeps the torques it has solved, one tilt -> torque dict,
-and the two sweeps of a hysteresis pair share these dicts and the
-baseline: the scan is anchored to fixed tilts, so off a fold the down
-sweep asks for the tilts the up sweep solved, and evaluates none again.
+baseline.  A hysteresis pair shares its torques (:func:`hysteresis_pair`).
 """
 
 from __future__ import annotations
@@ -45,12 +43,12 @@ from .mechanics import (ALL_CLASSES, RangeExhaustedError, TiltGeometry, _class_f
                         _torque_scale, equilibrium_angle, tilt_geometry)
 from .params import FieldVector, MicrowaveDrive, SpinParams, TrapModel
 from .roots import _branch_roots
-from .spincore import (SX, _coordinates, _field_array, _generator_parts, _generators,
-                       _hamiltonian_batch, _moments, _steady_vectors, _structure,
-                       build_hamiltonian)
+from .spincore import (_field_array, _generator_parts, _generators, _hamiltonian_batch,
+                       _moments, _steady_vectors, _structure, build_hamiltonian)
 
 _BARE_ZERO = np.array([0.0, 1.0, 0.0])  # |m_s = 0> in the (+1, 0, -1) basis
 _OFF_DIAGONAL = 1.0 - np.eye(3)
+_SQRT2 = np.sqrt(2.0)
 # class points (orientation class x tilt) per driven solve: a wave of a
 # long scan asks for thousands, and slices keep the working arrays, and so
 # peak memory, as small as a one-frequency scan window's
@@ -68,27 +66,32 @@ def zero_connected_lines(params: SpinParams, b_nv) -> tuple[float, float]:
 
 
 def _eigenbasis(params: SpinParams, b: np.ndarray) -> tuple:
-    """The frequency-independent part of the drive at NV-frame fields
-    (k, 3): level gaps (rad/s) and drive weights w_ab, both (k, 3, 3), the
-    projector coordinates (k, 3, 9), V and V^+ of :func:`microwave_superoperator`."""
+    """Level gaps (rad/s) and drive weights w_ab, both (k, 3, 3), and P (k, 9,
+    3) of :func:`microwave_superoperator` at NV-frame fields (k, 3), from the
+    eigenvector components: as sqrt(2) S_x v = (v_0, v_+ + v_-, v_0), w_ab =
+    |x_ab + conj(x_ba)|^2 for x_ab = conj(v_+a + v_-a) v_0b, and column a of P
+    is |v_pa|^2, then sqrt(2) Re and sqrt(2) Im of v_pa conj(v_qa)."""
     vals, vecs = np.linalg.eigh(HBAR * _hamiltonian_batch(params, b))
-    vecs_h = np.conj(np.swapaxes(vecs, 1, 2))
     gaps = np.abs(vals[:, None, :] - vals[:, :, None]) / HBAR
-    weight = 2.0 * np.abs(vecs_h @ SX @ vecs) ** 2 * _OFF_DIAGONAL
-    proj = _coordinates(np.einsum("kpa,kqa->kapq", vecs, np.conj(vecs)))  # (k, 3, 9)
-    return gaps, weight, proj, vecs, vecs_h
+    x = np.conj(vecs[:, 0] + vecs[:, 2])[:, :, None] * vecs[:, 1, None, :]
+    m = x + np.conj(np.swapaxes(x, 1, 2))
+    weight = (m.real**2 + m.imag**2) * _OFF_DIAGONAL
+    c = np.conj(vecs)
+    pairs = np.concatenate([vecs[:, :1] * c[:, 1:], vecs[:, 1:2] * c[:, 2:]], axis=1)
+    return gaps, weight, np.concatenate([(vecs * c).real, _SQRT2 * pairs.real,
+                                         _SQRT2 * pairs.imag], axis=1)
 
 
-def _drive_generator(basis: tuple, g_eff: float, rabi_rate: float,
+def _drive_generator(params: SpinParams, b: np.ndarray, rabi_rate: float,
                      frequency_hz) -> np.ndarray:
-    """The drive generators (k, 9, 9) over an :func:`_eigenbasis`:
-    Lorentzian rates W_ab and the jump sum, at ``frequency_hz``, one
-    frequency or one per field."""
-    gaps, weight, proj, vecs, vecs_h = basis
+    """The drive generators (k, 9, 9) at NV-frame fields (k, 3) from their
+    :func:`_eigenbasis`: Lorentzian rates W_ab and the jump sum, at
+    ``frequency_hz``, one or one per field; G = V diag(s) V^+ has coordinates P s."""
+    gaps, weight, proj = _eigenbasis(params, b)
     delta = 2.0 * np.pi * np.asarray(frequency_hz, dtype=float)[..., None, None] - gaps
-    rates = 0.5 * rabi_rate**2 * weight * g_eff / (delta**2 + g_eff**2)
-    gain = np.swapaxes(proj, 1, 2) @ rates @ proj
-    g = _coordinates((vecs * rates.sum(axis=1)[:, None, :]) @ vecs_h)
+    rates = 0.5 * rabi_rate**2 * weight * params.gamma2_star / (delta**2 + params.gamma2_star**2)
+    gain = proj @ rates @ np.swapaxes(proj, 1, 2)
+    g = (proj @ rates.sum(axis=1)[:, :, None])[:, :, 0]
     return gain - 0.5 * np.einsum("kj,jab->kab", g, _structure()[1])
 
 
@@ -113,8 +116,7 @@ def microwave_superoperator(params: SpinParams, b_nv, frequency_hz: float,
         return None
     stack = np.ndim(b_nv) == 2
     b = np.asarray(b_nv, dtype=float) if stack else _field_array(b_nv)[None]
-    total = _drive_generator(_eigenbasis(params, b), params.gamma2_star, drive.rabi_rate,
-                             frequency_hz)
+    total = _drive_generator(params, b, drive.rabi_rate, frequency_hz)
     return total if stack else total[0]
 
 
@@ -171,11 +173,11 @@ def _driven_torque(params: SpinParams, geom: TiltGeometry, trap: TrapModel,
     The class-frame fields and their theta-derivatives come from one
     :func:`_class_fields` call.  Each class point is solved at its in-plane
     field (|b_perp|, 0, b_z), where the drive acts along S_x: the undriven
-    generator plus the drive generator on the :func:`_eigenbasis` there,
-    one steady-state solve per slice of at most _SLICE_POINTS class points,
-    and the moment rotated back by the azimuth alpha of b_perp (0 for an
-    axial field: the transverse reference).  Every step is elementwise or
-    per point, so a tilt gives the same bits alone as in any batch.
+    generator plus the drive generator built from eigenvector components
+    (:func:`_eigenbasis`), one steady-state solve per slice of at most
+    _SLICE_POINTS class points, and the moment rotated back by the azimuth
+    alpha of b_perp (0 for an axial field: the transverse reference).  Every
+    step is elementwise or per point, so a tilt gives the same bits alone.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     fields, dfields = _class_fields(geom.field_and_derivative(thetas), classes)
@@ -189,8 +191,7 @@ def _driven_torque(params: SpinParams, geom: TiltGeometry, trap: TrapModel,
         inplane[..., 0], inplane[..., 2] = np.hypot(b[..., 0], b[..., 1]), b[..., 2]
         inplane = inplane.reshape(-1, 3)
         gen = (_generators(*_generator_parts(params), inplane)
-               + _drive_generator(_eigenbasis(params, inplane), params.gamma2_star, rabi_rate,
-                                  freqs[:, s].reshape(-1)))
+               + _drive_generator(params, inplane, rabi_rate, freqs[:, s].reshape(-1)))
         r, _ = _steady_vectors(gen)
         m = (-HBAR * params.gyromagnetic_ratio * _moments(r)).reshape(b.shape)
         alpha = np.arctan2(b[..., 1], b[..., 0])

@@ -438,17 +438,19 @@ def critical_field(params: SpinParams, orientation: CrystalOrientation,
     _REFINE_ROUNDS rounds narrow the steepest drop of theta*(B): each
     splits the steepest interval into 4 and follows the branch from its
     lower end through the 3 new fields only (each sweep solved in waves),
-    reusing the end tilts (24 + 5 * 3 equilibria).  Returns the midpoint of
-    the last steepest interval.
-    A drop no larger than the root tolerance _XTOL is rounding, not a drop.
+    reusing the end tilts (24 + 5 * 3 equilibria).  A drop no larger than
+    the root tolerance _XTOL is rounding, not a drop.  Returns the midpoint
+    of the last steepest interval, (hi - lo) / 23 / 4**5 wide: that is the
+    resolution, about 4.7e-6 T for the default (0.09, 0.2) T.
 
     Raises:
-        ValueError: ``b_range`` is not finite with 0 <= lo < hi.
+        ValueError: ``b_range`` is not finite with 0 <= lo < hi, or bad ``classes``.
         RangeExhaustedError: no crossing/drop inside ``b_range``.
     """
     b_lo, b_hi = b_range
     if not (np.isfinite(b_lo) and np.isfinite(b_hi) and 0.0 <= b_lo < b_hi):
         raise ValueError(f"b_range must be finite with 0 <= lo < hi, got {(b_lo, b_hi)!r}")
+    _frames(tuple(classes))  # ValueError for bad classes, which the closed form never reads
     if trap.stiffness == 0.0:
         b_cross = float(np.hypot(params.zero_field_splitting, params.gamma2_star)
                         / params.gyromagnetic_ratio)

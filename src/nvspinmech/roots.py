@@ -9,14 +9,15 @@ is a callable, so the same search serves the undriven torque of
 
 A torque gives the same bits for a tilt alone as inside any batch, so
 rows share batches without changing a bit: the scan rounds of all rows,
-and the polish, where each row's Brent run is replayed on the torques it
-knows until it asks for one it lacks (:func:`_polish`).  The same holds
-for a chain of rows, each warm-started from the root before it (the
-equilibrium sweeps of ``mechanics``, the frequencies of an MDMR scan):
-:func:`_branch_roots` solves all of them in waves to the fixed point of
-their warm starts, which is the serial chain bitwise (the fixed-point
-idea of waveform relaxation, Lelarasmee, Ruehli & Sangiovanni-Vincentelli
-1982, and of parareal, Lions, Maday & Turinici 2001).
+each with one bracket search for every row still scanning
+(:func:`_stable_bracket`), and the polish, where each row's Brent run is
+replayed on the torques it knows until it asks for one it lacks
+(:func:`_polish`).  The same holds for a chain of rows, each warm-started
+from the root before it (the equilibrium sweeps of ``mechanics``, the
+frequencies of an MDMR scan): :func:`_branch_roots` solves all of them in
+waves to the fixed point of their warm starts, which is the serial chain
+bitwise (the fixed-point idea of waveform relaxation, Lelarasmee, Ruehli &
+Sangiovanni-Vincentelli 1982, and of parareal, Lions, Maday & Turinici 2001).
 """
 
 from __future__ import annotations
@@ -24,25 +25,24 @@ from __future__ import annotations
 import numpy as np
 
 
-def _exact_zero(values, scale: float) -> np.ndarray:
-    """Torques with rounding-level values (|tau| <= 1e-12 * scale, e.g.
-    +-1e-32 at pi/2 with no trap) set to an exact zero."""
-    return np.where(np.abs(values) <= 1e-12 * scale, 0.0, values)
-
-
-def _stable_bracket(thetas: np.ndarray, values: np.ndarray, guess: float,
-                    scale: float) -> tuple | None:
-    """(a, b, tau(a), tau(b)) of the scanned total torque: the sign change
-    from + to <= 0 whose secant root is nearest ``guess``, or None.  A torque
-    at rounding level is an exact zero (:func:`_exact_zero`), so tau(b) == 0
-    means b is the root itself."""
-    vals = _exact_zero(values, scale)
-    hits = np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))
-    if hits.size == 0:
-        return None
-    a, b, fa, fb = thetas[hits], thetas[hits + 1], vals[hits], vals[hits + 1]
-    i = int(np.argmin(np.abs(a + fa * (b - a) / (fa - fb) - guess)))
-    return float(a[i]), float(b[i]), float(fa[i]), float(fb[i])
+def _stable_bracket(thetas: np.ndarray, values: np.ndarray, guesses, scales) -> list:
+    """[(a, b, tau(a), tau(b)) or None] of scanned total torques, a row each
+    of ``thetas`` and ``values`` (rows, w >= 2; NaN values pad a window): the
+    sign change from + to <= 0 whose secant root is nearest the row's guess,
+    the first on ties.  |tau| <= 1e-12 * scale (e.g. 1e-32 at pi/2, no trap)
+    is rounding, an exact 0: tau(b) == 0 means b is the root itself.  Every
+    step is elementwise or per row: a row gets the same bits in any stack."""
+    tol = 1e-12 * np.asarray(scales, dtype=float)[:, None]
+    vals = np.where(np.abs(values) <= tol, 0.0, values)
+    a, fa, fb = thetas[:, :-1], vals[:, :-1], vals[:, 1:]
+    hit = (fa > 0.0) & (fb <= 0.0)
+    # the secant step of each sign change, and inf where there is none
+    step = np.divide(fa * (thetas[:, 1:] - a), fa - fb, out=np.full(hit.shape, np.inf), where=hit)
+    best = np.argmin(np.abs(a + step - np.asarray(guesses, dtype=float)[:, None]), axis=1)
+    at = best + np.arange(0, vals.size, vals.shape[1])  # flat index of each row's a
+    ends = zip(thetas.ravel()[at].tolist(), thetas.ravel()[at + 1].tolist(),
+               vals.ravel()[at].tolist(), vals.ravel()[at + 1].tolist())
+    return [bracket if found else None for found, bracket in zip(hit.any(axis=1).tolist(), ends)]
 
 
 # stable-root scan: tilts k * _STEP for k in [_K_LO, _K_HI], which puts
@@ -55,21 +55,16 @@ _XTOL = 1e-10  # rad
 _HALVES = (8, 32, 128, 512)  # scan half-widths in steps; 512 spans the grid from any tilt
 
 
-def _center(guess: float) -> int:
-    """Grid index of the scan centre: the guess rounded onto the grid."""
-    return min(max(round(guess / _STEP), _K_LO), _K_HI) - _K_LO
-
-
 def _scan_rows(torque, guesses, scales, known) -> tuple[list, list[int]]:
     """([bracket or None], [scan rounds]) of independent rows.  Each row
     scans 17 tilts k * _STEP around its guess and widens 4x until
     :func:`_stable_bracket` hits.  A wider window has the same centre and
     holds the one before, so a round adds tilts only, and evaluates those
     of every row still without a bracket that the row's torque memory
-    ``known`` (tilt -> raw total torque) lacks in one batch.  A round
-    counts one evaluation per row, whatever it found in the memory."""
+    ``known`` (tilt -> raw total torque) lacks in one batch, then searches
+    their windows in one stack.  A round counts one evaluation per row."""
     n = len(guesses)
-    centers = [_center(g) for g in guesses]
+    centers = [min(max(round(g / _STEP), _K_LO), _K_HI) - _K_LO for g in guesses]  # on the grid
     windows = [(c, c) for c in centers]  # grid slice [lo, hi) scanned so far, empty at first
     rounds, brackets, todo = [0] * n, [None] * n, list(range(n))
     for half in _HALVES:
@@ -86,10 +81,14 @@ def _scan_rows(torque, guesses, scales, known) -> tuple[list, list[int]]:
         if tilts:  # raw torques are stored: _stable_bracket zeroes rounding-level ones
             for i, t, tau in zip(tags, tilts, torque(np.array(tags), np.array(tilts)).tolist()):
                 known[i][t] = tau
-        for i in todo:
-            lo, hi = windows[i]
-            values = np.array([known[i][t] for t in _TILTS[lo:hi]])
-            brackets[i] = _stable_bracket(_GRID[lo:hi], values, guesses[i], scales[i])
+        spans = [windows[i] for i in todo]
+        width = max(hi - lo for lo, hi in spans)  # narrower windows are padded with NaN
+        values = np.array([[known[i][t] for t in _TILTS[lo:hi]] + [np.nan] * (width - hi + lo)
+                           for i, (lo, hi) in zip(todo, spans)])
+        thetas = np.take(_GRID, np.array(spans)[:, :1] + np.arange(width), mode="clip")
+        for i, got in zip(todo, _stable_bracket(thetas, values, [guesses[i] for i in todo],
+                                                [scales[i] for i in todo])):
+            brackets[i] = got
         todo = [i for i in todo if brackets[i] is None]
     return brackets, rounds
 
@@ -103,7 +102,7 @@ def _replay(brent, bracket: tuple, scale: float, known: dict, evaluate=None) -> 
     """(root, evaluations) of ``brent`` on a bracket (a, b, tau(a), tau(b))
     with its ends pinned to these scanned values and every other tilt's
     torque read from ``known`` (raw, zeroed at rounding level as by
-    :func:`_exact_zero`).  A tilt not there is evaluated and stored by
+    :func:`_stable_bracket`).  A tilt not there is evaluated and stored by
     ``evaluate``, or without it stops the run (:class:`_Unknown`).  Every
     call at a tilt other than an end counts, known or not."""
     a, b, fa, fb = bracket
@@ -140,9 +139,7 @@ def _polish(brent, torque, brackets, scales, known) -> list[tuple[float | None, 
         stopped = []
         for i in live:
             # a lone row has no batch to share, and replaying it once per
-            # Brent step costs O(k^2) calls: the one-row MDMR points of a
-            # seed-1 mdmr_hysteresis pass would make 698 brentq runs, not
-            # 136, and take about 9% longer
+            # Brent step costs O(k^2) calls
             evaluate = (lambda th: float(torque([i], [th])[0])) if len(live) == 1 else None
             try:
                 found[i] = _replay(brent, brackets[i], scales[i], known[i], evaluate)

@@ -14,7 +14,11 @@ On failure every moved cell is listed.
 The fixtures are test data.  Regenerate them (``python
 tests/test_golden.py [NAME ...]``, all cases without a name) only in a
 change that means to move numbers, and list the moved cells that this test
-printed before.
+printed before.  ``python tests/test_golden.py --diff [NAME ...]`` writes
+nothing: it prints every cell that differs from its fixture at all
+(bitwise, sign of zero included), with |delta| over the column's largest
+finite |value|.  That is the moved-cell list of a change that stays within
+the bound.
 """
 
 import contextlib
@@ -59,15 +63,40 @@ def _same(value, ref, scale: float) -> bool:
     return abs(value - ref) <= RTOL * scale
 
 
-def moved_cells(table: ResultTable, golden: ResultTable) -> list:
-    """(row, column, value, golden value) of every cell outside the bound."""
-    moved = []
+def _cells(table: ResultTable, golden: ResultTable):
+    """(row, column, value, golden value, the column's largest finite
+    |golden value|) of every cell."""
     for j, column in enumerate(golden.columns):
         refs = [row[j] for row in golden.rows]
         scale = max((abs(v) for v in refs if _number(v) and math.isfinite(v)), default=0.0)
-        moved += [(i, column, row[j], ref) for i, (row, ref) in enumerate(zip(table.rows, refs))
-                  if not _same(row[j], ref, scale)]
-    return moved
+        for i, (row, ref) in enumerate(zip(table.rows, refs)):
+            yield i, column, row[j], ref, scale
+
+
+def moved_cells(table: ResultTable, golden: ResultTable) -> list:
+    """(row, column, value, golden value) of every cell outside the bound."""
+    return [(i, column, value, ref) for i, column, value, ref, scale in _cells(table, golden)
+            if not _same(value, ref, scale)]
+
+
+def diff(name: str) -> int:
+    """Print every cell of the recipe that differs from its fixture at all;
+    return how many do."""
+    golden = ResultTable.parse((GOLDEN / f"{name}.csv").read_text())
+    table = ResultTable.parse(body(name))
+    if (table.columns, len(table.rows)) != (golden.columns, len(golden.rows)):
+        print(f"{name}: columns or row count differ from the fixture")
+        return -1
+    n = 0
+    for i, column, value, ref, scale in _cells(table, golden):
+        if repr(value) != repr(ref):  # repr tells -0.0 from 0.0 and NaN from a number
+            rel = math.nan
+            if _number(value) and _number(ref):
+                rel = abs(value - ref) / scale if scale else math.inf
+            print(f"{name} row {i} {column}: {value!r} (golden {ref!r}), |delta|/max {rel:.2e}")
+            n += 1
+    print(f"{name}: {n} cells differ")
+    return n
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -84,5 +113,10 @@ def test_recipe_matches_golden_table(name):
 if __name__ == "__main__":
     import sys
 
-    for name in sys.argv[1:] or CASES:
-        (GOLDEN / f"{name}.csv").write_text(body(name))
+    args = sys.argv[1:]
+    if args[:1] == ["--diff"]:
+        for name in args[1:] or CASES:
+            diff(name)
+    else:
+        for name in args or CASES:
+            (GOLDEN / f"{name}.csv").write_text(body(name))

@@ -8,6 +8,7 @@ from nvspinmech import (NV_AXES, MicrowaveDrive, SpinParams, TiltGeometry, TrapM
                         microwave_superoperator, sharp_edge_side, spin_expectation,
                         steady_state, steady_state_batch, zero_connected_lines)
 from nvspinmech.constants import HBAR
+from nvspinmech.spincore import SX, _coordinates, _hamiltonian_batch, _structure
 from nvspinmech.crystal import transverse_reference
 from nvspinmech import mdmr, roots
 from nvspinmech.mdmr import _driven_torque
@@ -165,6 +166,59 @@ class TestMicrowaveSuperoperator:
                 terms.append(params.n_spins_per_class * float(ref @ db))
                 scale += params.n_spins_per_class * np.linalg.norm(ref) * np.linalg.norm(db)
             assert abs(tau - sum(terms)) <= 1e-12 * scale, theta
+
+
+def _drive_build_fields(params):
+    """NV-frame fields of three kinds: the random ones of
+    test_matches_kron_jump_sum_at_random_fields, the in-plane class fields
+    at the theta = 0 gimbal of the tracked class, and the on-axis level
+    crossing B = D/gamma_e."""
+    random = np.random.default_rng(11).normal(scale=0.08, size=(40, 3))
+    b = _class_fields(TiltGeometry(b_mag=0.12, phi=0.3).field_and_derivative([0.0]),
+                      (0, 1, 2, 3))[0][:, 0]
+    gimbal = np.stack([np.hypot(b[:, 0], b[:, 1]), np.zeros(4), b[:, 2]], axis=1)
+    crossing = [[0.0, 0.0, params.zero_field_splitting / params.gyromagnetic_ratio]]
+    return {"random": random, "gimbal": gimbal, "crossing": np.array(crossing)}
+
+
+def _per_point_error(value, ref):
+    """max |value - ref| / max |ref| of each point, the worst point."""
+    axes = tuple(range(1, ref.ndim))
+    return float(np.max(np.abs(value - ref).max(axis=axes) / np.abs(ref).max(axis=axes)))
+
+
+class TestDriveBuild:
+    """The drive generator is built from the eigenvector components; each
+    part equals the definition it replaced, written out here, to 1e-15 of
+    its largest entry at every point."""
+
+    @pytest.mark.parametrize("kind", ["random", "gimbal", "crossing"])
+    def test_parts_match_their_definitions(self, params, kind):
+        b = _drive_build_fields(params)[kind]
+        _, vecs = np.linalg.eigh(HBAR * _hamiltonian_batch(params, b))
+        vecs_h = np.conj(np.swapaxes(vecs, 1, 2))
+        gaps, weight, proj = mdmr._eigenbasis(params, b)
+        # w_ab = 2|<a|Sx|b>|^2 off the diagonal
+        weight_ref = 2.0 * np.abs(vecs_h @ SX @ vecs) ** 2 * (1.0 - np.eye(3))
+        assert _per_point_error(weight, weight_ref) <= 1e-15
+        # column a of P: the coordinates of |v_a><v_a|
+        proj_ref = _coordinates(np.einsum("kpa,kqa->kapq", vecs, np.conj(vecs)))  # (k, a, 9)
+        assert _per_point_error(np.swapaxes(proj, 1, 2), proj_ref) <= 1e-15
+        # G = V diag(s) V^+ has the coordinates P s
+        s = np.random.default_rng(3).uniform(0.0, 1e6, size=(len(b), 3))
+        assert _per_point_error((proj @ s[:, :, None])[:, :, 0],
+                                _coordinates((vecs * s[:, None, :]) @ vecs_h)) <= 1e-15
+        # and the generator of these parts is the one of the definitions
+        for freq, rabi in ((2.2e9, 3e6), (3.1e9, 20e6), (0.5e9, 1e6)):
+            rabi_rate = TWO_PI * rabi
+            delta = TWO_PI * freq - gaps
+            rates = (0.5 * rabi_rate**2 * weight_ref * params.gamma2_star
+                     / (delta**2 + params.gamma2_star**2))
+            g = _coordinates((vecs * rates.sum(axis=1)[:, None, :]) @ vecs_h)
+            ref = (np.swapaxes(proj_ref, 1, 2) @ rates @ proj_ref
+                   - 0.5 * np.einsum("kj,jab->kab", g, _structure()[1]))
+            gen = mdmr._drive_generator(params, b, rabi_rate, freq)
+            assert _per_point_error(gen, ref) <= 1e-15, freq
 
 
 class TestScan:

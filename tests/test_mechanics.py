@@ -1,6 +1,7 @@
 """Torques, energy landscapes, equilibrium orientation and libration."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -267,29 +268,102 @@ def _cubic(thetas):
     return -(thetas - 0.25) * (thetas - 0.55) * (thetas - 0.85)
 
 
+def _bracket(thetas, values, guess, scale):
+    """The stacked bracket search on a stack of one row."""
+    return _stable_bracket(np.asarray(thetas)[None], np.asarray(values)[None], [guess],
+                           [scale])[0]
+
+
+def _one_row_bracket(thetas, values, guess, scale):
+    """The bracket search of one row as written before rows were stacked:
+    the oracle of the stacked search."""
+    vals = np.where(np.abs(values) <= 1e-12 * scale, 0.0, values)
+    hits = np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))
+    if hits.size == 0:
+        return None
+    a, b, fa, fb = thetas[hits], thetas[hits + 1], vals[hits], vals[hits + 1]
+    i = int(np.argmin(np.abs(a + fa * (b - a) / (fa - fb) - guess)))
+    return float(a[i]), float(b[i]), float(fa[i]), float(fb[i])
+
+
+@st.composite
+def _bracket_stacks(draw):
+    """(thetas, values, guesses, scales, window lengths) of 1 to 6 rows,
+    each NaN-padded past its window.  Torques are exact zeros, torques at
+    and just past the rounding level 1e-12 * scale, +-1 and +-2 times the
+    scale, or arbitrary.  A tie row plants two sign changes (+c, -c) and
+    puts its guess halfway between their secant roots: on the 0.25 rad
+    grid every step of that arithmetic is exact, so the two tie."""
+    rows, width = draw(st.integers(1, 6)), draw(st.integers(2, 16))
+    step = draw(st.sampled_from([0.25, roots._STEP]))
+    thetas, values, guesses, scales, lengths = [], [], [], [], []
+    for _ in range(rows):
+        scale = draw(st.sampled_from([1.0, 2.5e-14, 3e-9]))
+        tiny, past = 1e-12 * scale, np.nextafter(1e-12 * scale, 1.0)
+        levels = [scale, 2.0 * scale, -scale, -2.0 * scale, 0.0, -0.0, tiny, -tiny, past,
+                  -past, 0.5 * tiny]
+        n = draw(st.integers(2, width))
+        row = [draw(st.one_of(st.sampled_from(levels), st.floats(-2.0 * scale, 2.0 * scale)))
+               for _ in range(n)]
+        theta = (draw(st.integers(-8, 8)) + np.arange(width)) * step
+        guess = draw(st.integers(-24, 48)) * step / 2
+        if n >= 4 and draw(st.booleans()):  # a tie row
+            i = draw(st.integers(0, n - 4))
+            j = draw(st.integers(i + 2, n - 2))
+            c = draw(st.sampled_from([scale, 2.0 * scale]))
+            row[i:i + 2], row[j:j + 2] = [c, -c], [c, -c]
+            guess = 0.5 * (theta[i] + theta[j]) + 0.5 * step
+        thetas.append(theta)
+        values.append(row + [np.nan] * (width - n))
+        guesses.append(guess)
+        scales.append(scale)
+        lengths.append(n)
+    return np.array(thetas), np.array(values), guesses, scales, lengths
+
+
+def _as_bits(bracket):
+    return None if bracket is None else np.array(bracket).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_bracket_stacks())
+def test_stacked_bracket_is_each_row_alone(stack):
+    # every row of a stack gets the bits of the one-row search on its
+    # window, ties, exact zeros, NaN padding and rows without a hit
+    # included, and the stacked search warns about nothing
+    thetas, values, guesses, scales, lengths = stack
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _stable_bracket(thetas, values, guesses, scales)
+    assert len(got) == len(guesses)
+    for row, (th, v, guess, scale, n) in enumerate(zip(thetas, values, guesses, scales, lengths)):
+        want = _one_row_bracket(th[:n], v[:n], guess, scale)
+        assert _as_bits(got[row]) == _as_bits(want), row
+
+
 class TestStableBracket:
     grid = np.linspace(0.0, 1.0, 11)
 
     def test_stable_root_nearest_guess_wins_over_nearer_unstable(self):
         vals = _cubic(self.grid)
-        a, b, fa, fb = _stable_bracket(self.grid, vals, 0.6, scale=1.0)
+        a, b, fa, fb = _bracket(self.grid, vals, 0.6, scale=1.0)
         assert (a, b) == (self.grid[8], self.grid[9])
         assert (fa, fb) == (vals[8], vals[9])
-        a, b, _, _ = _stable_bracket(self.grid, vals, 0.5, scale=1.0)
+        a, b, _, _ = _bracket(self.grid, vals, 0.5, scale=1.0)
         assert (a, b) == (self.grid[2], self.grid[3])
 
     def test_no_stable_bracket_gives_none(self):
-        assert _stable_bracket(self.grid, self.grid - 0.55, 0.5, scale=1.0) is None
-        assert _stable_bracket(self.grid, 1.0 + self.grid, 0.5, scale=1.0) is None
+        assert _bracket(self.grid, self.grid - 0.55, 0.5, scale=1.0) is None
+        assert _bracket(self.grid, 1.0 + self.grid, 0.5, scale=1.0) is None
 
     @pytest.mark.parametrize("noise", [2e-32, -2e-32, 0.0])
     def test_rounding_level_end_value_is_the_root(self, noise):
         vals = np.array([3.0, 2.0, 1.0, noise])
         grid = self.grid[:4]
-        assert _stable_bracket(grid, vals, 0.0, scale=1.0) == (grid[2], grid[3], 1.0, 0.0)
+        assert _bracket(grid, vals, 0.0, scale=1.0) == (grid[2], grid[3], 1.0, 0.0)
 
     def test_rounding_level_start_value_is_not_positive(self):
-        assert _stable_bracket(self.grid[:2], np.array([1e-30, -1.0]), 0.0, scale=1.0) is None
+        assert _bracket(self.grid[:2], np.array([1e-30, -1.0]), 0.0, scale=1.0) is None
 
     @staticmethod
     def _flipping_torque(b_end, scale):
@@ -396,13 +470,14 @@ def _whole_window_root(brent, torque, guess, scale):
     def f(thetas):
         nonlocal evals
         evals += 1
-        return roots._exact_zero(torque(thetas), scale)
+        tau = torque(thetas)
+        return np.where(np.abs(tau) <= 1e-12 * scale, 0.0, tau)
 
     center = min(max(round(guess / roots._STEP), roots._K_LO), roots._K_HI)
     for half in (8, 32, 128, 512):
         thetas = np.arange(max(center - half, roots._K_LO),
                            min(center + half, roots._K_HI) + 1) * roots._STEP
-        if (bracket := _stable_bracket(thetas, f(thetas), guess, scale)) is not None:
+        if (bracket := _bracket(thetas, f(thetas), guess, scale)) is not None:
             break
     else:
         return None, evals
@@ -790,6 +865,14 @@ class TestCriticalField:
         trap = TrapModel(trap_frequency=TWO_PI * trap_hz, theta0=3.0 * DEG)
         with pytest.raises(ValueError, match="b_range"):
             critical_field(params, orientation, trap, b_range=b_range)
+
+    @pytest.mark.parametrize("classes", [(7, 7), (), (0, 0), (-1,), (5,)])
+    @pytest.mark.parametrize("trap_hz", [0.0, 500.0])
+    def test_invalid_classes_rejected(self, params, orientation, classes, trap_hz):
+        # the free closed form reads no class, and rejects them all the same
+        trap = TrapModel(trap_frequency=TWO_PI * trap_hz, theta0=3.0 * DEG)
+        with pytest.raises(ValueError, match="classes"):
+            critical_field(params, orientation, trap, classes=classes)
 
 
 class TestRotationSweep:
