@@ -16,7 +16,9 @@ class projection and one ``steady_state_moments`` batch for all of it.
 
 The magnetic potential U(theta, phi) is defined as -integral of tau_theta
 along constant-phi paths from theta = 0 (the steady-state torque field
-need not be conservative; a curl diagnostic is provided).  A harmonic trap
+need not be conservative; a curl diagnostic is provided).  The tracked axis
+is the pole of (theta, phi) and the model is symmetric about each axis, so
+class 0's torque, and its part of U, does not depend on phi.  A harmonic trap
 torque -k*(theta - theta0) represents the electrostatic angular
 confinement, and the librational frequency follows from the total angular
 stiffness at equilibrium.
@@ -43,7 +45,7 @@ ALL_CLASSES = (0, 1, 2, 3)
 # its two estimates agree to _QUAD_RTOL relative, or absolutely to
 # _QUAD_ATOL of the torque scale per radian (at least 1e-3 rad); it splits
 # at most _QUAD_DEPTH times (at the level crossing the torque changes sign
-# within 1e-4 rad of theta = 0, and the panel there takes 10 splits).
+# within 1e-4 rad of theta = 0, and the panel there takes 11 splits).
 _GL_LO = np.polynomial.legendre.leggauss(6)
 _GL_HI = np.polynomial.legendre.leggauss(12)
 _GL_NODES = np.concatenate([_GL_LO[0], _GL_HI[0]])
@@ -65,7 +67,8 @@ class QuadratureError(RuntimeError):
     """Adaptive torque quadrature failed to converge.
 
     Attributes:
-        cell: (theta_lo, theta_hi, phi) of the worst interval.
+        cell: (theta_lo, theta_hi, phi) of the worst interval, with the phi of
+            the failing line: 0.0 for a landscape's class-0 line, which serves every phi.
     """
 
     def __init__(self, message: str, cell: tuple):
@@ -258,7 +261,9 @@ class EnergyLandscape:
 def magnetic_energy_landscape(params: SpinParams, orientation: CrystalOrientation,
                               b_lab: FieldVector, theta_grid, phi_grid,
                               classes=ALL_CLASSES) -> EnergyLandscape:
-    """Angular magnetic energy summed over the NV classes.
+    """Angular magnetic energy summed over the NV classes: U(theta, phi) =
+    U_0(theta) + U_rest(theta, phi), class 0's part integrated once along
+    phi = 0 (it does not depend on phi), the other classes' per azimuth.
 
     Args:
         theta_grid: strictly increasing tilt angles (rad); may include
@@ -273,21 +278,26 @@ def magnetic_energy_landscape(params: SpinParams, orientation: CrystalOrientatio
         if g.size > 1 and not np.all(np.diff(g) > 0):
             raise ValueError(f"{name} must be strictly increasing")
     b_mag = b_lab.magnitude
-    energy = np.zeros((theta_grid.size, phi_grid.size))
     # anchor the cumulative integral at theta = 0; integrate over the
     # sorted anchor path so intervals stay short
     sorted_anchors = np.sort(np.concatenate([[0.0], theta_grid]))
     i0 = int(np.searchsorted(sorted_anchors, 0.0))
-    for j, phi in enumerate(phi_grid):
+
+    def line(phi, line_classes) -> np.ndarray:  # U at theta_grid along one azimuth
         geom = TiltGeometry(b_mag=b_mag, phi=float(phi))
         u_at = {sorted_anchors[i0]: 0.0}
-        for idx in range(i0 + 1, sorted_anchors.size):
-            a, c = sorted_anchors[idx - 1], sorted_anchors[idx]
-            u_at[c] = u_at[a] - _integrate_torque(params, geom, a, c, classes)
-        for idx in range(i0 - 1, -1, -1):
-            a, c = sorted_anchors[idx], sorted_anchors[idx + 1]
-            u_at[a] = u_at[c] + _integrate_torque(params, geom, a, c, classes)
-        energy[:, j] = [u_at[t] for t in theta_grid]
+        for a, c in zip(sorted_anchors[i0:-1], sorted_anchors[i0 + 1:]):
+            u_at[c] = u_at[a] - _integrate_torque(params, geom, a, c, line_classes)
+        for a, c in zip(sorted_anchors[:i0][::-1], sorted_anchors[1:i0 + 1][::-1]):
+            u_at[a] = u_at[c] + _integrate_torque(params, geom, a, c, line_classes)
+        return np.array([u_at[t] for t in theta_grid])
+
+    _frames(tuple(classes))  # ValueError for bad classes, before any split
+    rest = tuple(c for c in classes if c != 0)  # one line per azimuth
+    energy = (np.stack([line(phi, rest) for phi in phi_grid], axis=1) if rest
+              else np.zeros((theta_grid.size, phi_grid.size)))
+    if 0 in classes:  # the axis line serves every azimuth
+        energy += line(0.0, (0,))[:, None]
     return EnergyLandscape(theta=theta_grid, phi=phi_grid, energy=energy,
                            b_mag=b_mag, params=params)
 

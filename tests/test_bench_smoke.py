@@ -112,7 +112,9 @@ def test_traced_pass_reports_json_without_failures(workload):
 # scans of a pair; a zero-drive scan solves nothing past it.  The |0>-connected lines
 # of each class are solved at that baseline only (one zero_connected_lines
 # call per class and scan, none per point).  A quadrature panel evaluates
-# its 6 and 12 Gauss-Legendre nodes as one 18-tilt batch.  The trapped
+# its 6 and 12 Gauss-Legendre nodes as one 18-tilt batch; a landscape
+# integrates class 0 on one line for every azimuth (36 panels for the
+# recipe) and classes 1-3 per azimuth (20 panels each).  The trapped
 # critical field solves 24 + 5x3 equilibria: each refinement round follows
 # the branch through its 3 new interior fields and reuses the end tilts.  A torque that
 # moves at rounding level can cost a Brent search one more evaluation,
@@ -123,7 +125,7 @@ def test_traced_pass_reports_json_without_failures(workload):
 # residuals and their Jacobian, 125 such evaluations in all.  Restarting
 # more than one inversion exceeds the call bound.
 BUDGETS = {
-    "orientation_recipes": {"spincore.steady_state_moments": 395,
+    "orientation_recipes": {"spincore.steady_state_moments": 287,
                             "spincore.steady_state_batch": 0,
                             "spincore.steady_state_batch.points": 0,
                             "spincore.steady_state_derivative_batch": 1,

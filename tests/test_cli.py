@@ -430,9 +430,11 @@ class TestCommands:
         table = ResultTable.parse(out)
         assert table.rows[0][0] == pytest.approx(0.1024, abs=1e-3)
 
-    def test_landscape_at_the_crossing_converges(self, capsys):
+    def test_landscape_at_the_crossing_converges(self, capsys, monkeypatch):
         # at B = D/gamma the torque changes sign within 1e-4 rad of theta = 0;
-        # the first cell needs 12 subdivisions
+        # the [0, 1] cell of the 3-step grid needs 11 subdivisions, one
+        # fewer than the cap, and fails with 10
+        monkeypatch.setattr(mechanics, "_QUAD_DEPTH", 11)
         crossing = 2.87e9 / 28.024e9
         for steps in ("3", "5"):
             code, out, err = run_cli(capsys, "landscape",
@@ -443,6 +445,11 @@ class TestCommands:
             assert len(table.rows) == 9 * int(steps)
             iu = table.columns.index("energy")
             assert all(np.isfinite(row[iu]) for row in table.rows)
+        monkeypatch.setattr(mechanics, "_QUAD_DEPTH", 10)
+        code, _, err = run_cli(capsys, "landscape",
+                               "--set", f"field.magnitude_tesla={crossing!r}",
+                               "--set", "landscape.theta_steps=3")
+        assert code != 0 and "theta=[0.0000, 0.0010], phi=0.0000" in err
 
 
 class TestCliField:

@@ -98,14 +98,69 @@ class TestEnergyLandscape:
         assert np.max(np.abs(scape.energy[:, 0] - scape.energy[:, 1])) < 1e-9 * scale
 
     def test_single_class_azimuth_independent(self, params, orientation):
+        # one class-0 line serves every azimuth, so the columns are equal
         thetas = np.linspace(0.0, 0.9, 6)
         phis = np.array([0.3, 1.7, 4.0])
         scape = magnetic_energy_landscape(params, orientation,
                                           _axial_field(orientation, 0.11),
                                           thetas, phis, classes=(0,))
-        scale = np.max(np.abs(scape.energy))
-        spread = scape.energy.max(axis=1) - scape.energy.min(axis=1)
-        assert np.max(spread) < 1e-9 * scale
+        assert np.array_equal(scape.energy, np.repeat(scape.energy[:, :1], phis.size, axis=1))
+        assert np.max(np.abs(scape.energy)) > 0.0
+
+    @pytest.mark.parametrize("b_mag", [0.023, "crossing", 0.11, 0.18])
+    def test_class0_torque_independent_of_azimuth(self, params, b_mag):
+        # the tracked axis is the pole of (theta, phi) and the undriven model
+        # is symmetric about it: what the landscape's one class-0 line needs
+        if b_mag == "crossing":
+            b_mag = params.zero_field_splitting / params.gyromagnetic_ratio
+        thetas = np.linspace(-1.2, 1.2, 49)
+        ref = tilt_torque_batch(params, TiltGeometry(b_mag=b_mag, phi=0.0), thetas, (0,))
+        scale = mechanics._torque_scale(params, b_mag)
+        for phi in np.random.default_rng(5).uniform(0.0, TWO_PI, 8):
+            tau = tilt_torque_batch(params, TiltGeometry(b_mag=b_mag, phi=phi), thetas, (0,))
+            assert np.max(np.abs(tau - ref)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("classes", [ALL_CLASSES, (0,), (1, 2), (0, 3)])
+    @pytest.mark.parametrize("b_mag", [0.11, "crossing"])
+    def test_matches_per_azimuth_integration(self, params, orientation, b_mag, classes):
+        # oracle: every column integrated along its own azimuth over all
+        # requested classes at once, on the sorted anchors from theta = 0
+        if b_mag == "crossing":
+            b_mag = params.zero_field_splitting / params.gyromagnetic_ratio
+        thetas = np.array([-0.9, -0.25, 0.0, 0.4, 1.0])
+        phis = np.linspace(0.0, TWO_PI, 4)
+        anchors = np.sort(np.concatenate([[0.0], thetas]))
+        i0 = int(np.searchsorted(anchors, 0.0))
+        oracle = np.zeros((thetas.size, phis.size))
+        for j, phi in enumerate(phis):
+            geom = TiltGeometry(b_mag=b_mag, phi=float(phi))
+            u = np.zeros(anchors.size)
+            for i in range(i0 + 1, anchors.size):
+                u[i] = u[i - 1] - _integrate_torque(params, geom, anchors[i - 1], anchors[i],
+                                                    classes)
+            for i in range(i0 - 1, -1, -1):
+                u[i] = u[i + 1] + _integrate_torque(params, geom, anchors[i], anchors[i + 1],
+                                                    classes)
+            oracle[:, j] = u[np.searchsorted(anchors, thetas)]
+        scape = magnetic_energy_landscape(params, orientation, _axial_field(orientation, b_mag),
+                                          thetas, phis, classes)
+        assert np.max(np.abs(scape.energy - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    def test_one_axis_line_per_landscape(self, params, orientation, monkeypatch):
+        # the default 21 x 9 grid at 0.11 T: 36 class-0 panels on the axis
+        # line, 20 panels of classes 1-3 on each of the 9 azimuths
+        calls = []
+        original = mechanics.tilt_torque_batch
+
+        def counting(params, geom, thetas, classes=ALL_CLASSES, rows=None):
+            calls.append(tuple(classes))
+            return original(params, geom, thetas, classes, rows)
+
+        monkeypatch.setattr(mechanics, "tilt_torque_batch", counting)
+        magnetic_energy_landscape(params, orientation, _axial_field(orientation, 0.11),
+                                  np.linspace(-1.0, 1.0, 21), np.linspace(0.0, TWO_PI, 9))
+        assert len(calls) == 216
+        assert calls.count((0,)) == 36 and calls.count((1, 2, 3)) == 180
 
     def test_asymmetric_in_tilt_at_zero_azimuth(self, params, orientation):
         # the three off-axis classes break the +-theta symmetry at phi = 0
@@ -145,6 +200,15 @@ class TestEnergyLandscape:
         with pytest.raises(ValueError, match="increasing"):
             magnetic_energy_landscape(params, orientation, b,
                                       np.array([0.2, 0.1]), np.array([0.0]))
+
+    @pytest.mark.parametrize("thetas", [[0.0], [0.0, 0.3]])
+    @pytest.mark.parametrize("classes", [(), (0, 0), (-1,), (5,), (0, 4)])
+    def test_invalid_classes_rejected(self, params, orientation, classes, thetas):
+        # before the classes are split into the axis line and the rest, and
+        # also when no interval is integrated
+        with pytest.raises(ValueError, match="classes"):
+            magnetic_energy_landscape(params, orientation, _axial_field(orientation, 0.1),
+                                      thetas, [0.0, 1.0], classes)
 
     def test_curl_diagnostic_is_small(self, params, orientation):
         rel_curl = landscape_curl_check(params, orientation,
