@@ -177,9 +177,12 @@ def cmd_libration(cfg: RunConfig) -> ResultTable:
                "rad_per_s", "rad_per_s", "rad", "bool"],
         meta=_base_meta(cfg, "libration"))
     values = cfg.sweep_values()
-    cases = [(params, float(v)) if variable == "field"
-             else (params.with_(pump_rate=float(v)), cfg.get("field", "magnitude_tesla"))
-             for v in values]
+    try:
+        cases = [(params, float(v)) if variable == "field"
+                 else (params.with_(pump_rate=float(v)), cfg.get("field", "magnitude_tesla"))
+                 for v in values]
+    except ValueError as exc:
+        raise ConfigError(f"libration: {exc}") from exc
     results = libration_sweep(_CRYSTAL, trap, [(p, _axial_field(_CRYSTAL, b)) for p, b in cases],
                               classes=classes)
     for v, res in zip(values, results):

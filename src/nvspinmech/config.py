@@ -162,12 +162,19 @@ class RunConfig:
         return classes
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"not a finite number: {text.strip()!r}")
+    return value
+
+
 def _parse_value(section: str, key: str, raw: str):
     kind, _ = SCHEMA[section][key]
     raw = raw.strip()
     try:
         if kind == "f":
-            return float(raw)
+            return _finite(raw)
         if kind == "i":
             return int(raw)
         if kind == "b":
@@ -179,7 +186,7 @@ def _parse_value(section: str, key: str, raw: str):
         if kind == "list":
             if not raw:
                 return ()
-            return tuple(float(tok) for tok in raw.split(","))
+            return tuple(_finite(tok) for tok in raw.split(","))
         return raw
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from exc

@@ -24,9 +24,10 @@ tau_spin(theta; nu) - k*(theta - theta0) nearest the previous tilt, so a
 scan is a chain of warm starts, solved like the equilibrium sweeps by
 ``roots._branch_roots``: the rows are the frequencies, each tilt is
 evaluated at its row's frequency, and the tilts a wave asks for at all
-frequencies are one driven-torque call.  Following the branch along the
-sweep yields direction-dependent jumps (hysteresis) at folds.  With the drive off F
-does not depend on nu, so a zero-drive scan solves nothing past its
+frequencies are one driven-torque call, solved by ``spincore._solve`` in
+the slices of every steady state.  Following the branch along the sweep
+yields direction-dependent jumps (hysteresis) at folds.  With the drive
+off F does not depend on nu, so a zero-drive scan solves nothing past its
 baseline.  A hysteresis pair shares its torques (:func:`hysteresis_pair`).
 """
 
@@ -43,16 +44,12 @@ from .mechanics import (ALL_CLASSES, RangeExhaustedError, TiltGeometry, _class_f
                         _torque_scale, equilibrium_angle, tilt_geometry)
 from .params import FieldVector, MicrowaveDrive, SpinParams, TrapModel
 from .roots import _branch_roots
-from .spincore import (_field_array, _generator_parts, _generators, _hamiltonian_batch,
-                       _moments, _steady_vectors, _structure, build_hamiltonian)
+from .spincore import (_field_array, _hamiltonian_batch, _moments, _solve, _structure,
+                       build_hamiltonian)
 
 _BARE_ZERO = np.array([0.0, 1.0, 0.0])  # |m_s = 0> in the (+1, 0, -1) basis
 _OFF_DIAGONAL = 1.0 - np.eye(3)
 _SQRT2 = np.sqrt(2.0)
-# class points (orientation class x tilt) per driven solve: a wave of a
-# long scan asks for thousands, and slices keep the working arrays, and so
-# peak memory, as small as a one-frequency scan window's
-_SLICE_POINTS = 64
 
 
 def zero_connected_lines(params: SpinParams, b_nv) -> tuple[float, float]:
@@ -172,33 +169,25 @@ def _driven_torque(params: SpinParams, geom: TiltGeometry, trap: TrapModel,
 
     The class-frame fields and their theta-derivatives come from one
     :func:`_class_fields` call.  Each class point is solved at its in-plane
-    field (|b_perp|, 0, b_z), where the drive acts along S_x: the undriven
-    generator plus the drive generator built from eigenvector components
-    (:func:`_eigenbasis`), one steady-state solve per slice of at most
-    _SLICE_POINTS class points, and the moment rotated back by the azimuth
-    alpha of b_perp (0 for an axial field: the transverse reference).  Every
-    step is elementwise or per point, so a tilt gives the same bits alone.
+    field (|b_perp|, 0, b_z), where the drive acts along S_x: one
+    ``spincore._solve`` of all class points, with the drive generators of
+    each slice (:func:`_drive_generator`) as its extra generators, and the
+    moment rotated back by the azimuth alpha of b_perp (0 for an axial
+    field: the transverse reference).  Every step is elementwise or per
+    point, so a tilt gives the same bits alone.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     fields, dfields = _class_fields(geom.field_and_derivative(thetas), classes)
-    n, k = fields.shape[:2]
-    freqs = np.broadcast_to(np.asarray(freqs, dtype=float), (n, k))
-    moments = np.empty_like(fields)
-    step = _SLICE_POINTS // n
-    for s in (slice(i, i + step) for i in range(0, k, step)):
-        b = fields[:, s]
-        inplane = np.zeros(b.shape)
-        inplane[..., 0], inplane[..., 2] = np.hypot(b[..., 0], b[..., 1]), b[..., 2]
-        inplane = inplane.reshape(-1, 3)
-        gen = (_generators(*_generator_parts(params), inplane)
-               + _drive_generator(params, inplane, rabi_rate, freqs[:, s].reshape(-1)))
-        r, _ = _steady_vectors(gen)
-        m = (-HBAR * params.gyromagnetic_ratio * _moments(r)).reshape(b.shape)
-        alpha = np.arctan2(b[..., 1], b[..., 0])
-        cos, sin = np.cos(alpha), np.sin(alpha)
-        mx, my = m[..., 0], m[..., 1]
-        moments[:, s] = m
-        moments[:, s, 0], moments[:, s, 1] = cos * mx - sin * my, sin * mx + cos * my
+    bx, by, bz = np.moveaxis(fields, -1, 0)
+    inplane = np.stack([np.hypot(bx, by), np.zeros_like(bz), bz], axis=-1).reshape(-1, 3)
+    freqs = np.broadcast_to(np.asarray(freqs, dtype=float), bz.shape).reshape(-1)
+    r, _ = _solve(params, inplane,
+                  lambda s: _drive_generator(params, inplane[s], rabi_rate, freqs[s]))
+    moments = (-HBAR * params.gyromagnetic_ratio * _moments(r)).reshape(fields.shape)
+    alpha = np.arctan2(by, bx)
+    cos, sin = np.cos(alpha), np.sin(alpha)
+    mx, my = moments[..., 0], moments[..., 1]
+    moments[..., 0], moments[..., 1] = cos * mx - sin * my, sin * mx + cos * my
     spin = params.n_spins_per_class * sum(_dot3(moments, dfields))
     return spin - trap.stiffness * (thetas - trap.theta0)
 

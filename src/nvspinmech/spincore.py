@@ -241,22 +241,13 @@ def _steady_vectors(gen, a_field=None, directions=None):
     return r, np.swapaxes(np.linalg.solve(a, rhs), 1, 2)
 
 
-def _in_slices(k: int, solve):
-    """(r, dr) of ``solve(s)`` over slices s of at most _MAX_BATCH of k
-    systems, concatenated."""
-    if k <= _MAX_BATCH:
-        return solve(slice(None))
-    solved = [solve(slice(i, i + _MAX_BATCH)) for i in range(0, k, _MAX_BATCH)]
-    r = np.concatenate([r for r, _ in solved])
-    return r, None if solved[0][1] is None else np.concatenate([dr for _, dr in solved])
-
-
-def _solve(params, b_nv_batch, extra_superoperator=None, rows=None, directions=None):
-    """(r, dr) of :func:`_steady_vectors` at NV-frame fields (k, 3), each
-    slice's generators assembled and solved in turn.  With ``rows`` (the
-    index of each field's parameters), ``params`` is a sequence of
-    SpinParams that share the gyromagnetic ratio, and each field has the
-    A0 of its own."""
+def _solve(params, b_nv_batch, extra=None, rows=None, directions=None):
+    """(r, dr) of :func:`_steady_vectors` at NV-frame fields (k, 3), the one
+    solve of the package: for each slice s of at most _MAX_BATCH fields in
+    turn, the generators plus ``extra(s)`` if given are assembled and
+    solved, and the slices' results concatenated.  With ``rows`` (the index of each
+    field's parameters), ``params`` is a sequence of SpinParams that share
+    the gyromagnetic ratio, and each field has the A0 of its own."""
     b = np.asarray(b_nv_batch, dtype=float)
     if b.ndim != 2 or b.shape[1] != 3 or not np.isfinite(b).all():
         raise ValueError("field batch must be a finite (k, 3) array")
@@ -270,12 +261,15 @@ def _solve(params, b_nv_batch, extra_superoperator=None, rows=None, directions=N
 
     def solve(s):
         gen = _generators(a0 if rows is None else a0[rows[s]], a_field, b[s])
-        if extra_superoperator is not None:
-            gen += (extra_superoperator[s] if np.ndim(extra_superoperator) == 3
-                    else extra_superoperator)
+        if extra is not None:
+            gen += extra(s)
         return _steady_vectors(gen, a_field, None if directions is None else directions[s])
 
-    return _in_slices(len(b), solve)
+    if len(b) <= _MAX_BATCH:
+        return solve(slice(None))
+    solved = [solve(slice(i, i + _MAX_BATCH)) for i in range(0, len(b), _MAX_BATCH)]
+    r = np.concatenate([r for r, _ in solved])
+    return r, None if solved[0][1] is None else np.concatenate([dr for _, dr in solved])
 
 
 def steady_state_batch(params: SpinParams, b_nv_batch: np.ndarray,
@@ -288,15 +282,18 @@ def steady_state_batch(params: SpinParams, b_nv_batch: np.ndarray,
     the first row: one real batched solve, elementwise otherwise, so a
     field gives the same bits in any batch.  The results are Hermitian and
     scaled to unit trace.  ``extra_superoperator`` is a real 9x9 generator
-    in these coordinates (``mdmr.microwave_superoperator``) or a stack.
-    With ``rows``, ``params`` holds one SpinParams per row and ``rows[j]``
-    is the row of field j (:func:`_solve`).
+    in these coordinates (``mdmr.microwave_superoperator``) or a stack,
+    added to each slice as the ``extra(s)`` of :func:`_solve`.  With
+    ``rows``, ``params`` holds one SpinParams per row and ``rows[j]`` is
+    the row of field j.
 
     Raises:
         SteadyStateError: if a linear solve fails or leaves a large
             residual (near-singular generator).
     """
-    return _density_matrices(_solve(params, b_nv_batch, extra_superoperator, rows)[0])
+    x = extra_superoperator
+    extra = None if x is None else (lambda s: x[s]) if np.ndim(x) == 3 else (lambda s: x)
+    return _density_matrices(_solve(params, b_nv_batch, extra, rows)[0])
 
 
 def steady_state_derivative_batch(params: SpinParams, b_nv_batch: np.ndarray,

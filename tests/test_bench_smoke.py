@@ -96,14 +96,14 @@ def test_traced_pass_reports_json_without_failures(workload):
 # inside one steady-state call, which counts once.
 # An MDMR scan is a branch sweep over its frequencies, solved in the same
 # waves; a wave's tilts of all frequencies are one driven-torque call,
-# solved in slices of at most 64 class points.  So mdmr.brentq counts
+# solved in those same slices.  So mdmr.brentq counts
 # replays: 545 runs for the 136 polished points (a lone row still
 # evaluates its tilts inline).  A hysteresis pair keeps one torque memory
 # per (Rabi rate, frequency) for both scans, so the down sweep re-solves
 # neither the baseline nor, off a fold, any tilt of the up sweep, while
 # mdmr.iterations still counts every requested evaluation, tilts already
 # solved included.  A driven solve runs the private solve under
-# steady_state_batch on the generators it assembles, so the
+# steady_state_batch with the drive generators added per slice, so the
 # steady_state_moments calls of mdmr_hysteresis are those of the
 # microwave-off equilibria alone, and microwave_superoperator, the public
 # composition of the drive, is not called.

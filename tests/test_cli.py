@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from nvspinmech import (CrystalOrientation, equilibrium_branch, librational_frequency,
                         mdmr_scan, susceptibility_numeric)
-from nvspinmech import mdmr, mechanics, spincore
+from nvspinmech import mechanics, spincore
 from nvspinmech.cli import main
 from nvspinmech.config import load_config
 from nvspinmech.mechanics import _axial_field
@@ -137,9 +137,16 @@ class TestExitCodes:
         ("mdmr", ["mdmr.rabi_rate_hz=-5"]),
         ("equilibrium", ["sweep.direction=sideways", "sweep.steps=2"]),
         ("mdmr", ["mdmr.frequency_steps=3", "mdmr.frequency_stop_hz=2e9"]),
-        ("mdmr", ["mdmr.frequency_steps=1", "mdmr.frequency_start_hz=nan"])])
+        ("mdmr", ["mdmr.frequency_steps=1", "mdmr.frequency_start_hz=nan"]),
+        ("equilibrium", ["sweep.values=inf"]),
+        ("susceptibility", ["sweep.values=nan"]),
+        ("rotation", ["sweep.start=inf"]),
+        ("landscape", ["field.magnitude_tesla=nan"]),
+        ("landscape", ["landscape.theta_min_rad=nan"]),
+        ("libration", ["libration.variable=pump_rate", "sweep.values=-1"])])
     def test_bad_drive_or_sweep_setting_is_a_config_error(self, capsys, command, overrides):
-        # rejected when the config loads, before any solve runs
+        # rejected when the config loads or the command builds its cases,
+        # before any solve runs
         argv = [arg for item in overrides for arg in ("--set", item)]
         code, out, err = run_cli(capsys, command, *argv)
         assert code == 1
@@ -576,7 +583,6 @@ class TestBatchedSweeps:
             return original(gen, *rest)
 
         monkeypatch.setattr(spincore, "_steady_vectors", recording)
-        monkeypatch.setattr(mdmr, "_steady_vectors", recording)
         for name, argv in README_RECIPES.items():
             code, _, err = run_cli(capsys, *argv)
             assert code == 0, f"{name}: {err}"

@@ -10,9 +10,10 @@ from nvspinmech import (NV_AXES, MicrowaveDrive, SpinParams, TiltGeometry, TrapM
 from nvspinmech.constants import HBAR
 from nvspinmech.spincore import SX, _coordinates, _hamiltonian_batch, _structure
 from nvspinmech.crystal import transverse_reference
-from nvspinmech import mdmr, roots
+from nvspinmech import mdmr, roots, spincore
 from nvspinmech.mdmr import _driven_torque
-from nvspinmech.mechanics import _axial_field, _class_fields, _dot3, _torque_scale
+from nvspinmech.mechanics import (ALL_CLASSES, _axial_field, _class_fields, _dot3,
+                                  _torque_scale)
 from scipy.optimize import brentq
 
 from conftest import coherence_basis, kron_jump_sum
@@ -480,25 +481,30 @@ class TestPairMemo:
         assert all(point.iterations > 0 for point in down.points)
 
     def test_no_driven_solve_exceeds_the_slice(self, params, orientation, monkeypatch):
-        # a wave asks for hundreds of class points at once; each steady-state
-        # solve takes at most _SLICE_POINTS of them
-        sizes, solves = [], []
-        original_torque, original_solve = mdmr._driven_torque, mdmr._steady_vectors
+        # a wave asks for hundreds of class points at once (612 here); the
+        # driven solves share the undriven ones' cap of _MAX_BATCH systems
+        sizes, solves, driving = [], [], []
+        original_torque, original_solve = mdmr._driven_torque, spincore._steady_vectors
 
         def torque(params, geom, trap, rabi_rate, freqs, thetas, classes):
             sizes.append(len(classes) * len(np.atleast_1d(thetas)))
-            return original_torque(params, geom, trap, rabi_rate, freqs, thetas, classes)
+            driving.append(True)
+            try:
+                return original_torque(params, geom, trap, rabi_rate, freqs, thetas, classes)
+            finally:
+                driving.pop()
 
         def solve(gen, *args):
-            solves.append(len(gen))
+            if driving:  # not the microwave-off baseline's solves
+                solves.append(len(gen))
             return original_solve(gen, *args)
 
         monkeypatch.setattr(mdmr, "_driven_torque", torque)
-        monkeypatch.setattr(mdmr, "_steady_vectors", solve)
+        monkeypatch.setattr(spincore, "_steady_vectors", solve)
         p, trap, field, drive, classes = self.four_class_pair(params, orientation)
         hysteresis_pair(p, orientation, trap, field, drive, classes)
-        assert max(sizes) > mdmr._SLICE_POINTS
-        assert max(solves) <= mdmr._SLICE_POINTS == 64
+        assert max(sizes) > spincore._MAX_BATCH
+        assert max(solves) <= spincore._MAX_BATCH
         assert sum(solves) == sum(sizes)
 
     @pytest.mark.parametrize("case", ["fold_pair", "four_class_pair"])
@@ -554,6 +560,67 @@ class TestDrivenTorque:
             assert np.array_equal(
                 mixed[at],
                 public_driven_torque(params, geom, trap, drive, freq, thetas[at], classes))
+
+
+def sliced_driven_torque(params, geom, trap, rabi_rate, freqs, thetas, classes):
+    """The reference driven total torque: slices of 64 // n tilts (64 class
+    points), each the undriven generators plus the drive generators, one
+    _steady_vectors, then the moments rotated back by the azimuth alpha of
+    b_perp."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    fields, dfields = _class_fields(geom.field_and_derivative(thetas), classes)
+    n, k = fields.shape[:2]
+    freqs = np.broadcast_to(np.asarray(freqs, dtype=float), (n, k))
+    moments = np.empty_like(fields)
+    step = 64 // n
+    for s in (slice(i, i + step) for i in range(0, k, step)):
+        b = fields[:, s]
+        inplane = np.zeros(b.shape)
+        inplane[..., 0], inplane[..., 2] = np.hypot(b[..., 0], b[..., 1]), b[..., 2]
+        inplane = inplane.reshape(-1, 3)
+        gen = (spincore._generators(*spincore._generator_parts(params), inplane)
+               + mdmr._drive_generator(params, inplane, rabi_rate, freqs[:, s].reshape(-1)))
+        r, _ = spincore._steady_vectors(gen)
+        m = (-HBAR * params.gyromagnetic_ratio * spincore._moments(r)).reshape(b.shape)
+        alpha = np.arctan2(b[..., 1], b[..., 0])
+        cos, sin = np.cos(alpha), np.sin(alpha)
+        moments[:, s] = m
+        moments[:, s, 0] = cos * m[..., 0] - sin * m[..., 1]
+        moments[:, s, 1] = sin * m[..., 0] + cos * m[..., 1]
+    spin = params.n_spins_per_class * sum(_dot3(moments, dfields))
+    return spin - trap.stiffness * (thetas - trap.theta0)
+
+
+class TestSharedSolve:
+    """The driven torque, solved through spincore's one solve and its
+    _MAX_BATCH slices, is bitwise the torque solved in 64-point slices."""
+
+    @pytest.fixture
+    def geom(self, orientation):
+        return tilt_geometry(orientation, _axial_field(orientation, 0.18))
+
+    def assert_is_the_sliced_torque(self, params, geom, trap, freqs, thetas, classes):
+        rabi = TWO_PI * 6e6
+        shared = _driven_torque(params, geom, trap, rabi, freqs, thetas, classes)
+        reference = sliced_driven_torque(params, geom, trap, rabi, freqs, thetas, classes)
+        assert shared.tobytes() == reference.tobytes()
+
+    def test_wave_beyond_the_cap(self, params, geom, trap):
+        thetas = np.linspace(-0.4, 0.6, 153)
+        assert 4 * len(thetas) > spincore._MAX_BATCH  # sliced by the shared cap
+        self.assert_is_the_sliced_torque(params, geom, trap, np.linspace(2.1e9, 2.25e9, 153),
+                                         thetas, ALL_CLASSES)
+
+    @pytest.mark.parametrize("classes", [(0,), (2,), ALL_CLASSES])
+    def test_single_tilts(self, params, geom, trap, classes):
+        for theta, freq in zip([-0.3, 0.02, 0.7], [2.1e9, 2.2e9, 2.25e9]):
+            self.assert_is_the_sliced_torque(params, geom, trap, freq, [theta], classes)
+
+    def test_gimbal(self, params, geom, trap):
+        # at theta = 0 class 0's field is along its axis: b_perp = 0, alpha = 0
+        fields = _class_fields(geom.field_and_derivative(np.zeros(1))[0], ALL_CLASSES)
+        assert not fields[0, 0, :2].any()
+        self.assert_is_the_sliced_torque(params, geom, trap, 2.2e9, [0.0], ALL_CLASSES)
 
 
 class TestBaseline:
