@@ -15,6 +15,7 @@ diagnostics go to stderr.  Exit codes: 0 success, 1 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from datetime import datetime, timezone
 
@@ -265,8 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: argparse copies the ``--set`` default list before
+# appending to it, so no call's overrides reach the next
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(path=args.config, overrides=args.overrides)
     except (ConfigError, OSError) as exc:

@@ -30,6 +30,7 @@ energy-rank twin (those of 1 deg, 0.18 T to 24.35 deg, 0.1333 T).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +120,31 @@ def transition_frequencies(params: SpinParams, theta: float, b: float) -> Transi
     return TransitionPair(nu_minus=float(nu_minus), nu_plus=float(nu_plus))
 
 
+def _closed_form(params: SpinParams, nu_minus: float, nu_plus: float) -> list:
+    """The model point [theta, B] of a line pair, where the polish starts.
+
+    prod_k (x - E_k) = x^3 - 2D x^2 + (D^2 - b^2) x + D b_perp^2 for
+    H = D Sz^2 + b.S, with b = gamma B, expanded in Python floats in the
+    order of ``np.poly`` (its bits, without its array overhead).  A float
+    overflows to inf silently; an expansion that does raises NoSolutionError.
+    """
+    d, nu_minus, nu_plus = float(params.zero_field_splitting), float(nu_minus), float(nu_plus)
+    e_low = (2.0 * d - 2.0 * math.pi * (nu_minus + nu_plus)) / 3.0
+    e_mid, e_top = e_low + 2.0 * math.pi * nu_minus, e_low + 2.0 * math.pi * nu_plus
+    low_mid = e_low * e_mid
+    e2, d_bperp_sq = low_mid + (-e_low + -e_mid) * -e_top, low_mid * -e_top
+    if not (math.isfinite(e2) and math.isfinite(d_bperp_sq)):
+        raise NoSolutionError("no (theta, B) in range reproduces the pair: "
+                              "its closed form overflows in floating point")
+    b_sq = max(d * d - e2, 0.0)
+    d_b_sq = d * b_sq
+    # max(0.0, -0.0) is 0.0, as in np.clip
+    sin_sq = min(max(0.0, d_bperp_sq / d_b_sq), 1.0) if d_b_sq > 0.0 else 0.0
+    # np.arcsin, not math.asin: the two differ in the last bit
+    return [float(np.arcsin(math.sqrt(sin_sq))),
+            math.sqrt(b_sq) / params.gyromagnetic_ratio]
+
+
 @dataclass(frozen=True)
 class AngleFieldEstimate:
     """Inversion result with propagated uncertainties."""
@@ -141,57 +167,51 @@ def invert_angle_field(params: SpinParams, pair: TransitionPair,
     Jacobian, each accepted only when it lowers the cost.
     Linewidths, when present, propagate through the inverse Jacobian into
     (theta_err, b_err); near theta = 0 the angle error inflates instead of
-    failing.
+    failing.  Without them both errors are 0 and no Jacobian is built.
 
     Raises:
         ValueError: a range is not finite with 0 <= lo < hi.
         NoSolutionError: the polished rms residual exceeds max(1 kHz,
-            linewidth/100).
+            linewidth/100), or the closed form overflows (lines beyond
+            about 1e102 Hz).
     """
     for name, (lo, hi) in (("theta_range", theta_range), ("b_range", b_range)):
-        if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 <= lo < hi):
+        if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo < hi):
             raise ValueError(f"{name} must be finite with 0 <= lo < hi, got {(lo, hi)!r}")
     lower, upper = np.array([theta_range, b_range], dtype=float).T
-    target = np.array([pair.nu_minus, pair.nu_plus])
-    widths = np.array([pair.linewidth_minus or 0.0, pair.linewidth_plus or 0.0])
-    tol = max(1e3, float(widths.max()) / 100.0)
+    w_minus, w_plus = pair.linewidth_minus or 0.0, pair.linewidth_plus or 0.0
+    w_max = max(w_minus, w_plus)
+    tol = max(1e3, w_max / 100.0)
 
-    # prod_k (x - E_k) = x^3 - 2D x^2 + (D^2 - b^2) x + D b_perp^2 for
-    # H = D Sz^2 + b.S, with b = gamma B
-    d = params.zero_field_splitting
-    e_low = (2.0 * d - 2.0 * np.pi * target.sum()) / 3.0
-    _, _, e2, d_bperp_sq = np.poly([e_low, *(e_low + 2.0 * np.pi * target)])
-    b_sq = max(d * d - e2, 0.0)
-    sin_sq = np.clip(d_bperp_sq / (d * b_sq), 0.0, 1.0) if b_sq > 0.0 else 0.0
-    x0 = [np.arcsin(np.sqrt(sin_sq)), np.sqrt(b_sq) / params.gyromagnetic_ratio]
-    sol = least_squares(params, target, x0, lower, upper)
-    theta_hat, b_hat = float(sol.x[0]), float(sol.x[1])
-    rms = float(np.sqrt(np.mean(sol.fun**2)))
+    sol = least_squares(params, np.array([pair.nu_minus, pair.nu_plus]),
+                        _closed_form(params, pair.nu_minus, pair.nu_plus), lower, upper)
+    theta_hat, b_hat = sol.x.tolist()
+    f_minus, f_plus = sol.fun.tolist()
+    rms = math.sqrt((f_minus * f_minus + f_plus * f_plus) / 2.0)
     if rms > tol:
         raise NoSolutionError(
             f"no (theta, B) in range reproduces the pair: rms residual {rms:.3e} Hz")
+    if w_max == 0.0:
+        return AngleFieldEstimate(theta=theta_hat, b=b_hat, residual=rms,
+                                  theta_err=0.0, b_err=0.0)
 
     # uncertainty propagation through the local Jacobian
     jac = _jacobian(params, theta_hat, b_hat)
-    sigma_nu = np.where(widths > 0.0, widths / 2.0, 0.0)
-    if np.any(sigma_nu > 0.0):
-        try:
-            jinv = np.linalg.inv(jac)
-        except np.linalg.LinAlgError:
-            jinv = np.linalg.pinv(jac)
-        cov = jinv @ np.diag(sigma_nu**2) @ jinv.T
-        theta_err = float(np.sqrt(max(cov[0, 0], 0.0)))
-        b_err = float(np.sqrt(max(cov[1, 1], 0.0)))
-        # quadratic insensitivity toward theta = 0: when the estimate sits
-        # inside the flat valley where the lines move by less than the
-        # measurement noise, the angle error spans that valley
-        theta_flat = _flat_valley_width(params, b_hat, float(np.max(sigma_nu)))
-        if theta_hat < theta_flat:
-            theta_err = max(theta_err, theta_flat)
-        theta_err = min(theta_err, 0.5 * np.pi)
-    else:
-        theta_err = 0.0
-        b_err = 0.0
+    sigma_nu = np.array([w_minus, w_plus]) / 2.0
+    try:
+        jinv = np.linalg.inv(jac)
+    except np.linalg.LinAlgError:
+        jinv = np.linalg.pinv(jac)
+    cov = jinv @ np.diag(sigma_nu**2) @ jinv.T
+    theta_err = float(np.sqrt(max(cov[0, 0], 0.0)))
+    b_err = float(np.sqrt(max(cov[1, 1], 0.0)))
+    # quadratic insensitivity toward theta = 0: when the estimate sits
+    # inside the flat valley where the lines move by less than the
+    # measurement noise, the angle error spans that valley
+    theta_flat = _flat_valley_width(params, b_hat, w_max / 2.0)
+    if theta_hat < theta_flat:
+        theta_err = max(theta_err, theta_flat)
+    theta_err = min(theta_err, 0.5 * np.pi)
     return AngleFieldEstimate(theta=theta_hat, b=b_hat, residual=rms,
                               theta_err=theta_err, b_err=b_err)
 

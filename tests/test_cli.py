@@ -3,6 +3,7 @@
 import contextlib
 import io
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,41 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["definitely-not-a-command"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("exponent", [100, 120, 160, 200, 250, 300])
+    @pytest.mark.parametrize("huge", ["minus", "plus", "both"])
+    def test_overflowing_pair_is_a_numerical_failure(self, capsys, exponent, huge):
+        # lines that overflow the closed form or the polish are a pair that
+        # nothing in range reproduces: exit 2, with no warning on the way
+        nu = f"1e{exponent}"
+        overrides = {"minus": [f"invert.nu_minus_hz={nu}"],
+                     "plus": [f"invert.nu_plus_hz={nu}"],
+                     "both": [f"invert.nu_minus_hz={nu}", f"invert.nu_plus_hz=2e{exponent}"]}
+        argv = [arg for item in overrides[huge] for arg in ("--set", item)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "invert", *argv)
+        assert code == 2
+        assert err.startswith("nvspinmech: numerical failure: no (theta, B) in range "
+                              "reproduces the pair") and err.count("\n") == 1, err
+        assert out == ""
+
+    def test_one_parser_serves_every_call(self, capsys):
+        # overrides of one call do not leak into the next through the
+        # parser's --set default, and a bad argument still exits 1
+        runs = [["invert.nu_minus_hz=2.2254e9", "invert.nu_plus_hz=3.5146e9"],
+                ["invert.linewidth_hz=1e7"], []]
+        shas = []
+        for overrides in runs:
+            code, out, _ = run_cli(capsys, "invert", *_sets(*overrides))
+            assert code == 0
+            shas.append(ResultTable.parse(out).meta["config_sha256"])
+        assert shas == [load_config(overrides=overrides).sha256 for overrides in runs]
+        assert len(set(shas)) == 3
+        with pytest.raises(SystemExit) as exc:
+            main(["invert", "--no-such-flag"])
+        assert exc.value.code == 1
+        assert run_cli(capsys, "invert")[0] == 0
 
 
 class TestDeterminism:

@@ -18,7 +18,8 @@ printed before.  ``python tests/test_golden.py --diff [NAME ...]`` writes
 nothing: it prints every cell that differs from its fixture at all
 (bitwise, sign of zero included), with |delta| over the column's largest
 finite |value|.  That is the moved-cell list of a change that stays within
-the bound.
+the bound.  It exits with status 1 when it prints any moved cell (or a
+table whose columns or row count differ), and 0 otherwise.
 """
 
 import contextlib
@@ -115,8 +116,8 @@ if __name__ == "__main__":
 
     args = sys.argv[1:]
     if args[:1] == ["--diff"]:
-        for name in args[1:] or CASES:
-            diff(name)
+        moved = [diff(name) for name in args[1:] or CASES]
+        sys.exit(1 if any(moved) else 0)
     else:
         for name in args or CASES:
             (GOLDEN / f"{name}.csv").write_text(body(name))

@@ -1,5 +1,7 @@
 """Forward transition model and (theta, B) inversion."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -380,3 +382,72 @@ class TestInversion:
         with pytest.raises(ValueError, match=name):
             invert_angle_field(params, TransitionPair(2.2254e9, 3.5146e9),
                                theta_range=theta_range, b_range=b_range)
+
+
+def np_poly_start(params, nu_minus, nu_plus):
+    """Reference: the closed-form start point as first written, through
+    ``np.poly``."""
+    target = np.array([nu_minus, nu_plus])
+    d = params.zero_field_splitting
+    e_low = (2.0 * d - 2.0 * np.pi * target.sum()) / 3.0
+    _, _, e2, d_bperp_sq = np.poly([e_low, *(e_low + 2.0 * np.pi * target)])
+    b_sq = max(d * d - e2, 0.0)
+    sin_sq = np.clip(d_bperp_sq / (d * b_sq), 0.0, 1.0) if b_sq > 0.0 else 0.0
+    return [np.arcsin(np.sqrt(sin_sq)), np.sqrt(b_sq) / params.gyromagnetic_ratio]
+
+
+class TestInversionWork:
+    """What one inversion computes, as counts and bits."""
+
+    def test_jacobian_and_flat_valley_only_with_linewidths(self, params, monkeypatch):
+        calls = {"_jacobian": 0, "_flat_valley_width": 0}
+        for name in calls:
+            def counting(*args, _fn=getattr(magnetometry, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(magnetometry, name, counting)
+        tp = transition_frequencies(params, 10 * DEG, 0.08)
+        invert_angle_field(params, tp)
+        invert_angle_field(params, TransitionPair(tp.nu_minus, tp.nu_plus, 0.0, 0.0))
+        assert calls == {"_jacobian": 0, "_flat_valley_width": 0}
+        for widths in [(10e6, 10e6), (10e6, None), (None, 3e5)]:
+            invert_angle_field(params, TransitionPair(tp.nu_minus, tp.nu_plus, *widths))
+        assert calls == {"_jacobian": 3, "_flat_valley_width": 3}
+
+    def test_closed_form_is_the_np_poly_expansion_bitwise(self, params):
+        pairs = [_line_pairs(params, theta, b)
+                 for theta in np.linspace(0.0, 90.0, 31) * DEG
+                 for b in np.linspace(0.01, 0.3, 30)]
+        pairs += [zero_character_pair(params, 1.0 * DEG, 0.18),  # the twin
+                  _line_pairs(params, 0.0, 0.08),                 # aligned
+                  _line_pairs(params, 5 * DEG, 0.15)]             # past the crossing
+        for nu_minus, nu_plus in pairs:
+            start = magnetometry._closed_form(params, nu_minus, nu_plus)
+            ref = np_poly_start(params, nu_minus, nu_plus)
+            assert [x.hex() for x in start] == [float(x).hex() for x in ref], (nu_minus, nu_plus)
+
+    def test_polish_starts_at_the_closed_form(self, params, monkeypatch):
+        starts = []
+        polish = magnetometry.least_squares
+
+        def recording(params, target, x0, lower, upper):
+            starts.append(x0)
+            return polish(params, target, x0, lower, upper)
+
+        monkeypatch.setattr(magnetometry, "least_squares", recording)
+        tp = transition_frequencies(params, 5 * DEG, 0.15)
+        invert_angle_field(params, tp)
+        assert [[float(x).hex() for x in x0] for x0 in starts] == [
+            [float(x).hex() for x in np_poly_start(params, tp.nu_minus, tp.nu_plus)]]
+
+    @pytest.mark.parametrize("nu_minus, nu_plus", [
+        (1e160, 3.514e9), (1e300, 3.514e9), (2.226e9, 1e300), (1e200, 2e200),
+        (1e300, 1.7e308)])
+    def test_overflowing_pair_has_no_solution(self, params, nu_minus, nu_plus):
+        # a pair beyond what floating point can invert is no model pair,
+        # reported without a warning or a linear-algebra error
+        pair = TransitionPair(nu_minus, nu_plus, linewidth_minus=1e7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoSolutionError, match="overflows"):
+                invert_angle_field(params, pair)
