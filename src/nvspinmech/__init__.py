@@ -27,16 +27,16 @@ from .mdmr import (MdmrPoint, MdmrSpectrum, hysteresis_pair, mdmr_scan,
                    microwave_superoperator, sharp_edge_side, zero_connected_lines)
 from .mechanics import (ALL_CLASSES, EnergyLandscape, EquilibriumResult,
                         LibrationResult, QuadratureError, RangeExhaustedError,
-                        RotationPoint, TiltGeometry, critical_field,
+                        RotationPoint, TiltGeometry, axial_field, critical_field,
                         equilibrium_angle, equilibrium_branch, field_rotation_sweep,
                         landscape_curl_check, libration_sweep, librational_frequency,
                         magnetic_energy_landscape, tilt_geometry,
                         tilt_torque_and_slope, tilt_torque_batch)
 from .params import FieldVector, MicrowaveDrive, SpinParams, TrapModel
 from .spincore import (SX, SY, SZ, SingularDetuningError, SteadyStateError,
-                       SusceptibilityTensor, build_hamiltonian, check_density_matrix,
-                       detunings, magnetization, spin_expectation, steady_state,
-                       steady_state_batch, steady_state_derivative_batch,
-                       steady_state_moments, susceptibility_analytic, susceptibility_numeric,
-                       susceptibility_van_vleck)
+                       SusceptibilityTensor, check_density_matrix, detunings,
+                       magnetization, spin_expectation, steady_state, steady_state_batch,
+                       steady_state_derivative_batch, steady_state_moments,
+                       susceptibility_analytic, susceptibility_numeric,
+                       susceptibility_numeric_batch, susceptibility_van_vleck)
 from .table import ResultTable

@@ -26,12 +26,12 @@ from .config import ConfigError, RunConfig, load_config
 from .crystal import CrystalOrientation
 from .magnetometry import NoSolutionError, TransitionPair, invert_angle_field
 from .mdmr import hysteresis_pair, mdmr_scan
-from .mechanics import (QuadratureError, RangeExhaustedError, _axial_field, critical_field,
-                        equilibrium_branch, field_rotation_sweep,
-                        libration_sweep, magnetic_energy_landscape)
+from .mechanics import (QuadratureError, RangeExhaustedError, axial_field, critical_field,
+                        equilibrium_branch, field_rotation_sweep, libration_sweep,
+                        magnetic_energy_landscape)
 from .params import FieldVector
-from .spincore import (SingularDetuningError, SteadyStateError, _numeric_susceptibilities,
-                       susceptibility_analytic, susceptibility_van_vleck)
+from .spincore import (SingularDetuningError, SteadyStateError, susceptibility_analytic,
+                       susceptibility_numeric_batch, susceptibility_van_vleck)
 from .table import ResultTable
 
 _NUMERICAL_ERRORS = (SteadyStateError, QuadratureError, RangeExhaustedError,
@@ -61,7 +61,7 @@ def cmd_susceptibility(cfg: RunConfig) -> ResultTable:
         meta=_base_meta(cfg, "susceptibility"))
     values = cfg.sweep_values()
     # one derivative batch: chi_perp of every field and the states it solved
-    chis, rhos = _numeric_susceptibilities(params, values)
+    chis, rhos = susceptibility_numeric_batch(params, values)
     for b, chi_n, rho in zip(values, chis, rhos):
         chi_a = susceptibility_analytic(params, b)
         pops = (rho[2, 2].real, rho[1, 1].real, rho[0, 0].real)
@@ -84,7 +84,7 @@ def cmd_equilibrium(cfg: RunConfig) -> ResultTable:
     values = cfg.sweep_values()
     results = equilibrium_branch(
         cfg.spin_params(), _CRYSTAL,
-        [(trap, _axial_field(_CRYSTAL, float(b))) for b in values], cfg.classes())
+        [(trap, axial_field(_CRYSTAL, float(b))) for b in values], cfg.classes())
     for b, res in zip(values, results):
         table.add_row(float(b), res.theta, res.stability, res.torque_residual,
                       res.bound)
@@ -111,7 +111,7 @@ def cmd_mdmr(cfg: RunConfig) -> ResultTable:
     trap = cfg.trap()
     drive = cfg.microwave_drive()
     classes = cfg.classes()
-    b_lab = _axial_field(_CRYSTAL, cfg.get("field", "magnitude_tesla"))
+    b_lab = axial_field(_CRYSTAL, cfg.get("field", "magnitude_tesla"))
     table = ResultTable(
         columns=["frequency", "theta", "delta_theta", "converged", "direction"],
         units=["hz", "rad", "rad", "bool", "updown"],
@@ -184,7 +184,7 @@ def cmd_libration(cfg: RunConfig) -> ResultTable:
                  for v in values]
     except ValueError as exc:
         raise ConfigError(f"libration: {exc}") from exc
-    results = libration_sweep(_CRYSTAL, trap, [(p, _axial_field(_CRYSTAL, b)) for p, b in cases],
+    results = libration_sweep(_CRYSTAL, trap, [(p, axial_field(_CRYSTAL, b)) for p, b in cases],
                               classes=classes)
     for v, res in zip(values, results):
         table.add_row(float(v), res.omega_numeric, res.omega_analytic,
@@ -266,9 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# one parser per process: argparse copies the ``--set`` default list before
-# appending to it, so no call's overrides reach the next
-_parser = functools.cache(build_parser)
+# one parser per process, built through the module attribute so that a
+# wrapper of ``build_parser`` sees the build: argparse copies the ``--set``
+# default list before appending to it, so no call's overrides reach the next
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
 
 
 def main(argv=None) -> int:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .crystal import _check_classes
 from .params import MicrowaveDrive, SpinParams, TrapModel
 
 TWO_PI = 2.0 * np.pi
@@ -157,9 +158,10 @@ class RunConfig:
             classes = tuple(int(tok) for tok in spec.split(",") if tok.strip())
         except ValueError as exc:
             raise ConfigError(f"run.classes: cannot parse {spec!r}") from exc
-        if not classes or len(set(classes)) < len(classes) or not set(classes) <= {0, 1, 2, 3}:
-            raise ConfigError(f"run.classes must name distinct classes 0..3, got {spec!r}")
-        return classes
+        try:
+            return _check_classes(classes)
+        except ValueError as exc:
+            raise ConfigError(f"run.classes: {exc}") from exc
 
 
 def _finite(text: str) -> float:

@@ -52,16 +52,19 @@ class CrystalOrientation:
 
     def axis_lab(self, class_index: int) -> np.ndarray:
         """Unit vector of one NV class in the lab frame."""
-        return self.rotation @ NV_AXES[_check_class(class_index)]
+        return self.rotation @ NV_AXES[_check_classes((class_index,))[0]]
 
     def to_crystal(self, v_lab) -> np.ndarray:
         return self.rotation.T @ np.asarray(v_lab, dtype=float)
 
 
-def _check_class(class_index: int) -> int:
-    if class_index not in (0, 1, 2, 3):
-        raise ValueError(f"class index must be 0..3, got {class_index!r}")
-    return class_index
+def _check_classes(classes) -> tuple:
+    """``classes`` as a tuple; ValueError, naming it, unless it names
+    distinct orientation classes of 0..3, at least one."""
+    classes = tuple(classes)
+    if not classes or len(set(classes)) < len(classes) or not set(classes) <= {0, 1, 2, 3}:
+        raise ValueError(f"classes must be distinct, each a class index of 0..3, got {classes!r}")
+    return classes
 
 
 def transverse_reference(axis_crystal) -> np.ndarray:

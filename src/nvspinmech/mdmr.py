@@ -44,27 +44,28 @@ from .mechanics import (ALL_CLASSES, RangeExhaustedError, TiltGeometry, _class_f
                         _torque_scale, equilibrium_angle, tilt_geometry)
 from .params import FieldVector, MicrowaveDrive, SpinParams, TrapModel
 from .roots import _branch_roots
-from .spincore import (_field_array, _hamiltonian_batch, _moments, _solve, _structure,
-                       build_hamiltonian)
+from .spincore import _field_stack, _hamiltonian_batch, _moments, _solve, _structure
 
-_BARE_ZERO = np.array([0.0, 1.0, 0.0])  # |m_s = 0> in the (+1, 0, -1) basis
 _OFF_DIAGONAL = 1.0 - np.eye(3)
 _SQRT2 = np.sqrt(2.0)
 
 
 def zero_connected_lines(params: SpinParams, b_nv) -> tuple[float, float]:
-    """The two transition frequencies (Hz) from the most |0>-like eigenstate,
-    ordered (lower, upper)."""
-    vals, vecs = np.linalg.eigh(build_hamiltonian(params, b_nv))
-    k0 = int(np.argmax(np.abs(_BARE_ZERO @ vecs) ** 2))
-    freqs = sorted(abs(vals[k] - vals[k0]) / HBAR / (2.0 * np.pi)
-                   for k in range(3) if k != k0)
-    return float(freqs[0]), float(freqs[1])
+    """The two transition frequencies (Hz) from the most |0>-like eigenstate
+    at one NV-frame field (a plain 3-array), ordered (lower, upper): the
+    level gaps of :func:`_eigenbasis` from the eigenvector with the largest
+    weight |<0|v_a>|^2, row 1 of its projector block.  ValueError unless
+    ``b_nv`` is 3 finite components."""
+    gaps, _, proj = _eigenbasis(params, _field_stack(b_nv, one=True))
+    k0 = int(np.argmax(proj[0, 1, :3]))
+    lower, upper = sorted(gaps[0, k0, k] / (2.0 * np.pi) for k in range(3) if k != k0)
+    return float(lower), float(upper)
 
 
 def _eigenbasis(params: SpinParams, b: np.ndarray) -> tuple:
     """Level gaps (rad/s) and drive weights w_ab, both (k, 3, 3), and P (k, 9,
-    3) of :func:`microwave_superoperator` at NV-frame fields (k, 3), from the
+    3) of :func:`microwave_superoperator` at NV-frame fields (k, 3), the one
+    diagonalization of H (:func:`zero_connected_lines` reads it too), from the
     eigenvector components: as sqrt(2) S_x v = (v_0, v_+ + v_-, v_0), w_ab =
     |x_ab + conj(x_ba)|^2 for x_ab = conj(v_+a + v_-a) v_0b, and column a of P
     is |v_pa|^2, then sqrt(2) Re and sqrt(2) Im of v_pa conj(v_qa)."""
@@ -98,8 +99,9 @@ def microwave_superoperator(params: SpinParams, b_nv, frequency_hz: float,
 
     ``b_nv`` is one NV-frame field, giving a real 9x9 matrix in the
     coherence-vector coordinates of ``spincore``, or a (k, 3) stack, giving
-    a (k, 9, 9) stack; the drive is along S_x of that frame.  Returns None
-    when the drive is off (zero rate), so callers can skip it.
+    a (k, 9, 9) stack; the drive is along S_x of that frame, and a
+    non-finite or mis-shaped field is a ValueError.  Returns None when the
+    drive is off (zero rate), so callers can skip it.
 
     With the eigenvectors v_a of H as the columns of V and W_ab the rate
     from b to a (symmetric, zero diagonal), the jumps |a><b| sum to the
@@ -112,8 +114,8 @@ def microwave_superoperator(params: SpinParams, b_nv, frequency_hz: float,
     if drive.rabi_rate == 0.0:
         return None
     stack = np.ndim(b_nv) == 2
-    b = np.asarray(b_nv, dtype=float) if stack else _field_array(b_nv)[None]
-    total = _drive_generator(params, b, drive.rabi_rate, frequency_hz)
+    total = _drive_generator(params, _field_stack(b_nv, one=not stack), drive.rabi_rate,
+                             frequency_hz)
     return total if stack else total[0]
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .constants import HBAR
-from .crystal import NV_AXES, CrystalOrientation, transverse_reference
+from .crystal import NV_AXES, CrystalOrientation, _check_classes, transverse_reference
 from .params import FieldVector, SpinParams, TrapModel
 from .roots import _XTOL, _branch_roots, _stable_roots
 from .spincore import detunings, steady_state_moments
@@ -117,7 +117,7 @@ def tilt_geometry(orientation: CrystalOrientation, b_lab: FieldVector) -> TiltGe
     the x row of the axis's NV frame toward its y row (those of
     :attr:`TiltGeometry.e_phi`).  phi = 0 at zero field, on the axis of
     either sign, and where the tilt rounds to 0 (gimbal degenerate)."""
-    b = b_lab.require_frame("lab").as_array()
+    b = b_lab.as_array()
     b_mag, phi = b_lab.magnitude, 0.0
     if b_mag > 0.0:
         x, y, z = _CLASS_FRAMES[0]
@@ -140,9 +140,7 @@ def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _frames(classes: tuple) -> np.ndarray:
     """The NV frames (n_classes, 1, 3, 3) of ``classes``, ready to broadcast;
     ValueError unless ``classes`` names distinct classes of 0..3."""
-    if not classes or len(set(classes)) < len(classes) or not set(classes) <= set(ALL_CLASSES):
-        raise ValueError(f"classes must be distinct classes of 0..3, got {classes!r}")
-    return _CLASS_FRAMES[list(classes), None]
+    return _CLASS_FRAMES[list(_check_classes(classes)), None]
 
 
 def _class_fields(v_crystal: np.ndarray, classes=ALL_CLASSES) -> np.ndarray:
@@ -472,7 +470,7 @@ def critical_field(params: SpinParams, orientation: CrystalOrientation,
 
     def branch(fields, guess=None):  # an unbound tilt is NaN
         return [res.theta for res in equilibrium_branch(
-            params, orientation, [(trap, _axial_field(orientation, b)) for b in fields],
+            params, orientation, [(trap, axial_field(orientation, b)) for b in fields],
             classes, guess)]
 
     points = np.linspace(b_lo, b_hi, _COARSE_FIELDS)
@@ -492,7 +490,7 @@ def critical_field(params: SpinParams, orientation: CrystalOrientation,
     return float(0.5 * (points[i] + points[i + 1]))
 
 
-def _axial_field(orientation: CrystalOrientation, b_mag: float) -> FieldVector:
+def axial_field(orientation: CrystalOrientation, b_mag: float) -> FieldVector:
     """Lab field of magnitude b_mag along the tracked (class 0) axis."""
     return FieldVector.from_array(b_mag * orientation.axis_lab(0), frame="lab")
 
@@ -518,7 +516,7 @@ def field_rotation_sweep(params: SpinParams, orientation: CrystalOrientation,
     steps are one :func:`equilibrium_branch`, with the trap moved per step.
     """
     theta_bs = np.asarray(theta_b_values, dtype=float)
-    b_lab = _axial_field(orientation, b_mag)
+    b_lab = axial_field(orientation, b_mag)
     results = equilibrium_branch(
         params, orientation,
         [(replace(trap, theta0=trap.theta0 + theta_b), b_lab) for theta_b in theta_bs], classes)

@@ -8,8 +8,6 @@ import numpy as np
 
 from . import constants as c
 
-_FRAMES = ("lab", "crystal", "nv")
-
 
 @dataclass(frozen=True)
 class SpinParams:
@@ -64,10 +62,10 @@ class SpinParams:
 
 @dataclass(frozen=True)
 class FieldVector:
-    """Magnetic field vector tagged with the frame it is expressed in.
+    """Magnetic field vector in the lab frame.
 
-    Frames: "lab" (laboratory), "crystal" (diamond cubic axes), "nv"
-    (one class's NV frame: z along its N-V axis).
+    ``frame`` must be "lab": NV-frame fields are plain arrays, which is
+    what ``spincore`` and ``mdmr`` take.
     """
 
     bx: float
@@ -76,8 +74,8 @@ class FieldVector:
     frame: str = "lab"
 
     def __post_init__(self):
-        if self.frame not in _FRAMES:
-            raise ValueError(f"unknown frame {self.frame!r}, expected one of {_FRAMES}")
+        if self.frame != "lab":
+            raise ValueError(f"a FieldVector is a lab-frame field, got frame {self.frame!r}")
         if not np.all(np.isfinite([self.bx, self.by, self.bz])):
             raise ValueError("field components must be finite")
 
@@ -92,11 +90,6 @@ class FieldVector:
     @property
     def magnitude(self) -> float:
         return float(np.linalg.norm(self.as_array()))
-
-    def require_frame(self, frame: str) -> "FieldVector":
-        if self.frame != frame:
-            raise ValueError(f"field is in frame {self.frame!r}, operation expects {frame!r}")
-        return self
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,11 @@ a 0.2 T field).  A pumping channel that also damps the |+-1> coherences
 at pump/2 restores positivity but shifts the closed-form susceptibility
 oracles below.
 
+Fields are plain NV-frame arrays, one field as 3 components or a (k, 3)
+stack, each checked for shape and finiteness by one private check that
+``mdmr`` shares; a ``params.FieldVector`` is a lab-frame field and is not
+taken here.
+
 The state is its real coherence vector (Hioe & Eberly 1981), whose
 generator A0 + sum_i b_i A_i is affine in the NV-frame field; the steady
 state is a trace-constrained real linear solve, and
@@ -37,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import HBAR, MU0
-from .params import FieldVector, SpinParams
+from .params import SpinParams
 
 # Spin-1 operators in the basis (|+1>, |0>, |-1>).
 SX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2.0)
@@ -87,28 +92,13 @@ class SingularDetuningError(ValueError):
     """Perturbative susceptibility evaluated at a level crossing."""
 
 
-def _field_array(b, frame: str = "nv") -> np.ndarray:
-    if isinstance(b, FieldVector):
-        return b.require_frame(frame).as_array()
-    arr = np.asarray(b, dtype=float)
-    if arr.shape != (3,) or not np.all(np.isfinite(arr)):
-        raise ValueError("field must be 3 finite components")
-    return arr
-
-
-def build_hamiltonian(params: SpinParams, b_nv) -> np.ndarray:
-    """Spin Hamiltonian (J) for a field given in the NV frame.
-
-    Args:
-        params: spin constants; only the splitting and gyromagnetic ratio
-            are used.
-        b_nv: field components (tesla) in the NV frame, as a FieldVector
-            tagged "nv" or a plain 3-array.
-
-    Returns:
-        3x3 Hermitian matrix in the (|+1>, |0>, |-1>) basis.
-    """
-    return HBAR * _hamiltonian_batch(params, _field_array(b_nv, "nv")[None])[0]
+def _field_stack(b, one: bool = False) -> np.ndarray:
+    """NV-frame fields as a float (k, 3) array, one field (3,) as (1, 3) with
+    ``one``; ValueError unless the shape fits and every component is finite."""
+    b = np.asarray(b, dtype=float)[None] if one else np.asarray(b, dtype=float)
+    if b.ndim != 2 or b.shape[1] != 3 or not np.isfinite(b).all():
+        raise ValueError("field must be 3 finite components, or a finite (k, 3) stack")
+    return b
 
 
 def _coordinates(h: np.ndarray) -> np.ndarray:
@@ -193,8 +183,7 @@ def steady_state(params: SpinParams, b_nv,
         SteadyStateError: if the linear solve fails or leaves a large
             residual (near-singular generator).
     """
-    b = _field_array(b_nv, "nv")[None]
-    return steady_state_batch(params, b, extra_superoperator)[0]
+    return steady_state_batch(params, _field_stack(b_nv, one=True), extra_superoperator)[0]
 
 
 # fields solved per linear solve: a larger batch is split, which keeps the
@@ -248,9 +237,7 @@ def _solve(params, b_nv_batch, extra=None, rows=None, directions=None):
     solved, and the slices' results concatenated.  With ``rows`` (the index of each
     field's parameters), ``params`` is a sequence of SpinParams that share
     the gyromagnetic ratio, and each field has the A0 of its own."""
-    b = np.asarray(b_nv_batch, dtype=float)
-    if b.ndim != 2 or b.shape[1] != 3 or not np.isfinite(b).all():
-        raise ValueError("field batch must be a finite (k, 3) array")
+    b = _field_stack(b_nv_batch)
     if rows is None:
         a0, a_field = _generator_parts(params)
     else:  # the A0 of each row, picked per slice
@@ -405,14 +392,14 @@ def susceptibility_analytic(params: SpinParams, b0: float) -> SusceptibilityTens
 def susceptibility_numeric(params: SpinParams, b0: float) -> SusceptibilityTensor:
     """Susceptibility from the exact derivative of the solved steady state.
 
-    The one-field case of :func:`_numeric_susceptibilities`:
+    The one-field case of :func:`susceptibility_numeric_batch`:
     chi_perp = mu0 dM_x/dB_x, chi_d = mu0 dM_y/dB_x and chi_par =
     mu0 dM_z/dB_z at the axial bias ``b0``.
     """
-    return _numeric_susceptibilities(params, [b0])[0][0]
+    return susceptibility_numeric_batch(params, [b0])[0][0]
 
 
-def _numeric_susceptibilities(params: SpinParams, b0s) -> tuple[list, np.ndarray]:
+def susceptibility_numeric_batch(params: SpinParams, b0s) -> tuple[list, np.ndarray]:
     """(tensors, states): :func:`susceptibility_numeric` at each axial bias
     of ``b0s`` and the bias states (k, 3, 3), from one
     :func:`steady_state_derivative_batch` along x and z, so each field

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from nvspinmech import (SX, CrystalOrientation, SpinParams, TrapModel,
-                        build_hamiltonian, susceptibility_analytic)
+from nvspinmech import SX, CrystalOrientation, SpinParams, TrapModel, susceptibility_analytic
 from nvspinmech.constants import HBAR, MU0
 from nvspinmech.mechanics import _CLASS_FRAMES
+from nvspinmech.spincore import _hamiltonian_batch
 
 TWO_PI = 2.0 * np.pi
 DEG = np.pi / 180.0
@@ -53,6 +53,11 @@ def coherence_basis():
     return t
 
 
+def hamiltonian(params, b_nv):
+    """Spin Hamiltonian (J) at one NV-frame field, from ``_hamiltonian_batch``."""
+    return HBAR * _hamiltonian_batch(params, np.asarray(b_nv, dtype=float)[None])[0]
+
+
 def kron_jump_sum(params, b_nv, frequency_hz, drive):
     """Reference drive generator: one Lindblad jump superoperator per
     direction of every allowed transition, each built with np.kron, acting
@@ -61,7 +66,7 @@ def kron_jump_sum(params, b_nv, frequency_hz, drive):
         return None
     i3 = np.eye(3)
     g_eff = params.gamma2_star
-    vals, vecs = np.linalg.eigh(build_hamiltonian(params, b_nv))
+    vals, vecs = np.linalg.eigh(hamiltonian(params, b_nv))
     total = np.zeros((9, 9), dtype=complex)
     for i in range(3):
         for j in range(i + 1, 3):

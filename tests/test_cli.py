@@ -1,9 +1,11 @@
 """End-to-end command-line runs: exit codes, determinism, table contracts."""
 
+import ast
 import contextlib
 import io
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +14,10 @@ from hypothesis import strategies as st
 
 from nvspinmech import (CrystalOrientation, equilibrium_branch, librational_frequency,
                         mdmr_scan, susceptibility_numeric)
-from nvspinmech import mechanics, spincore
-from nvspinmech.cli import main
+from nvspinmech import cli, mechanics, spincore
+from nvspinmech.cli import build_parser, main
 from nvspinmech.config import load_config
-from nvspinmech.mechanics import _axial_field
+from nvspinmech.mechanics import axial_field
 from nvspinmech.table import ResultTable
 
 DEG = np.pi / 180.0
@@ -271,7 +273,7 @@ class TestTables:
         else:
             b = 0.13
         res = librational_frequency(params, CrystalOrientation.identity(), cfg.trap(),
-                                    _axial_field(CrystalOrientation.identity(), b), classes=(0,))
+                                    axial_field(CrystalOrientation.identity(), b), classes=(0,))
         assert row[1:] == [res.omega_numeric, res.omega_analytic, res.theta_star, res.stable]
 
     def test_metadata_block_present(self, capsys):
@@ -511,7 +513,7 @@ class TestCliField:
         table = self.table(capsys, "equilibrium", "--set", "sweep.values=0.11,0.13")
         cfg = load_config(overrides=["sweep.values=0.11,0.13"])
         results = equilibrium_branch(cfg.spin_params(), self.crystal,
-                                     [(cfg.trap(), _axial_field(self.crystal, b))
+                                     [(cfg.trap(), axial_field(self.crystal, b))
                                       for b in fields])
         assert [row[1] for row in table.rows] == [res.theta for res in results]
         assert [row[3] for row in table.rows] == [res.torque_residual for res in results]
@@ -523,7 +525,7 @@ class TestCliField:
         table = self.table(capsys, "mdmr", *(a for o in overrides for a in ("--set", o)))
         cfg = load_config(overrides=overrides)
         spectrum = mdmr_scan(cfg.spin_params(), self.crystal, cfg.trap(),
-                             _axial_field(self.crystal, 0.023), cfg.microwave_drive(),
+                             axial_field(self.crystal, 0.023), cfg.microwave_drive(),
                              classes=(0,))
         assert float(table.meta["baseline_theta_rad"]) == spectrum.baseline_theta
         assert [row[1] for row in table.rows] == list(spectrum.theta)
@@ -536,8 +538,38 @@ class TestCliField:
         cfg = load_config(overrides=overrides)
         for row, b in zip(table.rows, (0.15, 0.2), strict=True):
             res = librational_frequency(cfg.spin_params(), self.crystal, cfg.trap(),
-                                        _axial_field(self.crystal, b), classes=(0,))
+                                        axial_field(self.crystal, b), classes=(0,))
             assert row[1:4] == [res.omega_numeric, res.omega_analytic, res.theta_star]
+
+
+class TestCliModule:
+    def test_imports_public_names_only(self):
+        # the CLI is a client of the package's public API: no private
+        # ``_name`` from any package module (dunders such as __version__
+        # are not private)
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        private = [f"{node.module or '.'}.{alias.name}" for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and (node.level > 0 or (node.module or "").startswith("nvspinmech"))
+                   for alias in node.names
+                   if alias.name.startswith("_") and not alias.name.endswith("__")]
+        assert private == []
+
+    def test_parser_is_built_once_through_the_module_attribute(self, capsys, monkeypatch):
+        builds = []
+
+        def counted():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(2):
+                assert run_cli(capsys, "susceptibility", *FAST_SUSC)[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
 
 
 def _sets(*overrides):

@@ -11,14 +11,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvspinmech import (NV_AXES, MicrowaveDrive, TiltGeometry,
-                        build_hamiltonian, microwave_superoperator, spin_expectation,
-                        steady_state_batch)
+from nvspinmech import (NV_AXES, MicrowaveDrive, TiltGeometry, microwave_superoperator,
+                        spin_expectation, steady_state_batch)
 from nvspinmech.constants import HBAR
 from nvspinmech.crystal import transverse_reference
 from nvspinmech.mechanics import _class_fields, _class_moments
 
-from conftest import kron_jump_sum, spin_params, to_crystal
+from conftest import hamiltonian, kron_jump_sum, spin_params, to_crystal
 
 TWO_PI = 2.0 * np.pi
 
@@ -50,7 +49,7 @@ def reference_dissipator(gamma1, gamma2_star, pump_rate):
 
 
 def reference_steady_state(params, b_nv, extra=None):
-    h = build_hamiltonian(params, b_nv) / HBAR
+    h = hamiltonian(params, b_nv) / HBAR
     i3 = np.eye(3)
     gen = -1j * (np.kron(h, i3) - np.kron(i3, h.T))
     gen += reference_dissipator(params.gamma1, params.gamma2_star, params.pump_rate)

@@ -1,11 +1,14 @@
 """Geometry of the four orientation classes and the azimuth of the tilt."""
 
+import re
+
 import numpy as np
 import pytest
 
 from nvspinmech import (NV_AXES, TETRAHEDRAL_ANGLE, CrystalOrientation, FieldVector, TiltGeometry,
-                        tilt_geometry, tilt_torque_batch)
-from nvspinmech.mechanics import _CLASS_FRAMES, _axial_field, _class_fields, _torque_scale
+                        TrapModel, equilibrium_angle, tilt_geometry, tilt_torque_batch)
+from nvspinmech.cli import main
+from nvspinmech.mechanics import _CLASS_FRAMES, _class_fields, _torque_scale, axial_field
 
 DEG = np.pi / 180.0
 EPS = np.finfo(float).eps
@@ -117,6 +120,25 @@ class TestFieldTransforms:
             CrystalOrientation.identity().axis_lab(4)
 
 
+BAD_CLASS_SETS = [(), (0, 0), (1, 2, 1), (4,), (-1,), (0, 5)]
+
+
+@pytest.mark.parametrize("classes", BAD_CLASS_SETS, ids=str)
+def test_one_class_set_rule(capsys, params, orientation, classes):
+    # crystal decides which class sets are valid; the CLI, the library and
+    # a single class index all reject by that rule, naming the bad value
+    spec = ",".join(map(str, classes))
+    assert main(["equilibrium", "--set", f"run.classes={spec}", "--set", "sweep.steps=2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nvspinmech: config error: run.classes") and repr(classes) in err, err
+    with pytest.raises(ValueError, match=re.escape(repr(classes))):
+        equilibrium_angle(params, orientation, TrapModel(), axial_field(orientation, 0.1),
+                          classes=classes)
+    for index in set(classes) - {0, 1, 2, 3}:
+        with pytest.raises(ValueError, match=re.escape(repr((index,)))):
+            orientation.axis_lab(index)
+
+
 class TestConstantTiltFrame:
     """tilt_geometry is the one place the azimuth of a lab field is decided,
     in the class-0 frame rows that TiltGeometry builds its field from."""
@@ -148,4 +170,4 @@ class TestConstantTiltFrame:
         # the CLI's crystal is unrotated and its field lies along the tracked axis
         cli = CrystalOrientation.identity()
         for b in np.linspace(1e-3, 0.3, 3000):
-            assert tilt_geometry(cli, _axial_field(cli, float(b))).phi == 0.0, b
+            assert tilt_geometry(cli, axial_field(cli, float(b))).phi == 0.0, b

@@ -16,7 +16,7 @@ from nvspinmech import (CrystalOrientation, SpinParams, TiltGeometry, TrapModel,
                         steady_state_batch, steady_state_derivative_batch,
                         tilt_torque_and_slope, tilt_torque_batch)
 from nvspinmech.constants import HBAR
-from nvspinmech.mechanics import (_axial_field, _class_fields, _class_moments, _dot3,
+from nvspinmech.mechanics import (axial_field, _class_fields, _class_moments, _dot3,
                                   _integrate_torque)
 
 from conftest import spin_params
@@ -103,7 +103,7 @@ class TestStiffnessAgainstRichardsonCurvature:
     def test_criterion_4a_parameters(self, classes):
         params = SpinParams(n_spins_per_class=1e9, pump_rate=1e9)
         trap = TrapModel(moment_of_inertia=1e-22, trap_frequency=0.0)
-        res = librational_frequency(params, ORIENTATION, trap, _axial_field(ORIENTATION, 0.2),
+        res = librational_frequency(params, ORIENTATION, trap, axial_field(ORIENTATION, 0.2),
                                     classes=classes)
         geom = TiltGeometry(b_mag=0.2, phi=0.0)
         ref = richardson_stiffness(params, geom, res.theta_star, 2e-3, classes)
@@ -119,7 +119,7 @@ class TestStiffnessAgainstRichardsonCurvature:
         for v in sweep:
             b, pump = (v, 1e6) if variable == "field" else (0.13, v)
             params = SpinParams(n_spins_per_class=1e9, pump_rate=pump)
-            res = librational_frequency(params, ORIENTATION, free, _axial_field(ORIENTATION, b),
+            res = librational_frequency(params, ORIENTATION, free, axial_field(ORIENTATION, b),
                                         classes=(0,))
             if res.theta_star != 0.0:
                 continue
@@ -139,7 +139,7 @@ class TestStiffnessAgainstRichardsonCurvature:
 @pytest.mark.parametrize("b_mag,seed", [(0.05, 2), (0.08, 1), (0.13, 4)])
 def test_stencil_curl_converges_to_exact_at_second_order(b_mag, seed):
     params = SpinParams()
-    exact = landscape_curl_check(params, ORIENTATION, _axial_field(ORIENTATION, b_mag),
+    exact = landscape_curl_check(params, ORIENTATION, axial_field(ORIENTATION, b_mag),
                                  n_samples=1, seed=seed)
     rng = np.random.default_rng(seed)
     theta, phi = float(rng.uniform(0.1, 1.2)), float(rng.uniform(0.0, TWO_PI))

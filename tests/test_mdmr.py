@@ -12,7 +12,7 @@ from nvspinmech.spincore import SX, _coordinates, _hamiltonian_batch, _structure
 from nvspinmech.crystal import transverse_reference
 from nvspinmech import mdmr, roots, spincore
 from nvspinmech.mdmr import _driven_torque
-from nvspinmech.mechanics import (ALL_CLASSES, _axial_field, _class_fields, _dot3,
+from nvspinmech.mechanics import (ALL_CLASSES, axial_field, _class_fields, _dot3,
                                   _torque_scale)
 from scipy.optimize import brentq
 
@@ -32,7 +32,7 @@ def scan_window(params, orientation, trap, b_mag, line, span_hz, n, classes=(0,)
     """Sweep frequencies centered on one |0>-connected line at equilibrium."""
     from nvspinmech import equilibrium_angle, tilt_geometry, NV_AXES
 
-    b = _axial_field(orientation, b_mag)
+    b = axial_field(orientation, b_mag)
     eq = equilibrium_angle(params, orientation, trap, b, classes=classes)
     geom = tilt_geometry(orientation, b)
     bc = geom.field_and_derivative(eq.theta)[0, 0]
@@ -222,12 +222,54 @@ class TestDriveBuild:
             assert _per_point_error(gen, ref) <= 1e-15, freq
 
 
+_BARE_ZERO = np.array([0.0, 1.0, 0.0])  # |m_s = 0> in the (+1, 0, -1) basis
+
+
+def lines_by_own_eigh(params, b_nv):
+    """The route :func:`zero_connected_lines` replaced, written out: its own
+    eigh of hbar * H at one field and the argmax of the |0> overlap."""
+    h = HBAR * _hamiltonian_batch(params, np.asarray(b_nv, dtype=float)[None])[0]
+    vals, vecs = np.linalg.eigh(h)
+    k0 = int(np.argmax(np.abs(_BARE_ZERO @ vecs) ** 2))
+    freqs = sorted(abs(vals[k] - vals[k0]) / HBAR / (2.0 * np.pi) for k in range(3) if k != k0)
+    return float(freqs[0]), float(freqs[1])
+
+
+class TestZeroConnectedLines:
+    """The |0>-connected lines are read from the drive's eigenbasis (level
+    gaps and row 1 of the projector block), bitwise the route of their own
+    eigh."""
+
+    def test_bitwise_the_own_eigh_route(self, params):
+        rng = np.random.default_rng(17)
+        crossing = params.zero_field_splitting / params.gyromagnetic_ratio
+        # the class-frame fields of the theta = 0 gimbal, as mdmr_scan reads them
+        gimbal = [_class_fields(TiltGeometry(b_mag=b, phi=0.0).field_and_derivative([0.0]),
+                                ALL_CLASSES)[0][:, 0] for b in (0.023, 0.1024, crossing, 0.18)]
+        fields = np.concatenate([
+            rng.normal(scale=0.08, size=(1000, 3)),
+            rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-5.0, 0.5, size=(200, 1)),
+            *_drive_build_fields(params).values(), *gimbal,
+            [[0.0, 0.0, crossing], [0.0, 0.0, -crossing], [0.0, 0.0, 0.0]]])
+        for b in fields:
+            assert zero_connected_lines(params, b) == lines_by_own_eigh(params, b), b
+
+    def test_crossing_and_zero_field(self, params):
+        d_hz = params.zero_field_splitting / TWO_PI
+        crossing = params.zero_field_splitting / params.gyromagnetic_ratio
+        assert zero_connected_lines(params, (0.0, 0.0, 0.0)) == pytest.approx((d_hz, d_hz),
+                                                                              rel=1e-15)
+        lower, upper = zero_connected_lines(params, (0.0, 0.0, crossing))
+        assert lower == pytest.approx(0.0, abs=1e-6 * d_hz)
+        assert upper == pytest.approx(2.0 * d_hz, rel=1e-12)
+
+
 class TestScan:
     def test_zero_drive_yields_exact_zero(self, params, orientation, trap):
         freqs = np.linspace(2.0e9, 2.5e9, 7)
         drive = drive_at(freqs, rabi_hz=0.0)
         spec = mdmr_scan(params, orientation, trap,
-                         _axial_field(orientation, 0.023), drive)
+                         axial_field(orientation, 0.023), drive)
         assert np.all(spec.delta_theta == 0.0)
         assert spec.baseline_theta > 0.0
         assert all(p.converged for p in spec.points)
@@ -242,7 +284,7 @@ class TestScan:
         assert expected_minus == pytest.approx(2.2254e9, rel=1e-4)
         assert expected_plus == pytest.approx(3.5146e9, rel=1e-4)
         freqs = np.linspace(2.0e9, 3.8e9, 181)
-        spec = mdmr_scan(params, orientation, trap, _axial_field(orientation, b0),
+        spec = mdmr_scan(params, orientation, trap, axial_field(orientation, b0),
                          drive_at(freqs, rabi_hz=0.5e6), classes=(0,))
         dth = spec.delta_theta
         i_minus = np.argmin(np.abs(freqs - expected_minus))
@@ -262,7 +304,7 @@ class TestScan:
         expected = (params.gyromagnetic_ratio * b0
                     - params.zero_field_splitting) / TWO_PI
         freqs = np.linspace(expected - 60e6, expected + 60e6, 41)
-        spec = mdmr_scan(params, orientation, trap, _axial_field(orientation, b0),
+        spec = mdmr_scan(params, orientation, trap, axial_field(orientation, b0),
                          drive_at(freqs, rabi_hz=1e6), classes=(0,))
         peak = freqs[np.argmax(np.abs(spec.delta_theta))]
         assert peak == pytest.approx(expected, abs=10e6)
@@ -274,7 +316,7 @@ class TestScan:
         # far from the aligned class's and differ among themselves because
         # the baseline tilt breaks their equivalence
         b0 = 0.18
-        b = _axial_field(orientation, b0)
+        b = axial_field(orientation, b0)
         spec = mdmr_scan(params, orientation, trap, b,
                          drive_at(np.linspace(2.0e9, 2.4e9, 5), 1e6))
         lines_109 = spec.class_lines_hz[1]
@@ -289,13 +331,13 @@ class TestScan:
 
     def test_empty_sweep_rejected(self, params, orientation, trap):
         with pytest.raises(ValueError, match="empty"):
-            mdmr_scan(params, orientation, trap, _axial_field(orientation, 0.02),
+            mdmr_scan(params, orientation, trap, axial_field(orientation, 0.02),
                       MicrowaveDrive(rabi_rate=1.0, frequencies=()))
 
     @pytest.mark.parametrize("classes", [(), (0, 0), (-1,), (5,)])
     def test_invalid_classes_rejected(self, params, orientation, trap, classes):
         with pytest.raises(ValueError, match="classes"):
-            mdmr_scan(params, orientation, trap, _axial_field(orientation, 0.02),
+            mdmr_scan(params, orientation, trap, axial_field(orientation, 0.02),
                       drive_at([2.0e9], 1e6), classes)
 
     def test_no_stable_baseline_raises(self, params, orientation):
@@ -303,7 +345,7 @@ class TestScan:
         # stable root in the searched range
         far = TrapModel(trap_frequency=TWO_PI * 500.0, theta0=4.0)
         with pytest.raises(RuntimeError, match="no stable microwave-off equilibrium"):
-            mdmr_scan(params, orientation, far, _axial_field(orientation, 0.13),
+            mdmr_scan(params, orientation, far, axial_field(orientation, 0.13),
                       drive_at([2.0e9], 1e6))
 
 
@@ -313,7 +355,7 @@ class TestHysteresis:
         freqs, center = scan_window(params, orientation, trap, 0.13,
                                     "lower", 120 * MHZ, 41)
         up, down = hysteresis_pair(params, orientation, trap,
-                                   _axial_field(orientation, 0.13),
+                                   axial_field(orientation, 0.13),
                                    drive_at(freqs, rabi_hz=0.2e6), classes=(0,))
         gap = np.max(np.abs(up.delta_theta - down.delta_theta[::-1]))
         assert gap < 1e-5 * DEG
@@ -323,7 +365,7 @@ class TestHysteresis:
         freqs, center = scan_window(params, orientation, trap, 0.14,
                                     "upper", 300 * MHZ, 61)
         up, down = hysteresis_pair(params, orientation, trap,
-                                   _axial_field(orientation, 0.14),
+                                   axial_field(orientation, 0.14),
                                    drive_at(freqs, rabi_hz=8e6), classes=(0,))
         gap = np.max(np.abs(up.delta_theta - down.delta_theta[::-1]))
         assert gap > 1.0 * DEG
@@ -335,7 +377,7 @@ class TestHysteresis:
         freqs, center = scan_window(params, orientation, trap_m, 0.12,
                                     "lower", 150 * MHZ, 61)
         up, down = hysteresis_pair(params, orientation, trap_m,
-                                   _axial_field(orientation, 0.12),
+                                   axial_field(orientation, 0.12),
                                    drive_at(freqs, 6e6), classes=(0,))
         assert sharp_edge_side(up, down, center) == "high"
 
@@ -343,7 +385,7 @@ class TestHysteresis:
         freqs, center = scan_window(params, orientation, trap_p, 0.14,
                                     "upper", 300 * MHZ, 61)
         up, down = hysteresis_pair(params, orientation, trap_p,
-                                   _axial_field(orientation, 0.14),
+                                   axial_field(orientation, 0.14),
                                    drive_at(freqs, 8e6), classes=(0,))
         assert sharp_edge_side(up, down, center) == "low"
 
@@ -355,7 +397,7 @@ class TestHysteresis:
             freqs, center = scan_window(p, orientation, trap, 0.023,
                                         line, 60 * MHZ, 61)
             up, down = hysteresis_pair(p, orientation, trap,
-                                       _axial_field(orientation, 0.023),
+                                       axial_field(orientation, 0.023),
                                        drive_at(freqs, rabi), classes=(0,))
             assert sharp_edge_side(up, down, center) == "low"
 
@@ -365,7 +407,7 @@ class TestHysteresis:
         # (and an unstable root between them); the scan stays on it
         p = SpinParams(gamma2_star=TWO_PI * 1e6)
         trap = TrapModel(trap_frequency=TWO_PI * 120.0, theta0=10.0 * DEG)
-        field = _axial_field(orientation, 0.023)
+        field = axial_field(orientation, 0.023)
         freqs, _ = scan_window(p, orientation, trap, 0.023, "upper", 60 * MHZ, 13)
         spec = mdmr_scan(p, orientation, trap, field,
                          drive_at(freqs[::-1], 2e6, direction="down"), classes=(0,))
@@ -434,22 +476,22 @@ class TestPairMemo:
         p = SpinParams(gamma2_star=TWO_PI * 1e6)
         trap = TrapModel(trap_frequency=TWO_PI * 120.0, theta0=10.0 * DEG)
         freqs, _ = scan_window(p, orientation, trap, 0.023, "upper", 60 * MHZ, 13)
-        return p, trap, _axial_field(orientation, 0.023), drive_at(freqs, 2e6), (0,)
+        return p, trap, axial_field(orientation, 0.023), drive_at(freqs, 2e6), (0,)
 
     def linear_pair(self, params, orientation):
         trap = TrapModel(trap_frequency=TWO_PI * 300.0, theta0=3.0 * DEG)
         freqs, _ = scan_window(params, orientation, trap, 0.13, "lower", 120 * MHZ, 7)
-        return params, trap, _axial_field(orientation, 0.13), drive_at(freqs, 0.2e6), (0,)
+        return params, trap, axial_field(orientation, 0.13), drive_at(freqs, 0.2e6), (0,)
 
     def four_class_pair(self, params, orientation):
         # the README 180 mT recipe with all four classes, shortened
         trap = TrapModel(trap_frequency=TWO_PI * 500.0, theta0=3.0 * DEG)
-        return (params, trap, _axial_field(orientation, 0.18),
+        return (params, trap, axial_field(orientation, 0.18),
                 drive_at(np.linspace(2.1e9, 2.25e9, 9), 6e6), (0, 1, 2, 3))
 
     def zero_drive_pair(self, params, orientation):
         trap = TrapModel(trap_frequency=TWO_PI * 500.0, theta0=3.0 * DEG)
-        return (params, trap, _axial_field(orientation, 0.023),
+        return (params, trap, axial_field(orientation, 0.023),
                 drive_at(np.linspace(2.0e9, 2.5e9, 7), 0.0), (0,))
 
     @pytest.mark.parametrize("case", ["fold_pair", "linear_pair", "four_class_pair",
@@ -597,7 +639,7 @@ class TestSharedSolve:
 
     @pytest.fixture
     def geom(self, orientation):
-        return tilt_geometry(orientation, _axial_field(orientation, 0.18))
+        return tilt_geometry(orientation, axial_field(orientation, 0.18))
 
     def assert_is_the_sliced_torque(self, params, geom, trap, freqs, thetas, classes):
         rabi = TWO_PI * 6e6
@@ -628,7 +670,7 @@ class TestBaseline:
 
     @pytest.mark.parametrize("classes", [(0,), (0, 1, 2, 3)])
     def test_baseline_is_equilibrium_angle(self, params, orientation, trap, classes):
-        field = _axial_field(orientation, 0.18)
+        field = axial_field(orientation, 0.18)
         spec = mdmr_scan(params, orientation, trap, field,
                          drive_at(np.linspace(2.1e9, 2.25e9, 3), 6e6), classes)
         eq = equilibrium_angle(params, orientation, trap, field, classes=classes)
@@ -637,7 +679,7 @@ class TestBaseline:
     def test_zero_drive_solves_nothing_past_baseline(self, params, orientation, trap,
                                                       monkeypatch):
         keys = count_torque_points(monkeypatch)
-        spec = mdmr_scan(params, orientation, trap, _axial_field(orientation, 0.023),
+        spec = mdmr_scan(params, orientation, trap, axial_field(orientation, 0.023),
                          drive_at(np.linspace(2.0e9, 2.5e9, 7), rabi_hz=0.0))
         assert keys == []
         assert all(p.delta_theta == 0.0 and p.iterations == 0 and p.converged
@@ -653,7 +695,7 @@ class TestBaseline:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(mdmr, "equilibrium_angle", counting)
-        up, down = hysteresis_pair(params, orientation, trap, _axial_field(orientation, 0.18),
+        up, down = hysteresis_pair(params, orientation, trap, axial_field(orientation, 0.18),
                                    drive_at(np.linspace(2.1e9, 2.25e9, 3), 6e6), classes=(0,))
         assert len(calls) == 1
         assert up.baseline_theta == down.baseline_theta

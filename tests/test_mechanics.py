@@ -19,7 +19,7 @@ from nvspinmech import (CrystalOrientation, FieldVector, SpinParams, TrapModel,
 from nvspinmech import mdmr, mechanics, roots
 from nvspinmech.config import load_config
 from nvspinmech.constants import HBAR, KB
-from nvspinmech.mechanics import (ALL_CLASSES, _CLASS_FRAMES, TiltGeometry, _axial_field, _dot3,
+from nvspinmech.mechanics import (ALL_CLASSES, _CLASS_FRAMES, TiltGeometry, axial_field, _dot3,
                                   _integrate_torque, _per_tilt)
 from nvspinmech.spincore import (spin_expectation, steady_state_batch,
                                  steady_state_derivative_batch)
@@ -33,27 +33,27 @@ DEG = np.pi / 180.0
 
 class TestSpinTorque:
     def test_aligned_axial_field_gives_zero(self, params, orientation):
-        geom = tilt_geometry(orientation, _axial_field(orientation, 0.12))
+        geom = tilt_geometry(orientation, axial_field(orientation, 0.12))
         tau = tilt_torque_batch(params, geom, [0.0], classes=(0,))
         assert np.allclose(tau, 0.0, atol=1e-24)
 
     def test_linear_regime_matches_susceptibility(self, params, orientation):
         # dispersive point, small tilt: tau = (V/mu0) chi_perp B^2 theta
         b0, theta = 0.12, 0.5 * DEG
-        geom = tilt_geometry(orientation, _axial_field(orientation, b0))
+        geom = tilt_geometry(orientation, axial_field(orientation, b0))
         tau = tilt_torque_batch(params, geom, [theta], classes=(0,))[0]
         expected = linear_torque_coefficient(params, b0) * theta
         assert tau == pytest.approx(expected, rel=1e-2)
 
     def test_restoring_past_crossing(self, params, orientation):
         # pumped ensemble past the level crossing: d(tau)/d(theta) < 0 at 0
-        geom = tilt_geometry(orientation, _axial_field(orientation, 0.13))
+        geom = tilt_geometry(orientation, axial_field(orientation, 0.13))
         h = 1e-4
         taus = tilt_torque_batch(params, geom, [-h, h], classes=(0,))
         assert (taus[1] - taus[0]) / (2 * h) < 0.0
 
     def test_anti_restoring_before_crossing(self, params, orientation):
-        geom = tilt_geometry(orientation, _axial_field(orientation, 0.05))
+        geom = tilt_geometry(orientation, axial_field(orientation, 0.05))
         h = 1e-4
         taus = tilt_torque_batch(params, geom, [-h, h], classes=(0,))
         assert (taus[1] - taus[0]) / (2 * h) > 0.0
@@ -74,7 +74,7 @@ class TestEnergyLandscape:
         thetas = np.linspace(-1.0, 1.0, 11)
         phis = np.linspace(0.0, TWO_PI, 4)
         scape = magnetic_energy_landscape(p, orientation,
-                                          _axial_field(orientation, 0.11),
+                                          axial_field(orientation, 0.11),
                                           thetas, phis)
         i0 = np.argmin(np.abs(thetas))
         assert np.all(scape.energy >= scape.energy[i0, :].max() - 1e-25)
@@ -84,7 +84,7 @@ class TestEnergyLandscape:
         p = params.with_(n_spins_per_class=2.5e8)
         thetas = np.linspace(0.0, 1.0, 9)
         scape = magnetic_energy_landscape(p, orientation,
-                                          _axial_field(orientation, 0.11),
+                                          axial_field(orientation, 0.11),
                                           thetas, np.array([0.0]))
         assert scape.depth > 100.0 * KB * 300.0
 
@@ -92,7 +92,7 @@ class TestEnergyLandscape:
         thetas = np.linspace(0.0, 0.9, 7)
         phis = np.array([0.4, 0.4 + TWO_PI / 3.0])
         scape = magnetic_energy_landscape(params, orientation,
-                                          _axial_field(orientation, 0.11),
+                                          axial_field(orientation, 0.11),
                                           thetas, phis)
         scale = np.max(np.abs(scape.energy))
         assert np.max(np.abs(scape.energy[:, 0] - scape.energy[:, 1])) < 1e-9 * scale
@@ -102,7 +102,7 @@ class TestEnergyLandscape:
         thetas = np.linspace(0.0, 0.9, 6)
         phis = np.array([0.3, 1.7, 4.0])
         scape = magnetic_energy_landscape(params, orientation,
-                                          _axial_field(orientation, 0.11),
+                                          axial_field(orientation, 0.11),
                                           thetas, phis, classes=(0,))
         assert np.array_equal(scape.energy, np.repeat(scape.energy[:, :1], phis.size, axis=1))
         assert np.max(np.abs(scape.energy)) > 0.0
@@ -142,7 +142,7 @@ class TestEnergyLandscape:
                 u[i] = u[i + 1] + _integrate_torque(params, geom, anchors[i], anchors[i + 1],
                                                     classes)
             oracle[:, j] = u[np.searchsorted(anchors, thetas)]
-        scape = magnetic_energy_landscape(params, orientation, _axial_field(orientation, b_mag),
+        scape = magnetic_energy_landscape(params, orientation, axial_field(orientation, b_mag),
                                           thetas, phis, classes)
         assert np.max(np.abs(scape.energy - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
@@ -157,7 +157,7 @@ class TestEnergyLandscape:
             return original(params, geom, thetas, classes, rows)
 
         monkeypatch.setattr(mechanics, "tilt_torque_batch", counting)
-        magnetic_energy_landscape(params, orientation, _axial_field(orientation, 0.11),
+        magnetic_energy_landscape(params, orientation, axial_field(orientation, 0.11),
                                   np.linspace(-1.0, 1.0, 21), np.linspace(0.0, TWO_PI, 9))
         assert len(calls) == 216
         assert calls.count((0,)) == 36 and calls.count((1, 2, 3)) == 180
@@ -166,7 +166,7 @@ class TestEnergyLandscape:
         # the three off-axis classes break the +-theta symmetry at phi = 0
         thetas = np.array([-0.6, -0.3, 0.3, 0.6])
         scape = magnetic_energy_landscape(params, orientation,
-                                          _axial_field(orientation, 0.11),
+                                          axial_field(orientation, 0.11),
                                           thetas, np.array([0.0]))
         u = scape.energy[:, 0]
         assert abs(u[1] - u[2]) > 0.05 * abs(u[2])
@@ -181,7 +181,7 @@ class TestEnergyLandscape:
             b0 = float(rng.uniform(0.02, 0.18))
             theta = float(rng.uniform(0.05, 1.3))
             phi = float(rng.uniform(0.0, TWO_PI))
-            geom = tilt_geometry(orientation, _axial_field(orientation, b0))
+            geom = tilt_geometry(orientation, axial_field(orientation, b0))
             geom = type(geom)(b_mag=geom.b_mag, phi=phi)
             tau = tilt_torque_batch(params, geom, [theta])[0]
 
@@ -196,7 +196,7 @@ class TestEnergyLandscape:
             assert abs(-grad - tau) <= 1e-6 * scale + 1e-30
 
     def test_grid_validation(self, params, orientation):
-        b = _axial_field(orientation, 0.1)
+        b = axial_field(orientation, 0.1)
         with pytest.raises(ValueError, match="increasing"):
             magnetic_energy_landscape(params, orientation, b,
                                       np.array([0.2, 0.1]), np.array([0.0]))
@@ -207,19 +207,19 @@ class TestEnergyLandscape:
         # before the classes are split into the axis line and the rest, and
         # also when no interval is integrated
         with pytest.raises(ValueError, match="classes"):
-            magnetic_energy_landscape(params, orientation, _axial_field(orientation, 0.1),
+            magnetic_energy_landscape(params, orientation, axial_field(orientation, 0.1),
                                       thetas, [0.0, 1.0], classes)
 
     def test_curl_diagnostic_is_small(self, params, orientation):
         rel_curl = landscape_curl_check(params, orientation,
-                                        _axial_field(orientation, 0.11),
+                                        axial_field(orientation, 0.11),
                                         n_samples=4, seed=3)
         assert rel_curl < 0.05
 
     @pytest.mark.parametrize("n_samples", [0, -1])
     def test_curl_diagnostic_needs_a_sample(self, params, orientation, n_samples):
         with pytest.raises(ValueError, match="n_samples"):
-            landscape_curl_check(params, orientation, _axial_field(orientation, 0.11),
+            landscape_curl_check(params, orientation, axial_field(orientation, 0.11),
                                  n_samples=n_samples)
 
     def test_quadrature_failure_names_worst_cell(self, params, orientation, monkeypatch):
@@ -229,7 +229,7 @@ class TestEnergyLandscape:
         monkeypatch.setattr(mechanics, "_QUAD_RTOL", 1e-14)
         monkeypatch.setattr(mechanics, "_QUAD_ATOL", 1e-40)
         monkeypatch.setattr(mechanics, "_QUAD_DEPTH", 0)
-        geom = tilt_geometry(orientation, _axial_field(orientation, 0.103))
+        geom = tilt_geometry(orientation, axial_field(orientation, 0.103))
         with pytest.raises(QuadratureError, match="worst cell") as exc:
             _integrate_torque(params, geom, 0.0, 1.2)
         lo, hi, phi = exc.value.cell
@@ -444,7 +444,7 @@ class TestStableBracket:
 
     def test_equilibrium_polish_keeps_scanned_end_values(self, params, orientation,
                                                          monkeypatch):
-        field = _axial_field(orientation, 0.1)
+        field = axial_field(orientation, 0.1)
         scale = mechanics._torque_scale(params, 0.1)
         b_end = 31 * roots._STEP
         torque = self._flipping_torque(b_end, scale)
@@ -464,7 +464,7 @@ class TestStableBracket:
         monkeypatch.setattr(mdmr, "_driven_torque", lambda *args: torque(args[5]))
         drive = mdmr.MicrowaveDrive(rabi_rate=2.0 * np.pi * 1e6, frequencies=(1e9,))
         spec = mdmr.mdmr_scan(params, orientation, TrapModel(trap_frequency=0.0),
-                              _axial_field(orientation, 0.1), drive)
+                              axial_field(orientation, 0.1), drive)
         assert abs(spec.baseline_theta - (b_end - 1e-9)) < 1e-10
         assert spec.points[0].converged
         assert abs(spec.points[0].theta - (b_end - 1e-9)) < 1e-10
@@ -566,11 +566,11 @@ _PUMP_ROWS = [(_RECIPE_PARAMS.with_(pump_rate=pump), 0.13) for pump in np.linspa
 class TestBatchedRows:
     @pytest.mark.parametrize("cases", [_FIELD_ROWS, _PUMP_ROWS], ids=["field", "pump_rate"])
     def test_equilibria_rows_are_equilibrium_angle(self, orientation, cases):
-        rows = [(p, tilt_geometry(orientation, _axial_field(orientation, b))) for p, b in cases]
+        rows = [(p, tilt_geometry(orientation, axial_field(orientation, b))) for p, b in cases]
         batched = mechanics._equilibria(rows, [_FREE] * len(rows), [_FREE.theta0] * len(rows),
                                         (0,))
         for (p, b), res in zip(cases, batched, strict=True):
-            alone = equilibrium_angle(p, orientation, _FREE, _axial_field(orientation, b),
+            alone = equilibrium_angle(p, orientation, _FREE, axial_field(orientation, b),
                                       classes=(0,))
             assert _bits(res) == _bits(alone), b
         if cases is _FIELD_ROWS:
@@ -582,9 +582,9 @@ class TestBatchedRows:
     @pytest.mark.parametrize("cases", [_FIELD_ROWS, _PUMP_ROWS], ids=["field", "pump_rate"])
     def test_libration_sweep_rows_are_librational_frequency(self, orientation, cases):
         sweep = mechanics.libration_sweep(
-            orientation, _FREE, [(p, _axial_field(orientation, b)) for p, b in cases], (0,))
+            orientation, _FREE, [(p, axial_field(orientation, b)) for p, b in cases], (0,))
         for (p, b), res in zip(cases, sweep, strict=True):
-            alone = librational_frequency(p, orientation, _FREE, _axial_field(orientation, b),
+            alone = librational_frequency(p, orientation, _FREE, axial_field(orientation, b),
                                           classes=(0,))
             assert _bits(res) == _bits(alone), b
 
@@ -626,7 +626,7 @@ class TestBatchedRows:
 def _recipe_row_torque(orientation, cases, batches):
     """The total torque of the libration recipe rows, tilts tagged by row,
     recording the size of each batch."""
-    rows = [(p, tilt_geometry(orientation, _axial_field(orientation, b))) for p, b in cases]
+    rows = [(p, tilt_geometry(orientation, axial_field(orientation, b))) for p, b in cases]
     params, geoms = [p for p, _ in rows], [g for _, g in rows]
 
     def torque(idx, thetas):
@@ -702,12 +702,12 @@ class TestEquilibrium:
     def test_invalid_classes_rejected(self, params, orientation, trap, classes):
         # empty, repeated or out of 0..3: before any torque is summed
         with pytest.raises(ValueError, match="classes"):
-            equilibrium_angle(params, orientation, trap, _axial_field(orientation, 0.1),
+            equilibrium_angle(params, orientation, trap, axial_field(orientation, 0.1),
                               classes=classes)
 
     def test_weak_field_stays_at_trap_angle(self, params, orientation, trap):
         res = equilibrium_angle(params, orientation, trap,
-                                _axial_field(orientation, 0.02))
+                                axial_field(orientation, 0.02))
         assert res.bound
         assert abs(res.theta - trap.theta0) < 1.0 * DEG
         assert res.stability > 0.0
@@ -715,14 +715,14 @@ class TestEquilibrium:
     def test_zero_trap_past_crossing_aligns_exactly(self, params, orientation):
         free = TrapModel(trap_frequency=0.0)
         res = equilibrium_angle(params, orientation, free,
-                                _axial_field(orientation, 0.13))
+                                axial_field(orientation, 0.13))
         assert res.bound
         assert abs(res.theta) < 1e-6
 
     def test_residual_is_small(self, params, orientation, trap):
         res = equilibrium_angle(params, orientation, trap,
-                                _axial_field(orientation, 0.12))
-        geom = tilt_geometry(orientation, _axial_field(orientation, 0.12))
+                                axial_field(orientation, 0.12))
+        geom = tilt_geometry(orientation, axial_field(orientation, 0.12))
         taus = tilt_torque_batch(params, geom, np.linspace(0, 0.3, 8))
         assert res.torque_residual < 1e-3 * np.max(np.abs(taus))
 
@@ -731,7 +731,7 @@ class TestEquilibrium:
         thetas = []
         for b in np.linspace(0.08, 0.13, 6):
             res = equilibrium_angle(params, orientation, trap,
-                                    _axial_field(orientation, b), warm_start=warm)
+                                    axial_field(orientation, b), warm_start=warm)
             warm = res.theta
             thetas.append(res.theta)
         assert all(np.isfinite(thetas))
@@ -740,13 +740,13 @@ class TestEquilibrium:
         # a trap angle beyond the searched range [-pi/2, pi]: the trap torque
         # outweighs the spin torque everywhere in it, so no root is stable
         far = TrapModel(trap_frequency=TWO_PI * 500.0, theta0=4.0)
-        res = equilibrium_angle(params, orientation, far, _axial_field(orientation, 0.13))
+        res = equilibrium_angle(params, orientation, far, axial_field(orientation, 0.13))
         assert not res.bound
         assert np.isnan(res.theta)
         assert np.isnan(res.slope)
 
     def test_slope_is_the_exact_total_slope_at_the_root(self, params, orientation, trap):
-        b = _axial_field(orientation, 0.12)
+        b = axial_field(orientation, 0.12)
         res = equilibrium_angle(params, orientation, trap, b)
         _, slope = mechanics.tilt_torque_and_slope(params, tilt_geometry(orientation, b),
                                                    [res.theta])
@@ -756,7 +756,7 @@ class TestEquilibrium:
     def test_trap_angle_past_right_angle_is_bound(self, params, orientation):
         # the search reaches past pi/2: a trap at 2 rad holds the axis there
         trap = TrapModel(trap_frequency=TWO_PI * 500.0, theta0=2.0)
-        res = equilibrium_angle(params, orientation, trap, _axial_field(orientation, 0.13))
+        res = equilibrium_angle(params, orientation, trap, axial_field(orientation, 0.13))
         assert res.bound
         assert res.stability > 0.0
         assert res.theta == pytest.approx(1.9695, abs=1e-4)
@@ -794,7 +794,7 @@ class TestEquilibriumBranch:
         # the middle case is unbound (trap angle beyond the searched range):
         # the case after it starts from the last bound root
         far = TrapModel(trap_frequency=TWO_PI * 500.0, theta0=4.0)
-        cases = [(t, _axial_field(orientation, b))
+        cases = [(t, axial_field(orientation, b))
                  for t, b in ((trap, 0.08), (trap, 0.1), (far, 0.11), (trap, 0.12))]
         expected = _serial_branch(params, orientation, cases)
         assert [r.bound for r in expected] == [True, True, False, True]
@@ -839,7 +839,7 @@ class TestEquilibriumBranch:
         # ends on the other side from where it began
         weak = TrapModel(trap_frequency=TWO_PI * 100.0, theta0=3.0 * DEG)
         up = np.linspace(0.05, 0.13, 9)
-        cases = [(weak, _axial_field(orientation, b)) for b in [*up, *up[::-1][1:]]]
+        cases = [(weak, axial_field(orientation, b)) for b in [*up, *up[::-1][1:]]]
         for guess, first in ((None, 0.2254), (-0.2, -0.2096)):
             got = equilibrium_branch(params, orientation, cases, guess=guess)
             assert [_bits(r) for r in got] == [
@@ -859,13 +859,13 @@ class TestEquilibriumBranch:
         # sweeps included: every result is the serial loop's, bitwise
         params, orientation = SpinParams(), CrystalOrientation.identity()
         cases = [(TrapModel(trap_frequency=TWO_PI * hz, theta0=theta0),
-                  _axial_field(orientation, b)) for b, hz, theta0 in rows]
+                  axial_field(orientation, b)) for b, hz, theta0 in rows]
         got = equilibrium_branch(params, orientation, cases, classes, guess)
         expected = _serial_branch(params, orientation, cases, classes, guess)
         assert [_bits(r) for r in got] == [_bits(r) for r in expected]
 
     def test_guess_seeds_the_first_case(self, params, orientation, trap):
-        b_lab = _axial_field(orientation, 0.1)
+        b_lab = axial_field(orientation, 0.1)
         res = equilibrium_angle(params, orientation, trap, b_lab, warm_start=0.2)
         assert equilibrium_branch(params, orientation, [(trap, b_lab)], guess=0.2) == [res]
 
@@ -975,7 +975,7 @@ class TestLibration:
         p = params.with_(n_spins_per_class=1e9, pump_rate=1e8)
         trap = TrapModel(trap_frequency=0.0)
         res = librational_frequency(p, orientation, trap,
-                                    _axial_field(orientation, 0.2), classes=(0,))
+                                    axial_field(orientation, 0.2), classes=(0,))
         delta = abs(p.zero_field_splitting - p.gyromagnetic_ratio * 0.2)
         expected = np.sqrt(1.054571817e-34 * 1e9 * p.pumping_factor
                            / (1e-22 * delta)) * p.gyromagnetic_ratio * 0.2
@@ -988,7 +988,7 @@ class TestLibration:
         p = params.with_(n_spins_per_class=1e9, pump_rate=1e9)
         trap = TrapModel(moment_of_inertia=1e-22, trap_frequency=0.0)
         res = librational_frequency(p, orientation, trap,
-                                    _axial_field(orientation, 0.2), classes=(0,))
+                                    axial_field(orientation, 0.2), classes=(0,))
         full = np.sqrt(abs(linear_torque_coefficient(p, 0.2)) / 1e-22)
         assert res.omega_numeric == pytest.approx(full, rel=1e-4)
         d_m = p.zero_field_splitting - p.gyromagnetic_ratio * 0.2
@@ -1002,12 +1002,12 @@ class TestLibration:
         p = params.with_(n_spins_per_class=1e9)
         trap = TrapModel(trap_frequency=0.0)
         r1 = librational_frequency(p, orientation, trap,
-                                   _axial_field(orientation, 0.2), classes=(0,))
+                                   axial_field(orientation, 0.2), classes=(0,))
         d1 = abs(p.zero_field_splitting - p.gyromagnetic_ratio * 0.2)
         b2 = 0.4
         d2 = abs(p.zero_field_splitting - p.gyromagnetic_ratio * b2)
         r2 = librational_frequency(p, orientation, trap,
-                                   _axial_field(orientation, b2), classes=(0,))
+                                   axial_field(orientation, b2), classes=(0,))
         assert r2.omega_analytic / r1.omega_analytic == pytest.approx(
             (b2 / 0.2) * np.sqrt(d1 / d2), rel=1e-9)
 
@@ -1028,7 +1028,7 @@ class TestLibration:
         p = params.with_(n_spins_per_class=1e9)
         trap = TrapModel(trap_frequency=0.0)
         res = librational_frequency(p, orientation, trap,
-                                    _axial_field(orientation, 0.15), classes=(0,))
+                                    axial_field(orientation, 0.15), classes=(0,))
         assert res.stable
         assert res.omega_numeric == pytest.approx(res.omega_analytic, rel=0.2)
 
@@ -1038,7 +1038,7 @@ class TestLibration:
         # positive, so the stable tilt the libration solves lies off axis
         p = params.with_(n_spins_per_class=1e9)
         weak = TrapModel(trap_frequency=TWO_PI * 50.0, theta0=0.0)
-        b = _axial_field(orientation, 0.09)
+        b = axial_field(orientation, 0.09)
         _, slope = tilt_torque_and_slope(p, tilt_geometry(orientation, b), [0.0],
                                          classes=(0,))
         assert slope[0] - weak.stiffness > 0.0
@@ -1057,7 +1057,7 @@ class TestLibration:
             return original(params, b_nv, rows, directions)
 
         monkeypatch.setattr(mechanics, "steady_state_moments", counting)
-        b = _axial_field(orientation, 0.15)
+        b = axial_field(orientation, 0.15)
         solved = librational_frequency(params, orientation, trap, b)
         assert len(calls) == 1
         assert solved.stable
@@ -1067,7 +1067,7 @@ class TestLibration:
         assert solved.stiffness == -float(slope[0]) + trap.stiffness
 
         far = TrapModel(trap_frequency=TWO_PI * 500.0, theta0=4.0)
-        unbound = librational_frequency(params, orientation, far, _axial_field(orientation, 0.13))
+        unbound = librational_frequency(params, orientation, far, axial_field(orientation, 0.13))
         assert len(calls) == 2
         assert not unbound.stable
         assert np.isnan(unbound.theta_star) and np.isnan(unbound.stiffness)
@@ -1079,7 +1079,7 @@ class TestLibration:
         thetas = []
         for b in np.arange(0.115, 0.2001, 0.017):
             res = equilibrium_angle(params, orientation, trap,
-                                    _axial_field(orientation, b), warm_start=warm)
+                                    axial_field(orientation, b), warm_start=warm)
             warm = res.theta
             thetas.append(res.theta)
         assert np.all(np.diff(thetas) <= 2e-5)

@@ -13,15 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvspinmech import (FieldVector, SingularDetuningError, SpinParams, SteadyStateError,
-                        build_hamiltonian, check_density_matrix, detunings,
-                        magnetization, spin_expectation, steady_state,
+from nvspinmech import (FieldVector, MicrowaveDrive, SingularDetuningError, SpinParams,
+                        SteadyStateError, check_density_matrix, detunings, magnetization,
+                        microwave_superoperator, spin_expectation, steady_state,
                         steady_state_batch, steady_state_derivative_batch,
                         steady_state_moments, susceptibility_analytic,
-                        susceptibility_numeric, susceptibility_van_vleck)
+                        susceptibility_numeric, susceptibility_van_vleck,
+                        zero_connected_lines)
 from nvspinmech import spincore
 from nvspinmech.constants import HBAR, MU0
-from nvspinmech.spincore import _density_matrices, _dissipator_matrix, _moments
+from nvspinmech.spincore import (_density_matrices, _dissipator_matrix, _hamiltonian_batch,
+                                 _moments)
 
 TWO_PI = 2.0 * np.pi
 
@@ -63,24 +65,26 @@ def first_order_coherence_0m1(p: SpinParams, b0: float, db_x: float) -> complex:
     return factor * lorentz * p.gyromagnetic_ratio / np.sqrt(2.0) * db_x
 
 
+def hamiltonians(params, *fields):
+    """Hamiltonians (J) of ``_hamiltonian_batch`` at a stack of NV-frame fields."""
+    return HBAR * _hamiltonian_batch(params, np.array(fields, dtype=float))
+
+
 class TestHamiltonian:
     def test_zero_field_splitting_degeneracy(self, params):
-        h = build_hamiltonian(params, (0.0, 0.0, 0.0))
-        evals = np.sort(np.linalg.eigvalsh(h))
+        evals = np.sort(np.linalg.eigvalsh(hamiltonians(params, (0.0, 0.0, 0.0))[0]))
         d = HBAR * params.zero_field_splitting
         assert abs(evals[0]) < 1e-40
         assert np.allclose(evals[1:], [d, d], rtol=1e-12)
 
     def test_level_crossing_near_102_mT(self, params):
-        h = build_hamiltonian(params, (0.0, 0.0, 0.1024))
-        evals = np.sort(np.linalg.eigvalsh(h))
+        evals = np.sort(np.linalg.eigvalsh(hamiltonians(params, (0.0, 0.0, 0.1024))[0]))
         # |0> and |-1| nearly degenerate at the crossing field
         assert abs(evals[1] - evals[0]) < HBAR * TWO_PI * 1e6
 
     def test_transition_at_180_mT(self, params):
         b = 0.18
-        h = build_hamiltonian(params, (0.0, 0.0, b))
-        evals = np.sort(np.linalg.eigvalsh(h))
+        evals = np.sort(np.linalg.eigvalsh(hamiltonians(params, (0.0, 0.0, b))[0]))
         nu = (evals[1] - evals[0]) / HBAR / TWO_PI
         expected = params.gyromagnetic_ratio * b / TWO_PI \
             - params.zero_field_splitting / TWO_PI
@@ -89,20 +93,54 @@ class TestHamiltonian:
 
     def test_hermitian_for_random_fields(self, params):
         rng = np.random.default_rng(7)
-        for _ in range(20):
-            b = rng.normal(scale=0.1, size=3)
-            h = build_hamiltonian(params, b)
+        for h in hamiltonians(params, *rng.normal(scale=0.1, size=(20, 3))):
             assert np.allclose(h, h.conj().T, atol=1e-40)
 
-    def test_rejects_non_finite_field(self, params):
+    def test_rejects_non_finite_field(self):
+        # the check every field passes before a Hamiltonian is built
         with pytest.raises(ValueError):
-            build_hamiltonian(params, (np.nan, 0.0, 0.0))
+            spincore._field_stack((np.nan, 0.0, 0.0), one=True)
         with pytest.raises(ValueError):
-            build_hamiltonian(params, (0.0, np.inf, 0.0))
+            spincore._field_stack((0.0, np.inf, 0.0), one=True)
 
-    def test_field_vector_frame_enforced(self, params):
-        with pytest.raises(ValueError, match="frame"):
-            build_hamiltonian(params, FieldVector(0.0, 0.0, 0.1, frame="lab"))
+
+BAD_FIELDS = {"nan": (np.nan, 0.0, 0.0), "inf": (0.0, np.inf, 0.0),
+              "two components": (0.0, 0.1), "four components": (0.0, 0.0, 0.1, 0.0)}
+
+
+class TestFieldCheck:
+    """One check for every NV-frame field: a finite 3-array, or a finite
+    (k, 3) stack where a function takes one."""
+
+    DRIVE = MicrowaveDrive(rabi_rate=TWO_PI * 1e6, frequencies=(2.8e9,))
+
+    @pytest.mark.parametrize("bad", BAD_FIELDS.values(), ids=BAD_FIELDS.keys())
+    def test_one_field_rejected(self, params, bad):
+        with pytest.raises(ValueError, match="finite"):
+            steady_state(params, bad)
+        with pytest.raises(ValueError, match="finite"):
+            zero_connected_lines(params, bad)
+        with pytest.raises(ValueError, match="finite"):
+            microwave_superoperator(params, bad, 2.8e9, self.DRIVE)
+
+    @pytest.mark.parametrize("bad", BAD_FIELDS.values(), ids=BAD_FIELDS.keys())
+    def test_stack_rejected(self, params, bad):
+        stack = np.stack([np.full(len(bad), 0.05), bad])
+        for solve in (steady_state, zero_connected_lines):  # each takes one field
+            with pytest.raises(ValueError, match="finite"):
+                solve(params, stack)
+        with pytest.raises(ValueError, match="finite"):
+            steady_state_batch(params, stack)
+        with pytest.raises(ValueError, match="finite"):
+            microwave_superoperator(params, stack, 2.8e9, self.DRIVE)
+
+    def test_field_vector_is_a_lab_vector(self):
+        assert FieldVector(0.0, 0.0, 0.1, frame="lab").frame == "lab"
+        for frame in ("nv", "crystal"):
+            with pytest.raises(ValueError, match="lab"):
+                FieldVector(0.0, 0.0, 0.1, frame=frame)
+            with pytest.raises(ValueError, match="lab"):
+                FieldVector.from_array((0.0, 0.0, 0.1), frame=frame)
 
 
 class TestSteadyState:
@@ -362,7 +400,7 @@ def crossing_gap(params, theta, b_values):
     along a field-magnitude sweep at a fixed tilt from the NV axis; for
     theta > 0 the levels never cross, so rank is the level identity."""
     sin, cos = np.sin(theta), np.cos(theta)
-    return min(np.diff(np.linalg.eigvalsh(build_hamiltonian(params, (b * sin, 0.0, b * cos))))[0]
+    return min(np.diff(np.linalg.eigvalsh(hamiltonians(params, (b * sin, 0.0, b * cos))[0]))[0]
                for b in b_values)
 
 
