@@ -5,11 +5,10 @@ The crystal frame carries the four N-V axes along the cube diagonals
 the tetrahedral angle arccos(-1/3) ~ 109.47 degrees.  A CrystalOrientation
 is the proper rotation mapping crystal coordinates into the lab.
 
-Class 0 is the tracked axis.  The torques of ``mechanics`` use one NV
-frame per class fixed in the crystal (z the axis, x and y built from the
-crystal-frame reference :func:`transverse_reference`);
-``mechanics.tilt_geometry`` measures the azimuth phi of a lab field in
-the x and y rows of the class-0 frame.
+Class 0 is the tracked axis.  ``mechanics`` projects fields onto one NV
+frame per class fixed in the crystal (z the axis, x and y built from
+:func:`transverse_reference`) before turning them into the in-plane
+frame of each field, and measures the azimuth phi in the class-0 rows.
 """
 
 from __future__ import annotations

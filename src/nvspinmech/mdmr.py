@@ -14,8 +14,10 @@ line).  Every transition of every orientation class receives its
 Lorentzian tail simultaneously.  Coherences with the drive play no
 mechanical role at these frequencies, so a rate treatment suffices.  The
 drive is built from eigenvector components with no complex matrix product
-(:func:`_eigenbasis`): coherence vectors are linear (Hioe & Eberly 1981),
-so sum_i s_i |v_i><v_i| has sum_i s_i times the projectors' coordinates.
+(``spincore._eigenbasis``): coherence vectors are linear (Hioe & Eberly
+1981), so sum_i s_i |v_i><v_i| has sum_i s_i times the projectors'
+coordinates.  The drive is along S_x of the in-plane frame (|b_perp|, 0,
+b_par) in which ``mechanics`` solves every class point.
 
 The scan starts from the microwave-off equilibrium that
 ``mechanics.equilibrium_angle`` solves; the MDMR signal is each point's
@@ -24,11 +26,12 @@ tau_spin(theta; nu) - k*(theta - theta0) nearest the previous tilt, so a
 scan is a chain of warm starts, solved like the equilibrium sweeps by
 ``roots._branch_roots``: the rows are the frequencies, each tilt is
 evaluated at its row's frequency, and the tilts a wave asks for at all
-frequencies are one driven-torque call, solved by ``spincore._solve`` in
-the slices of every steady state.  Following the branch along the sweep
-yields direction-dependent jumps (hysteresis) at folds.  With the drive
-off F does not depend on nu, so a zero-drive scan solves nothing past its
-baseline.  A hysteresis pair shares its torques (:func:`hysteresis_pair`).
+frequencies are one driven call of the torque kernel
+``mechanics._tilt_torques``, less the trap torque.  Following the branch
+along the sweep yields direction-dependent jumps (hysteresis) at folds.
+With the drive off F does not depend on nu, so a zero-drive scan solves
+nothing past its baseline.  A hysteresis pair shares its torques
+(:func:`hysteresis_pair`).
 """
 
 from __future__ import annotations
@@ -38,59 +41,26 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .constants import HBAR
 from .crystal import CrystalOrientation
-from .mechanics import (ALL_CLASSES, RangeExhaustedError, TiltGeometry, _class_fields, _dot3,
+from .mechanics import (ALL_CLASSES, RangeExhaustedError, _class_fields, _tilt_torques,
                         _torque_scale, equilibrium_angle, tilt_geometry)
 from .params import FieldVector, MicrowaveDrive, SpinParams, TrapModel
 from .roots import _branch_roots
-from .spincore import _field_stack, _hamiltonian_batch, _moments, _solve, _structure
-
-_OFF_DIAGONAL = 1.0 - np.eye(3)
-_SQRT2 = np.sqrt(2.0)
+from .spincore import _drive_generator, _eigenbasis, _field_stack
 
 
-def zero_connected_lines(params: SpinParams, b_nv) -> tuple[float, float]:
-    """The two transition frequencies (Hz) from the most |0>-like eigenstate
-    at one NV-frame field (a plain 3-array), ordered (lower, upper): the
-    level gaps of :func:`_eigenbasis` from the eigenvector with the largest
-    weight |<0|v_a>|^2, row 1 of its projector block.  ValueError unless
-    ``b_nv`` is 3 finite components."""
-    gaps, _, proj = _eigenbasis(params, _field_stack(b_nv, one=True))
-    k0 = int(np.argmax(proj[0, 1, :3]))
-    lower, upper = sorted(gaps[0, k0, k] / (2.0 * np.pi) for k in range(3) if k != k0)
-    return float(lower), float(upper)
-
-
-def _eigenbasis(params: SpinParams, b: np.ndarray) -> tuple:
-    """Level gaps (rad/s) and drive weights w_ab, both (k, 3, 3), and P (k, 9,
-    3) of :func:`microwave_superoperator` at NV-frame fields (k, 3), the one
-    diagonalization of H (:func:`zero_connected_lines` reads it too), from the
-    eigenvector components: as sqrt(2) S_x v = (v_0, v_+ + v_-, v_0), w_ab =
-    |x_ab + conj(x_ba)|^2 for x_ab = conj(v_+a + v_-a) v_0b, and column a of P
-    is |v_pa|^2, then sqrt(2) Re and sqrt(2) Im of v_pa conj(v_qa)."""
-    vals, vecs = np.linalg.eigh(HBAR * _hamiltonian_batch(params, b))
-    gaps = np.abs(vals[:, None, :] - vals[:, :, None]) / HBAR
-    x = np.conj(vecs[:, 0] + vecs[:, 2])[:, :, None] * vecs[:, 1, None, :]
-    m = x + np.conj(np.swapaxes(x, 1, 2))
-    weight = (m.real**2 + m.imag**2) * _OFF_DIAGONAL
-    c = np.conj(vecs)
-    pairs = np.concatenate([vecs[:, :1] * c[:, 1:], vecs[:, 1:2] * c[:, 2:]], axis=1)
-    return gaps, weight, np.concatenate([(vecs * c).real, _SQRT2 * pairs.real,
-                                         _SQRT2 * pairs.imag], axis=1)
-
-
-def _drive_generator(params: SpinParams, b: np.ndarray, rabi_rate: float,
-                     frequency_hz) -> np.ndarray:
-    """The drive generators (k, 9, 9) at NV-frame fields (k, 3) from their
-    :func:`_eigenbasis`: Lorentzian rates W_ab and the jump sum, at
-    ``frequency_hz``, one or one per field; G = V diag(s) V^+ has coordinates P s."""
-    gaps, weight, proj = _eigenbasis(params, b)
-    delta = 2.0 * np.pi * np.asarray(frequency_hz, dtype=float)[..., None, None] - gaps
-    rates = 0.5 * rabi_rate**2 * weight * params.gamma2_star / (delta**2 + params.gamma2_star**2)
-    gain = proj @ rates @ np.swapaxes(proj, 1, 2)
-    g = (proj @ rates.sum(axis=1)[:, :, None])[:, :, 0]
-    return gain - 0.5 * np.einsum("kj,jab->kab", g, _structure()[1])
+def zero_connected_lines(params: SpinParams, b_nv):
+    """The two transition frequencies (Hz) from the most |0>-like eigenstate,
+    (lower, upper), of one NV-frame field, or a (k, 2) array of a (k, 3)
+    stack, bitwise per field: the level gaps of ``spincore._eigenbasis`` from
+    the eigenvector with the largest weight |<0|v_a>|^2, row 1 of its
+    projector block.  ValueError for a non-finite or mis-shaped field."""
+    stack = np.ndim(b_nv) == 2
+    gaps, _, proj = _eigenbasis(params, _field_stack(b_nv, one=not stack))
+    k0 = np.argmax(proj[:, 1, :3], axis=1)
+    # the gap of the |0>-like state to itself is exactly 0, the smallest
+    lines = np.sort(gaps[np.arange(len(gaps)), k0], axis=1)[:, 1:] / (2.0 * np.pi)
+    return lines if stack else (float(lines[0, 0]), float(lines[0, 1]))
 
 
 def microwave_superoperator(params: SpinParams, b_nv, frequency_hz: float,
@@ -164,36 +134,6 @@ class MdmrSpectrum:
         return np.array([p.theta for p in self.points])
 
 
-def _driven_torque(params: SpinParams, geom: TiltGeometry, trap: TrapModel,
-                   rabi_rate: float, freqs, thetas, classes) -> np.ndarray:
-    """Spin torque under the drive plus trap torque at ``thetas``, each
-    tilt at its drive frequency ``freqs`` (Hz; one, or one per tilt).
-
-    The class-frame fields and their theta-derivatives come from one
-    :func:`_class_fields` call.  Each class point is solved at its in-plane
-    field (|b_perp|, 0, b_z), where the drive acts along S_x: one
-    ``spincore._solve`` of all class points, with the drive generators of
-    each slice (:func:`_drive_generator`) as its extra generators, and the
-    moment rotated back by the azimuth alpha of b_perp (0 for an axial
-    field: the transverse reference).  Every step is elementwise or per
-    point, so a tilt gives the same bits alone.
-    """
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    fields, dfields = _class_fields(geom.field_and_derivative(thetas), classes)
-    bx, by, bz = np.moveaxis(fields, -1, 0)
-    inplane = np.stack([np.hypot(bx, by), np.zeros_like(bz), bz], axis=-1).reshape(-1, 3)
-    freqs = np.broadcast_to(np.asarray(freqs, dtype=float), bz.shape).reshape(-1)
-    r, _ = _solve(params, inplane,
-                  lambda s: _drive_generator(params, inplane[s], rabi_rate, freqs[s]))
-    moments = (-HBAR * params.gyromagnetic_ratio * _moments(r)).reshape(fields.shape)
-    alpha = np.arctan2(by, bx)
-    cos, sin = np.cos(alpha), np.sin(alpha)
-    mx, my = moments[..., 0], moments[..., 1]
-    moments[..., 0], moments[..., 1] = cos * mx - sin * my, sin * mx + cos * my
-    spin = params.n_spins_per_class * sum(_dot3(moments, dfields))
-    return spin - trap.stiffness * (thetas - trap.theta0)
-
-
 def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapModel,
               b_lab: FieldVector, drive: MicrowaveDrive,
               classes=ALL_CLASSES, *, memo: dict | None = None) -> MdmrSpectrum:
@@ -239,10 +179,13 @@ def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapMod
     if drive.rabi_rate == 0.0:  # the torque does not depend on freq: every root is the baseline
         found = [(baseline, 0)] * n
     else:
+        def total(rows, thetas):  # spin plus trap torque, each tilt at its row's frequency
+            return (_tilt_torques(params, geom, thetas, classes, None, False,
+                                  (drive.rabi_rate, freqs[rows]))[0]
+                    - trap.stiffness * (np.asarray(thetas, dtype=float) - trap.theta0))
+
         found = _branch_roots(
-            brentq, lambda rows, thetas: _driven_torque(params, geom, trap, drive.rabi_rate,
-                                                        freqs[rows], thetas, classes),
-            [baseline] * n, [_torque_scale(params, geom.b_mag)] * n,
+            brentq, total, [baseline] * n, [_torque_scale(params, geom.b_mag)] * n,
             [solved.setdefault((drive.rabi_rate, f), {}) for f in freqs.tolist()])
 
     points = []
@@ -254,8 +197,7 @@ def mdmr_scan(params: SpinParams, orientation: CrystalOrientation, trap: TrapMod
                                 delta_theta=theta - baseline, converged=ok, iterations=evals))
     fields = _class_fields(geom.field_and_derivative(baseline)[0], classes)[:, 0]
     return MdmrSpectrum(drive=drive, baseline_theta=baseline, points=tuple(points),
-                        class_lines_hz=np.array([zero_connected_lines(params, f)
-                                                 for f in fields]))
+                        class_lines_hz=zero_connected_lines(params, fields))
 
 
 def hysteresis_pair(params: SpinParams, orientation: CrystalOrientation,

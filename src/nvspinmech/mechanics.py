@@ -3,16 +3,17 @@
 The orientation degree of freedom is the tilt angle theta of the tracked
 (class 0) NV axis away from the applied field, along the great circle
 selected by the azimuth phi (measured in the crystal frame around it).
-All four orientation classes contribute: for each class the driven-damped
-steady state is evaluated with the field expressed in that class's local
-frame, and the torque conjugate to theta is
+All four orientation classes contribute: each class's steady-state moment
+m_c' is solved at its in-plane field (|b_perp|, 0, b_par), the field turned
+about the class axis, and the torque conjugate to theta is
 
-    tau_theta = sum_c N_c * tr(rho_c * (-dH_c/dtheta)),
+    tau_theta = sum_c N_c * m_c' . d_c',
 
-with the field-direction derivative taken analytically.  In the linear
+with d_c' = db_c/dtheta turned into the same frame; one kernel
+(:func:`_tilt_torques`) gives undriven and driven torques.  In the linear
 regime this reduces to the classical (V/mu0) * chi_perp * B^2 * theta form
 of the induced-moment torque.  A torque batch is one pass: one sin/cos, one
-class projection and one ``steady_state_moments`` batch for all of it.
+class projection and one moment solve for all of it.
 
 The magnetic potential U(theta, phi) is defined as -integral of tau_theta
 along constant-phi paths from theta = 0 (the steady-state torque field
@@ -36,7 +37,7 @@ from .constants import HBAR
 from .crystal import NV_AXES, CrystalOrientation, _check_classes, transverse_reference
 from .params import FieldVector, SpinParams, TrapModel
 from .roots import _XTOL, _branch_roots, _stable_roots
-from .spincore import detunings, steady_state_moments
+from .spincore import _drive_generator, _moments, _solve, detunings, steady_state_moments
 
 ALL_CLASSES = (0, 1, 2, 3)
 
@@ -56,8 +57,8 @@ _QUAD_DEPTH = 12
 # Rows x, y, z of each class's NV frame, fixed in the crystal: z the axis,
 # y = z x transverse_reference(z), x = y x z (orthogonal to z in floating
 # point: an axial field has transverse components of exactly 0).  The
-# undriven model is symmetric under rotation about each axis (diagonal
-# dissipator, one dephasing rate), so no frame needs to follow the field.
+# class projection reads them, and _inplane then turns each class point
+# about its axis into the frame of its own field.
 _Y = np.cross(NV_AXES, [transverse_reference(axis) for axis in NV_AXES])
 _CLASS_FRAMES = np.stack([np.cross(_Y, NV_AXES), _Y, NV_AXES], axis=1)
 _Z0_PAIR = np.stack([NV_AXES[0], -NV_AXES[0]])[:, None]
@@ -161,31 +162,60 @@ def _per_tilt(params, geom, rows) -> tuple[TiltGeometry, float | np.ndarray]:
             column([p.n_spins_per_class for p in params]))
 
 
-def _class_moments(params, fields: np.ndarray, directions=None, rows=None):
-    """(m, m'): class-frame moments (..., 3) at class-frame fields (..., 3)
-    and, with ``directions`` (..., n, 3), their derivatives (..., n, 3) along
-    them (else None), from one :func:`steady_state_moments` batch.  ``rows``
-    holds the parameter row of each of the k tilts of a (..., k, 3) stack,
-    and the rows share the gyromagnetic ratio."""
-    m, dm = steady_state_moments(
-        params, fields.reshape(-1, 3),
-        None if rows is None else np.broadcast_to(rows, fields.shape[:-1]).ravel(),
-        None if directions is None else directions.reshape((-1,) + directions.shape[-2:]))
-    scale = -HBAR * (params if rows is None else params[0]).gyromagnetic_ratio
-    return (scale * m.reshape(fields.shape),
-            None if dm is None else scale * dm.reshape(directions.shape))
+def _inplane(vectors: np.ndarray, classes) -> np.ndarray:
+    """The class points (1 + m, n_classes, k, 3) of a (1 + m, k, 3) stack of
+    crystal-frame vectors, a field b then m directions d, turned about each
+    class axis until b is in plane: b' = (|b_perp|, 0, b_par) and d' =
+    (c dx + s dy, c dy - s dx, dz), (c, s) = (bx, by) / |b_perp| or (1, 0)
+    at the theta = 0 gimbal, where bx = by = 0.  The undriven model is
+    symmetric about each axis and the drive acts along S_x of this frame,
+    so m . d = m' . d' for the moments m' at b'."""
+    out = _class_fields(vectors, classes)
+    b, d = out[0], out[1:]
+    bx, by, dx, dy = b[..., 0], b[..., 1], d[..., 0], d[..., 1]
+    perp = np.hypot(bx, by)
+    axial = perp == 0.0
+    c, s = bx / (perp + axial) + axial, by / (perp + axial)
+    d[..., 0], d[..., 1] = c * dx + s * dy, c * dy - s * dx
+    b[..., 0], b[..., 1] = perp, 0.0
+    return out
 
 
-def _tilt_torques(params, geom, thetas, classes, rows, slope: bool):
+def _tilt_torques(params, geom, thetas, classes, rows, slope: bool, drive=None):
     """Torques at ``thetas`` and, if ``slope``, their exact slopes (else
-    None): b and db/dtheta from one sin/cos, their class-frame components
-    from one projection, and one moment batch."""
+    None): b and db/dtheta from one sin/cos, the class points from one
+    :func:`_inplane`, and one moment solve; with ``drive``, (Rabi rate,
+    frequency in Hz, one or one per tilt), that of ``spincore._solve`` with
+    the drive generators (torques only, no rows).  At phi = 0 the field lies
+    in the mirror plane of classes 2 and 3 (equal in-plane fields to
+    1.5e-16), so class 3 takes class 2's moment with its own d': a torque
+    batch solves 3 class points of such a tilt, a slope batch all 4.  Each
+    tilt decides, so a tilt gives the same bits in any batch."""
     geom, n = _per_tilt(params, geom, rows)
-    fields, dfields = _class_fields(geom.field_and_derivative(thetas), classes)
-    moments, dmoments = _class_moments(params, fields, dfields[..., None, :] if slope else None,
-                                       rows)
+    fields, dfields = _inplane(geom.field_and_derivative(thetas), classes)
+    shape = fields.shape
+    mirror = np.ravel(geom.phi) == np.zeros(shape[1]) if {2, 3} <= set(classes) else None
+    solve = np.ones(shape[:2], dtype=bool)  # the class points solved
+    if mirror is not None and not slope:
+        solve[classes.index(3)] = ~mirror
+    solve = solve.ravel()
+    points = fields.reshape(-1, 3)[solve]
+    per_point = lambda values: np.broadcast_to(values, shape[:2]).ravel()[solve]
+    if drive is None:
+        m, dm = steady_state_moments(params, points, None if rows is None else per_point(rows),
+                                     dfields.reshape(-1, 1, 3) if slope else None)
+    else:
+        rabi_rate, freqs = drive[0], per_point(drive[1])
+        r, _ = _solve(params, points,
+                      lambda s: _drive_generator(params, points[s], rabi_rate, freqs[s]))
+        m, dm = _moments(r), None
+    scale = -HBAR * (params if rows is None else params[0]).gyromagnetic_ratio
+    moments = np.empty(shape)
+    moments.reshape(-1, 3)[solve] = scale * m
+    if mirror is not None:
+        moments[classes.index(3), mirror] = moments[classes.index(2), mirror]
     tau = n * sum(_dot3(moments, dfields))
-    return tau, (n * sum(_dot3(dmoments[..., 0, :], dfields) - _dot3(moments, fields))
+    return tau, (n * sum(_dot3(scale * dm.reshape(shape), dfields) - _dot3(moments, fields))
                  if slope else None)
 
 
@@ -202,10 +232,11 @@ def tilt_torque_batch(params: SpinParams, geom: TiltGeometry, thetas,
 def tilt_torque_and_slope(params: SpinParams, geom: TiltGeometry, thetas,
                           classes=ALL_CLASSES, rows=None) -> tuple[np.ndarray, np.ndarray]:
     """Torques (N m), bitwise those of :func:`tilt_torque_batch`, and their
-    exact slopes (N m/rad) at each requested theta: with m_c' the moment's
-    derivative along db_c/dtheta (:func:`steady_state_moments`) and
-    d2b/dtheta2 = -b, tau' = N * sum_c (m_c' . db_c/dtheta - m_c . b_c).
-    ``rows`` is that of :func:`tilt_torque_batch`.
+    exact slopes (N m/rad) at each requested theta: in the in-plane frame of
+    each class point (:func:`_inplane`), with Dm_c' the derivative of its
+    moment along d_c' (:func:`steady_state_moments`) and d2b/dtheta2 = -b,
+    tau' = N * sum_c (Dm_c' . d_c' - m_c' . b_c').  ``rows`` is that of
+    :func:`tilt_torque_batch`.
     """
     return _tilt_torques(params, geom, thetas, classes, rows, True)
 
@@ -310,7 +341,8 @@ def landscape_curl_check(params: SpinParams, orientation: CrystalOrientation,
     The steady-state torque field is dissipative, so this need not vanish;
     small values justify treating U as a potential.  The curl is exact: the
     mixed second derivative of the field cancels, leaving
-    N * sum_c (dm_c/dphi . db_c/dtheta - dm_c/dtheta . db_c/dphi).
+    N * sum_c (dm_c/dphi . db_c/dtheta - dm_c/dtheta . db_c/dphi), taken
+    in the in-plane frames of the torques (:func:`_inplane`).
 
     Raises:
         ValueError: if ``n_samples`` is below 1.
@@ -324,13 +356,14 @@ def landscape_curl_check(params: SpinParams, orientation: CrystalOrientation,
     geoms = [(TiltGeometry(b_mag=b_mag, phi=float(ph)), float(th)) for th, ph in samples]
     b, db_th = np.concatenate([g.field_and_derivative(th) for g, th in geoms], axis=1)
     db_ph = np.array([b_mag * np.sin(th) * np.cross(g.z0, g.e_phi) for g, th in geoms])
-    fields = _class_fields(b, classes)
-    dfields = np.moveaxis(_class_fields(np.stack([db_th, db_ph]), classes), 0, 2)
-    moments, dmoments = _class_moments(params, fields, dfields)
+    fields, d_th, d_ph = _inplane(np.stack([b, db_th, db_ph]), classes)
+    dirs = np.stack([d_th, d_ph], axis=2)
+    m, dm = steady_state_moments(params, fields.reshape(-1, 3), None, dirs.reshape(-1, 2, 3))
+    scale = -HBAR * params.gyromagnetic_ratio
+    m, dm = scale * m.reshape(fields.shape), scale * dm.reshape(dirs.shape)
     n = params.n_spins_per_class
-    curl = n * sum(_dot3(dmoments[:, :, 1], dfields[:, :, 0])
-                   - _dot3(dmoments[:, :, 0], dfields[:, :, 1]))
-    tau = [np.abs(n * sum(_dot3(moments, dfields[:, :, i]))) for i in (0, 1)]
+    curl = n * sum(_dot3(dm[:, :, 1], d_th) - _dot3(dm[:, :, 0], d_ph))
+    tau = [np.abs(n * sum(_dot3(m, d))) for d in (d_th, d_ph)]
     floor = 1e-9 * n * HBAR * params.gyromagnetic_ratio * b_mag
     return float(np.max(np.abs(curl) / np.maximum(np.maximum(*tau), floor)))
 

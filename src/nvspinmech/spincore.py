@@ -21,13 +21,14 @@ oracles below.
 Fields are plain NV-frame arrays, one field as 3 components or a (k, 3)
 stack, each checked for shape and finiteness by one private check that
 ``mdmr`` shares; a ``params.FieldVector`` is a lab-frame field and is not
-taken here.
+taken here.  The microwave drive of ``mdmr`` is built here too
+(:func:`_drive_generator`), next to the generators it is added to.
 
 The state is its real coherence vector (Hioe & Eberly 1981), whose
 generator A0 + sum_i b_i A_i is affine in the NV-frame field; the steady
 state is a trace-constrained real linear solve, and
-:func:`steady_state_moments` reads <S> straight from the solved vectors,
-bitwise the route through the density matrix.  Linear-response
+:func:`steady_state_moments` reads <S> straight from the solved vectors
+in closed form.  Linear-response
 susceptibilities of the steady-state magnetization are available through
 three independent routes: the exact derivative of the solved steady state,
 closed-form expressions of the first-order solution, and second-order
@@ -51,6 +52,8 @@ SZ = np.diag([1.0, 0.0, -1.0]).astype(complex)
 
 _SZ2 = SZ @ SZ
 _SQRT_HALF = np.sqrt(0.5)
+_SQRT2 = np.sqrt(2.0)
+_OFF_DIAGONAL = 1.0 - np.eye(3)
 
 
 # Unitary T taking the row-major vec(h) of a Hermitian 3x3 matrix to its real
@@ -64,12 +67,6 @@ _T[[6, 7, 8, 6, 7, 8], [1, 2, 5, 3, 6, 7]] = _SQRT_HALF * np.repeat([-1j, 1j], 3
 # vec(rho) = T^+ r from real products, one per entry (one nonzero per column):
 # the same bits in any batch, and rho_ba exactly the conjugate of rho_ab
 _TO_REAL, _TO_IMAG = _T.real.copy(), -_T.imag
-# the columns of _TO_REAL and _TO_IMAG for the entries of vec(rho) that <S>
-# reads, as two blocks that add up to Re and Im of up = rho_01 + rho_12 and
-# down = rho_10 + rho_21, then Re rho_00 and Re rho_22
-_MOMENT_COLUMNS = np.concatenate([_TO_REAL[:, [1, 3]], _TO_IMAG[:, [3, 1]],
-                                  _TO_REAL[:, [5, 7]], _TO_IMAG[:, [7, 5]],
-                                  _TO_REAL[:, [0, 8]]], axis=1)
 # first row of each system: r_0 + r_1 + r_2 = tr(rho) = 1; the others 0
 _TRACE_ROW = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 _TRACE_RHS = np.eye(9)[:, :1]
@@ -116,17 +113,12 @@ def _density_matrices(r: np.ndarray) -> np.ndarray:
 
 
 def _moments(r: np.ndarray) -> np.ndarray:
-    """<S> (k, 3) of real coherence vectors (k, 9), bitwise
-    ``spin_expectation(_density_matrices(r))``, sign of zero included: the
-    entries it reads, each the same single product, then the same real
-    adds in the same order."""
-    x = r @ _MOMENT_COLUMNS
-    s = x[:, :4] + x[:, 4:8]  # Re up, Re down, Im down, Im up
-    out = np.empty((len(r), 3))
-    out[:, 0] = s[:, 0] + s[:, 1]
-    out[:, 1] = s[:, 2] - s[:, 3]
-    out[:, :2] *= _SQRT_HALF
-    out[:, 2] = x[:, 8] - x[:, 9]
+    """<S> (..., 3) of real coherence vectors (..., 9) in closed form,
+    (r_3 + r_5, -(r_6 + r_8), r_0 - r_2), elementwise."""
+    out = np.empty(r.shape[:-1] + (3,))
+    out[..., 0] = r[..., 3] + r[..., 5]
+    out[..., 1] = -(r[..., 6] + r[..., 8])
+    out[..., 2] = r[..., 0] - r[..., 2]
     return out
 
 
@@ -170,6 +162,39 @@ def _hamiltonian_batch(params: SpinParams, b: np.ndarray) -> np.ndarray:
             + params.gyromagnetic_ratio * (b[:, 0, None, None] * SX
                                            + b[:, 1, None, None] * SY
                                            + b[:, 2, None, None] * SZ))
+
+
+def _eigenbasis(params: SpinParams, b: np.ndarray) -> tuple:
+    """Level gaps (rad/s) and drive weights w_ab, both (k, 3, 3), and P (k, 9,
+    3) of ``mdmr.microwave_superoperator`` at NV-frame fields (k, 3), the one
+    diagonalization of H (``mdmr.zero_connected_lines`` reads it too), from
+    the eigenvector components: as sqrt(2) S_x v = (v_0, v_+ + v_-, v_0),
+    w_ab = |x_ab + conj(x_ba)|^2 for x_ab = conj(v_+a + v_-a) v_0b, and
+    column a of P is |v_pa|^2, then sqrt(2) Re and sqrt(2) Im of
+    v_pa conj(v_qa)."""
+    vals, vecs = np.linalg.eigh(HBAR * _hamiltonian_batch(params, b))
+    gaps = np.abs(vals[:, None, :] - vals[:, :, None]) / HBAR
+    x = np.conj(vecs[:, 0] + vecs[:, 2])[:, :, None] * vecs[:, 1, None, :]
+    m = x + np.conj(np.swapaxes(x, 1, 2))
+    weight = (m.real**2 + m.imag**2) * _OFF_DIAGONAL
+    c = np.conj(vecs)
+    pairs = np.concatenate([vecs[:, :1] * c[:, 1:], vecs[:, 1:2] * c[:, 2:]], axis=1)
+    return gaps, weight, np.concatenate([(vecs * c).real, _SQRT2 * pairs.real,
+                                         _SQRT2 * pairs.imag], axis=1)
+
+
+def _drive_generator(params: SpinParams, b: np.ndarray, rabi_rate: float,
+                     frequency_hz) -> np.ndarray:
+    """The drive generators (k, 9, 9) at NV-frame fields (k, 3), the drive
+    along S_x of that frame, from their :func:`_eigenbasis`: Lorentzian
+    rates W_ab and the jump sum, at ``frequency_hz``, one or one per field;
+    G = V diag(s) V^+ has coordinates P s."""
+    gaps, weight, proj = _eigenbasis(params, b)
+    delta = 2.0 * np.pi * np.asarray(frequency_hz, dtype=float)[..., None, None] - gaps
+    rates = 0.5 * rabi_rate**2 * weight * params.gamma2_star / (delta**2 + params.gamma2_star**2)
+    gain = proj @ rates @ np.swapaxes(proj, 1, 2)
+    g = (proj @ rates.sum(axis=1)[:, :, None])[:, :, 0]
+    return gain - 0.5 * np.einsum("kj,jab->kab", g, _structure()[1])
 
 
 def steady_state(params: SpinParams, b_nv,
@@ -304,17 +329,16 @@ def steady_state_moments(params: SpinParams, b_nv_batch: np.ndarray, rows=None,
                          directions: np.ndarray | None = None):
     """(<S>, d<S>): <S> (k, 3) of the steady states at NV-frame fields
     (k, 3) and, with ``directions`` (k, n, 3), its derivatives (k, n, 3)
-    (else None), read straight from the solved coherence vectors: bitwise
-    ``spin_expectation`` of :func:`steady_state_batch` and of
-    :func:`steady_state_derivative_batch`, from the same solve, slicing and
-    residual check.  ``rows`` is that of :func:`steady_state_batch`.
+    (else None), read in closed form from the coherence vectors of the
+    solve of :func:`steady_state_batch` and its derivative; within
+    3 eps (|r_a| + |r_b|) of ``spin_expectation`` of those states.
+    ``rows`` is that of :func:`steady_state_batch`.
 
     Raises:
         SteadyStateError: as :func:`steady_state_batch`.
     """
     r, dr = _solve(params, b_nv_batch, None, rows, directions)
-    return (_moments(r),
-            None if dr is None else _moments(dr.reshape(-1, 9)).reshape(dr.shape[:2] + (3,)))
+    return _moments(r), None if dr is None else _moments(dr)
 
 
 def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,

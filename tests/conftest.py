@@ -86,3 +86,31 @@ def kron_jump_sum(params, b_nv, frequency_hz, drive):
 def to_crystal(moments, classes=(0, 1, 2, 3)):
     """Crystal-frame vectors of class-frame ones, both (n_classes, k, 3)."""
     return np.einsum("cki,cij->ckj", moments, _CLASS_FRAMES[list(classes)])
+
+
+
+def _azimuth(fields):
+    """|b_perp| and (c, s) = (bx, by) / |b_perp| of class-frame fields
+    (..., 3), or (1, 0) where b_perp = 0 (the theta = 0 gimbal, where
+    bx = by = 0)."""
+    perp = np.hypot(fields[..., 0], fields[..., 1])
+    axial = perp == 0.0
+    return perp, fields[..., 0] / (perp + axial) + axial, fields[..., 1] / (perp + axial)
+
+
+def inplane_frame(fields, directions):
+    """The in-plane class points of class-frame fields (..., 3) and
+    directions (..., 3), written out: b' = (|b_perp|, 0, b_par) and d' =
+    (c dx + s dy, c dy - s dx, dz)."""
+    perp, c, s = _azimuth(fields)
+    dx, dy, dz = np.moveaxis(directions, -1, 0)
+    return (np.stack([perp, np.zeros_like(perp), fields[..., 2]], axis=-1),
+            np.stack([c * dx + s * dy, c * dy - s * dx, dz], axis=-1))
+
+
+def turned_back(moments, fields):
+    """In-plane moments (..., 3) turned back into the class frame of the
+    class-frame fields (..., 3) they were solved at."""
+    _, c, s = _azimuth(fields)
+    mx, my, mz = np.moveaxis(moments, -1, 0)
+    return np.stack([c * mx - s * my, s * mx + c * my, mz], axis=-1)

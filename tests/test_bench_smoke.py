@@ -95,8 +95,12 @@ def test_traced_pass_reports_json_without_failures(workload):
 # only the tilts it adds.  A batch above 256 systems is solved in slices
 # inside one steady-state call, which counts once.
 # An MDMR scan is a branch sweep over its frequencies, solved in the same
-# waves; a wave's tilts of all frequencies are one driven-torque call,
-# solved in those same slices.  So mdmr.brentq counts
+# waves; a wave's tilts of all frequencies are one call of the torque
+# kernel with the drive, solved in those same slices.  Torque and driven
+# batches solve every class point at its in-plane field, and at phi = 0
+# (every recipe and workload field lies along the tracked axis) class 3
+# takes class 2's solve, so a four-class torque batch solves 3 class points
+# per tilt; a slope batch still solves all 4, so no call count moves.  So mdmr.brentq counts
 # replays: 545 runs for the 136 polished points (a lone row still
 # evaluates its tilts inline).  A hysteresis pair keeps one torque memory
 # per (Rabi rate, frequency) for both scans, so the down sweep re-solves
@@ -110,8 +114,9 @@ def test_traced_pass_reports_json_without_failures(workload):
 # An mdmr_scan baseline is one equilibrium_angle solve (one
 # steady_state_moments call with directions for its slope) shared by both
 # scans of a pair; a zero-drive scan solves nothing past it.  The |0>-connected lines
-# of each class are solved at that baseline only (one zero_connected_lines
-# call per class and scan, none per point).  A quadrature panel evaluates
+# of the classes are solved at that baseline only, one stacked
+# zero_connected_lines call per scan (10 single-class scans, 2 four-class
+# scans and the zero-drive scan: 13), none per point.  A quadrature panel evaluates
 # its 6 and 12 Gauss-Legendre nodes as one 18-tilt batch; a landscape
 # integrates class 0 on one line for every azimuth (36 panels for the
 # recipe) and classes 1-3 per azimuth (20 panels each).  The trapped
@@ -136,7 +141,7 @@ BUDGETS = {
                         "mdmr.microwave_superoperator": 0,
                         "mdmr.iterations": 700,
                         "mdmr.brentq": 545,
-                        "mdmr.zero_connected_lines": 22,
+                        "mdmr.zero_connected_lines": 13,
                         "spincore.steady_state_derivative_batch": 0,
                         "crystal.transverse_reference": 0},
     "magnetometry_readout": {"spincore.steady_state_batch": 0,

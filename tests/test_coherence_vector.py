@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvspinmech import (NV_AXES, MicrowaveDrive, TiltGeometry, microwave_superoperator,
-                        spin_expectation, steady_state_batch)
+                        spin_expectation, steady_state_batch, steady_state_moments)
 from nvspinmech.constants import HBAR
 from nvspinmech.crystal import transverse_reference
-from nvspinmech.mechanics import _class_fields, _class_moments
+from nvspinmech.mechanics import _class_fields
 
 from conftest import hamiltonian, kron_jump_sum, spin_params, to_crystal
 
@@ -119,7 +119,9 @@ def test_crystal_frame_moments_match_transverse_field_frame(params, b_mag, phi, 
     geom = TiltGeometry(b_mag=b_mag, phi=phi)
     thetas = np.array([0.0, 0.5 * np.pi, *tilts])
     b = geom.field_and_derivative(thetas)[0]
-    moments = to_crystal(_class_moments(params, _class_fields(b))[0])
+    fields = _class_fields(b)  # each class's field in its fixed class frame
+    m, _ = steady_state_moments(params, fields.reshape(-1, 3))
+    moments = to_crystal(-HBAR * params.gyromagnetic_ratio * m.reshape(fields.shape))
     # relative to the moment of a fully polarized spin: the solves round at
     # ~1e-13 of it, so a nearly unpolarized class (|m| ~ 1e-3 of it at the
     # slowest rates) agrees to only ~1e-10 of its own size

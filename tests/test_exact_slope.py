@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from nvspinmech import (CrystalOrientation, SpinParams, TiltGeometry, TrapModel,
                         landscape_curl_check, librational_frequency,
-                        steady_state_batch, steady_state_derivative_batch,
+                        steady_state_batch, steady_state_derivative_batch, steady_state_moments,
                         tilt_torque_and_slope, tilt_torque_batch)
 from nvspinmech.constants import HBAR
-from nvspinmech.mechanics import (axial_field, _class_fields, _class_moments, _dot3,
+from nvspinmech.mechanics import (axial_field, _class_fields, _dot3,
                                   _integrate_torque)
 
 from conftest import spin_params
@@ -50,7 +50,9 @@ def stencil_curl(params, b_mag, theta, phi, h, classes=(0, 1, 2, 3)):
               (theta, phi)]
     geoms = [(TiltGeometry(b_mag=b_mag, phi=ph), th) for th, ph in points]
     b, db_th = np.concatenate([g.field_and_derivative(th) for g, th in geoms], axis=1)
-    moments, _ = _class_moments(params, _class_fields(b, classes))
+    fields = _class_fields(b, classes)  # each class in its fixed class frame
+    m, _ = steady_state_moments(params, fields.reshape(-1, 3))
+    moments = -HBAR * params.gyromagnetic_ratio * m.reshape(fields.shape)
 
     def torque_along(db):  # N * sum_c m_c . db_c
         return params.n_spins_per_class * sum(_dot3(moments, _class_fields(db, classes)))

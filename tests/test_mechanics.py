@@ -21,11 +21,11 @@ from nvspinmech.config import load_config
 from nvspinmech.constants import HBAR, KB
 from nvspinmech.mechanics import (ALL_CLASSES, _CLASS_FRAMES, TiltGeometry, axial_field, _dot3,
                                   _integrate_torque, _per_tilt)
-from nvspinmech.spincore import (spin_expectation, steady_state_batch,
-                                 steady_state_derivative_batch)
+from nvspinmech.spincore import (spin_expectation, steady_state_derivative_batch,
+                                 steady_state_moments)
 from nvspinmech.roots import _stable_bracket
 
-from conftest import linear_torque_coefficient
+from conftest import inplane_frame, linear_torque_coefficient, turned_back
 
 TWO_PI = 2.0 * np.pi
 DEG = np.pi / 180.0
@@ -250,33 +250,64 @@ class TestTiltGeometry:
     @pytest.mark.parametrize("n", [2, 9, 17, 40, 81])
     def test_tilt_torque_batches_match_single_tilts_bitwise(self, params, n):
         # field projections, moments and the class sum are term-by-term
-        # sums, so no rounding depends on how many tilts share a call
-        geom = TiltGeometry(b_mag=0.13, phi=0.7)
+        # sums, so no rounding depends on how many tilts share a call; at
+        # phi = 0 class 3 shares class 2's solve, decided per tilt, so a
+        # batch of rows at phi = 0 and phi != 0 gives each tilt its own bits
         thetas = np.random.default_rng(n).uniform(-0.5 * np.pi, np.pi, n)
         thetas[0] = 0.0
-        batch = tilt_torque_batch(params, geom, thetas)
-        assert np.array_equal(batch, [tilt_torque_batch(params, geom, [t])[0] for t in thetas])
+        for phi in (0.7, 0.0):
+            geom = TiltGeometry(b_mag=0.13, phi=phi)
+            batch = tilt_torque_batch(params, geom, thetas)
+            assert np.array_equal(batch, [tilt_torque_batch(params, geom, [t])[0]
+                                          for t in thetas])
+        rows = [params, params.with_(pump_rate=1e3), params]
+        geoms = [TiltGeometry(b_mag=0.13, phi=0.0), TiltGeometry(b_mag=0.05, phi=0.0),
+                 TiltGeometry(b_mag=0.13, phi=0.7)]
+        tilt_rows = np.arange(n) % 3
+        batch = tilt_torque_batch(rows, geoms, thetas, rows=tilt_rows)
+        assert np.array_equal(batch, [tilt_torque_batch(rows, geoms, [t], rows=[r])[0]
+                                      for t, r in zip(thetas, tilt_rows)])
+        assert np.array_equal(batch, [tilt_torque_batch(rows[r], geoms[r], [t])[0]
+                                      for t, r in zip(thetas, tilt_rows)])
 
 
 def composed_torque_and_slope(params, geom, thetas, classes, rows=None):
     """The torque and slope composed of separate steps, as the one-pass
     kernel must reproduce them bit for bit: b and db/dtheta from the
-    geometry's field_and_derivative, one class projection each, density
-    matrices from steady_state_batch and steady_state_derivative_batch,
-    and <S> from spin_expectation."""
+    geometry's field_and_derivative, one class projection each, the in-plane
+    points written out (``inplane_frame``), <S> and its derivative from
+    steady_state_moments at every class point, and, at phi = 0, class 2's
+    moment for class 3 (its derivative stays its own)."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     geom, n = _per_tilt(params, geom, rows)
     project = lambda v: _dot3(v[None, :, None, :], _CLASS_FRAMES[list(classes), None])
-    fields, dfields = map(project, geom.field_and_derivative(thetas))
+    fields, dfields = inplane_frame(*map(project, geom.field_and_derivative(thetas)))
     point_rows = None if rows is None else np.broadcast_to(rows, fields.shape[:-1]).ravel()
     scale = -HBAR * (params if rows is None else params[0]).gyromagnetic_ratio
-    rhos = steady_state_batch(params, fields.reshape(-1, 3), rows=point_rows)
-    moments = scale * spin_expectation(rhos).reshape(fields.shape)
-    _, drhos = steady_state_derivative_batch(params, fields.reshape(-1, 3),
-                                             dfields.reshape(-1, 1, 3), point_rows)
-    dmoments = scale * spin_expectation(drhos).reshape(fields.shape)
+    m, _ = steady_state_moments(params, fields.reshape(-1, 3), point_rows)
+    moments = scale * m.reshape(fields.shape)
+    _, dm = steady_state_moments(params, fields.reshape(-1, 3), point_rows,
+                                 dfields.reshape(-1, 1, 3))
+    dmoments = scale * dm.reshape(fields.shape)
+    if 2 in classes and 3 in classes:
+        mirror = np.broadcast_to(np.ravel(geom.phi) == 0.0, thetas.shape)
+        moments[classes.index(3), mirror] = moments[classes.index(2), mirror]
     return (n * sum(_dot3(moments, dfields)),
             n * sum(_dot3(dmoments, dfields) - _dot3(moments, fields)))
+
+
+def class_frame_moments(params, geom, thetas):
+    """The four classes' moments (4, k, 3) and their derivatives along
+    db/dtheta (4, k, 3), each solved at its field in its fixed class frame
+    (steady_state_derivative_batch, <S> from spin_expectation), with the
+    class-frame fields and db/dtheta."""
+    project = lambda v: _dot3(v[None, :, None, :], _CLASS_FRAMES[:, None])
+    fields, dfields = map(project, geom.field_and_derivative(thetas))
+    scale = -HBAR * params.gyromagnetic_ratio
+    rhos, drhos = steady_state_derivative_batch(params, fields.reshape(-1, 3),
+                                                dfields.reshape(-1, 1, 3))
+    return (scale * spin_expectation(rhos).reshape(fields.shape),
+            scale * spin_expectation(drhos).reshape(fields.shape), fields, dfields)
 
 
 def kernel_cases():
@@ -313,6 +344,8 @@ class TestOnePassKernel:
         assert (got_tau.tobytes(), got_slope.tobytes()) == (tau.tobytes(), slope.tobytes())
 
     def test_one_moment_batch_per_call(self, params, monkeypatch):
+        # 4 class points per tilt, 3 for a torque at phi = 0, where class 3
+        # takes class 2's moment; a slope batch solves every class point
         calls = []
         original = mechanics.steady_state_moments
 
@@ -325,6 +358,52 @@ class TestOnePassKernel:
         tilt_torque_batch(params, geom, [0.1, 0.2, 0.3])
         tilt_torque_and_slope(params, geom, [0.1], classes=(0, 2))
         assert calls == [(12, False), (2, True)]
+        calls.clear()
+        mirror = TiltGeometry(b_mag=0.13, phi=0.0)
+        tilt_torque_batch(params, mirror, [0.1, 0.2, 0.3])
+        tilt_torque_batch(params, mirror, [0.1], classes=(3, 2))
+        tilt_torque_batch(params, mirror, [0.1], classes=(0, 3))
+        tilt_torque_and_slope(params, mirror, [0.1, 0.2])
+        assert calls == [(9, False), (1, False), (2, False), (8, True)]
+
+    @pytest.mark.parametrize("b_mag", [0.023, 0.1024, 0.18])
+    def test_class_frame_composition_is_a_reference(self, params, b_mag):
+        # each class solved in its fixed class frame, the route the kernel
+        # replaced: the in-plane moments turned back agree to 1e-12 of a
+        # fully polarized spin's moment (measured 2.2e-14 to 5.6e-14); the
+        # torques to 1e-13 of _torque_scale (measured <= 4.9e-15) and the
+        # slopes to 1e-11 of their largest (measured <= 2.1e-13)
+        thetas = np.concatenate([[0.0], np.linspace(-0.5 * np.pi, np.pi, 61)])
+        scale = HBAR * params.gyromagnetic_ratio
+        for phi in (0.0, 0.7, 2.1):
+            geom = TiltGeometry(b_mag=b_mag, phi=phi)
+            moments, dmoments, fields, dfields = class_frame_moments(params, geom, thetas)
+            inplane, _ = inplane_frame(fields, dfields)
+            m, _ = steady_state_moments(params, inplane.reshape(-1, 3))
+            turned = turned_back(-scale * m.reshape(fields.shape), fields)
+            assert np.max(np.abs(turned - moments)) <= 1e-12 * scale
+            n = params.n_spins_per_class
+            tau, slope = tilt_torque_and_slope(params, geom, thetas)
+            ref_tau = n * sum(_dot3(moments, dfields))
+            ref_slope = n * sum(_dot3(dmoments, dfields) - _dot3(moments, fields))
+            scale_tau = mechanics._torque_scale(params, b_mag)
+            assert np.max(np.abs(tau - ref_tau)) <= 1e-13 * scale_tau
+            assert np.max(np.abs(slope - ref_slope)) <= 1e-11 * np.max(np.abs(ref_slope))
+
+    @pytest.mark.parametrize("b_mag", [0.023, 0.1024, 0.18])
+    def test_mirror_classes_share_the_moment_not_the_torque(self, params, b_mag):
+        # at phi = 0 class 3 takes class 2's in-plane moment: the four-class
+        # torque is the sum of the single-class ones (each class solved at
+        # its own in-plane field) to 1e-15 of _torque_scale (measured <=
+        # 2e-17), while the torques of classes 2 and 3 differ by 2e-7 to
+        # 5.7e-6 of it, so a kernel that shared the torque would fail
+        geom = TiltGeometry(b_mag=b_mag, phi=0.0)
+        thetas = np.linspace(-0.5 * np.pi, np.pi, 61)
+        scale = mechanics._torque_scale(params, b_mag)
+        single = [tilt_torque_batch(params, geom, thetas, classes=(c,)) for c in ALL_CLASSES]
+        four = tilt_torque_batch(params, geom, thetas)
+        assert np.max(np.abs(four - sum(single))) <= 1e-15 * scale
+        assert np.max(np.abs(single[2] - single[3])) > 1e-8 * scale
 
 
 def _cubic(thetas):
@@ -461,7 +540,8 @@ class TestStableBracket:
         # the baseline is an equilibrium (no trap), the point a driven root
         monkeypatch.setattr(mechanics, "tilt_torque_batch",
                             lambda params, geom, thetas, classes: torque(thetas))
-        monkeypatch.setattr(mdmr, "_driven_torque", lambda *args: torque(args[5]))
+        monkeypatch.setattr(mdmr, "_tilt_torques", lambda params, geom, thetas, *rest:
+                            (torque(thetas), None))
         drive = mdmr.MicrowaveDrive(rabi_rate=2.0 * np.pi * 1e6, frequencies=(1e9,))
         spec = mdmr.mdmr_scan(params, orientation, TrapModel(trap_frequency=0.0),
                               axial_field(orientation, 0.1), drive)

@@ -126,11 +126,11 @@ class TestFieldCheck:
     @pytest.mark.parametrize("bad", BAD_FIELDS.values(), ids=BAD_FIELDS.keys())
     def test_stack_rejected(self, params, bad):
         stack = np.stack([np.full(len(bad), 0.05), bad])
-        for solve in (steady_state, zero_connected_lines):  # each takes one field
+        with pytest.raises(ValueError, match="finite"):
+            steady_state(params, stack)  # takes one field
+        for solve in (steady_state_batch, zero_connected_lines):
             with pytest.raises(ValueError, match="finite"):
                 solve(params, stack)
-        with pytest.raises(ValueError, match="finite"):
-            steady_state_batch(params, stack)
         with pytest.raises(ValueError, match="finite"):
             microwave_superoperator(params, stack, 2.8e9, self.DRIVE)
 
@@ -466,9 +466,25 @@ def moment_cases():
             ("rows", rows, mixed, rng.integers(0, 3, size=300))]
 
 
+def assert_within_moment_rounding(moments, states, r):
+    """<S> (..., 3) read in closed form from coherence vectors r (..., 9)
+    against spin_expectation of their states.  The route through the density
+    matrix takes sqrt(1/2) r_a + sqrt(1/2) r_b (two rounded products and a
+    rounded sum), doubles it exactly and rounds sqrt(1/2) times it, and
+    sqrt(1/2)^2 * 2 is 1 to eps: at most 2.5 eps (|r_a| + |r_b|) from the
+    exact value, and the closed form r_a + r_b at most 0.5 eps, so the two
+    differ by at most 3 eps (|r_a| + |r_b|); z = r_0 - r_2 is the same in
+    both.  For a state, |r| <= 1: 3 sqrt(2) eps = 9.4e-16 of a full spin."""
+    reference = spin_expectation(states)
+    bound = 3.0 * np.finfo(float).eps * (np.abs(r[..., [3, 6, 0]]) + np.abs(r[..., [5, 8, 2]]))
+    assert np.all(np.abs(moments - reference) <= bound)
+    assert np.array_equal(moments[..., 2], reference[..., 2])
+
+
 class TestSteadyStateMoments:
-    """<S> read straight from the coherence vector is bitwise the old route
-    through the density matrix, sign of zero included (``tobytes``)."""
+    """<S> read straight from the coherence vector in closed form is the old
+    route through the density matrix to its rounding, and the derivatives
+    from the same solve keep the moments' bits."""
 
     @pytest.mark.parametrize("name, params, fields, rows", moment_cases(),
                              ids=[case[0] for case in moment_cases()])
@@ -477,20 +493,20 @@ class TestSteadyStateMoments:
         dirs[:, 0] = [1.0, 0.0, 0.0]  # an exact direction: derivatives of exactly 0
         moments, none = steady_state_moments(params, fields, rows)
         assert none is None
-        assert moments.tobytes() == spin_expectation(
-            steady_state_batch(params, fields, rows=rows)).tobytes()
+        r, dr = spincore._solve(params, fields, None, rows, dirs)
+        assert_within_moment_rounding(moments, steady_state_batch(params, fields, rows=rows), r)
         same, dmoments = steady_state_moments(params, fields, rows, dirs)
         assert same.tobytes() == moments.tobytes()
         _, drhos = steady_state_derivative_batch(params, fields, dirs, rows)
         assert dmoments.shape == (len(fields), 2, 3)
-        assert dmoments.tobytes() == spin_expectation(drhos).tobytes()
+        assert_within_moment_rounding(dmoments, drhos, dr)
 
     def test_moments_of_coherence_vectors_with_signed_zeros(self):
         rng = np.random.default_rng(2)
         r = rng.normal(size=(500, 9))
         r[rng.random(r.shape) < 0.3] = 0.0
         r[rng.random(r.shape) < 0.3] = -0.0
-        assert _moments(r).tobytes() == spin_expectation(_density_matrices(r)).tobytes()
+        assert_within_moment_rounding(_moments(r), _density_matrices(r), r)
 
     def test_singular_generator_raises_typed_error(self, params, monkeypatch):
         # the generator of test_singular_generator_raises_typed_error, with
