@@ -4,9 +4,11 @@
 # class pins down both the field magnitude and the angle between the NV
 # axis and the field.  The forward model diagonalizes the tilted-field
 # Hamiltonian and labels the lines by energy rank; the inversion solves for
-# (theta, B) in closed form from the three levels, polishes that point once
-# by least squares and propagates the measured linewidths into parameter
-# errors.
+# (theta, B) in closed form from the three levels, polishes that point by
+# least squares only where rounding or the ranges leave it short of the
+# pair (near alignment, near a transverse field, or for lines that no field
+# in range reproduces), and propagates the measured linewidths into
+# parameter errors.
 # Near alignment the lines lose their angular sensitivity quadratically
 # and the angle uncertainty inflates accordingly.
 

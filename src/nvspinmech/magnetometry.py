@@ -17,15 +17,38 @@ The inverse problem is closed form: a model pair fixes all three levels
 (they sum to 2D), and for H = D Sz^2 + b.S their symmetric functions are
 e2 = D^2 - b^2 and e3 = -D b_perp^2 (the E = 0 form of NV vector
 magnetometry, Balasubramanian et al., Nature 455, 648 (2008)), so the
-forward model is one-to-one on theta in [0, pi/2] at every field.  One
-bounded Gauss-Newton polish from that point (:func:`least_squares`, in
-the package) absorbs rounding and gives the bounded best fit when noise
-or a restricted range leaves no exact solution.  Linewidths propagate to
-parameter uncertainties through the local Jacobian; the angle uncertainty
-inflates toward theta = 0, where the lines lose their angular sensitivity
-quadratically.  A pair that is not a model pair, such as the |0>-like
-state's lines past the crossing, maps by construction to its unique
-energy-rank twin (those of 1 deg, 0.18 T to 24.35 deg, 0.1333 T).
+forward model is one-to-one on theta in [0, pi/2] at every field.
+
+The polish (:func:`least_squares`, in the package) starts from that point
+clipped into the search ranges and stops there, with no Jacobian, when the
+point already solves the pair: its residuals are at the forward model's
+rounding (|f|_2 <= 16 eps max|nu|) and the closed form's rounding error is
+within 1e-12 rad in theta and 1e-13 relative in B.  That error is a
+rounding of about eps m, with m = max(D, |E_k|) the scale of H, carried to
+first order through the closed form's three cancellations: the levels from
+the lines (E_low = (2D - 2pi(nu_- + nu_+))/3 and the sums after it,
+relative error m/|E_k|, large near theta = 0 where the |0>-like level
+nears 0), b^2 = D^2 - e2 (relative error m^2/b^2, large at low field), and
+theta = arcsin sqrt(s), s = sin^2 theta, which moves by (ds/s)
+tan(theta)/2 and so grows as s -> 1.  With kappa = sum_k m/|E_k| + m^2/b^2
+the relative error of s is about eps kappa, so theta is off by eps kappa
+tan(theta)/2 and B by eps m^2/(2 b^2) relative; the bounds are four times
+these, for the several roundings of each step (against a 50-digit
+evaluation on 1422 pairs, the closed form stayed within 0.34 of the angle
+bound and 0.77 of the field bound).  The residual test catches what the
+closed form does not solve (a pair off the model's image, which noise can
+make, or a start clipped into a restricted range); the error bound catches
+pairs that a residual at rounding does not pin (near alignment or a
+transverse field).  Anywhere else one bounded Gauss-Newton polish absorbs
+rounding and gives the bounded best fit when noise or a restricted range
+leaves no exact solution.
+
+Linewidths propagate to parameter uncertainties through the local
+Jacobian; the angle uncertainty inflates toward theta = 0, where the lines
+lose their angular sensitivity quadratically.  A pair that is not a model
+pair, such as the |0>-like state's lines past the crossing, maps by
+construction to its unique energy-rank twin (those of 1 deg, 0.18 T to
+24.35 deg, 0.1333 T).
 """
 
 from __future__ import annotations
@@ -120,13 +143,17 @@ def transition_frequencies(params: SpinParams, theta: float, b: float) -> Transi
     return TransitionPair(nu_minus=float(nu_minus), nu_plus=float(nu_plus))
 
 
-def _closed_form(params: SpinParams, nu_minus: float, nu_plus: float) -> list:
-    """The model point [theta, B] of a line pair, where the polish starts.
+def _closed_form_terms(params: SpinParams, nu_minus: float, nu_plus: float):
+    """(sin^2 theta, b^2, theta bound, B bound) of a line pair, or None where
+    the expansion overflows.
 
     prod_k (x - E_k) = x^3 - 2D x^2 + (D^2 - b^2) x + D b_perp^2 for
     H = D Sz^2 + b.S, with b = gamma B, expanded in Python floats in the
-    order of ``np.poly`` (its bits, without its array overhead).  A float
-    overflows to inf silently; an expansion that does raises NoSolutionError.
+    order of ``np.poly`` (its bits, without its array overhead).  The
+    bounds are the closed form's rounding error, in rad and relative to B,
+    by the first-order propagation of the module docstring; they are inf
+    where theta = arcsin sqrt(sin^2) is not pinned (sin^2 clipped to 0 or
+    1, or on its edges).
     """
     d, nu_minus, nu_plus = float(params.zero_field_splitting), float(nu_minus), float(nu_plus)
     e_low = (2.0 * d - 2.0 * math.pi * (nu_minus + nu_plus)) / 3.0
@@ -134,12 +161,30 @@ def _closed_form(params: SpinParams, nu_minus: float, nu_plus: float) -> list:
     low_mid = e_low * e_mid
     e2, d_bperp_sq = low_mid + (-e_low + -e_mid) * -e_top, low_mid * -e_top
     if not (math.isfinite(e2) and math.isfinite(d_bperp_sq)):
-        raise NoSolutionError("no (theta, B) in range reproduces the pair: "
-                              "its closed form overflows in floating point")
+        return None
     b_sq = max(d * d - e2, 0.0)
     d_b_sq = d * b_sq
     # max(0.0, -0.0) is 0.0, as in np.clip
     sin_sq = min(max(0.0, d_bperp_sq / d_b_sq), 1.0) if d_b_sq > 0.0 else 0.0
+    if not 0.0 < sin_sq < 1.0:
+        return sin_sq, b_sq, math.inf, math.inf
+    # 0 < sin_sq: every level is nonzero and b_sq > 0
+    scale = max(d, abs(e_low), abs(e_mid), abs(e_top))
+    b_cond = scale * scale / b_sq
+    kappa = scale * (1.0 / abs(e_low) + 1.0 / abs(e_mid) + 1.0 / abs(e_top)) + b_cond
+    return (sin_sq, b_sq, 2.0 * _EPS * kappa * math.sqrt(sin_sq / (1.0 - sin_sq)),
+            2.0 * _EPS * b_cond)
+
+
+def _closed_form(params: SpinParams, nu_minus: float, nu_plus: float) -> list:
+    """The model point [theta, B] of a line pair, where the polish starts
+    (:func:`_closed_form_terms`).  A float overflows to inf silently; an
+    expansion that does raises NoSolutionError."""
+    terms = _closed_form_terms(params, nu_minus, nu_plus)
+    if terms is None:
+        raise NoSolutionError("no (theta, B) in range reproduces the pair: "
+                              "its closed form overflows in floating point")
+    sin_sq, b_sq = terms[:2]
     # np.arcsin, not math.asin: the two differ in the last bit
     return [float(np.arcsin(math.sqrt(sin_sq))),
             math.sqrt(b_sq) / params.gyromagnetic_ratio]
@@ -163,8 +208,9 @@ def invert_angle_field(params: SpinParams, pair: TransitionPair,
 
     The closed-form point of the module docstring, clipped into the ranges,
     starts one bounded Gauss-Newton polish of the frequency residuals
-    (:func:`least_squares`): projected steps with a forward-difference
-    Jacobian, each accepted only when it lowers the cost.
+    (:func:`least_squares`): it stops at that start where the closed form
+    already solves the pair, and otherwise takes projected steps with a
+    forward-difference Jacobian, each accepted only when it lowers the cost.
     Linewidths, when present, propagate through the inverse Jacobian into
     (theta_err, b_err); near theta = 0 the angle error inflates instead of
     failing.  Without them both errors are 0 and no Jacobian is built.
@@ -222,13 +268,24 @@ def invert_angle_field(params: SpinParams, pair: TransitionPair,
 _X_SCALE = np.array([1e-2, 1e-3])  # rad, tesla
 _POLISH_TOL = 1e-14
 _POLISH_EVALS = 50
-_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
+_EPS = float(np.finfo(float).eps)
+_SQRT_EPS = float(np.sqrt(_EPS))
+# stop at the start (module docstring).  eigvalsh gives each level to about
+# 3 eps |H|, and |H| <= 2pi nu_+ because E_low <= <0|H|0> = 0 <= E_top; so
+# each line of a pair at its own point is off by about 6 eps max|nu|, both
+# by about 8.5 eps max|nu| in the 2-norm, and _STOP_RESIDUAL allows twice
+# that.  The closed-form bounds must then lie within _STOP_THETA (rad) and
+# _STOP_B (relative).
+_STOP_RESIDUAL = 16.0 * _EPS
+_STOP_THETA = 1e-12
+_STOP_B = 1e-13
 
 
 @dataclass(frozen=True)
 class PolishResult:
     """Bounded least-squares polish: the point, its residuals (Hz) and the
-    number of residual-and-Jacobian evaluations made."""
+    number of points at which the residuals were evaluated (the start,
+    then one per trial step)."""
 
     x: np.ndarray
     fun: np.ndarray
@@ -239,14 +296,20 @@ def least_squares(params: SpinParams, target, x0, lower, upper) -> PolishResult:
     """Bounded Gauss-Newton polish of the two frequency residuals.
 
     Minimizes |nu(theta, B) - target|^2 over the box [lower, upper] from
-    ``x0`` clipped into the box.  Each evaluation is one 3-point
-    :func:`_line_pairs` batch that gives the residuals and their
-    forward-difference Jacobian.  A Gauss-Newton step that pushes a
-    parameter through its bound holds it at the bound and solves for the
-    other alone; a step is accepted only when it strictly lowers the cost.
+    ``x0`` clipped into the box.  It stops at that start (``nfev`` = 1,
+    no Jacobian) when its residuals are at the forward model's rounding and
+    the closed form of ``target`` is well conditioned (module docstring).
+    Otherwise each evaluation is one 3-point :func:`_line_pairs` batch that
+    gives the residuals and their forward-difference Jacobian.  A
+    Gauss-Newton step that pushes a parameter through its bound holds it at
+    the bound and solves for the other alone; a step is accepted only when
+    it strictly lowers the cost.
     """
     lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
     x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    fun = _line_pairs(params, x[0], x[1]) - target
+    if _solved_at_start(params, target, fun):
+        return PolishResult(x=x, fun=fun, nfev=1)
     fun, jac = _residuals_and_jacobian(params, target, x, upper)
     cost, nfev = float(fun @ fun), 1
     while nfev < _POLISH_EVALS:
@@ -264,6 +327,19 @@ def least_squares(params: SpinParams, target, x0, lower, upper) -> PolishResult:
         if stalled:
             break
     return PolishResult(x=x, fun=fun, nfev=nfev)
+
+
+def _solved_at_start(params: SpinParams, target, fun) -> bool:
+    """Whether the start, with residuals ``fun``, solves ``target``: they are
+    at the forward model's rounding, and the closed form of ``target`` pins
+    its point to within the stop bounds."""
+    nu_minus, nu_plus = (float(nu) for nu in target)
+    f_minus, f_plus = fun.tolist()
+    limit = _STOP_RESIDUAL * max(abs(nu_minus), abs(nu_plus))
+    if not f_minus * f_minus + f_plus * f_plus <= limit * limit:
+        return False
+    terms = _closed_form_terms(params, nu_minus, nu_plus)
+    return terms is not None and terms[2] <= _STOP_THETA and terms[3] <= _STOP_B
 
 
 def _residuals_and_jacobian(params: SpinParams, target, x, upper):

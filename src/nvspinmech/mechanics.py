@@ -339,7 +339,8 @@ def landscape_curl_check(params: SpinParams, orientation: CrystalOrientation,
     Returns the largest relative curl |d(tau_theta)/dphi - d(tau_phi)/dtheta|
     over random (theta, phi) samples, normalized by the local torque scale.
     The steady-state torque field is dissipative, so this need not vanish;
-    small values justify treating U as a potential.  The curl is exact: the
+    small values justify treating U as a potential; with no spins or no
+    field there is no torque and the result is 0.  The curl is exact: the
     mixed second derivative of the field cancels, leaving
     N * sum_c (dm_c/dphi . db_c/dtheta - dm_c/dtheta . db_c/dphi), taken
     in the in-plane frames of the torques (:func:`_inplane`).
@@ -357,14 +358,17 @@ def landscape_curl_check(params: SpinParams, orientation: CrystalOrientation,
     b, db_th = np.concatenate([g.field_and_derivative(th) for g, th in geoms], axis=1)
     db_ph = np.array([b_mag * np.sin(th) * np.cross(g.z0, g.e_phi) for g, th in geoms])
     fields, d_th, d_ph = _inplane(np.stack([b, db_th, db_ph]), classes)
+    n = params.n_spins_per_class
+    floor = 1e-9 * n * HBAR * params.gyromagnetic_ratio * b_mag
+    if floor == 0.0:
+        # no spins or no field: the torque field vanishes identically
+        return 0.0
     dirs = np.stack([d_th, d_ph], axis=2)
     m, dm = steady_state_moments(params, fields.reshape(-1, 3), None, dirs.reshape(-1, 2, 3))
     scale = -HBAR * params.gyromagnetic_ratio
     m, dm = scale * m.reshape(fields.shape), scale * dm.reshape(dirs.shape)
-    n = params.n_spins_per_class
     curl = n * sum(_dot3(dm[:, :, 1], d_th) - _dot3(dm[:, :, 0], d_ph))
     tau = [np.abs(n * sum(_dot3(m, d))) for d in (d_th, d_ph)]
-    floor = 1e-9 * n * HBAR * params.gyromagnetic_ratio * b_mag
     return float(np.max(np.abs(curl) / np.maximum(np.maximum(*tau), floor)))
 
 

@@ -343,18 +343,25 @@ def steady_state_moments(params: SpinParams, b_nv_batch: np.ndarray, rows=None,
 
 def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,
                          trace_tol: float = 1e-10, eig_floor: float = -1e-10) -> None:
-    """Validate Hermiticity, unit trace and positivity of a 3x3 state."""
-    if rho.shape != (3, 3):
+    """Validate Hermiticity, unit trace and positivity of a 3x3 state or of
+    every state of a (..., 3, 3) stack.  The error names the first failing
+    state of a stack, and its first failing check."""
+    rho = np.asarray(rho)
+    if rho.shape[-2:] != (3, 3):
         raise ValueError("density matrix must be 3x3")
-    herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > herm_tol:
-        raise ValueError(f"not Hermitian: max asymmetry {herm:.3e}")
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"trace {tr!r} differs from 1")
-    eigs = np.linalg.eigvalsh(rho)
-    if eigs.min() < eig_floor:
-        raise ValueError(f"negative population {eigs.min():.3e}")
+    herm = np.max(np.abs(rho - np.swapaxes(rho.conj(), -1, -2)), axis=(-2, -1))
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    low = np.linalg.eigvalsh(rho)[..., 0]
+    bad = (herm > herm_tol) | (np.abs(tr - 1.0) > trace_tol) | (low < eig_floor)
+    if not bad.any():
+        return
+    i = tuple(int(k) for k in np.argwhere(bad)[0])
+    where = "" if rho.ndim == 2 else f"state {i[0] if len(i) == 1 else i}: "
+    if herm[i] > herm_tol:
+        raise ValueError(f"{where}not Hermitian: max asymmetry {herm[i]:.3e}")
+    if abs(tr[i] - 1.0) > trace_tol:
+        raise ValueError(f"{where}trace {tr[i]!r} differs from 1")
+    raise ValueError(f"{where}negative population {low[i]:.3e}")
 
 
 def spin_expectation(rho: np.ndarray) -> np.ndarray:
@@ -433,8 +440,7 @@ def susceptibility_numeric_batch(params: SpinParams, b0s) -> tuple[list, np.ndar
     fields[:, 2] = b0s
     rhos, drhos = steady_state_derivative_batch(
         params, fields, np.broadcast_to([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], (len(b0s), 2, 3)))
-    for rho in rhos:
-        check_density_matrix(rho, **_STATE_TOLERANCES)
+    check_density_matrix(rhos, **_STATE_TOLERANCES)
     dms = -MU0 * params.density * HBAR * params.gyromagnetic_ratio * spin_expectation(drhos)
     return [SusceptibilityTensor(chi_perp=float(dm[0, 0]), chi_d=float(dm[0, 1]),
                                  chi_par=float(dm[1, 2])) for dm in dms], rhos

@@ -126,9 +126,11 @@ def test_traced_pass_reports_json_without_failures(workload):
 # hence 1% headroom; a batch split into single points or a lost
 # vectorization costs far more.  magnetometry_readout solves no steady
 # state, and each of its 104 inversions makes one bounded Gauss-Newton
-# polish from the closed-form (theta, B); one 3-point batch gives the
-# residuals and their Jacobian, 125 such evaluations in all.  Restarting
-# more than one inversion exceeds the call bound.
+# polish from the closed-form (theta, B).  The polish stops at that start
+# after one 1-point evaluation where the closed form already solves the
+# pair; elsewhere one 3-point batch per point gives the residuals and their
+# Jacobian: 108 evaluated points in all.  Restarting more than one
+# inversion exceeds the call bound.
 BUDGETS = {
     "orientation_recipes": {"spincore.steady_state_moments": 287,
                             "spincore.steady_state_batch": 0,
@@ -147,7 +149,7 @@ BUDGETS = {
     "magnetometry_readout": {"spincore.steady_state_batch": 0,
                              "spincore.steady_state_derivative_batch": 0,
                              "magnetometry.least_squares": 104,
-                             "magnetometry.least_squares.nfev": 125},
+                             "magnetometry.least_squares.nfev": 108},
 }
 HEADROOM = 1.01
 

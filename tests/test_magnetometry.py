@@ -2,6 +2,7 @@
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,8 @@ from scipy.optimize import least_squares, minimize_scalar
 
 from nvspinmech import (NoSolutionError, SpinParams, TransitionPair,
                         invert_angle_field, magnetometry, transition_frequencies)
-from nvspinmech.magnetometry import _flat_valley_width, _jacobian, _line_pairs
+from nvspinmech.magnetometry import (_flat_valley_width, _jacobian, _line_pairs,
+                                     _residuals_and_jacobian)
 
 TWO_PI = 2.0 * np.pi
 DEG = np.pi / 180.0
@@ -451,3 +453,114 @@ class TestInversionWork:
             warnings.simplefilter("error")
             with pytest.raises(NoSolutionError, match="overflows"):
                 invert_angle_field(params, pair)
+
+
+def _counting(monkeypatch, names):
+    """Replace the magnetometry helpers ``names`` by counting wrappers;
+    returns the per-name lists of the first argument shapes seen."""
+    seen = {name: [] for name in names}
+    for name in names:
+        def wrapper(*args, _fn=getattr(magnetometry, name), _name=name):
+            seen[_name].append(np.shape(args[1]))
+            return _fn(*args)
+        monkeypatch.setattr(magnetometry, name, wrapper)
+    return seen
+
+
+class TestPolishStop:
+    """The polish stops at its start only where the closed form solves the pair."""
+
+    LOWER, UPPER = np.array([0.0, 0.0]), np.array([0.5 * np.pi, 0.3])
+
+    def test_well_conditioned_pair_makes_one_one_point_evaluation(self, params, monkeypatch):
+        seen = _counting(monkeypatch, ["_line_pairs", "_residuals_and_jacobian", "_box_step"])
+        for theta, b in [(30 * DEG, 0.05), (60 * DEG, 0.2), (10 * DEG, 0.09)]:
+            tp = transition_frequencies(params, theta, b)
+            for key in seen:
+                seen[key].clear()
+            est = invert_angle_field(params, tp)
+            assert seen == {"_line_pairs": [()], "_residuals_and_jacobian": [], "_box_step": []}
+            assert est.theta == pytest.approx(theta, abs=1e-12)
+
+    @pytest.mark.parametrize("theta, b, b_max, shift", [
+        (0.5 * np.pi - 1e-4, 0.1, 0.3, 0.0),  # arcsin sqrt(s) as s -> 1
+        (1e-3, 0.05, 0.3, 0.0),               # small tilt: the lines barely move
+        (40 * DEG, 0.2, 0.15, 0.0),           # the start lies outside the range
+        (0.5 * np.pi, 0.1, 0.3, 1e6)])        # off the model's image: sin^2 > 1
+    def test_polish_runs_where_the_start_is_not_pinned(self, params, monkeypatch,
+                                                       theta, b, b_max, shift):
+        target = _line_pairs(params, theta, b) + [shift, 0.0]
+        d = params.zero_field_splitting
+        e_low = (2.0 * d - TWO_PI * target.sum()) / 3.0
+        _, _, e2, d_bperp_sq = np.poly([e_low, *(e_low + TWO_PI * target)])
+        assert (d_bperp_sq / (d * (d * d - e2)) > 1.0) == (shift > 0.0)
+        seen = _counting(monkeypatch, ["_residuals_and_jacobian"])
+        magnetometry.least_squares(params, target, magnetometry._closed_form(params, *target),
+                                   self.LOWER, [0.5 * np.pi, b_max])
+        assert seen["_residuals_and_jacobian"]
+
+    def test_stopped_polish_returns_the_clipped_start_and_its_residuals(self, params):
+        for theta, b in [(30 * DEG, 0.05), (75 * DEG, 0.25), (20 * DEG, 0.15)]:
+            target = _line_pairs(params, theta, b)
+            x0 = magnetometry._closed_form(params, *target)
+            sol = magnetometry.least_squares(params, target, x0, self.LOWER, self.UPPER)
+            start = np.clip(x0, self.LOWER, self.UPPER)
+            fun, _ = _residuals_and_jacobian(params, target, start, self.UPPER)
+            assert sol.nfev == 1
+            assert [x.hex() for x in sol.x.tolist()] == [x.hex() for x in start.tolist()]
+            assert [f.hex() for f in sol.fun.tolist()] == [f.hex() for f in fun.tolist()]
+
+
+def preimage(params, nu_minus, nu_plus):
+    """(theta, B) of a float line pair by the closed form at 50 digits, with
+    sin^2 theta clipped into [0, 1]."""
+    with mpmath.workdps(50):
+        d, two_pi = mpmath.mpf(params.zero_field_splitting), 2 * mpmath.pi
+        e_low = (2 * d - two_pi * (mpmath.mpf(nu_minus) + mpmath.mpf(nu_plus))) / 3
+        e_mid, e_top = e_low + two_pi * mpmath.mpf(nu_minus), e_low + two_pi * mpmath.mpf(nu_plus)
+        b_sq = d * d - (e_low * e_mid + e_low * e_top + e_mid * e_top)
+        sin_sq = min(max(-e_low * e_mid * e_top / (d * b_sq), 0), 1)
+        return (mpmath.asin(mpmath.sqrt(sin_sq)),
+                mpmath.sqrt(b_sq) / mpmath.mpf(params.gyromagnetic_ratio))
+
+
+class TestAccuracyOracle:
+    """Inversions against the 50-digit preimage of the same float pair."""
+
+    def test_within_the_stop_bounds_and_the_polish_floor(self, params, monkeypatch):
+        pairs = []
+        # the benchmark's stratified draws: one (theta, B) per cell of a 10 x 10
+        # grid over [1, 89] deg x [0.01, 0.095] T, lines from eigvalsh of H
+        for seed in (1, 2, 3):
+            rng = np.random.default_rng(seed)
+            cells = np.array([(i, j) for i in range(10) for j in range(10)], dtype=float)
+            u = (cells + rng.random(cells.shape)) / 10
+            for theta, b in zip((1.0 + 88.0 * u[:, 0]) * DEG, 0.01 + 0.085 * u[:, 1]):
+                levels = np.linalg.eigvalsh(_hamiltonian(params, theta, b))
+                pairs.append(((levels[1:] - levels[0]) / TWO_PI, (0.0, 0.3)))
+        # tilts from 1e-4 rad to pi/2 - 1e-6 at fields on both sides of the crossing
+        for b in np.linspace(0.005, 0.29, 7):
+            for theta in np.geomspace(1e-4, 0.5 * np.pi - 1e-6, 40):
+                pairs.append((_line_pairs(params, theta, b), (0.0, 0.3)))
+        pairs.append((_line_pairs(params, 5 * DEG, 0.15), (0.0, 0.3)))  # the round trip
+        pairs.append((zero_character_pair(params, 1.0 * DEG, 0.18), (0.0, 0.16)))  # the twin
+
+        seen = _counting(monkeypatch, ["_residuals_and_jacobian"])
+        worst = {True: [0.0, 0.0], False: [0.0, 0.0]}
+        stopped_draws = 0
+        for k, ((nu_minus, nu_plus), b_range) in enumerate(pairs):
+            seen["_residuals_and_jacobian"].clear()
+            est = invert_angle_field(params, TransitionPair(float(nu_minus), float(nu_plus)),
+                                     b_range=b_range)
+            theta, b = preimage(params, nu_minus, nu_plus)
+            err = [float(abs(est.theta - theta)), float(abs(est.b - b) / b)]
+            stopped = not seen["_residuals_and_jacobian"]
+            worst[stopped] = [max(w, e) for w, e in zip(worst[stopped], err)]
+            stopped_draws += stopped and k < 300
+        # a stopped polish: within the bounds its thresholds imply
+        assert worst[True][0] <= 1e-12 and worst[True][1] <= 1e-13
+        # a polished pair: no worse than every pair was before the stop
+        # (4.06e-10 rad and 4.59e-14 on this grid, rounded up)
+        assert worst[False][0] <= 4.1e-10 and worst[False][1] <= 5e-14
+        # the stop is the common case on the benchmark's draws
+        assert stopped_draws >= 270

@@ -216,6 +216,15 @@ class TestEnergyLandscape:
                                         n_samples=4, seed=3)
         assert rel_curl < 0.05
 
+    @pytest.mark.parametrize("n_spins, b_mag", [(0.0, 0.11), (2.5e8, 0.0)])
+    def test_curl_diagnostic_without_torque_is_zero(self, orientation, n_spins, b_mag):
+        # no spins or no field: the torque field vanishes, and so does its curl
+        params = SpinParams(n_spins_per_class=n_spins)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert landscape_curl_check(params, orientation,
+                                        axial_field(orientation, b_mag), n_samples=4) == 0.0
+
     @pytest.mark.parametrize("n_samples", [0, -1])
     def test_curl_diagnostic_needs_a_sample(self, params, orientation, n_samples):
         with pytest.raises(ValueError, match="n_samples"):

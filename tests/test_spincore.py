@@ -230,6 +230,41 @@ class TestSteadyState:
             assert "condition estimate" in str(info.value)
 
 
+class TestDensityMatrixCheck:
+    MIXED = np.eye(3, dtype=complex) / 3.0
+
+    def test_one_state_checks_in_order(self):
+        check_density_matrix(self.MIXED)
+        skew = self.MIXED.copy()
+        skew[0, 1] = 1e-6
+        with pytest.raises(ValueError, match=r"^not Hermitian: max asymmetry 1\.000e-06$"):
+            check_density_matrix(skew)
+        with pytest.raises(ValueError, match=r"^trace np.float64\(2\.0\) differs from 1$"):
+            check_density_matrix(2.0 * self.MIXED)
+        with pytest.raises(ValueError, match=r"^negative population -1\.000e-02$"):
+            check_density_matrix(np.diag([0.51, 0.5, -0.01]).astype(complex))
+        with pytest.raises(ValueError, match="3x3"):
+            check_density_matrix(np.eye(2))
+
+    def test_stack_names_its_first_failing_state(self):
+        stack = np.repeat(self.MIXED[None], 5, axis=0)
+        check_density_matrix(stack)
+        stack[3] = np.diag([0.51, 0.5, -0.01])
+        stack[4] = 2.0 * self.MIXED
+        with pytest.raises(ValueError, match=r"^state 3: negative population -1\.000e-02$"):
+            check_density_matrix(stack)
+        with pytest.raises(ValueError, match=r"^state \(1, 0\): negative population"):
+            check_density_matrix(stack[1:].reshape(2, 2, 3, 3))
+
+    def test_sweep_checks_every_state_in_one_call(self, params, monkeypatch):
+        calls = []
+        check = spincore.check_density_matrix
+        monkeypatch.setattr(spincore, "check_density_matrix",
+                            lambda rho, **kw: calls.append(np.shape(rho)) or check(rho, **kw))
+        spincore.susceptibility_numeric_batch(params, np.linspace(0.01, 0.2, 7))
+        assert calls == [(7, 3, 3)]
+
+
 class TestMagnetization:
     def test_mixed_state_has_no_moment(self, params):
         m = magnetization(params, np.eye(3, dtype=complex) / 3.0)
